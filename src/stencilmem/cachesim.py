@@ -15,9 +15,12 @@ interface. Three write policies are modelled:
   watch is claimed without a fill, anything aged out incomplete falls back
   to a regular allocate. ``active=False`` degrades to ``AlwaysAllocate``.
 
-Events are (byte address, mode) pairs; trace generation is vectorized and
-the replay works on runs of consecutive same-line events, which keeps the
-22 desk-scale oracle runs within a few minutes of CPU time.
+A trace is an iterable of ``TRACE_DTYPE`` record blocks (u64 byte address,
+u8 mode: 0 read, 1 write); a trace file holds the same 9-byte records back
+to back. A file size that is no whole number of records, or a mode byte
+above 1, raises ValueError. Trace generation is vectorized and the replay
+works on runs of consecutive same-line events, which keeps the 22
+desk-scale oracle runs within a few minutes of CPU time.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import numpy as np
 from .kernels import READ, WRITE, Access, ArrayDecl, GridSpec, KernelError, KernelSpec
 
 TRACE_DTYPE = np.dtype([("address", "<u8"), ("mode", "u1")])
+TRACE_BLOCK = 1 << 16   # records per block that load_trace yields
 
 
 @dataclass(frozen=True)
@@ -137,7 +141,7 @@ def _loop_bounds(kernel: KernelSpec, grid: GridSpec) -> tuple[int, int, int, int
     return j0, j1, k0, k1
 
 
-def gen_trace_blocks(kernel: KernelSpec, grid: GridSpec, rows_per_block: int = 16):
+def gen_trace_blocks(kernel: KernelSpec, grid: GridSpec):
     """Yield the access stream as (addresses, write flags) numpy blocks.
 
     Iteration order is k outer ascending, j inner ascending; within an
@@ -154,6 +158,7 @@ def gen_trace_blocks(kernel: KernelSpec, grid: GridSpec, rows_per_block: int = 1
     wflags = np.array([a.mode == WRITE for a in ordered], dtype=bool)
     jcol = np.arange(j0, j1 + 1, dtype=np.int64) * esize
     row_bytes = stride * esize
+    rows_per_block = 16
     for kb in range(k0, k1 + 1, rows_per_block):
         ks = np.arange(kb, min(kb + rows_per_block, k1 + 1), dtype=np.int64)
         block = (ks[:, None, None] * row_bytes
@@ -164,10 +169,12 @@ def gen_trace_blocks(kernel: KernelSpec, grid: GridSpec, rows_per_block: int = 1
 
 
 def gen_trace(kernel: KernelSpec, grid: GridSpec):
-    """Yield (byte address, mode) events in deterministic iteration order."""
+    """Yield the access stream as ``TRACE_DTYPE`` record blocks."""
     for addrs, writes in gen_trace_blocks(kernel, grid):
-        for a, w in zip(addrs.tolist(), writes.tolist()):
-            yield a, (WRITE if w else READ)
+        records = np.empty(addrs.size, dtype=TRACE_DTYPE)
+        records["address"] = addrs
+        records["mode"] = writes
+        yield records
 
 
 def iteration_count(kernel: KernelSpec, grid: GridSpec) -> int:
@@ -409,20 +416,6 @@ class _Hierarchy:
                           iterations=iterations)
 
 
-def _blocks_from_pairs(trace, batch: int = 1 << 16):
-    addrs, writes = [], []
-    for addr, mode in trace:
-        if mode not in (READ, WRITE):
-            raise ValueError(f"bad trace mode {mode!r}")
-        addrs.append(addr)
-        writes.append(mode == WRITE)
-        if len(addrs) >= batch:
-            yield np.array(addrs, dtype=np.uint64), np.array(writes, dtype=bool)
-            addrs, writes = [], []
-    if addrs:
-        yield np.array(addrs, dtype=np.uint64), np.array(writes, dtype=bool)
-
-
 def _simulate_blocks(blocks, levels, policy, access_bytes, iterations) -> MemTraffic:
     sim = _Hierarchy(list(levels), policy, access_bytes)
     feed = sim.feed_fast_always if sim.use_fast_path else sim.feed
@@ -432,15 +425,22 @@ def _simulate_blocks(blocks, levels, policy, access_bytes, iterations) -> MemTra
     return sim.traffic(iterations)
 
 
+def _record_fields(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    if np.any(records["mode"] > 1):
+        raise ValueError("bad trace mode byte: 0 is a read, 1 a write")
+    return records["address"], records["mode"].view(np.bool_)
+
+
 def simulate(trace, levels, policy: WritePolicySim = AlwaysAllocate(),
              access_bytes: int = 8, iterations: int = 0) -> MemTraffic:
-    """Replay an iterable of (address, mode) events through the hierarchy.
+    """Replay an iterable of ``TRACE_DTYPE`` record blocks through the hierarchy.
 
     Every event touches ``access_bytes`` bytes starting at its address (the
-    trace format itself carries no size). ``iterations`` is recorded in the
-    returned MemTraffic for per-iteration figures.
+    trace format itself carries no size). A mode byte above 1 raises
+    ValueError (exit 2 from ``stencilmem replay``). ``iterations`` is
+    recorded in the returned MemTraffic for per-iteration figures.
     """
-    return _simulate_blocks(_blocks_from_pairs(trace), levels, policy,
+    return _simulate_blocks(map(_record_fields, trace), levels, policy,
                             access_bytes, iterations)
 
 
@@ -516,23 +516,20 @@ def halo_copy_experiment(inner: int, halo: int, total_bytes: int,
 # -- trace files --------------------------------------------------------------
 
 
-def dump_trace(trace, path: str | Path, batch: int = 1 << 16):
-    """Write events as little-endian {u64 address, u8 mode} records."""
+def dump_trace(trace, path: str | Path):
+    """Write an iterable of ``TRACE_DTYPE`` record blocks to a trace file."""
     with open(path, "wb") as fh:
-        buf = np.empty(batch, dtype=TRACE_DTYPE)
-        n = 0
-        for addr, mode in trace:
-            buf[n] = (addr, 1 if mode == WRITE else 0)
-            n += 1
-            if n == batch:
-                buf.tofile(fh)
-                n = 0
-        if n:
-            buf[:n].tofile(fh)
+        for records in trace:
+            records.tofile(fh)
 
 
 def load_trace(path: str | Path):
-    """Yield (address, mode) events from a dumped trace file."""
+    """Iterate over a trace file in blocks of ``TRACE_BLOCK`` records.
+
+    A file size that is not a whole number of records raises ValueError
+    (exit 2 from ``stencilmem replay``).
+    """
+    if Path(path).stat().st_size % TRACE_DTYPE.itemsize:
+        raise ValueError(f"{path}: not a whole number of 9-byte trace records")
     records = np.fromfile(path, dtype=TRACE_DTYPE)
-    for addr, mode in zip(records["address"].tolist(), records["mode"].tolist()):
-        yield addr, (WRITE if mode else READ)
+    return (records[i:i + TRACE_BLOCK] for i in range(0, records.size, TRACE_BLOCK))

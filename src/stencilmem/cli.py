@@ -10,13 +10,15 @@ Subcommands::
     halo-copy    read/write ratio of the strip-mined copy benchmark
 
 Exit codes: 0 success, 1 tolerance check failed (only with --check),
-2 malformed input or usage error.
+2 malformed input or usage error. A reader that closes standard output
+early (``| head``) ends the command quietly with exit code 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -285,8 +287,8 @@ def cmd_prime_sweep(args) -> int:
         policy = balance.evasion(machine.speci2m_factor)
     writer = csv.writer(sys.stdout)
     writer.writerow(["kernel", "p", "bytes_per_it", "prime"])
-    extent = next(iter(suite.grids.values())).inner_extent
     for kernel in suite:
+        extent = kernel.arrays[0].grid.inner_extent
         for pred in decomp.predict_rank_sweep(kernel, extent, ranks, machine, policy):
             writer.writerow([kernel.name, pred.ranks, f"{pred.bytes_per_it:.4f}",
                              1 if pred.prime else 0])
@@ -446,13 +448,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except InputError as exc:
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
+    except (InputError, ValueError) as exc:  # KernelError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (KernelError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the exit flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

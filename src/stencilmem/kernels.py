@@ -289,13 +289,21 @@ def load_suite(path: str | Path) -> KernelSuite:
                 if aname not in suite.arrays:
                     raise KernelError(f"kernel {name!r} references undeclared "
                                       f"array {aname!r}")
-                accesses.append(Access(suite.arrays[aname], int(acc["dj"]),
-                                       int(acc["dk"]), acc["mode"]))
+                offsets = [acc["dj"], acc["dk"]]
+                if not all(type(v) is int for v in offsets):
+                    raise KernelError(f"{path}: kernel {name!r}: offsets of "
+                                      f"{aname!r} must be integers, not {offsets}")
+                accesses.append(Access(suite.arrays[aname], *offsets, acc["mode"]))
+            ranges = {}
+            for key in ("loop_j_range", "loop_k_range"):
+                if key in k:
+                    lo, hi = ranges[key] = tuple(k[key])
+                    if lo > hi:
+                        raise KernelError(f"{path}: kernel {name!r}: {key} "
+                                          f"[{lo}, {hi}] is inverted")
             kernel = KernelSpec(
                 name=name, accesses=tuple(accesses),
-                flops_per_it=int(k.get("flops_per_it", 0)),
-                loop_j_range=tuple(k["loop_j_range"]) if "loop_j_range" in k else None,
-                loop_k_range=tuple(k["loop_k_range"]) if "loop_k_range" in k else None)
+                flops_per_it=int(k.get("flops_per_it", 0)), **ranges)
         except KeyError as exc:
             raise KernelError(f"{path}: kernel entry missing field {exc}") from exc
         if name in suite.kernels:

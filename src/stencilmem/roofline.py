@@ -127,6 +127,10 @@ def load_machine(path: str | Path) -> MachineModel:
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     doc.pop("comment", None)
+    for key, value in doc.items():
+        if isinstance(value, bool) or (isinstance(value, float)
+                                       and not math.isfinite(value)):
+            raise ValueError(f"{path}: {key} must be a finite number, not {value!r}")
     try:
         return MachineModel(**doc)
     except TypeError as exc:

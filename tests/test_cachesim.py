@@ -3,6 +3,8 @@ import pytest
 
 from stencilmem.balance import scenario_table
 from stencilmem.cachesim import (
+    TRACE_BLOCK,
+    TRACE_DTYPE,
     AlwaysAllocate,
     AutoClaim,
     CacheLevelConfig,
@@ -31,22 +33,33 @@ def lv(*line_counts, associativity=None):
             for n in line_counts]
 
 
+def as_trace(events):
+    """A trace of one record block holding (address, READ/WRITE) pairs."""
+    return [np.array([(a, m == WRITE) for a, m in events], dtype=TRACE_DTYPE)]
+
+
+def pairs(blocks):
+    """The (address, READ/WRITE) pairs of a trace, e.g. from gen_trace."""
+    records = np.concatenate(list(blocks))
+    return [(a, WRITE if m else READ) for a, m in records.tolist()]
+
+
 class TestTraceGeneration:
     def test_minimal_trace(self):
         grid = GridSpec(1, 1)
         kernel = make_kernel([("a", 0, 0, READ)])
-        events = list(gen_trace(kernel, grid))
+        events = pairs(gen_trace(kernel, grid))
         assert events == [(0, READ)]
 
     def test_am04_event_count(self, suite):
         grid = GridSpec(8, 3, halo_lo=2, halo_hi=2)
-        events = list(gen_trace(suite.kernels["am04"], grid))
+        events = pairs(gen_trace(suite.kernels["am04"], grid))
         assert len(events) == 8 * 3 * 5
 
     def test_copy_kernel_order_and_monotonicity(self):
         grid = GridSpec(32, 1)
         kernel = make_kernel([("b", 0, 0, READ), ("a", 0, 0, WRITE)])
-        events = list(gen_trace(kernel, grid))
+        events = pairs(gen_trace(kernel, grid))
         assert len(events) == 64
         reads = [a for a, m in events if m == READ]
         writes = [a for a, m in events if m == WRITE]
@@ -72,24 +85,24 @@ class TestTraceGeneration:
         kernel = make_kernel([("a", 0, 0, READ)])
         sub = type(kernel)(name="sub", accesses=kernel.accesses,
                            loop_j_range=(2, 5), loop_k_range=(1, 2))
-        assert len(list(gen_trace(sub, grid))) == 4 * 2
+        assert len(pairs(gen_trace(sub, grid))) == 4 * 2
 
 
 class TestSimulateBasics:
     def test_read_miss_then_hit(self):
-        t = simulate([(0, READ), (8, READ)], lv(4))
+        t = simulate(as_trace([(0, READ), (8, READ)]), lv(4))
         assert (t.read_bytes, t.write_bytes) == (LINE, 0)
 
     def test_write_allocate_and_flush(self):
-        t = simulate([(0, WRITE)], lv(4))
+        t = simulate(as_trace([(0, WRITE)]), lv(4))
         assert (t.read_bytes, t.write_bytes) == (LINE, LINE)
 
     def test_dirty_eviction(self):
-        t = simulate([(0, WRITE), (64, WRITE)], lv(1))
+        t = simulate(as_trace([(0, WRITE), (64, WRITE)]), lv(1))
         assert (t.read_bytes, t.write_bytes) == (2 * LINE, 2 * LINE)
 
     def test_clean_eviction_costs_nothing_extra(self):
-        t = simulate([(0, READ), (64, READ), (0, READ)], lv(1))
+        t = simulate(as_trace([(0, READ), (64, READ), (0, READ)]), lv(1))
         assert (t.read_bytes, t.write_bytes) == (3 * LINE, 0)
 
     def test_traffic_is_line_granular(self, suite):
@@ -105,17 +118,17 @@ class TestSimulateBasics:
 
     def test_rejects_empty_levels(self):
         with pytest.raises(ValueError):
-            simulate([(0, READ)], [])
+            simulate(as_trace([(0, READ)]), [])
 
     def test_rejects_mixed_line_sizes(self):
         levels = [CacheLevelConfig(capacity=256, line_size=64),
                   CacheLevelConfig(capacity=256, line_size=128)]
         with pytest.raises(ValueError):
-            simulate([(0, READ)], levels)
+            simulate(as_trace([(0, READ)]), levels)
 
     def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
-            simulate([(0, "modify")], lv(4))
+        with pytest.raises(ValueError, match="mode"):
+            simulate([np.array([(0, 7)], dtype=TRACE_DTYPE)], lv(4))
 
     def test_multi_level_matches_last_level(self, suite):
         grid = GridSpec(96, 24, halo_lo=2, halo_hi=2)
@@ -129,8 +142,8 @@ class TestSimulateBasics:
         # lines 0 and 2 collide in a 2-set direct-mapped cache but coexist
         # in a fully associative one of the same capacity
         trace = [(0, READ), (128, READ)] * 3
-        direct = simulate(trace, lv(2, associativity=1))
-        full = simulate(trace, lv(2))
+        direct = simulate(as_trace(trace), lv(2, associativity=1))
+        full = simulate(as_trace(trace), lv(2))
         assert direct.read_bytes == 6 * LINE
         assert full.read_bytes == 2 * LINE
 
@@ -138,30 +151,30 @@ class TestSimulateBasics:
 class TestAutoClaim:
     def test_fully_written_line_is_claimed(self):
         trace = [(i * 8, WRITE) for i in range(8)]
-        t = simulate(trace, lv(16), AutoClaim())
+        t = simulate(as_trace(trace), lv(16), AutoClaim())
         assert (t.read_bytes, t.write_bytes, t.wa_avoided_bytes) == (0, LINE, LINE)
 
     def test_inactive_degrades_to_allocate(self):
         trace = [(i * 8, WRITE) for i in range(8)]
-        t = simulate(trace, lv(16), AutoClaim(active=False))
+        t = simulate(as_trace(trace), lv(16), AutoClaim(active=False))
         assert (t.read_bytes, t.write_bytes, t.wa_avoided_bytes) == (LINE, LINE, 0)
 
     def test_partial_lines_fall_back_to_allocate(self):
         # one element in each of 70 lines; none completes
         trace = [(i * LINE, WRITE) for i in range(70)]
-        t = simulate(trace, lv(128), AutoClaim(buffer_lines=64))
+        t = simulate(as_trace(trace), lv(128), AutoClaim(buffer_lines=64))
         assert t.read_bytes == 70 * LINE
         assert t.write_bytes == 70 * LINE
         assert t.wa_avoided_bytes == 0
 
     def test_read_of_pending_line_forces_fill(self):
         trace = [(0, WRITE), (8, READ)]
-        t = simulate(trace, lv(16), AutoClaim())
+        t = simulate(as_trace(trace), lv(16), AutoClaim())
         assert (t.read_bytes, t.write_bytes, t.wa_avoided_bytes) == (LINE, LINE, 0)
 
     def test_read_after_claim_completion_is_free(self):
         trace = [(i * 8, WRITE) for i in range(8)] + [(8, READ)]
-        t = simulate(trace, lv(16), AutoClaim())
+        t = simulate(as_trace(trace), lv(16), AutoClaim())
         assert (t.read_bytes, t.wa_avoided_bytes) == (0, LINE)
 
     def test_cache_eviction_resolves_pending_claims(self):
@@ -169,8 +182,8 @@ class TestAutoClaim:
         # resolved (by eviction or at the end) as a regular allocate, so
         # the totals equal the always-allocate policy
         trace = [(0, WRITE), (1024, WRITE), (2048, WRITE)]
-        claimed = simulate(trace, lv(2), AutoClaim())
-        plain = simulate(trace, lv(2), AlwaysAllocate())
+        claimed = simulate(as_trace(trace), lv(2), AutoClaim())
+        plain = simulate(as_trace(trace), lv(2), AlwaysAllocate())
         assert claimed.read_bytes == plain.read_bytes == 3 * LINE
         assert claimed.write_bytes == plain.write_bytes == 3 * LINE
         assert claimed.wa_avoided_bytes == 0
@@ -183,7 +196,7 @@ class TestAutoClaim:
         for i in range(8):
             trace.append((i * 8, WRITE))
             trace.append((1024 + i * 8, WRITE))
-        t = simulate(trace, lv(16), AutoClaim(buffer_lines=1))
+        t = simulate(as_trace(trace), lv(16), AutoClaim(buffer_lines=1))
         assert t.wa_avoided_bytes == LINE
         assert t.read_bytes == LINE
         assert t.write_bytes == 2 * LINE
@@ -192,11 +205,11 @@ class TestAutoClaim:
 class TestNtBypass:
     def test_full_line_flushed_without_read(self):
         trace = [(i * 8, WRITE) for i in range(8)]
-        t = simulate(trace, lv(4), NtBypass())
+        t = simulate(as_trace(trace), lv(4), NtBypass())
         assert (t.read_bytes, t.write_bytes) == (0, LINE)
 
     def test_partial_line_pays_merge_read(self):
-        t = simulate([(0, WRITE)], lv(4), NtBypass())
+        t = simulate(as_trace([(0, WRITE)]), lv(4), NtBypass())
         assert (t.read_bytes, t.write_bytes) == (LINE, LINE)
 
     def test_writes_do_not_displace_cached_reads(self):
@@ -204,16 +217,16 @@ class TestNtBypass:
         trace = [(0, READ)]
         trace += [(1024 + i * LINE, WRITE) for i in range(32)]
         trace += [(0, READ)]
-        t = simulate(trace, lv(2), NtBypass(combine_buffers=4))
+        t = simulate(as_trace(trace), lv(2), NtBypass(combine_buffers=4))
         assert t.read_bytes == LINE + 32 * LINE  # one fill + 32 merge reads
 
     def test_read_after_nt_write_reloads_from_memory(self):
-        t = simulate([(0, WRITE), (0, READ)], lv(4), NtBypass())
+        t = simulate(as_trace([(0, WRITE), (0, READ)]), lv(4), NtBypass())
         # partial flush (write+read) plus the demand fill
         assert (t.read_bytes, t.write_bytes) == (2 * LINE, LINE)
 
     def test_nt_store_to_cached_line_is_plain_store(self):
-        t = simulate([(0, READ), (0, WRITE)], lv(4), NtBypass())
+        t = simulate(as_trace([(0, READ), (0, WRITE)]), lv(4), NtBypass())
         # the fill from the read, then an in-place update and final flush
         assert (t.read_bytes, t.write_bytes) == (LINE, LINE)
 
@@ -352,17 +365,21 @@ class TestTraceIO:
         kernel = suite.kernels["am04"]
         path = tmp_path / "am04.trace"
         dump_trace(gen_trace(kernel, grid), path)
-        events = list(gen_trace(kernel, grid))
+        events = pairs(gen_trace(kernel, grid))
         assert path.stat().st_size == 9 * len(events)
-        assert list(load_trace(path)) == events
+        assert pairs(load_trace(path)) == events
 
-    def test_replayed_traffic_matches_direct(self, suite, tmp_path):
-        grid = GridSpec(64, 16, halo_lo=2, halo_hi=2)
+    @pytest.mark.parametrize("policy", [AlwaysAllocate(), AutoClaim(), NtBypass()],
+                             ids=["always", "claim", "nt"])
+    def test_replayed_traffic_matches_direct(self, suite, tmp_path, policy):
+        grid = GridSpec(128, 96, halo_lo=2, halo_hi=2)
         kernel = suite.kernels["am00"]
         path = tmp_path / "t.trace"
         dump_trace(gen_trace(kernel, grid), path)
-        direct = simulate_kernel(kernel, grid, lv(64), AutoClaim())
-        replayed = simulate(load_trace(path), lv(64), AutoClaim(),
+        events = 128 * 96 * len(kernel.accesses)
+        assert [b.size for b in load_trace(path)] == [TRACE_BLOCK, events - TRACE_BLOCK]
+        direct = simulate_kernel(kernel, grid, lv(64), policy)
+        replayed = simulate(load_trace(path), lv(64), policy,
                             access_bytes=grid.element_size)
         assert (direct.read_bytes, direct.write_bytes, direct.wa_avoided_bytes) == \
             (replayed.read_bytes, replayed.write_bytes, replayed.wa_avoided_bytes)

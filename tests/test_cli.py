@@ -1,11 +1,20 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import stencilmem
+from stencilmem import balance, decomp
+from stencilmem.cachesim import TRACE_DTYPE
 from stencilmem.cli import main, read_measurements, InputError
-from stencilmem.kernels import data_path
+from stencilmem.kernels import data_path, load_suite
+from stencilmem.roofline import load_machine
 
 SUITE = str(data_path("cloverleaf_tiny.json"))
 ICX = str(data_path("icx_8360y.json"))
@@ -57,6 +66,35 @@ class TestAnalyze:
         rc, _, err = run(capsys, "analyze", SUITE, str(p))
         assert rc == 2
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True],
+                             ids=["nan", "inf", "bool"])
+    def test_non_finite_machine_number_exits_2(self, capsys, tmp_path, value):
+        doc = json.loads(Path(ICX).read_text())
+        doc["mem_bw_per_domain"] = value
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc))
+        rc, _, err = run(capsys, "analyze", SUITE, str(p))
+        assert rc == 2
+        assert "mem_bw_per_domain" in err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("dj", 1.7, "must be integers"),
+        ("loop_j_range", [5, 3], "inverted"),
+        ("loop_k_range", [2, 1], "inverted"),
+    ], ids=["dj", "j_range", "k_range"])
+    def test_malformed_kernel_field_exits_2(self, capsys, tmp_path, field, value,
+                                            message):
+        access = {"array": "a", "dj": 0, "dk": 0, "mode": "read"}
+        kernel = {"name": "k", "accesses": [access]}
+        (access if field == "dj" else kernel)[field] = value
+        doc = {"grids": {"g": {"inner_extent": 8, "outer_extent": 8}},
+               "arrays": {"a": {"grid": "g"}}, "kernels": [kernel]}
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        rc, _, err = run(capsys, "analyze", str(p), ICX)
+        assert rc == 2
+        assert message in err
+
 
 class TestSimulate:
     def test_single_kernel_within_tolerance(self, capsys):
@@ -96,6 +134,20 @@ class TestSimulate:
         assert rc == 0
         assert "read_bytes=" in out
 
+    def test_replay_partial_record_exits_2(self, capsys, tmp_path):
+        trace = tmp_path / "short.bin"
+        trace.write_bytes(bytes(11))
+        rc, out, err = run(capsys, "replay", str(trace), ICX)
+        assert rc == 2 and out == ""
+        assert "whole number" in err
+
+    def test_replay_bad_mode_exits_2(self, capsys, tmp_path):
+        trace = tmp_path / "mode7.bin"
+        np.array([(0, 0), (64, 7)], dtype=TRACE_DTYPE).tofile(trace)
+        rc, out, err = run(capsys, "replay", str(trace), ICX)
+        assert rc == 2 and out == ""
+        assert "mode" in err
+
     def test_unknown_kernel(self, capsys):
         rc, _, err = run(capsys, "simulate", SUITE, ICX, "--kernel", "nope")
         assert rc == 2
@@ -127,6 +179,48 @@ class TestPrimeSweep:
     def test_bad_range(self, capsys):
         rc, _, err = run(capsys, "prime-sweep", SUITE, ICX, "--ranks", "5..1")
         assert rc == 2
+
+    def test_each_kernel_uses_its_own_grid(self, capsys, tmp_path):
+        def star(name, arr):
+            reads = [{"array": arr, "dj": dj, "dk": dk, "mode": "read"}
+                     for dj, dk in ((0, -1), (-1, 0), (0, 0), (1, 0), (0, 1))]
+            write = {"array": arr, "dj": 0, "dk": 0, "mode": "write"}
+            return {"name": name, "accesses": reads + [write]}
+        grid = {"outer_extent": 64, "halo_lo": 2, "halo_hi": 2}
+        doc = {"grids": {"wide": dict(grid, inner_extent=15360),
+                         "narrow": dict(grid, inner_extent=100)},
+               "arrays": {"w": {"grid": "wide"}, "n": {"grid": "narrow"}},
+               "kernels": [star("on_wide", "w"), star("on_narrow", "n")]}
+        p = tmp_path / "two_grids.json"
+        p.write_text(json.dumps(doc))
+        rc, out, _ = run(capsys, "prime-sweep", str(p), ICX, "--ranks", "72")
+        assert rc == 0
+        got = {r["kernel"]: r["bytes_per_it"] for r in csv.DictReader(io.StringIO(out))}
+        suite, icx = load_suite(p), load_machine(ICX)
+        policy = balance.evasion(icx.speci2m_factor)
+        expected = {}
+        for kernel in suite:
+            extent = kernel.arrays[0].grid.inner_extent
+            pred, = decomp.predict_rank_sweep(kernel, extent, [72], icx, policy)
+            expected[kernel.name] = f"{pred.bytes_per_it:.4f}"
+        assert got == expected
+        assert got["on_wide"] != got["on_narrow"]
+
+    def test_closed_pipe_ends_quietly(self):
+        # `prime-sweep | head`: far more output than a pipe buffer holds
+        env = dict(os.environ, PYTHONPATH=str(Path(stencilmem.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "stencilmem.cli", "prime-sweep", SUITE, ICX,
+             "--ranks", "1..400"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline().startswith(b"kernel,p,bytes_per_it,prime")
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 0
+        assert err == b""
 
     def test_wa_model_variants(self, capsys):
         values = {}
