@@ -8,6 +8,7 @@ ratio between 1.0 (all allocates evaded) and 2.0 (none). Measured traffic
 carries a small residual on top of the model: in the bundled serial data,
 six kernels without a layer condition measure up to 1.1% above their max
 corner, so the corners are not a ceiling for measurements.
+Every bytes/iteration figure comes from :func:`code_balance`.
 """
 
 from __future__ import annotations
@@ -58,6 +59,23 @@ def evasion(store_ratio: float) -> WaPolicy:
 def nt_plus_evasion(nt_ratio: float, store_ratio: float) -> WaPolicy:
     """One non-temporal write stream, hardware evasion on the rest."""
     return WaPolicy(store_ratio=store_ratio, nt_ratio=nt_ratio)
+
+
+# named write-allocate model -> its policy on a machine
+WA_MODELS = {
+    "full": lambda m: FULL_WA,
+    "none": lambda m: NO_WA,
+    "speci2m": lambda m: evasion(m.speci2m_factor),
+    "nt-speci2m": lambda m: nt_plus_evasion(m.nt_factor, m.speci2m_factor),
+}
+
+
+def wa_policy(name: str, machine) -> WaPolicy:
+    """Policy of a named write-allocate model; `machine` supplies the residual
+    store ratios of hardware evasion and non-temporal stores."""
+    if name not in WA_MODELS:
+        raise ValueError(f"unknown write-allocate model {name!r}")
+    return WA_MODELS[name](machine)
 
 
 @dataclass(frozen=True)
@@ -134,10 +152,6 @@ class BalanceScenario:
     flops_per_it: int
 
     @property
-    def code_balance(self) -> float:
-        return self.bytes_per_it
-
-    @property
     def intensity(self) -> float:
         """Flops per byte; 0.0 for flop-free kernels."""
         return self.flops_per_it / self.bytes_per_it if self.bytes_per_it else 0.0
@@ -157,19 +171,14 @@ class ScenarioTable:
                 self.lcb.bytes_per_it, self.maximum.bytes_per_it)
 
 
-def scenario(kernel: KernelSpec, lc_fulfilled: bool, policy: WaPolicy) -> BalanceScenario:
-    counts = derive_stream_counts(kernel)
-    b = code_balance(counts, lc_fulfilled, policy, element_size(kernel))
-    return BalanceScenario(lc_fulfilled, policy, b, kernel.flops_per_it)
-
-
 def scenario_table(kernel: KernelSpec) -> ScenarioTable:
-    return ScenarioTable(
-        minimum=scenario(kernel, True, NO_WA),
-        lcf_wa=scenario(kernel, True, FULL_WA),
-        lcb=scenario(kernel, False, NO_WA),
-        maximum=scenario(kernel, False, FULL_WA),
-    )
+    counts = derive_stream_counts(kernel)
+    esize = element_size(kernel)
+    return ScenarioTable(*(
+        BalanceScenario(lc, policy, code_balance(counts, lc, policy, esize),
+                        kernel.flops_per_it)
+        for lc, policy in ((True, NO_WA), (True, FULL_WA),
+                           (False, NO_WA), (False, FULL_WA))))
 
 
 def classify(counts: StreamCounts) -> str:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import balance, cachesim, decomp
-from .kernels import KernelError, KernelSpec, KernelSuite, derive_stream_counts, load_suite
+from .kernels import KernelError, KernelSuite, derive_stream_counts, element_size, load_suite
 from .roofline import MachineModel, load_machine
 
 EXIT_OK = 0
@@ -105,32 +105,15 @@ def _machine(path) -> MachineModel:
         raise InputError(str(exc)) from exc
 
 
-SCENARIOS = ("min", "lcf-wa", "lcb", "max", "speci2m", "nt-speci2m")
-
-
-def model_balance(kernel: KernelSpec, scenario: str, machine: MachineModel,
-                  no_evasion: frozenset[str] = frozenset()) -> float:
-    """Model bytes/iteration of one kernel under a named scenario."""
-    table = balance.scenario_table(kernel)
-    if kernel.name in no_evasion and scenario in ("speci2m", "nt-speci2m"):
-        return table.lcf_wa.bytes_per_it
-    if scenario == "min":
-        return table.minimum.bytes_per_it
-    if scenario == "lcf-wa":
-        return table.lcf_wa.bytes_per_it
-    if scenario == "lcb":
-        return table.lcb.bytes_per_it
-    if scenario == "max":
-        return table.maximum.bytes_per_it
-    counts = derive_stream_counts(kernel)
-    esize = kernel.arrays[0].grid.element_size
-    if scenario == "speci2m":
-        policy = balance.evasion(machine.speci2m_factor)
-    elif scenario == "nt-speci2m":
-        policy = balance.nt_plus_evasion(machine.nt_factor, machine.speci2m_factor)
-    else:
-        raise InputError(f"unknown scenario {scenario!r}")
-    return balance.code_balance(counts, True, policy, esize)
+# compare scenario -> (layer condition fulfilled, write-allocate model)
+SCENARIOS = {
+    "min": (True, "none"),
+    "lcf-wa": (True, "full"),
+    "lcb": (False, "none"),
+    "max": (False, "full"),
+    "speci2m": (True, "speci2m"),
+    "nt-speci2m": (True, "nt-speci2m"),
+}
 
 
 def _emit_table(headers, rows, as_csv: bool, out=None):
@@ -277,14 +260,7 @@ def cmd_prime_sweep(args) -> int:
     suite = _suite(args.suite)
     machine = _machine(args.machine)
     ranks = _parse_int_range(args.ranks, 1, "rank")
-    if args.wa == "full":
-        policy = balance.FULL_WA
-    elif args.wa == "none":
-        policy = balance.NO_WA
-    elif args.wa == "nt-speci2m":
-        policy = balance.nt_plus_evasion(machine.nt_factor, machine.speci2m_factor)
-    else:
-        policy = balance.evasion(machine.speci2m_factor)
+    policy = balance.wa_policy(args.wa, machine)
     writer = csv.writer(sys.stdout)
     writer.writerow(["kernel", "p", "bytes_per_it", "prime"])
     for kernel in suite:
@@ -300,14 +276,19 @@ def cmd_compare(args) -> int:
     machine = _machine(args.machine)
     records = read_measurements(args.measurements)
     no_evasion = frozenset(args.no_evasion.split(",")) if args.no_evasion else frozenset()
+    lc_fulfilled, wa = SCENARIOS[args.scenario]
+    evading = wa in ("speci2m", "nt-speci2m")
     rows = []
     errs = []
     for rec in records:
         if rec.kernel not in suite.kernels:
             raise InputError(f"{args.measurements}: kernel {rec.kernel!r} "
                              f"not in suite")
-        model = model_balance(suite.kernels[rec.kernel], args.scenario, machine,
-                              no_evasion)
+        kernel = suite.kernels[rec.kernel]
+        kernel_wa = "full" if evading and kernel.name in no_evasion else wa
+        model = balance.code_balance(derive_stream_counts(kernel), lc_fulfilled,
+                                     balance.wa_policy(kernel_wa, machine),
+                                     element_size(kernel))
         measured = rec.bytes_per_it
         err = (model - measured) / measured * 100
         errs.append(abs(err))
@@ -406,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite")
     p.add_argument("machine")
     p.add_argument("--ranks", default="1..72", help="e.g. 1..72 or 8,19,71,72")
-    p.add_argument("--wa", choices=["full", "none", "speci2m", "nt-speci2m"],
+    p.add_argument("--wa", choices=list(balance.WA_MODELS),
                    default="speci2m", help="write-allocate model for the sweep")
     p.set_defaults(func=cmd_prime_sweep)
 

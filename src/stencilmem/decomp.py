@@ -4,15 +4,19 @@ Rank counts are factorized onto a (px, py) process grid; px cuts the inner
 (contiguous) dimension, py the outer one. Prime rank counts force a pure
 inner cut, which shrinks the local row length and makes the per-row halo
 and partial-cache-line overheads relatively expensive - the source of the
-upward balance spikes at prime rank counts.
+upward balance spikes at prime rank counts. Each local row is charged one
+cache line of ``LINE_ELEMS`` elements of halo data on its read streams.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .balance import WaPolicy, layer_condition
+from .balance import WaPolicy, code_balance, layer_condition
 from .kernels import KernelSpec, derive_stream_counts, element_size
+
+# elements per cache line in the halo model: one 64-byte line of doubles
+LINE_ELEMS = 8
 
 
 def is_prime(n: int) -> bool:
@@ -101,18 +105,16 @@ def decompose(p: int, extent_x: int, extent_y: int | None = None) -> Decompositi
                          tuple(local_extents(extent_y, py)))
 
 
-def halo_read_overhead(inner: int, extra_lines: int = 1, line_elems: int = 8) -> float:
+def halo_read_overhead(inner: int) -> float:
     """Extra traffic fraction a read stream pays for row-boundary halo lines.
 
-    Each local row of `inner` elements drags in up to `extra_lines` cache
-    lines of halo data, so the overhead is
-    extra_lines*line_elems / (inner + extra_lines*line_elems);
-    3.57% at inner=216, vanishing for long rows.
+    Each local row of `inner` elements drags in one cache line of halo
+    data, so the overhead is LINE_ELEMS / (inner + LINE_ELEMS); 3.57% at
+    inner=216, vanishing for long rows.
     """
     if inner < 1:
         raise ValueError("inner extent must be >= 1")
-    extra = extra_lines * line_elems
-    return extra / (inner + extra)
+    return LINE_ELEMS / (inner + LINE_ELEMS)
 
 
 @dataclass(frozen=True)
@@ -130,16 +132,16 @@ class RankPrediction:
 
 
 def predict_rank_sweep(kernel: KernelSpec, extent: int, ranks,
-                       machine, policy: WaPolicy,
-                       line_elems: int = 8) -> list[RankPrediction]:
+                       machine, policy: WaPolicy) -> list[RankPrediction]:
     """Predicted bytes/iteration of `kernel` for each rank count.
 
     For every p the grid is decomposed, layer conditions are evaluated at
     the smallest local inner width against the per-process cache share, and
-    the balance is inflated by the halo read overhead plus - when local
-    rows are not line-aligned - a partial-line write-allocate of the same
-    magnitude on the evadable write streams. A single rank (and any pure
-    outer cut) has no inner halos and reproduces the plain scenario.
+    the plain scenario's ``code_balance`` is taken. An inner cut (px > 1)
+    adds the halo read overhead plus - when local rows are not a multiple
+    of LINE_ELEMS - a partial-line write-allocate of the same magnitude on
+    the evadable write streams. A single rank (and any pure outer cut) has
+    no inner halos and gives exactly the plain scenario.
     """
     counts = derive_stream_counts(kernel)
     esize = element_size(kernel)
@@ -148,16 +150,12 @@ def predict_rank_sweep(kernel: KernelSpec, extent: int, ranks,
         dec = decompose(p, extent)
         width = dec.min_inner_width
         lc = layer_condition(kernel, width, machine.effective_cache_per_process(p))
-        rd = counts.rd_lcf if lc.fulfilled else counts.rd_lcb
-        if dec.px == 1:
-            h = 0.0
-            wa_extra = 0.0
-        else:
-            h = halo_read_overhead(width, line_elems=line_elems)
-            wa_extra = counts.evadable_writes * h if width % line_elems else 0.0
-        bytes_per_it = esize * (rd * (1.0 + h) + counts.wr
-                                + policy.extra_fills(counts.evadable_writes)
-                                + wa_extra)
+        bytes_per_it = code_balance(counts, lc.fulfilled, policy, esize)
+        if dec.px > 1:
+            h = halo_read_overhead(width)
+            rd = counts.rd_lcf if lc.fulfilled else counts.rd_lcb
+            partial_line_wa = counts.evadable_writes * h if width % LINE_ELEMS else 0.0
+            bytes_per_it += esize * (rd * h + partial_line_wa)
         out.append(RankPrediction(p, dec.px, dec.py, width, bytes_per_it,
                                   lc.fulfilled))
     return out

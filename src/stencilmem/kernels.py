@@ -162,7 +162,7 @@ class KernelSpec:
         return rows
 
 
-def validate(kernel: KernelSpec, max_offset: int = MAX_OFFSET) -> list[str]:
+def validate(kernel: KernelSpec) -> list[str]:
     """Check kernel invariants; returns one diagnostic string per violation.
 
     An empty list means the kernel is valid. Diagnostics name the offending
@@ -181,7 +181,7 @@ def validate(kernel: KernelSpec, max_offset: int = MAX_OFFSET) -> list[str]:
         if key in seen:
             diags.append(f"{kernel.name}: duplicate access {key}")
         seen.add(key)
-        if abs(acc.dj) > max_offset or abs(acc.dk) > max_offset:
+        if abs(acc.dj) > MAX_OFFSET or abs(acc.dk) > MAX_OFFSET:
             diags.append(f"{kernel.name}: offset out of range for "
                          f"{acc.array.name}({acc.dj},{acc.dk})")
         if acc.mode == WRITE:
@@ -294,16 +294,24 @@ def load_suite(path: str | Path) -> KernelSuite:
                     raise KernelError(f"{path}: kernel {name!r}: offsets of "
                                       f"{aname!r} must be integers, not {offsets}")
                 accesses.append(Access(suite.arrays[aname], *offsets, acc["mode"]))
+            flops = k.get("flops_per_it", 0)
+            if type(flops) is not int:
+                raise KernelError(f"{path}: kernel {name!r}: flops_per_it must "
+                                  f"be an integer, not {flops!r}")
             ranges = {}
             for key in ("loop_j_range", "loop_k_range"):
                 if key in k:
-                    lo, hi = ranges[key] = tuple(k[key])
+                    bounds = k[key]
+                    if not (isinstance(bounds, list) and len(bounds) == 2
+                            and all(type(v) is int for v in bounds)):
+                        raise KernelError(f"{path}: kernel {name!r}: {key} must "
+                                          f"be two integers [lo, hi], not {bounds!r}")
+                    lo, hi = ranges[key] = tuple(bounds)
                     if lo > hi:
                         raise KernelError(f"{path}: kernel {name!r}: {key} "
                                           f"[{lo}, {hi}] is inverted")
-            kernel = KernelSpec(
-                name=name, accesses=tuple(accesses),
-                flops_per_it=int(k.get("flops_per_it", 0)), **ranges)
+            kernel = KernelSpec(name=name, accesses=tuple(accesses),
+                                flops_per_it=flops, **ranges)
         except KeyError as exc:
             raise KernelError(f"{path}: kernel entry missing field {exc}") from exc
         if name in suite.kernels:

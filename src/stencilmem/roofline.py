@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .balance import BalanceScenario
@@ -106,17 +106,15 @@ def roofline_predict(intensity: float, machine: MachineModel, cores: int) -> Pre
 
 def kernel_runtime(kernel: KernelSpec, grid: GridSpec, machine: MachineModel,
                    cores: int, scenario: BalanceScenario) -> Prediction:
-    """Roofline runtime of one grid sweep under a given balance scenario."""
+    """Roofline runtime of one grid sweep under a given balance scenario;
+    the bound is :func:`roofline_predict`'s at the scenario's intensity."""
+    pred = roofline_predict(scenario.intensity, machine, cores)
     iterations = grid.inner_extent * grid.outer_extent
-    bw = effective_bandwidth(machine, cores)
-    t_mem = iterations * scenario.bytes_per_it / bw
-    t_core = iterations * kernel.flops_per_it / (cores * machine.peak_flops_per_core)
-    if t_mem >= t_core:
-        return Prediction(performance=iterations * kernel.flops_per_it / t_mem
-                          if t_mem else 0.0,
-                          bound="memory", effective_bandwidth=bw, runtime=t_mem)
-    return Prediction(performance=cores * machine.peak_flops_per_core,
-                      bound="core", effective_bandwidth=bw, runtime=t_core)
+    if pred.bound == "memory":
+        runtime = iterations * scenario.bytes_per_it / pred.effective_bandwidth
+    else:
+        runtime = iterations * kernel.flops_per_it / pred.performance
+    return replace(pred, runtime=runtime)
 
 
 def load_machine(path: str | Path) -> MachineModel:
@@ -127,10 +125,13 @@ def load_machine(path: str | Path) -> MachineModel:
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     doc.pop("comment", None)
+    counts_and_sizes = {f.name for f in fields(MachineModel) if f.type == "int"}
     for key, value in doc.items():
         if isinstance(value, bool) or (isinstance(value, float)
                                        and not math.isfinite(value)):
             raise ValueError(f"{path}: {key} must be a finite number, not {value!r}")
+        if key in counts_and_sizes and type(value) is not int:
+            raise ValueError(f"{path}: {key} must be an integer, not {value!r}")
     try:
         return MachineModel(**doc)
     except TypeError as exc:

@@ -1,10 +1,15 @@
-"""Frozen per-loop reference values for the bundled CloverLeaf suite.
+"""Frozen per-loop reference values for the bundled CloverLeaf suite, and
+the random kernel generator the invariant and acceptance tests share.
 
 Columns: arrays, rd_lcf, rd_lcb, wr, rdwr, flops/it, then the four balance
 bounds in bytes/iteration (min, lcf_wa, lcb, max), then the measured
 single-rank balance. The counts and bounds are exact; the measured column
 is the published single-core value the rank-1 CSV fixture transcribes.
 """
+
+import random
+
+from stencilmem.kernels import READ, WRITE, Access, ArrayDecl, GridSpec, KernelSpec
 
 REFERENCE = {
     #         arr lcf lcb wr rw fl  min lcfwa lcb max  meas1
@@ -49,3 +54,41 @@ def bounds_of(name):
 
 def meas1_of(name):
     return REFERENCE[name][10]
+
+
+def random_kernel(rng: random.Random, idx: int,
+                  grid: GridSpec | None = None) -> KernelSpec:
+    """Kernel `rand<idx>` drawn from `rng`, on `grid` or a small random one.
+
+    The generated family matches the shipped suite's conventions: at most
+    one write offset per array, and a written array is only ever read at
+    the very offset it is written (an update), never at a lagged one.
+    """
+    grid = grid or GridSpec(inner_extent=rng.choice([24, 32, 48]),
+                            outer_extent=rng.choice([6, 8, 12]),
+                            halo_lo=2, halo_hi=2)
+    accesses = []
+    n_read = rng.randint(0, 4)
+    read_arrays = []
+    for i in range(n_read):
+        arr = ArrayDecl(f"r{i}", grid)
+        read_arrays.append(arr)
+        offsets = rng.sample([(dj, dk) for dj in (-2, -1, 0, 1, 2)
+                              for dk in (-2, -1, 0, 1, 2)],
+                             rng.randint(1, 4))
+        for dj, dk in offsets:
+            accesses.append(Access(arr, dj, dk, READ))
+    for i in range(rng.randint(0 if n_read else 1, 2)):
+        if read_arrays and rng.random() < 0.3:
+            # update in place: read and write the same element
+            arr = rng.choice(read_arrays)
+            read_arrays.remove(arr)
+            accesses = [a for a in accesses if a.array is not arr]
+            accesses.append(Access(arr, 0, 0, READ))
+            accesses.append(Access(arr, 0, 0, WRITE))
+        else:
+            accesses.append(Access(ArrayDecl(f"w{i}", grid), 0, 0, WRITE))
+    if not accesses:
+        accesses.append(Access(ArrayDecl("lone", grid), 0, 0, READ))
+    return KernelSpec(name=f"rand{idx}", accesses=tuple(accesses),
+                      flops_per_it=rng.randint(0, 30))

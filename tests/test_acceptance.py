@@ -48,8 +48,7 @@ from stencilmem.cachesim import (
 from stencilmem.cli import MeasurementRecord, main, read_measurements
 from stencilmem.decomp import factorize_ranks, halo_read_overhead, local_extents
 from stencilmem.kernels import data_path, derive_stream_counts
-from refdata import KERNEL_NAMES, bounds_of, counts_of
-from test_invariants import random_kernel
+from refdata import KERNEL_NAMES, bounds_of, counts_of, random_kernel
 
 SUITE = str(data_path("cloverleaf_tiny.json"))
 ICX = str(data_path("icx_8360y.json"))

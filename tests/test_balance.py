@@ -11,6 +11,7 @@ from stencilmem.balance import (
     min_total_cache,
     nt_plus_evasion,
     scenario_table,
+    wa_policy,
 )
 from stencilmem.kernels import READ, StreamCounts, derive_stream_counts
 
@@ -74,6 +75,10 @@ class TestCodeBalance:
         with pytest.raises(ValueError):
             WaPolicy(store_ratio=1.2, nt_ratio=2.5)
 
+    def test_unknown_wa_model_rejected(self, icx):
+        with pytest.raises(ValueError, match="bogus"):
+            wa_policy("bogus", icx)
+
 
 class TestScenarioTable:
     @pytest.mark.parametrize("name", KERNEL_NAMES)
@@ -94,7 +99,7 @@ class TestScenarioTable:
     def test_intensity_is_flops_over_bytes(self, suite):
         t = scenario_table(suite.kernels["am04"])
         assert t.lcf_wa.intensity == pytest.approx(4 / 24)
-        assert t.lcf_wa.code_balance == 24
+        assert t.lcf_wa.bytes_per_it == 24
 
 
 class TestLayerCondition:

@@ -13,7 +13,7 @@ import stencilmem
 from stencilmem import balance, decomp
 from stencilmem.cachesim import TRACE_DTYPE
 from stencilmem.cli import main, read_measurements, InputError
-from stencilmem.kernels import data_path, load_suite
+from stencilmem.kernels import data_path, derive_stream_counts, load_suite
 from stencilmem.roofline import load_machine
 
 SUITE = str(data_path("cloverleaf_tiny.json"))
@@ -66,22 +66,37 @@ class TestAnalyze:
         rc, _, err = run(capsys, "analyze", SUITE, str(p))
         assert rc == 2
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True],
-                             ids=["nan", "inf", "bool"])
-    def test_non_finite_machine_number_exits_2(self, capsys, tmp_path, value):
+    @pytest.mark.parametrize("field, value", [
+        ("mem_bw_per_domain", float("nan")),
+        ("mem_bw_per_domain", float("inf")),
+        ("mem_bw_per_domain", True),
+        ("cores_per_domain", 18.5),
+        ("cache_l3", 5.6e7),
+    ], ids=["nan", "inf", "bool", "fractional_cores", "float_cache"])
+    def test_non_finite_machine_number_exits_2(self, capsys, tmp_path, field,
+                                               value):
         doc = json.loads(Path(ICX).read_text())
-        doc["mem_bw_per_domain"] = value
+        doc[field] = value
         p = tmp_path / "m.json"
         p.write_text(json.dumps(doc))
-        rc, _, err = run(capsys, "analyze", SUITE, str(p))
-        assert rc == 2
-        assert "mem_bw_per_domain" in err
+        for argv in (["analyze", SUITE, str(p)],
+                     ["prime-sweep", SUITE, str(p), "--ranks", "36"]):
+            rc, _, err = run(capsys, *argv)
+            assert rc == 2
+            assert field in err
 
     @pytest.mark.parametrize("field, value, message", [
         ("dj", 1.7, "must be integers"),
         ("loop_j_range", [5, 3], "inverted"),
         ("loop_k_range", [2, 1], "inverted"),
-    ], ids=["dj", "j_range", "k_range"])
+        ("flops_per_it", 2.5, "flops_per_it must be an integer"),
+        ("flops_per_it", "4", "flops_per_it must be an integer"),
+        ("flops_per_it", True, "flops_per_it must be an integer"),
+        ("loop_j_range", [5], "loop_j_range must be two integers"),
+        ("loop_j_range", 5, "loop_j_range must be two integers"),
+        ("loop_k_range", [0.5, 3], "loop_k_range must be two integers"),
+    ], ids=["dj", "j_range", "k_range", "flops_float", "flops_str", "flops_bool",
+            "j_range_short", "j_range_scalar", "k_range_float"])
     def test_malformed_kernel_field_exits_2(self, capsys, tmp_path, field, value,
                                             message):
         access = {"array": "a", "dj": 0, "dk": 0, "mode": "read"}
@@ -94,6 +109,7 @@ class TestAnalyze:
         rc, _, err = run(capsys, "analyze", str(p), ICX)
         assert rc == 2
         assert message in err
+        assert str(p) in err and "kernel 'k'" in err
 
 
 class TestSimulate:
@@ -263,6 +279,32 @@ class TestCompare:
         plain = mean_err()
         overridden = mean_err("--no-evasion", "ac01,ac02,ac05,ac06")
         assert overridden < plain
+
+    @pytest.mark.parametrize("scenario", ["min", "lcf-wa", "lcb", "max",
+                                          "speci2m", "nt-speci2m"])
+    def test_model_column_prices_the_named_scenario(self, capsys, scenario):
+        no_evasion = {"ac01", "ac02", "ac05", "ac06"}
+        rc, out, _ = run(capsys, "compare", SUITE, ICX, RANK1, "--csv",
+                         "--scenario", scenario, "--no-evasion", ",".join(no_evasion))
+        assert rc == 0
+        table_text = out.rsplit("mean absolute error", 1)[0]
+        rows = list(csv.DictReader(io.StringIO(table_text)))
+        suite, icx = load_suite(SUITE), load_machine(ICX)
+        corner = {"min": "minimum", "lcf-wa": "lcf_wa", "lcb": "lcb",
+                  "max": "maximum"}
+        assert len(rows) == 22
+        for row in rows:
+            kernel = suite.kernels[row["kernel"]]
+            table = balance.scenario_table(kernel)
+            if scenario in corner:
+                expected = getattr(table, corner[scenario]).bytes_per_it
+            elif kernel.name in no_evasion:
+                expected = table.lcf_wa.bytes_per_it
+            else:
+                expected = balance.code_balance(
+                    derive_stream_counts(kernel), True,
+                    balance.wa_policy(scenario, icx))
+            assert float(row["model"]) == round(expected, 3), kernel.name
 
     def test_missing_column_names_it(self, capsys, tmp_path):
         p = tmp_path / "m.csv"

@@ -118,7 +118,10 @@ class TestRankSweep:
         kernel = suite.kernels["ac03"]  # no evadable writes
         counts = derive_stream_counts(kernel)
         for pred in predict_rank_sweep(kernel, M, [1, 19, 37, 71, 72], icx, FULL_WA):
-            h = 0.0 if pred.px == 1 else halo_read_overhead(pred.min_inner_width)
+            if pred.px == 1:
+                assert pred.bytes_per_it == 8 * (counts.rd_lcf + counts.wr)
+                continue
+            h = halo_read_overhead(pred.min_inner_width)
             expect = 8 * (counts.rd_lcf * (1 + h) + counts.wr)
             assert pred.bytes_per_it == pytest.approx(expect)
 
