@@ -15,6 +15,15 @@ interface. Three write policies are modelled:
   watch is claimed without a fill, anything aged out incomplete falls back
   to a regular allocate. ``active=False`` degrades to ``AlwaysAllocate``.
 
+Only the last level of the hierarchy is replayed. Every access touches
+every level and a last-level eviction invalidates the line in the levels
+above, so the last level's contents, LRU order and dirty bits follow from
+the access sequence alone, and a dirty line leaving an upper level always
+finds its copy below. The upper levels therefore never change the traffic
+at the memory interface: this is the inclusion property of LRU (Mattson et
+al., IBM Systems Journal 1970). They are still validated (a uniform line
+size across all levels).
+
 A trace is an iterable of ``TRACE_DTYPE`` record blocks (u64 byte address,
 u8 mode: 0 read, 1 write); a trace file holds the same 9-byte records back
 to back. A file size that is no whole number of records, or a mode byte
@@ -27,6 +36,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -183,7 +193,8 @@ def iteration_count(kernel: KernelSpec, grid: GridSpec) -> int:
 
 
 class _Hierarchy:
-    """Replay engine; state is one OrderedDict (line -> dirty) per cache set."""
+    """Replay engine over the last cache level (the module docstring says
+    why the levels above it are not replayed)."""
 
     def __init__(self, levels: list[CacheLevelConfig], policy: WritePolicySim,
                  access_bytes: int):
@@ -193,220 +204,131 @@ class _Hierarchy:
             raise ValueError("line_size must be uniform across levels")
         if access_bytes < 1 or access_bytes > levels[0].line_size:
             raise ValueError("access_bytes must be in 1..line_size")
-        self.line_size = levels[0].line_size
+        last = levels[-1]
+        self.line_size = last.line_size
         self.shift = self.line_size.bit_length() - 1
-        self.levels = []
-        for cfg in levels:
-            if cfg.associativity is None:
-                nsets, ways = 1, cfg.lines
-            else:
-                ways = cfg.associativity
-                nsets = cfg.lines // ways
-            self.levels.append(([OrderedDict() for _ in range(nsets)], nsets, ways))
-        self.nlevels = len(self.levels)
+        self.ways = last.associativity or last.lines
+        # one OrderedDict (line -> dirty) per set, in LRU order; an object
+        # array, so that a block looks up the sets of all its runs at once
+        self.sets = np.empty(last.lines // self.ways, dtype=object)
+        self.sets[:] = [OrderedDict() for _ in range(self.sets.size)]
         self.policy = policy
-        self.access_bytes = access_bytes
         self.full_mask = (1 << self.line_size) - 1
         self.elem_bits = (1 << access_bytes) - 1
         self.read_lines = 0
         self.write_lines = 0
         self.avoided_lines = 0
-        self.pending: dict[int, int] = {}       # claim-watched line -> byte coverage
-        self.detector: OrderedDict[int, None] = OrderedDict()
-        self.wc: OrderedDict[int, int] = OrderedDict()  # NT write-combine buffers
+        # claim-watched line -> byte coverage, oldest first; always resident
+        self.pending: OrderedDict[int, int] = OrderedDict()
+        # NT write-combine buffers, oldest first; never resident
+        self.wc: OrderedDict[int, int] = OrderedDict()
         self.claim = isinstance(policy, AutoClaim) and policy.active
         self.nt = isinstance(policy, NtBypass)
 
-    # -- structural helpers ------------------------------------------------
+    def feed(self, addrs: np.ndarray, writes: np.ndarray):
+        """Replay one block run by run; a run is consecutive events on one
+        line, reads before writes."""
+        n = addrs.size
+        if n == 0:
+            return
+        lines = addrs >> np.uint64(self.shift)
+        split = lines[1:] != lines[:-1]
+        # a write followed by a read of the same line must start a new run,
+        # otherwise the read could not trigger a deferred fill; so a run's
+        # reads come first, and its last event tells whether it writes
+        np.logical_or(split, writes[:-1] & ~writes[1:], out=split)
+        starts = np.flatnonzero(np.concatenate(([True], split)))
+        ends = np.append(starts[1:], n) - 1
+        start_lines = lines[starts]
+        run_lines = start_lines.tolist()
+        run_first_w = writes[starts].tolist()
+        run_any_w = writes[ends].tolist()
+        if self.claim or self.nt:
+            offs = addrs & np.uint64(self.line_size - 1)
+            masks = np.where(writes, np.left_shift(np.uint64(self.elem_bits), offs),
+                             np.uint64(0))
+            run_cov = np.bitwise_or.reduceat(masks, starts).tolist()
+        else:
+            run_cov = repeat(0)     # only claims and NT stores read the coverage
 
-    def _set_for(self, level_idx: int, line: int):
-        sets, nsets, _ = self.levels[level_idx]
-        return sets[line % nsets] if nsets > 1 else sets[0]
-
-    def _evict(self, level_idx: int, line: int, dirty: bool):
-        if level_idx == self.nlevels - 1:
-            cov = self.pending.pop(line, None)
-            if cov is not None:
-                # aged out of the cache before the claim completed
-                self.read_lines += 1
-                self.detector.pop(line, None)
-            for li in range(self.nlevels - 1):
-                d = self._set_for(li, line).pop(line, None)
-                if d:
-                    dirty = True
-            if dirty:
-                self.write_lines += 1
-        elif dirty:
-            for li in range(level_idx + 1, self.nlevels):
-                s = self._set_for(li, line)
-                if line in s:
-                    s[line] = True
-                    return
-            self.write_lines += 1
-
-    def _touch(self, line: int, dirty: bool) -> bool:
-        """Make `line` resident everywhere; returns True on a last-level miss."""
-        missed_last = False
-        last = self.nlevels - 1
-        for li in range(self.nlevels):
-            s = self._set_for(li, line)
+        sets, ways = self.sets, self.ways
+        if sets.size == 1:
+            run_sets = repeat(sets[0])
+        else:
+            run_sets = sets[start_lines % np.uint64(sets.size)].tolist()
+        pending, wc, full = self.pending, self.wc, self.full_mask
+        claim, nt = self.claim, self.nt
+        window = self.policy.buffer_lines if claim else 0
+        buffers = self.policy.combine_buffers if nt else 0
+        reads = writes_out = avoided = 0
+        for s, line, first_w, any_w, cov in zip(run_sets, run_lines, run_first_w,
+                                                run_any_w, run_cov):
             if line in s:
                 s.move_to_end(line)
-                if dirty:
+                if any_w:
                     s[line] = True
-            else:
-                if li == last:
-                    missed_last = True
-                s[line] = dirty
-                if len(s) > self.levels[li][2]:
-                    self._evict(li, *s.popitem(last=False))
-        return missed_last
-
-    def _resolve_fill(self, line: int):
-        self.read_lines += 1
-        del self.pending[line]
-        self.detector.pop(line, None)
-
-    def _flush_wc(self, line: int, cov: int):
-        self.write_lines += 1
-        if cov != self.full_mask:
-            self.read_lines += 1
-
-    # -- event processing ----------------------------------------------------
-
-    def run(self, line: int, first_is_write: bool, any_write: bool, cov: int):
-        """Process one run: consecutive same-line events, reads before writes."""
-        if not first_is_write:
-            if line in self.pending:
-                self._resolve_fill(line)    # the read needs the pre-write bytes
-            if self.nt and line in self.wc:
-                self._flush_wc(line, self.wc.pop(line))
-            if self._touch(line, dirty=False):
-                self.read_lines += 1
-        if not any_write:
-            return
-
-        if self.nt:
-            if line in self._set_for(self.nlevels - 1, line):
-                # streaming store to resident data degrades to a plain store
-                self._touch(line, dirty=True)
-                return
-            c = self.wc.pop(line, 0) | cov
-            if c == self.full_mask:
-                self.write_lines += 1
-            else:
-                self.wc[line] = c
-                if len(self.wc) > self.policy.combine_buffers:
-                    self._flush_wc(*self.wc.popitem(last=False))
-            return
-
-        if not self.claim:
-            if self._touch(line, dirty=True):
-                self.read_lines += 1    # the write-allocate fill
-            return
-
-        present = line in self._set_for(self.nlevels - 1, line)
-        self._touch(line, dirty=True)
-        if present:
-            c = self.pending.get(line)
-            if c is not None:
-                c |= cov
-                if c == self.full_mask:
-                    self.avoided_lines += 1
-                    del self.pending[line]
-                    self.detector.pop(line, None)
+                if pending and line in pending:
+                    if not first_w:
+                        # the read needs the pre-write bytes: fill after all
+                        del pending[line]
+                        reads += 1
+                    else:
+                        c = pending[line] | cov
+                        if c == full:
+                            del pending[line]
+                            avoided += 1
+                        else:
+                            pending[line] = c
+                continue
+            if nt and first_w:
+                # streaming store to a line that is not cached
+                c = wc.pop(line, 0) | cov
+                if c == full:
+                    writes_out += 1
                 else:
-                    self.pending[line] = c
-        elif cov == self.full_mask:
-            self.avoided_lines += 1     # whole line written in one go
-        else:
-            self.pending[line] = cov
-            self.detector[line] = None
-            if len(self.detector) > self.policy.buffer_lines:
-                old, _ = self.detector.popitem(last=False)
-                if old in self.pending:
-                    self.read_lines += 1    # incomplete: regular allocate after all
-                    del self.pending[old]
+                    wc[line] = c
+                    if len(wc) > buffers:
+                        writes_out += 1
+                        if wc.popitem(last=False)[1] != full:
+                            reads += 1      # partial line: merge read
+                continue
+            if wc and line in wc:
+                # a read drains the line's write-combine buffer first
+                writes_out += 1
+                if wc.pop(line) != full:
+                    reads += 1
+            s[line] = any_w
+            if len(s) > ways:
+                victim, dirty = s.popitem(last=False)
+                if dirty:
+                    writes_out += 1
+                if pending and victim in pending:
+                    # aged out of the cache before the claim completed
+                    del pending[victim]
+                    reads += 1
+            if not (claim and first_w):
+                reads += 1      # the read fill or the write-allocate fill
+            elif cov == full:
+                avoided += 1    # whole line written in one go
+            else:
+                pending[line] = cov
+                if len(pending) > window:
+                    pending.popitem(last=False)
+                    reads += 1  # incomplete: regular allocate after all
+        self.read_lines += reads
+        self.write_lines += writes_out
+        self.avoided_lines += avoided
 
     def finish(self):
         """End of trace: resolve open claims, drain WC buffers, flush dirty lines."""
-        while self.pending:
-            line, _cov = self.pending.popitem()
-            self.read_lines += 1
-            self.detector.pop(line, None)
-        for line, cov in self.wc.items():
-            self._flush_wc(line, cov)
+        self.read_lines += len(self.pending)
+        self.pending.clear()
+        for cov in self.wc.values():
+            self.write_lines += 1
+            self.read_lines += cov != self.full_mask
         self.wc.clear()
-        for s in self.levels[-1][0]:
-            self.write_lines += sum(1 for d in s.values() if d)
-
-    # -- block feeding -------------------------------------------------------
-
-    def feed(self, addrs: np.ndarray, writes: np.ndarray):
-        n = addrs.size
-        if n == 0:
-            return
-        lines = addrs >> np.uint64(self.shift)
-        w_u8 = writes.view(np.uint8)
-        if n == 1:
-            starts = np.zeros(1, dtype=np.intp)
-        else:
-            split = lines[1:] != lines[:-1]
-            # a write followed by a read of the same line must start a new
-            # run, otherwise the read could not trigger a deferred fill
-            np.logical_or(split, writes[:-1] & ~writes[1:], out=split)
-            starts = np.flatnonzero(np.concatenate(([True], split)))
-        offs = addrs & np.uint64(self.line_size - 1)
-        masks = np.where(writes, np.left_shift(np.uint64(self.elem_bits), offs),
-                         np.uint64(0))
-        run_lines = lines[starts].tolist()
-        run_first_w = writes[starts].tolist()
-        run_any_w = (np.bitwise_or.reduceat(w_u8, starts) != 0).tolist()
-        run_cov = np.bitwise_or.reduceat(masks, starts).tolist()
-        run = self.run
-        for args in zip(run_lines, run_first_w, run_any_w, run_cov):
-            run(*args)
-
-    def feed_fast_always(self, addrs: np.ndarray, writes: np.ndarray):
-        """Single fully-associative level under AlwaysAllocate.
-
-        Every miss fills one line regardless of mode, so runs only need the
-        line and whether any event in them writes.
-        """
-        n = addrs.size
-        if n == 0:
-            return
-        lines = addrs >> np.uint64(self.shift)
-        if n == 1:
-            starts = np.zeros(1, dtype=np.intp)
-        else:
-            starts = np.flatnonzero(np.concatenate(([True], lines[1:] != lines[:-1])))
-        run_lines = lines[starts].tolist()
-        run_any_w = (np.bitwise_or.reduceat(writes.view(np.uint8), starts) != 0).tolist()
-        od = self.levels[0][0][0]
-        ways = self.levels[0][2]
-        move = od.move_to_end
-        pop = od.popitem
-        reads = writes_out = 0
-        for line, w in zip(run_lines, run_any_w):
-            if line in od:
-                move(line)
-                if w:
-                    od[line] = True
-            else:
-                reads += 1
-                od[line] = w
-                if len(od) > ways:
-                    if pop(last=False)[1]:
-                        writes_out += 1
-        self.read_lines += reads
-        self.write_lines += writes_out
-
-    @property
-    def use_fast_path(self) -> bool:
-        plain = (isinstance(self.policy, AlwaysAllocate)
-                 or (isinstance(self.policy, AutoClaim) and not self.policy.active))
-        return plain and self.nlevels == 1 and self.levels[0][1] == 1
+        for s in self.sets:
+            self.write_lines += sum(s.values())
 
     def traffic(self, iterations: int) -> MemTraffic:
         ls = self.line_size
@@ -418,9 +340,8 @@ class _Hierarchy:
 
 def _simulate_blocks(blocks, levels, policy, access_bytes, iterations) -> MemTraffic:
     sim = _Hierarchy(list(levels), policy, access_bytes)
-    feed = sim.feed_fast_always if sim.use_fast_path else sim.feed
     for addrs, writes in blocks:
-        feed(addrs, writes)
+        sim.feed(addrs, writes)
     sim.finish()
     return sim.traffic(iterations)
 
@@ -435,7 +356,8 @@ def simulate(trace, levels, policy: WritePolicySim = AlwaysAllocate(),
              access_bytes: int = 8, iterations: int = 0) -> MemTraffic:
     """Replay an iterable of ``TRACE_DTYPE`` record blocks through the hierarchy.
 
-    Every event touches ``access_bytes`` bytes starting at its address (the
+    Only the last of ``levels`` is replayed: in the inclusive LRU hierarchy
+    the levels above it never change the memory traffic. Every event touches ``access_bytes`` bytes starting at its address (the
     trace format itself carries no size). A mode byte above 1 raises
     ValueError (exit 2 from ``stencilmem replay``). ``iterations`` is
     recorded in the returned MemTraffic for per-iteration figures.
@@ -446,7 +368,10 @@ def simulate(trace, levels, policy: WritePolicySim = AlwaysAllocate(),
 
 def simulate_kernel(kernel: KernelSpec, grid: GridSpec, levels,
                     policy: WritePolicySim = AlwaysAllocate()) -> MemTraffic:
-    """Generate and replay the full sweep of one kernel over a grid."""
+    """Generate and replay the full sweep of one kernel over a grid.
+
+    As in ``simulate``, only the last of ``levels`` is replayed.
+    """
     blocks = gen_trace_blocks(kernel, grid)
     return _simulate_blocks(blocks, levels, policy, grid.element_size,
                             iteration_count(kernel, grid))

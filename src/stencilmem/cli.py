@@ -276,6 +276,10 @@ def cmd_compare(args) -> int:
     machine = _machine(args.machine)
     records = read_measurements(args.measurements)
     no_evasion = frozenset(args.no_evasion.split(",")) if args.no_evasion else frozenset()
+    unknown = sorted(no_evasion - suite.kernels.keys())
+    if unknown:
+        raise InputError(f"--no-evasion: not a kernel of the suite: "
+                         f"{', '.join(map(repr, unknown))}")
     lc_fulfilled, wa = SCENARIOS[args.scenario]
     evading = wa in ("speci2m", "nt-speci2m")
     rows = []

@@ -5,7 +5,8 @@ Rank counts are factorized onto a (px, py) process grid; px cuts the inner
 inner cut, which shrinks the local row length and makes the per-row halo
 and partial-cache-line overheads relatively expensive - the source of the
 upward balance spikes at prime rank counts. Each local row is charged one
-cache line of ``LINE_ELEMS`` elements of halo data on its read streams.
+``LINE_BYTES`` cache line of halo data on its read streams, counted in the
+kernel's own element size (8 doubles or 16 floats).
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 from .balance import WaPolicy, code_balance, layer_condition
 from .kernels import KernelSpec, derive_stream_counts, element_size
 
-# elements per cache line in the halo model: one 64-byte line of doubles
-LINE_ELEMS = 8
+# cache line size of the halo model, in bytes
+LINE_BYTES = 64
 
 
 def is_prime(n: int) -> bool:
@@ -105,16 +106,18 @@ def decompose(p: int, extent_x: int, extent_y: int | None = None) -> Decompositi
                          tuple(local_extents(extent_y, py)))
 
 
-def halo_read_overhead(inner: int) -> float:
+def halo_read_overhead(inner: int, element_size: int = 8) -> float:
     """Extra traffic fraction a read stream pays for row-boundary halo lines.
 
     Each local row of `inner` elements drags in one cache line of halo
-    data, so the overhead is LINE_ELEMS / (inner + LINE_ELEMS); 3.57% at
-    inner=216, vanishing for long rows.
+    data, ``e = LINE_BYTES / element_size`` elements, so the overhead is
+    e / (inner + e): 8/224 = 3.57% for doubles at inner=216, 16/232 for
+    floats, vanishing for long rows.
     """
     if inner < 1:
         raise ValueError("inner extent must be >= 1")
-    return LINE_ELEMS / (inner + LINE_ELEMS)
+    line_elems = LINE_BYTES // element_size
+    return line_elems / (inner + line_elems)
 
 
 @dataclass(frozen=True)
@@ -138,10 +141,10 @@ def predict_rank_sweep(kernel: KernelSpec, extent: int, ranks,
     For every p the grid is decomposed, layer conditions are evaluated at
     the smallest local inner width against the per-process cache share, and
     the plain scenario's ``code_balance`` is taken. An inner cut (px > 1)
-    adds the halo read overhead plus - when local rows are not a multiple
-    of LINE_ELEMS - a partial-line write-allocate of the same magnitude on
-    the evadable write streams. A single rank (and any pure outer cut) has
-    no inner halos and gives exactly the plain scenario.
+    adds the halo read overhead plus - when local rows are not a whole
+    number of cache lines - a partial-line write-allocate of the same
+    magnitude on the evadable write streams. A single rank (and any pure
+    outer cut) has no inner halos and gives exactly the plain scenario.
     """
     counts = derive_stream_counts(kernel)
     esize = element_size(kernel)
@@ -152,9 +155,10 @@ def predict_rank_sweep(kernel: KernelSpec, extent: int, ranks,
         lc = layer_condition(kernel, width, machine.effective_cache_per_process(p))
         bytes_per_it = code_balance(counts, lc.fulfilled, policy, esize)
         if dec.px > 1:
-            h = halo_read_overhead(width)
+            h = halo_read_overhead(width, esize)
             rd = counts.rd_lcf if lc.fulfilled else counts.rd_lcb
-            partial_line_wa = counts.evadable_writes * h if width % LINE_ELEMS else 0.0
+            partial_line_wa = (counts.evadable_writes * h
+                               if width * esize % LINE_BYTES else 0.0)
             bytes_per_it += esize * (rd * h + partial_line_wa)
         out.append(RankPrediction(p, dec.px, dec.py, width, bytes_per_it,
                                   lc.fulfilled))

@@ -280,6 +280,13 @@ class TestCompare:
         overridden = mean_err("--no-evasion", "ac01,ac02,ac05,ac06")
         assert overridden < plain
 
+    def test_unknown_no_evasion_kernel_exits_2(self, capsys):
+        # a typo must not leave its kernel priced with evasion
+        rc, out, err = run(capsys, "compare", SUITE, ICX, RANK72,
+                           "--scenario", "speci2m", "--no-evasion", "ac1,ac02")
+        assert rc == 2 and out == ""
+        assert "'ac1'" in err and "ac02" not in err
+
     @pytest.mark.parametrize("scenario", ["min", "lcf-wa", "lcb", "max",
                                           "speci2m", "nt-speci2m"])
     def test_model_column_prices_the_named_scenario(self, capsys, scenario):

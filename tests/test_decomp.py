@@ -9,7 +9,15 @@ from stencilmem.decomp import (
     local_extents,
     predict_rank_sweep,
 )
-from stencilmem.kernels import derive_stream_counts
+from stencilmem.kernels import (
+    READ,
+    WRITE,
+    Access,
+    ArrayDecl,
+    GridSpec,
+    KernelSpec,
+    derive_stream_counts,
+)
 
 M = 15360
 
@@ -146,3 +154,19 @@ class TestRankSweep:
         h = halo_read_overhead(width)
         expect = 8 * (1 * (1 + h) + 1 + 0.2 + 1 * h)
         assert pred.bytes_per_it == pytest.approx(expect)
+
+    def test_halo_line_counts_the_kernel_element_size(self, icx):
+        # one 64-byte halo line holds 16 floats: at 71 ranks (width 216) each
+        # read stream pays 16/232, and 216 floats end in the middle of a
+        # line, so the write stream pays the partial-line allocate too
+        grid = GridSpec(M, M, halo_lo=2, halo_hi=2, element_size=4)
+        a, b = ArrayDecl("a", grid), ArrayDecl("b", grid)
+        kernel = KernelSpec(name="float2row", accesses=(
+            Access(a, 0, -1, READ), Access(a, 0, 1, READ), Access(b, 0, 0, WRITE)))
+        counts = derive_stream_counts(kernel)
+        p1, p71 = predict_rank_sweep(kernel, M, [1, 71], icx, FULL_WA)
+        assert p71.min_inner_width == 216
+        assert p1.lc_fulfilled and p71.lc_fulfilled
+        assert halo_read_overhead(216, 4) == 16 / 232
+        assert p71.bytes_per_it - p1.bytes_per_it == pytest.approx(
+            4 * (counts.rd_lcf + counts.evadable_writes) * 16 / 232)

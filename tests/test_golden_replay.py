@@ -1,0 +1,110 @@
+"""Bit-identical replay: one sha256 over the traffic of a fixed matrix.
+
+The matrix crosses every write policy with seeded random traces through
+one to three cache levels (fully and set-associative, upper levels smaller
+and larger than the last) at access sizes 1, 4 and 8 bytes, and with the
+22 suite kernels at 40x20 under one fully associative level, three fully
+associative levels and three set-associative levels. Any change to the
+replay engine must leave the hash alone. A change that means to alter
+simulated traffic re-records it with
+``PYTHONPATH=src python tests/test_golden_replay.py`` and says why.
+"""
+
+import hashlib
+import random
+
+import numpy as np
+
+from stencilmem.cachesim import (
+    TRACE_DTYPE,
+    AlwaysAllocate,
+    AutoClaim,
+    CacheLevelConfig,
+    NtBypass,
+    simulate,
+    simulate_kernel,
+)
+from stencilmem.kernels import data_path, load_suite
+
+LINE = 64
+POLICIES = (AlwaysAllocate(), AutoClaim(), AutoClaim(buffer_lines=2),
+            AutoClaim(active=False), NtBypass(), NtBypass(combine_buffers=1))
+# (lines, associativity) per level, first level first
+TRACE_HIERARCHIES = (
+    ((16, None),),
+    ((16, 1),),
+    ((16, 2),),
+    ((16, 4),),
+    ((4, None), (16, None)),
+    ((32, None), (16, None)),
+    ((4, 2), (16, 4)),
+    ((32, 4), (16, 1)),
+    ((4, None), (8, None), (16, None)),
+    ((32, None), (8, 2), (16, 4)),
+    ((4, 1), (64, None), (16, 2)),
+)
+KERNEL_HIERARCHIES = (
+    ((48, None),),
+    ((8, None), (24, None), (48, None)),
+    ((8, 2), (32, 4), (64, 8)),
+)
+ACCESS_SIZES = (1, 4, 8)
+TRACE_EVENTS = 2000
+SPAN_LINES = 40
+SEED = 20231
+
+
+def levels(spec):
+    return [CacheLevelConfig(capacity=n * LINE, associativity=a) for n, a in spec]
+
+
+def random_trace(rng: random.Random, access_bytes: int) -> np.ndarray:
+    """Scattered reads and writes mixed with whole-line and partial-line
+    write sweeps, so that claims complete, age out and get read back."""
+    elems = LINE // access_bytes
+    events = []
+    while len(events) < TRACE_EVENTS:
+        line = rng.randrange(SPAN_LINES) * LINE
+        kind = rng.randrange(4)
+        if kind == 0:
+            events.append((line + rng.randrange(elems) * access_bytes,
+                           rng.randrange(2)))
+        else:
+            count = elems if kind == 1 else rng.randrange(1, elems + 1)
+            first = rng.randrange(elems - count + 1)
+            events += [(line + (first + i) * access_bytes, 1) for i in range(count)]
+    return np.array(events[:TRACE_EVENTS], dtype=TRACE_DTYPE)
+
+
+def traffic_matrix() -> list[tuple[int, int, int]]:
+    rng = random.Random(SEED)
+    out = []
+    for access_bytes in ACCESS_SIZES:
+        trace = random_trace(rng, access_bytes)
+        for spec in TRACE_HIERARCHIES:
+            for policy in POLICIES:
+                t = simulate([trace], levels(spec), policy, access_bytes)
+                out.append((t.read_bytes, t.write_bytes, t.wa_avoided_bytes))
+    suite = load_suite(data_path("cloverleaf_tiny.json"))
+    for kernel in suite:
+        grid = kernel.arrays[0].grid.resized(40, 20)
+        for spec in KERNEL_HIERARCHIES:
+            for policy in POLICIES:
+                t = simulate_kernel(kernel, grid, levels(spec), policy)
+                out.append((t.read_bytes, t.write_bytes, t.wa_avoided_bytes))
+    return out
+
+
+def traffic_sha256() -> str:
+    return hashlib.sha256(repr(traffic_matrix()).encode()).hexdigest()
+
+
+GOLDEN = '7e8674eb5f628c107e330895c7a0f10066b736b60c05df33cd697cb12def685c'
+
+
+def test_replay_traffic_unchanged():
+    assert traffic_sha256() == GOLDEN
+
+
+if __name__ == "__main__":
+    print(f"GOLDEN = {traffic_sha256()!r}")
