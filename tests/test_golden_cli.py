@@ -1,15 +1,19 @@
 """Byte-identical CLI output: one sha256 of stdout per command.
 
-The hashes pin the analytic commands (``analyze``, ``prime-sweep``,
-``compare``) so that a refactor of the prediction code can show it prints
-exactly what it printed before. A change that means to alter an output
-re-records the table with ``PYTHONPATH=src python tests/test_golden_cli.py``
-and says why.
+The hashes pin every subcommand: the analytic ones (``analyze``,
+``prime-sweep``, ``compare``) and, at desk-scale sizes, the simulator ones
+(``simulate`` under each policy and cache mode, ``store-ratio``,
+``halo-copy``, and ``replay`` of an am00 trace that ``simulate
+--dump-trace`` writes). A refactor can so show that it prints exactly what
+it printed before. A change that means to alter an output re-records the
+table with ``PYTHONPATH=src python tests/test_golden_cli.py`` and says why.
 """
 
 import contextlib
 import hashlib
 import io
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,9 @@ MACHINES = {"icx": str(data_path("icx_8360y.json")),
 REFERENCE_CSVS = ("clv_tiny_rank1", "clv_tiny_rank72", "clv_tiny_rank72_nt")
 SCENARIOS = ("min", "lcf-wa", "lcb", "max", "speci2m", "nt-speci2m")
 NO_EVASION = ("--no-evasion", "ac01,ac02,ac05,ac06")
+POLICIES = ("always", "nt", "claim", "claim-inactive")
+CACHE_MODES = ("effective", "levels")
+SIM_VOLUME = "262144"
 
 
 def commands() -> dict[str, list[str]]:
@@ -38,7 +45,25 @@ def commands() -> dict[str, list[str]]:
             argvs.append(argv)
             if scenario in ("speci2m", "nt-speci2m"):
                 argvs.append(argv + list(NO_EVASION))
+    for policy in POLICIES:
+        argvs += [["simulate", SUITE, MACHINES["icx"], "--grid", "64",
+                   "--policy", policy, "--cache-mode", mode] for mode in CACHE_MODES]
+        argvs += [["store-ratio", "--streams", str(streams), "--volume", SIM_VOLUME,
+                   "--policy", policy] for streams in (1, 2, 3)]
+    argvs.append(["halo-copy", "--volume", SIM_VOLUME])
     return {" ".join(a.replace(str(data_path("")), "data") for a in argv): argv
+            for argv in argvs}
+
+
+def replay_commands(trace: Path) -> dict[str, list[str]]:
+    """The dump of an am00 trace at grid 64, then its replays, in run order."""
+    icx = MACHINES["icx"]
+    argvs = [["simulate", SUITE, icx, "--grid", "64", "--kernel", "am00",
+              "--dump-trace", str(trace)]]
+    argvs += [["replay", str(trace), icx, "--policy", policy, "--cache-mode", mode]
+              for policy in POLICIES for mode in CACHE_MODES]
+    return {" ".join(a.replace(str(trace), trace.name).replace(str(data_path("")), "data")
+                     for a in argv): argv
             for argv in argvs}
 
 
@@ -123,10 +148,71 @@ GOLDEN = {
         '81fd851ae9fb33bd50272d75793c1e0f2dea25f3a3f5eea34b12b7af76e400a9',
     'compare data/cloverleaf_tiny.json data/icx_8360y.json data/reference/clv_tiny_rank72_nt.csv --scenario nt-speci2m --no-evasion ac01,ac02,ac05,ac06':
         'f212e86fb31dc4e99797da42f12b55f7d34074e4739739529e89d49df49008dd',
+    'simulate data/cloverleaf_tiny.json data/icx_8360y.json --grid 64 --policy always --cache-mode effective':
+        '4358021e548ddef98eb3f57dab72afccfd449bd58d8b591946beb80e2eedef3e',
+    'simulate data/cloverleaf_tiny.json data/icx_8360y.json --grid 64 --policy always --cache-mode levels':
+        '4358021e548ddef98eb3f57dab72afccfd449bd58d8b591946beb80e2eedef3e',
+    'store-ratio --streams 1 --volume 262144 --policy always':
+        '184796c69470aeab17a895160c1abe5a19eff3ccd1b21b689d94e6281caa98e6',
+    'store-ratio --streams 2 --volume 262144 --policy always':
+        '184796c69470aeab17a895160c1abe5a19eff3ccd1b21b689d94e6281caa98e6',
+    'store-ratio --streams 3 --volume 262144 --policy always':
+        '184796c69470aeab17a895160c1abe5a19eff3ccd1b21b689d94e6281caa98e6',
+    'simulate data/cloverleaf_tiny.json data/icx_8360y.json --grid 64 --policy nt --cache-mode effective':
+        '02a61a49ed37db268e562baf2b812554e2cc4a589e946f2a5893078c19b04599',
+    'simulate data/cloverleaf_tiny.json data/icx_8360y.json --grid 64 --policy nt --cache-mode levels':
+        '02a61a49ed37db268e562baf2b812554e2cc4a589e946f2a5893078c19b04599',
+    'store-ratio --streams 1 --volume 262144 --policy nt':
+        'b4e088f864db15584d519f8675237536319ae00e0d40e1dba206514474d1a179',
+    'store-ratio --streams 2 --volume 262144 --policy nt':
+        'b4e088f864db15584d519f8675237536319ae00e0d40e1dba206514474d1a179',
+    'store-ratio --streams 3 --volume 262144 --policy nt':
+        'b4e088f864db15584d519f8675237536319ae00e0d40e1dba206514474d1a179',
+    'simulate data/cloverleaf_tiny.json data/icx_8360y.json --grid 64 --policy claim --cache-mode effective':
+        '02a61a49ed37db268e562baf2b812554e2cc4a589e946f2a5893078c19b04599',
+    'simulate data/cloverleaf_tiny.json data/icx_8360y.json --grid 64 --policy claim --cache-mode levels':
+        '02a61a49ed37db268e562baf2b812554e2cc4a589e946f2a5893078c19b04599',
+    'store-ratio --streams 1 --volume 262144 --policy claim':
+        'b4e088f864db15584d519f8675237536319ae00e0d40e1dba206514474d1a179',
+    'store-ratio --streams 2 --volume 262144 --policy claim':
+        'b4e088f864db15584d519f8675237536319ae00e0d40e1dba206514474d1a179',
+    'store-ratio --streams 3 --volume 262144 --policy claim':
+        'b4e088f864db15584d519f8675237536319ae00e0d40e1dba206514474d1a179',
+    'simulate data/cloverleaf_tiny.json data/icx_8360y.json --grid 64 --policy claim-inactive --cache-mode effective':
+        '4358021e548ddef98eb3f57dab72afccfd449bd58d8b591946beb80e2eedef3e',
+    'simulate data/cloverleaf_tiny.json data/icx_8360y.json --grid 64 --policy claim-inactive --cache-mode levels':
+        '4358021e548ddef98eb3f57dab72afccfd449bd58d8b591946beb80e2eedef3e',
+    'store-ratio --streams 1 --volume 262144 --policy claim-inactive':
+        '184796c69470aeab17a895160c1abe5a19eff3ccd1b21b689d94e6281caa98e6',
+    'store-ratio --streams 2 --volume 262144 --policy claim-inactive':
+        '184796c69470aeab17a895160c1abe5a19eff3ccd1b21b689d94e6281caa98e6',
+    'store-ratio --streams 3 --volume 262144 --policy claim-inactive':
+        '184796c69470aeab17a895160c1abe5a19eff3ccd1b21b689d94e6281caa98e6',
+    'halo-copy --volume 262144':
+        '892f25ec3a472b515fb5cc93bc80afd3eb5ce93fa3f1471effc614d3f9e7cadc',
+    'simulate data/cloverleaf_tiny.json data/icx_8360y.json --grid 64 --kernel am00 --dump-trace am00.trace':
+        'f6dabf774a5a0a5a0b2c8d5362af0cfa8a61d78aa02a78e938f387e54dfefac1',
+    'replay am00.trace data/icx_8360y.json --policy always --cache-mode effective':
+        '0241e01e00dfce6774f005eaae3a462811a92b410458dfae25d1d4259a52eb33',
+    'replay am00.trace data/icx_8360y.json --policy always --cache-mode levels':
+        '0241e01e00dfce6774f005eaae3a462811a92b410458dfae25d1d4259a52eb33',
+    'replay am00.trace data/icx_8360y.json --policy nt --cache-mode effective':
+        'f4d7a1b57098e99cda6974508c2e02b61173e0d964d786133bb7c9542cf89ace',
+    'replay am00.trace data/icx_8360y.json --policy nt --cache-mode levels':
+        'f4d7a1b57098e99cda6974508c2e02b61173e0d964d786133bb7c9542cf89ace',
+    'replay am00.trace data/icx_8360y.json --policy claim --cache-mode effective':
+        '39b772f85d80e28585330135d0fe81ef1b97b73a9d904aab08115b6c58266150',
+    'replay am00.trace data/icx_8360y.json --policy claim --cache-mode levels':
+        '39b772f85d80e28585330135d0fe81ef1b97b73a9d904aab08115b6c58266150',
+    'replay am00.trace data/icx_8360y.json --policy claim-inactive --cache-mode effective':
+        '0241e01e00dfce6774f005eaae3a462811a92b410458dfae25d1d4259a52eb33',
+    'replay am00.trace data/icx_8360y.json --policy claim-inactive --cache-mode levels':
+        '0241e01e00dfce6774f005eaae3a462811a92b410458dfae25d1d4259a52eb33',
 }
 
 
 COMMANDS = commands()
+TRACE = Path("am00.trace")
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))
@@ -134,6 +220,13 @@ def test_cli_output_unchanged(command):
     assert stdout_sha256(COMMANDS[command]) == GOLDEN[command], command
 
 
+def test_replay_output_unchanged(tmp_path):
+    for command, argv in replay_commands(tmp_path / TRACE.name).items():
+        assert stdout_sha256(argv) == GOLDEN[command], command
+
+
 if __name__ == "__main__":
-    for command, argv in COMMANDS.items():
-        print(f"    {command!r}:\n        {stdout_sha256(argv)!r},")
+    with tempfile.TemporaryDirectory() as tmp:
+        pinned = {**COMMANDS, **replay_commands(Path(tmp) / TRACE.name)}
+        for command, argv in pinned.items():
+            print(f"    {command!r}:\n        {stdout_sha256(argv)!r},")
