@@ -171,14 +171,39 @@ class ScenarioTable:
                 self.lcb.bytes_per_it, self.maximum.bytes_per_it)
 
 
+# named scenario -> (layer condition fulfilled, write-allocate model); the
+# first four are the ScenarioTable corners, in field order
+SCENARIOS = {
+    "min": (True, "none"),
+    "lcf-wa": (True, "full"),
+    "lcb": (False, "none"),
+    "max": (False, "full"),
+    "speci2m": (True, "speci2m"),
+    "nt-speci2m": (True, "nt-speci2m"),
+}
+EVADING = frozenset({"speci2m", "nt-speci2m"})   # rely on hardware WA evasion
+
+
+def scenario_balance(kernel: KernelSpec, name: str, machine,
+                     evasion_engages: bool = True) -> float:
+    """Bytes per iteration under a named scenario; a kernel where hardware
+    evasion does not engage is priced at lcf-wa under an evading scenario."""
+    if not evasion_engages and name in EVADING:
+        name = "lcf-wa"
+    lc, wa = SCENARIOS[name]
+    return code_balance(derive_stream_counts(kernel), lc, wa_policy(wa, machine),
+                        element_size(kernel))
+
+
 def scenario_table(kernel: KernelSpec) -> ScenarioTable:
     counts = derive_stream_counts(kernel)
     esize = element_size(kernel)
+    corners = (SCENARIOS[name] for name in ("min", "lcf-wa", "lcb", "max"))
     return ScenarioTable(*(
         BalanceScenario(lc, policy, code_balance(counts, lc, policy, esize),
                         kernel.flops_per_it)
-        for lc, policy in ((True, NO_WA), (True, FULL_WA),
-                           (False, NO_WA), (False, FULL_WA))))
+        # the corner models need no machine
+        for lc, policy in ((lc, wa_policy(wa, None)) for lc, wa in corners)))
 
 
 def classify(counts: StreamCounts) -> str:

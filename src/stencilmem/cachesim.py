@@ -26,10 +26,10 @@ size across all levels).
 
 A trace is an iterable of ``TRACE_DTYPE`` record blocks (u64 byte address,
 u8 mode: 0 read, 1 write); a trace file holds the same 9-byte records back
-to back. A file size that is no whole number of records, or a mode byte
-above 1, raises ValueError. Trace generation is vectorized and the replay
-works on runs of consecutive same-line events, which keeps the 22
-desk-scale oracle runs within a few minutes of CPU time.
+to back. A file size that is no whole number of records, a mode byte above
+1 or an access across a cache line raises ValueError. Trace generation is
+vectorized and the replay works on runs of consecutive same-line events,
+which keeps the 22 desk-scale oracle runs within a few minutes of CPU time.
 """
 
 from __future__ import annotations
@@ -95,6 +95,12 @@ class AutoClaim:
 
 
 WritePolicySim = AlwaysAllocate | NtBypass | AutoClaim
+
+
+def evades(policy: WritePolicySim) -> bool:
+    """Whether the policy writes lines without fetching them first."""
+    return isinstance(policy, NtBypass) or (isinstance(policy, AutoClaim)
+                                            and policy.active)
 
 
 @dataclass(frozen=True)
@@ -222,8 +228,8 @@ class _Hierarchy:
         self.pending: OrderedDict[int, int] = OrderedDict()
         # NT write-combine buffers, oldest first; never resident
         self.wc: OrderedDict[int, int] = OrderedDict()
-        self.claim = isinstance(policy, AutoClaim) and policy.active
         self.nt = isinstance(policy, NtBypass)
+        self.claim = evades(policy) and not self.nt
 
     def feed(self, addrs: np.ndarray, writes: np.ndarray):
         """Replay one block run by run; a run is consecutive events on one
@@ -346,31 +352,39 @@ def _simulate_blocks(blocks, levels, policy, access_bytes, iterations) -> MemTra
     return sim.traffic(iterations)
 
 
-def _record_fields(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _record_fields(records: np.ndarray, line_size: int, access_bytes: int):
     if np.any(records["mode"] > 1):
         raise ValueError("bad trace mode byte: 0 is a read, 1 a write")
-    return records["address"], records["mode"].view(np.bool_)
+    addrs = records["address"]
+    crossing = (addrs & np.uint64(line_size - 1)) > np.uint64(line_size - access_bytes)
+    if np.any(crossing):
+        raise ValueError(f"a {access_bytes}-byte access at address "
+                         f"{addrs[crossing][0]} crosses a {line_size}-byte cache line")
+    return addrs, records["mode"].view(np.bool_)
 
 
 def simulate(trace, levels, policy: WritePolicySim = AlwaysAllocate(),
-             access_bytes: int = 8, iterations: int = 0) -> MemTraffic:
+             access_bytes: int = 8) -> MemTraffic:
     """Replay an iterable of ``TRACE_DTYPE`` record blocks through the hierarchy.
 
     Only the last of ``levels`` is replayed: in the inclusive LRU hierarchy
-    the levels above it never change the memory traffic. Every event touches ``access_bytes`` bytes starting at its address (the
-    trace format itself carries no size). A mode byte above 1 raises
-    ValueError (exit 2 from ``stencilmem replay``). ``iterations`` is
-    recorded in the returned MemTraffic for per-iteration figures.
+    the levels above it never change the memory traffic. Every event
+    touches ``access_bytes`` bytes starting at its address (the trace format
+    itself carries no size). A mode byte above 1, or an access that crosses
+    a cache line, raises ValueError (exit 2 from ``stencilmem replay``). The
+    returned MemTraffic counts no iterations.
     """
-    return _simulate_blocks(map(_record_fields, trace), levels, policy,
-                            access_bytes, iterations)
+    levels = list(levels)   # _Hierarchy checks them before the first block is read
+    blocks = (_record_fields(r, levels[-1].line_size, access_bytes) for r in trace)
+    return _simulate_blocks(blocks, levels, policy, access_bytes, 0)
 
 
 def simulate_kernel(kernel: KernelSpec, grid: GridSpec, levels,
                     policy: WritePolicySim = AlwaysAllocate()) -> MemTraffic:
     """Generate and replay the full sweep of one kernel over a grid.
 
-    As in ``simulate``, only the last of ``levels`` is replayed.
+    As in ``simulate``, only the last of ``levels`` is replayed. A kernel
+    trace is aligned to the element size, so no access crosses a line.
     """
     blocks = gen_trace_blocks(kernel, grid)
     return _simulate_blocks(blocks, levels, policy, grid.element_size,

@@ -4,14 +4,19 @@ Subcommands::
 
     analyze      per-kernel stream counts, balance bounds, scaling class
     simulate     cache-simulator balance vs. the analytic scenario
+    replay       memory traffic of a dumped binary trace
     prime-sweep  predicted bytes/iteration over a rank-count range (CSV)
     compare      model balance vs. a measurement CSV, with error summary
     store-ratio  traffic/store-volume ratio of an n-stream store benchmark
     halo-copy    read/write ratio of the strip-mined copy benchmark
 
-Exit codes: 0 success, 1 tolerance check failed (only with --check),
-2 malformed input or usage error. A reader that closes standard output
-early (``| head``) ends the command quietly with exit code 0.
+It parses arguments, reads measurement CSVs and formats output; named
+scenarios and which of them evade live in :mod:`stencilmem.balance`, which
+simulator policies evade in :mod:`stencilmem.cachesim`.
+
+Exit codes: 0 success, 1 tolerance check failed (only with --check), 2
+malformed input, an unreadable file or a usage error. A reader that closes
+standard output early (``| head``) ends the command quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import balance, cachesim, decomp
-from .kernels import KernelError, KernelSuite, derive_stream_counts, element_size, load_suite
+from .kernels import derive_stream_counts, load_suite
 from .roofline import MachineModel, load_machine
 
 EXIT_OK = 0
@@ -91,31 +96,6 @@ def read_measurements(path: str | Path) -> list[MeasurementRecord]:
     return records
 
 
-def _suite(path) -> KernelSuite:
-    try:
-        return load_suite(path)
-    except (OSError, KernelError) as exc:
-        raise InputError(str(exc)) from exc
-
-
-def _machine(path) -> MachineModel:
-    try:
-        return load_machine(path)
-    except (OSError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
-
-
-# compare scenario -> (layer condition fulfilled, write-allocate model)
-SCENARIOS = {
-    "min": (True, "none"),
-    "lcf-wa": (True, "full"),
-    "lcb": (False, "none"),
-    "max": (False, "full"),
-    "speci2m": (True, "speci2m"),
-    "nt-speci2m": (True, "nt-speci2m"),
-}
-
-
 def _emit_table(headers, rows, as_csv: bool, out=None):
     out = out or sys.stdout
     if as_csv:
@@ -144,8 +124,8 @@ def _num(v) -> str:
 
 
 def cmd_analyze(args) -> int:
-    suite = _suite(args.suite)
-    _machine(args.machine)
+    suite = load_suite(args.suite)
+    load_machine(args.machine)
     rows = []
     for kernel in suite:
         c = derive_stream_counts(kernel)
@@ -187,14 +167,10 @@ def cmd_simulate(args) -> int:
         raise InputError("--grid must be >= 1")
     if args.dump_trace and not args.kernel:
         raise InputError("--dump-trace needs --kernel")
-    suite = _suite(args.suite)
-    machine = _machine(args.machine)
+    suite = load_suite(args.suite)
+    machine = load_machine(args.machine)
     policy = _parse_policy(args)
     levels = _sim_levels(machine, args.cache_mode)
-    # evasion policies are checked against the no-allocate floor, the rest
-    # against the fulfilled-LC + write-allocate scenario
-    evading = (isinstance(policy, cachesim.NtBypass)
-               or (isinstance(policy, cachesim.AutoClaim) and policy.active))
     names = [args.kernel] if args.kernel else list(suite.kernels)
     unknown = [n for n in names if n not in suite.kernels]
     if unknown:
@@ -206,10 +182,12 @@ def cmd_simulate(args) -> int:
         kernel = suite.kernels[name]
         grid = kernel.arrays[0].grid.resized(args.grid, args.grid)
         table = balance.scenario_table(kernel)
-        ref = table.minimum.bytes_per_it if evading else table.lcf_wa.bytes_per_it
+        # evasion policies are checked against the no-allocate floor, the rest
+        # against the fulfilled-LC + write-allocate scenario
+        ref = (table.minimum if cachesim.evades(policy) else table.lcf_wa).bytes_per_it
         try:
             sim = cachesim.measure_balance(kernel, grid, levels, policy)
-        except (KernelError, ValueError) as exc:
+        except ValueError as exc:   # KernelError is a ValueError
             rows.append([name, _num(ref), "error", str(exc)])
             continue
         delta = (sim - ref) / ref * 100
@@ -229,7 +207,7 @@ def cmd_replay(args) -> int:
     path = Path(args.trace)
     if not path.exists():
         raise InputError(f"{path}: no such file")
-    machine = _machine(args.machine)
+    machine = load_machine(args.machine)
     levels = _sim_levels(machine, args.cache_mode)
     policy = _parse_policy(args)
     t = cachesim.simulate(cachesim.load_trace(path), levels, policy,
@@ -257,8 +235,8 @@ def _parse_int_range(spec: str, minimum: int, what: str) -> list[int]:
 
 
 def cmd_prime_sweep(args) -> int:
-    suite = _suite(args.suite)
-    machine = _machine(args.machine)
+    suite = load_suite(args.suite)
+    machine = load_machine(args.machine)
     ranks = _parse_int_range(args.ranks, 1, "rank")
     policy = balance.wa_policy(args.wa, machine)
     writer = csv.writer(sys.stdout)
@@ -272,27 +250,25 @@ def cmd_prime_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    suite = _suite(args.suite)
-    machine = _machine(args.machine)
+    suite = load_suite(args.suite)
+    machine = load_machine(args.machine)
     records = read_measurements(args.measurements)
     no_evasion = frozenset(args.no_evasion.split(",")) if args.no_evasion else frozenset()
     unknown = sorted(no_evasion - suite.kernels.keys())
     if unknown:
         raise InputError(f"--no-evasion: not a kernel of the suite: "
                          f"{', '.join(map(repr, unknown))}")
-    lc_fulfilled, wa = SCENARIOS[args.scenario]
-    evading = wa in ("speci2m", "nt-speci2m")
+    if no_evasion and args.scenario not in balance.EVADING:
+        print(f"note: --no-evasion has no effect under scenario {args.scenario!r}, "
+              f"which does not evade", file=sys.stderr)
     rows = []
     errs = []
     for rec in records:
         if rec.kernel not in suite.kernels:
             raise InputError(f"{args.measurements}: kernel {rec.kernel!r} "
                              f"not in suite")
-        kernel = suite.kernels[rec.kernel]
-        kernel_wa = "full" if evading and kernel.name in no_evasion else wa
-        model = balance.code_balance(derive_stream_counts(kernel), lc_fulfilled,
-                                     balance.wa_policy(kernel_wa, machine),
-                                     element_size(kernel))
+        model = balance.scenario_balance(suite.kernels[rec.kernel], args.scenario,
+                                         machine, rec.kernel not in no_evasion)
         measured = rec.bytes_per_it
         err = (model - measured) / measured * 100
         errs.append(abs(err))
@@ -399,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite")
     p.add_argument("machine")
     p.add_argument("measurements")
-    p.add_argument("--scenario", choices=list(SCENARIOS), default="lcf-wa")
+    p.add_argument("--scenario", choices=list(balance.SCENARIOS), default="lcf-wa")
     p.add_argument("--no-evasion", default="",
                    help="comma list of kernels where hardware evasion is known "
                         "not to engage (modelled as full write-allocate)")
@@ -436,13 +412,13 @@ def main(argv=None) -> int:
         rc = args.func(args)
         sys.stdout.flush()
         return rc
-    except (InputError, ValueError) as exc:  # KernelError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except BrokenPipeError:
+    except BrokenPipeError:     # an OSError, so it must come first
         # the reader is gone; point stdout at devnull so the exit flush is quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
+    except (InputError, ValueError, OSError) as exc:  # KernelError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

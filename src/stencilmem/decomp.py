@@ -20,17 +20,6 @@ from .kernels import KernelSpec, derive_stream_counts, element_size
 LINE_BYTES = 64
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _prime_factors_desc(n: int) -> list[int]:
     factors = []
     d = 2
@@ -43,6 +32,10 @@ def _prime_factors_desc(n: int) -> list[int]:
         factors.append(n)
     factors.sort(reverse=True)
     return factors
+
+
+def is_prime(n: int) -> bool:
+    return len(_prime_factors_desc(n)) == 1
 
 
 def factorize_ranks(p: int) -> tuple[int, int]:
@@ -96,14 +89,12 @@ class Decomposition:
         return min(self.local_inner_widths)
 
 
-def decompose(p: int, extent_x: int, extent_y: int | None = None) -> Decomposition:
-    """Factorize p ranks over an extent_x * extent_y grid."""
-    if extent_y is None:
-        extent_y = extent_x
+def decompose(p: int, extent: int) -> Decomposition:
+    """Factorize p ranks over a square grid of `extent` cells per side."""
     px, py = factorize_ranks(p)
     return Decomposition(p, px, py,
-                         tuple(local_extents(extent_x, px)),
-                         tuple(local_extents(extent_y, py)))
+                         tuple(local_extents(extent, px)),
+                         tuple(local_extents(extent, py)))
 
 
 def halo_read_overhead(inner: int, element_size: int = 8) -> float:

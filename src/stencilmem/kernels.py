@@ -76,10 +76,6 @@ class ArrayDecl:
                 f"array {self.name!r}: base_alignment must be a power of two "
                 f">= element_size")
 
-    @property
-    def alloc_bytes(self) -> int:
-        return self.grid.alloc_rows * self.grid.row_stride * self.grid.element_size
-
 
 @dataclass(frozen=True)
 class Access:

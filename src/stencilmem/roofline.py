@@ -30,7 +30,6 @@ class MachineModel:
     cache_l1: int                   # bytes, per core
     cache_l2: int                   # bytes, per core
     cache_l3: int                   # bytes, shared per socket
-    clock_hz: float
     speci2m_factor: float = 1.2     # residual store ratio of hardware WA evasion
     nt_factor: float = 1.17         # residual store ratio of non-temporal stores
     speci2m_activation_cores: int = 3   # cores per domain before evasion kicks in
@@ -39,7 +38,7 @@ class MachineModel:
         positive = (self.peak_flops_per_core, self.mem_bw_per_domain,
                     self.cores_per_domain, self.domains_per_node,
                     self.saturating_cores, self.cores_per_socket,
-                    self.cache_l1, self.cache_l2, self.cache_l3, self.clock_hz)
+                    self.cache_l1, self.cache_l2, self.cache_l3)
         if any(v <= 0 for v in positive):
             raise ValueError("machine parameters must be positive")
         if self.saturating_cores > self.cores_per_domain:

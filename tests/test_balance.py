@@ -1,8 +1,10 @@
 import pytest
 
 from stencilmem.balance import (
+    EVADING,
     FULL_WA,
     NO_WA,
+    SCENARIOS,
     WaPolicy,
     classify,
     code_balance,
@@ -10,6 +12,7 @@ from stencilmem.balance import (
     layer_condition,
     min_total_cache,
     nt_plus_evasion,
+    scenario_balance,
     scenario_table,
     wa_policy,
 )
@@ -95,6 +98,23 @@ class TestScenarioTable:
         t = scenario_table(suite.kernels[name])
         assert t.minimum.bytes_per_it <= t.lcf_wa.bytes_per_it <= t.maximum.bytes_per_it
         assert t.minimum.bytes_per_it <= t.lcb.bytes_per_it <= t.maximum.bytes_per_it
+
+    @pytest.mark.parametrize("name", KERNEL_NAMES)
+    def test_corners_are_the_first_four_scenarios(self, suite, icx, name):
+        kernel = suite.kernels[name]
+        assert scenario_table(kernel).as_tuple() == tuple(
+            scenario_balance(kernel, s, icx) for s in list(SCENARIOS)[:4])
+
+    def test_kernel_without_evasion_is_priced_at_lcf_wa(self, suite, icx):
+        kernel = suite.kernels["am04"]
+        lcf_wa = scenario_table(kernel).lcf_wa.bytes_per_it
+        assert EVADING == {"speci2m", "nt-speci2m"}
+        for name in SCENARIOS:
+            priced = scenario_balance(kernel, name, icx, evasion_engages=False)
+            if name in EVADING:
+                assert scenario_balance(kernel, name, icx) < lcf_wa == priced
+            else:
+                assert priced == scenario_balance(kernel, name, icx)
 
     def test_intensity_is_flops_over_bytes(self, suite):
         t = scenario_table(suite.kernels["am04"])

@@ -11,6 +11,7 @@ from stencilmem.cachesim import (
     NtBypass,
     array_layout,
     dump_trace,
+    evades,
     gen_trace,
     halo_copy_experiment,
     halo_copy_kernel,
@@ -129,6 +130,19 @@ class TestSimulateBasics:
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError, match="mode"):
             simulate([np.array([(0, 7)], dtype=TRACE_DTYPE)], lv(4))
+
+    def test_rejects_access_across_a_line(self):
+        # bytes 60..67 touch two lines; charging one would undercount
+        with pytest.raises(ValueError, match="address 60 crosses"):
+            simulate(as_trace([(0, READ), (60, WRITE)]), lv(64), AlwaysAllocate(), 8)
+        assert simulate(as_trace([(60, WRITE)]), lv(64), AlwaysAllocate(), 4) == \
+            simulate(as_trace([(0, WRITE)]), lv(64), AlwaysAllocate(), 4)
+
+    @pytest.mark.parametrize("policy, expected", [
+        (AlwaysAllocate(), False), (NtBypass(), True),
+        (AutoClaim(), True), (AutoClaim(active=False), False)])
+    def test_evading_policies(self, policy, expected):
+        assert evades(policy) is expected
 
     def test_multi_level_matches_last_level(self, suite):
         grid = GridSpec(96, 24, halo_lo=2, halo_hi=2)

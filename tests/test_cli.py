@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import stencilmem
-from stencilmem import balance, decomp
+from stencilmem import balance, cachesim, decomp
 from stencilmem.cachesim import TRACE_DTYPE
 from stencilmem.cli import main, read_measurements, InputError
 from stencilmem.kernels import data_path, derive_stream_counts, load_suite
@@ -65,6 +65,24 @@ class TestAnalyze:
         p.write_text(json.dumps({"name": "x"}))
         rc, _, err = run(capsys, "analyze", SUITE, str(p))
         assert rc == 2
+
+    def test_machine_with_clock_hz_exits_2(self, capsys, tmp_path):
+        # clock_hz is no machine field; it fails like any unknown key
+        doc = json.loads(Path(ICX).read_text())
+        doc["clock_hz"] = 2.4e9
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc))
+        rc, out, err = run(capsys, "analyze", SUITE, str(p))
+        assert rc == 2 and out == ""
+        assert "clock_hz" in err
+
+    @pytest.mark.parametrize("which", ["suite", "machine"])
+    def test_unreadable_input_file_exits_2(self, capsys, tmp_path, which):
+        missing = str(tmp_path / "missing.json")
+        argv = [missing, ICX] if which == "suite" else [SUITE, missing]
+        rc, out, err = run(capsys, "analyze", *argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and "missing.json" in err
 
     @pytest.mark.parametrize("field, value", [
         ("mem_bw_per_domain", float("nan")),
@@ -156,6 +174,32 @@ class TestSimulate:
         rc, out, err = run(capsys, "replay", str(trace), ICX)
         assert rc == 2 and out == ""
         assert "whole number" in err
+
+    def test_replay_access_across_a_line_exits_2(self, capsys, tmp_path):
+        trace = tmp_path / "am00.bin"
+        rc, _, _ = run(capsys, "simulate", SUITE, ICX, "--kernel", "am00",
+                       "--grid", "64", "--dump-trace", str(trace))
+        assert rc == 0
+        # every address is 8-byte aligned: 16-byte accesses at line offset
+        # 56 cross into the next line, 8-byte accesses never do
+        rc, out, err = run(capsys, "replay", str(trace), ICX, "--access-bytes", "16")
+        assert rc == 2 and out == ""
+        assert "crosses a 64-byte cache line" in err
+        rc, out, _ = run(capsys, "replay", str(trace), ICX, "--access-bytes", "8")
+        kernel = load_suite(SUITE).kernels["am00"]
+        t = cachesim.simulate_kernel(
+            kernel, kernel.arrays[0].grid.resized(64, 64),
+            [cachesim.CacheLevelConfig(
+                int(load_machine(ICX).effective_cache_per_process(1)) // 64 * 64)])
+        assert rc == 0
+        assert out == (f"read_bytes={t.read_bytes} write_bytes={t.write_bytes} "
+                       f"wa_avoided_bytes={t.wa_avoided_bytes}\n")
+
+    def test_unwritable_dump_trace_exits_2(self, capsys, tmp_path):
+        rc, _, err = run(capsys, "simulate", SUITE, ICX, "--kernel", "am00",
+                         "--grid", "8", "--dump-trace", str(tmp_path / "no" / "t.bin"))
+        assert rc == 2
+        assert err.startswith("error: ")
 
     def test_replay_bad_mode_exits_2(self, capsys, tmp_path):
         trace = tmp_path / "mode7.bin"
@@ -286,6 +330,21 @@ class TestCompare:
                            "--scenario", "speci2m", "--no-evasion", "ac1,ac02")
         assert rc == 2 and out == ""
         assert "'ac1'" in err and "ac02" not in err
+
+    @pytest.mark.parametrize("scenario", ["lcf-wa", "speci2m"])
+    def test_no_evasion_note_names_a_scenario_without_evasion(self, capsys,
+                                                              scenario):
+        rc, plain, plain_err = run(capsys, "compare", SUITE, ICX, RANK72,
+                                   "--scenario", scenario)
+        rc_flag, out, err = run(capsys, "compare", SUITE, ICX, RANK72,
+                                "--scenario", scenario, "--no-evasion", "ac01")
+        assert rc == rc_flag == 0 and plain_err == ""
+        if scenario == "speci2m":
+            assert err == "" and out != plain
+        else:
+            assert out == plain
+            assert err == ("note: --no-evasion has no effect under scenario "
+                           "'lcf-wa', which does not evade\n")
 
     @pytest.mark.parametrize("scenario", ["min", "lcf-wa", "lcb", "max",
                                           "speci2m", "nt-speci2m"])

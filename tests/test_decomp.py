@@ -47,6 +47,11 @@ class TestFactorize:
         with pytest.raises(ValueError):
             factorize_ranks(0)
 
+    def test_is_prime(self):
+        primes = [n for n in range(-3, 60) if is_prime(n)]
+        assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                          53, 59]
+
 
 class TestLocalExtents:
     def test_71_ranks(self):

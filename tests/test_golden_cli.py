@@ -212,7 +212,7 @@ GOLDEN = {
 
 
 COMMANDS = commands()
-TRACE = Path("am00.trace")
+TRACE_NAME = "am00.trace"
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))
@@ -221,12 +221,12 @@ def test_cli_output_unchanged(command):
 
 
 def test_replay_output_unchanged(tmp_path):
-    for command, argv in replay_commands(tmp_path / TRACE.name).items():
+    for command, argv in replay_commands(tmp_path / TRACE_NAME).items():
         assert stdout_sha256(argv) == GOLDEN[command], command
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        pinned = {**COMMANDS, **replay_commands(Path(tmp) / TRACE.name)}
+        pinned = {**COMMANDS, **replay_commands(Path(tmp) / TRACE_NAME)}
         for command, argv in pinned.items():
             print(f"    {command!r}:\n        {stdout_sha256(argv)!r},")

@@ -40,8 +40,7 @@ class TestMachineModel:
         with pytest.raises(ValueError):
             MachineModel(name="bad", peak_flops_per_core=0, mem_bw_per_domain=1,
                          cores_per_domain=1, domains_per_node=1, saturating_cores=1,
-                         cores_per_socket=1, cache_l1=1, cache_l2=1, cache_l3=1,
-                         clock_hz=1)
+                         cores_per_socket=1, cache_l1=1, cache_l2=1, cache_l3=1)
 
     def test_load_rejects_unknown_fields(self, tmp_path):
         p = tmp_path / "m.json"
