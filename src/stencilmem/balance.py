@@ -78,6 +78,11 @@ def wa_policy(name: str, machine) -> WaPolicy:
     return WA_MODELS[name](machine)
 
 
+# Share of a cache that holds reused rows; the rest is assumed taken by
+# streaming data and other processes.
+USABLE_CACHE_SHARE = 0.5
+
+
 @dataclass(frozen=True)
 class LayerConditionReport:
     """Cache demand of the row reuse in one kernel.
@@ -126,15 +131,12 @@ def layer_condition(kernel: KernelSpec, inner_extent: int,
                                 effective_cache=effective_cache)
 
 
-def min_total_cache(rows: int, inner_extent: int, element_size: int = 8,
-                    usable_fraction: float = 0.5) -> float:
-    """Total cache size above which `rows` grid rows fit in the usable share.
-
-    The usable share defaults to half the cache (the rest is assumed taken
-    by streaming data and other processes). For two rows of 15360 doubles
-    this yields 491520 bytes.
+def min_total_cache(rows: int, inner_extent: int, element_size: int = 8) -> float:
+    """Total cache size above which `rows` grid rows fit in the usable share
+    (``USABLE_CACHE_SHARE``). For two rows of 15360 doubles this yields
+    491520 bytes.
     """
-    return rows * inner_extent * element_size / usable_fraction
+    return rows * inner_extent * element_size / USABLE_CACHE_SHARE
 
 
 def code_balance(counts: StreamCounts, lc_fulfilled: bool, policy: WaPolicy,

@@ -21,8 +21,10 @@ above, so the last level's contents, LRU order and dirty bits follow from
 the access sequence alone, and a dirty line leaving an upper level always
 finds its copy below. The upper levels therefore never change the traffic
 at the memory interface: this is the inclusion property of LRU (Mattson et
-al., IBM Systems Journal 1970). They are still validated (a uniform line
-size across all levels).
+al., IBM Systems Journal 1970). They are still validated.
+
+Every level has ``LINE_BYTES`` (64-byte) lines, the unit of the claim and
+NT coverage masks: one bit per byte of a line, in one 64-bit word.
 
 A trace is an iterable of ``TRACE_DTYPE`` record blocks (u64 byte address,
 u8 mode: 0 read, 1 write); a trace file holds the same 9-byte records back
@@ -41,10 +43,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernels import READ, WRITE, Access, ArrayDecl, GridSpec, KernelError, KernelSpec
+from .kernels import (LINE_BYTES, READ, WRITE, Access, ArrayDecl, GridSpec,
+                      KernelError, KernelSpec)
 
 TRACE_DTYPE = np.dtype([("address", "<u8"), ("mode", "u1")])
 TRACE_BLOCK = 1 << 16   # records per block that load_trace yields
+LINE_SHIFT = LINE_BYTES.bit_length() - 1
+FULL_MASK = (1 << LINE_BYTES) - 1     # coverage of a line written in full
 
 
 @dataclass(frozen=True)
@@ -52,22 +57,18 @@ class CacheLevelConfig:
     """One cache level; ``associativity=None`` means fully associative LRU."""
 
     capacity: int
-    line_size: int = 64
     associativity: int | None = None
 
     def __post_init__(self):
-        if self.capacity <= 0 or self.capacity % self.line_size:
-            raise ValueError("capacity must be a positive multiple of line_size")
-        if self.line_size & (self.line_size - 1):
-            raise ValueError("line_size must be a power of two")
+        if self.capacity <= 0 or self.capacity % LINE_BYTES:
+            raise ValueError(f"capacity must be a positive multiple of {LINE_BYTES}")
         if self.associativity is not None:
-            lines = self.capacity // self.line_size
-            if self.associativity < 1 or lines % self.associativity:
+            if self.associativity < 1 or self.lines % self.associativity:
                 raise ValueError("associativity must divide the line count")
 
     @property
     def lines(self) -> int:
-        return self.capacity // self.line_size
+        return self.capacity // LINE_BYTES
 
 
 @dataclass(frozen=True)
@@ -206,27 +207,23 @@ class _Hierarchy:
                  access_bytes: int):
         if not levels:
             raise ValueError("need at least one cache level")
-        if len({cfg.line_size for cfg in levels}) != 1:
-            raise ValueError("line_size must be uniform across levels")
-        if access_bytes < 1 or access_bytes > levels[0].line_size:
-            raise ValueError("access_bytes must be in 1..line_size")
+        if access_bytes < 1 or access_bytes > LINE_BYTES:
+            raise ValueError(f"access_bytes must be in 1..{LINE_BYTES}")
         last = levels[-1]
-        self.line_size = last.line_size
-        self.shift = self.line_size.bit_length() - 1
         self.ways = last.associativity or last.lines
         # one OrderedDict (line -> dirty) per set, in LRU order; an object
         # array, so that a block looks up the sets of all its runs at once
         self.sets = np.empty(last.lines // self.ways, dtype=object)
         self.sets[:] = [OrderedDict() for _ in range(self.sets.size)]
         self.policy = policy
-        self.full_mask = (1 << self.line_size) - 1
         self.elem_bits = (1 << access_bytes) - 1
         self.read_lines = 0
         self.write_lines = 0
         self.avoided_lines = 0
         # claim-watched line -> byte coverage, oldest first; always resident
         self.pending: OrderedDict[int, int] = OrderedDict()
-        # NT write-combine buffers, oldest first; never resident
+        # NT write-combine buffers of partially written lines, oldest first
+        # (a line written in full is flushed at once); never resident
         self.wc: OrderedDict[int, int] = OrderedDict()
         self.nt = isinstance(policy, NtBypass)
         self.claim = evades(policy) and not self.nt
@@ -237,7 +234,7 @@ class _Hierarchy:
         n = addrs.size
         if n == 0:
             return
-        lines = addrs >> np.uint64(self.shift)
+        lines = addrs >> np.uint64(LINE_SHIFT)
         split = lines[1:] != lines[:-1]
         # a write followed by a read of the same line must start a new run,
         # otherwise the read could not trigger a deferred fill; so a run's
@@ -250,7 +247,7 @@ class _Hierarchy:
         run_first_w = writes[starts].tolist()
         run_any_w = writes[ends].tolist()
         if self.claim or self.nt:
-            offs = addrs & np.uint64(self.line_size - 1)
+            offs = addrs & np.uint64(LINE_BYTES - 1)
             masks = np.where(writes, np.left_shift(np.uint64(self.elem_bits), offs),
                              np.uint64(0))
             run_cov = np.bitwise_or.reduceat(masks, starts).tolist()
@@ -262,7 +259,7 @@ class _Hierarchy:
             run_sets = repeat(sets[0])
         else:
             run_sets = sets[start_lines % np.uint64(sets.size)].tolist()
-        pending, wc, full = self.pending, self.wc, self.full_mask
+        pending, wc, full = self.pending, self.wc, FULL_MASK
         claim, nt = self.claim, self.nt
         window = self.policy.buffer_lines if claim else 0
         buffers = self.policy.combine_buffers if nt else 0
@@ -294,15 +291,16 @@ class _Hierarchy:
                 else:
                     wc[line] = c
                     if len(wc) > buffers:
+                        # a buffer holds a partial line: write plus merge read
+                        wc.popitem(last=False)
                         writes_out += 1
-                        if wc.popitem(last=False)[1] != full:
-                            reads += 1      # partial line: merge read
+                        reads += 1
                 continue
             if wc and line in wc:
                 # a read drains the line's write-combine buffer first
+                del wc[line]
                 writes_out += 1
-                if wc.pop(line) != full:
-                    reads += 1
+                reads += 1
             s[line] = any_w
             if len(s) > ways:
                 victim, dirty = s.popitem(last=False)
@@ -327,20 +325,17 @@ class _Hierarchy:
 
     def finish(self):
         """End of trace: resolve open claims, drain WC buffers, flush dirty lines."""
-        self.read_lines += len(self.pending)
+        self.read_lines += len(self.pending) + len(self.wc)
+        self.write_lines += len(self.wc)
         self.pending.clear()
-        for cov in self.wc.values():
-            self.write_lines += 1
-            self.read_lines += cov != self.full_mask
         self.wc.clear()
         for s in self.sets:
             self.write_lines += sum(s.values())
 
     def traffic(self, iterations: int) -> MemTraffic:
-        ls = self.line_size
-        return MemTraffic(read_bytes=self.read_lines * ls,
-                          write_bytes=self.write_lines * ls,
-                          wa_avoided_bytes=self.avoided_lines * ls,
+        return MemTraffic(read_bytes=self.read_lines * LINE_BYTES,
+                          write_bytes=self.write_lines * LINE_BYTES,
+                          wa_avoided_bytes=self.avoided_lines * LINE_BYTES,
                           iterations=iterations)
 
 
@@ -352,14 +347,14 @@ def _simulate_blocks(blocks, levels, policy, access_bytes, iterations) -> MemTra
     return sim.traffic(iterations)
 
 
-def _record_fields(records: np.ndarray, line_size: int, access_bytes: int):
+def _record_fields(records: np.ndarray, access_bytes: int):
     if np.any(records["mode"] > 1):
         raise ValueError("bad trace mode byte: 0 is a read, 1 a write")
     addrs = records["address"]
-    crossing = (addrs & np.uint64(line_size - 1)) > np.uint64(line_size - access_bytes)
+    crossing = (addrs & np.uint64(LINE_BYTES - 1)) > np.uint64(LINE_BYTES - access_bytes)
     if np.any(crossing):
         raise ValueError(f"a {access_bytes}-byte access at address "
-                         f"{addrs[crossing][0]} crosses a {line_size}-byte cache line")
+                         f"{addrs[crossing][0]} crosses a {LINE_BYTES}-byte cache line")
     return addrs, records["mode"].view(np.bool_)
 
 
@@ -375,7 +370,7 @@ def simulate(trace, levels, policy: WritePolicySim = AlwaysAllocate(),
     returned MemTraffic counts no iterations.
     """
     levels = list(levels)   # _Hierarchy checks them before the first block is read
-    blocks = (_record_fields(r, levels[-1].line_size, access_bytes) for r in trace)
+    blocks = (_record_fields(r, access_bytes) for r in trace)
     return _simulate_blocks(blocks, levels, policy, access_bytes, 0)
 
 
@@ -398,15 +393,15 @@ def measure_balance(kernel: KernelSpec, grid: GridSpec, levels,
 
 
 # -- microbenchmark kernels ---------------------------------------------------
+# Both benchmarks stream doubles (GridSpec's default element size) through
+# DEFAULT_BENCH_CACHE.
 
 
-def store_stream_kernel(streams: int, elements: int,
-                        element_size: int = 8) -> tuple[KernelSpec, GridSpec]:
+def store_stream_kernel(streams: int, elements: int) -> tuple[KernelSpec, GridSpec]:
     """Pure store kernel writing `streams` independent aligned arrays."""
     if streams < 1:
         raise ValueError("streams must be >= 1")
-    grid = GridSpec(inner_extent=elements, outer_extent=1,
-                    element_size=element_size)
+    grid = GridSpec(inner_extent=elements, outer_extent=1)
     accesses = tuple(Access(ArrayDecl(f"s{i}", grid), 0, 0, WRITE)
                      for i in range(streams))
     return KernelSpec(name=f"store{streams}", accesses=accesses), grid
@@ -415,23 +410,17 @@ def store_stream_kernel(streams: int, elements: int,
 DEFAULT_BENCH_CACHE = (CacheLevelConfig(capacity=256 * 1024),)
 
 
-def store_ratio(streams: int, volume_bytes: int, policy: WritePolicySim,
-                levels=DEFAULT_BENCH_CACHE, element_size: int = 8) -> float:
+def store_ratio(streams: int, volume_bytes: int, policy: WritePolicySim) -> float:
     """Actual memory traffic / explicitly stored volume for n store streams."""
-    line_elems = levels[0].line_size // element_size
-    per_stream = max(line_elems,
-                     volume_bytes // (streams * element_size) // line_elems * line_elems)
-    kernel, grid = store_stream_kernel(streams, per_stream, element_size)
-    t = simulate_kernel(kernel, grid, levels, policy)
-    explicit = per_stream * streams * element_size
-    return t.total_bytes / explicit
+    lines = max(1, volume_bytes // (streams * LINE_BYTES))    # per stream
+    kernel, grid = store_stream_kernel(streams, lines * LINE_BYTES // 8)
+    t = simulate_kernel(kernel, grid, DEFAULT_BENCH_CACHE, policy)
+    return t.total_bytes / (lines * streams * LINE_BYTES)
 
 
-def halo_copy_kernel(inner: int, halo: int, rows: int,
-                     element_size: int = 8) -> tuple[KernelSpec, GridSpec]:
+def halo_copy_kernel(inner: int, halo: int, rows: int) -> tuple[KernelSpec, GridSpec]:
     """Strip-mined copy: rows of `inner` elements, `halo` skipped in between."""
-    grid = GridSpec(inner_extent=inner, outer_extent=rows, halo_lo=0,
-                    halo_hi=halo, element_size=element_size)
+    grid = GridSpec(inner_extent=inner, outer_extent=rows, halo_lo=0, halo_hi=halo)
     src = ArrayDecl("b", grid)
     dst = ArrayDecl("a", grid)
     kernel = KernelSpec(name="halo_copy",
@@ -440,15 +429,12 @@ def halo_copy_kernel(inner: int, halo: int, rows: int,
 
 
 def halo_copy_experiment(inner: int, halo: int, total_bytes: int,
-                         policy: WritePolicySim,
-                         levels=DEFAULT_BENCH_CACHE,
-                         element_size: int = 8) -> float:
+                         policy: WritePolicySim) -> float:
     """Read-to-write traffic ratio of the strip-mined copy benchmark."""
     if halo < 0:
         raise ValueError("halo must be non-negative")
-    rows = max(1, total_bytes // (inner * element_size))
-    kernel, grid = halo_copy_kernel(inner, halo, rows, element_size)
-    t = simulate_kernel(kernel, grid, levels, policy)
+    kernel, grid = halo_copy_kernel(inner, halo, max(1, total_bytes // (inner * 8)))
+    t = simulate_kernel(kernel, grid, DEFAULT_BENCH_CACHE, policy)
     return t.read_bytes / t.write_bytes
 
 

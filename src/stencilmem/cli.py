@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import balance, cachesim, decomp
-from .kernels import derive_stream_counts, load_suite
+from .kernels import LINE_BYTES, derive_stream_counts, load_suite
 from .roofline import MachineModel, load_machine
 
 EXIT_OK = 0
@@ -146,16 +146,13 @@ def _parse_policy(args) -> cachesim.WritePolicySim:
         return cachesim.AlwaysAllocate()
     if args.policy == "nt":
         return cachesim.NtBypass()
-    if args.policy == "claim":
-        return cachesim.AutoClaim(buffer_lines=args.claim_buffer, active=True)
-    if args.policy == "claim-inactive":
-        return cachesim.AutoClaim(buffer_lines=args.claim_buffer, active=False)
-    raise InputError(f"unknown policy {args.policy!r}")
+    return cachesim.AutoClaim(buffer_lines=args.claim_buffer,
+                              active=args.policy == "claim")
 
 
 def _sim_levels(machine: MachineModel, mode: str) -> list[cachesim.CacheLevelConfig]:
     if mode == "effective":
-        cap = int(machine.effective_cache_per_process(1)) // 64 * 64
+        cap = int(machine.effective_cache_per_process(1)) // LINE_BYTES * LINE_BYTES
         return [cachesim.CacheLevelConfig(capacity=cap)]
     return [cachesim.CacheLevelConfig(capacity=machine.cache_l1),
             cachesim.CacheLevelConfig(capacity=machine.cache_l2),
@@ -185,15 +182,11 @@ def cmd_simulate(args) -> int:
         # evasion policies are checked against the no-allocate floor, the rest
         # against the fulfilled-LC + write-allocate scenario
         ref = (table.minimum if cachesim.evades(policy) else table.lcf_wa).bytes_per_it
-        try:
-            sim = cachesim.measure_balance(kernel, grid, levels, policy)
-        except ValueError as exc:   # KernelError is a ValueError
-            rows.append([name, _num(ref), "error", str(exc)])
-            continue
+        sim = cachesim.measure_balance(kernel, grid, levels, policy)
         delta = (sim - ref) / ref * 100
         worst = max(worst, abs(delta))
         rows.append([name, _num(ref), f"{sim:.3f}", f"{delta:+.2f}%"])
-        if args.dump_trace and args.kernel:
+        if args.dump_trace:
             cachesim.dump_trace(cachesim.gen_trace(kernel, grid), args.dump_trace)
     _emit_table(["kernel", "model", "simulated", "delta"], rows, args.csv)
     if args.check and worst > args.tolerance:
@@ -291,13 +284,8 @@ def cmd_compare(args) -> int:
 def cmd_store_ratio(args) -> int:
     if args.streams < 1 or args.streams > 8:
         raise InputError("--streams must be in 1..8")
-    if args.volume < 64:
+    if args.volume < LINE_BYTES:
         raise InputError("--volume must be at least one cache line")
-    if args.nt:
-        if args.policy not in (None, "nt"):
-            raise InputError("--nt conflicts with --policy")
-        args.policy = "nt"
-    args.policy = args.policy or "always"
     ratio = cachesim.store_ratio(args.streams, args.volume, _parse_policy(args))
     print(f"{ratio:.4f}")
     return EXIT_OK
@@ -387,11 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("store-ratio", help="n-stream store benchmark ratio")
     p.add_argument("--streams", type=int, default=1)
-    p.add_argument("--nt", action="store_true", help="non-temporal stores")
     p.add_argument("--volume", type=int, default=8 * 1024 * 1024)
-    p.add_argument("--policy", choices=["always", "nt", "claim", "claim-inactive"],
-                   default=None)
-    p.add_argument("--claim-buffer", type=int, default=64)
+    _add_policy_args(p)
     p.set_defaults(func=cmd_store_ratio)
 
     p = sub.add_parser("halo-copy", help="strip-mined copy read/write ratio")

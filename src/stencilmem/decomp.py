@@ -14,10 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .balance import WaPolicy, code_balance, layer_condition
-from .kernels import KernelSpec, derive_stream_counts, element_size
-
-# cache line size of the halo model, in bytes
-LINE_BYTES = 64
+from .kernels import LINE_BYTES, KernelSpec, derive_stream_counts, element_size
 
 
 def _prime_factors_desc(n: int) -> list[int]:
@@ -122,7 +119,8 @@ class RankPrediction:
 
     @property
     def prime(self) -> bool:
-        return is_prime(self.ranks)
+        # factorize_ranks cuts only the inner dimension exactly at a prime
+        return self.ranks > 1 and self.px == self.ranks
 
 
 def predict_rank_sweep(kernel: KernelSpec, extent: int, ranks,

@@ -20,6 +20,8 @@ WRITE = "write"
 # mistranscribed kernel rather than a real stencil.
 MAX_OFFSET = 8
 
+LINE_BYTES = 64     # the cache line of the halo model and the simulator
+
 
 class KernelError(ValueError):
     """Raised for structurally invalid kernels, grids, or suite files."""
@@ -67,7 +69,7 @@ class GridSpec:
 class ArrayDecl:
     name: str
     grid: GridSpec
-    base_alignment: int = 64
+    base_alignment: int = LINE_BYTES
 
     def __post_init__(self):
         a = self.base_alignment
@@ -274,7 +276,7 @@ def load_suite(path: str | Path) -> KernelSuite:
         if gname not in suite.grids:
             raise KernelError(f"{path}: array {name!r} references unknown grid {gname!r}")
         suite.arrays[name] = ArrayDecl(name, suite.grids[gname],
-                                       a.get("base_alignment", 64))
+                                       a.get("base_alignment", LINE_BYTES))
 
     for k in doc["kernels"]:
         try:

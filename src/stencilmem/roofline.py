@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .balance import BalanceScenario
+from .balance import USABLE_CACHE_SHARE, BalanceScenario
 from .kernels import GridSpec, KernelSpec
 
 
@@ -52,14 +52,14 @@ class MachineModel:
         """Usable cache bytes per process for layer-condition checks.
 
         Heuristic: each process owns its private L2 plus an equal share of
-        the L3 of the sockets in use, and only half of that aggregate is
-        assumed usable for row reuse.
+        the L3 of the sockets in use, and only ``USABLE_CACHE_SHARE`` of
+        that aggregate is assumed usable for row reuse.
         """
         if processes < 1:
             raise ValueError("processes must be >= 1")
         sockets = math.ceil(processes / self.cores_per_socket)
         aggregate = processes * self.cache_l2 + sockets * self.cache_l3
-        return aggregate / processes / 2.0
+        return aggregate / processes * USABLE_CACHE_SHARE
 
     def wa_evasion_active(self, cores: int) -> bool:
         """Whether the hardware store-evasion draws enough bandwidth to engage."""

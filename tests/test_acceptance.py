@@ -156,8 +156,7 @@ def test_c2_serial_fit_rejects_violations(suite):
 
 
 def test_c3_layer_condition_threshold():
-    needed = min_total_cache(rows=2, inner_extent=15360, element_size=8,
-                             usable_fraction=0.5)
+    needed = min_total_cache(rows=2, inner_extent=15360, element_size=8)
     ok = needed == 491520 and abs(needed / 1000 - 492) < 1
     report(3, ok, f"worst-case suite row pair needs C > {needed:.0f} B (492 kB)")
     assert needed == 491520

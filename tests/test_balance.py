@@ -151,7 +151,7 @@ class TestLayerCondition:
 
     def test_threshold_helper(self):
         assert min_total_cache(2, 15360) == 491520
-        assert min_total_cache(3, 2048, 8, 1.0) == 3 * 2048 * 8
+        assert min_total_cache(3, 2048, 8) == 2 * 3 * 2048 * 8
 
     def test_rejects_bad_inputs(self, suite):
         with pytest.raises(ValueError):

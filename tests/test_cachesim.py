@@ -121,12 +121,6 @@ class TestSimulateBasics:
         with pytest.raises(ValueError):
             simulate(as_trace([(0, READ)]), [])
 
-    def test_rejects_mixed_line_sizes(self):
-        levels = [CacheLevelConfig(capacity=256, line_size=64),
-                  CacheLevelConfig(capacity=256, line_size=128)]
-        with pytest.raises(ValueError):
-            simulate(as_trace([(0, READ)]), levels)
-
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError, match="mode"):
             simulate([np.array([(0, 7)], dtype=TRACE_DTYPE)], lv(4))

@@ -1,7 +1,9 @@
+import argparse
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ import pytest
 import stencilmem
 from stencilmem import balance, cachesim, decomp
 from stencilmem.cachesim import TRACE_DTYPE
-from stencilmem.cli import main, read_measurements, InputError
+from stencilmem.cli import InputError, build_parser, main, read_measurements
 from stencilmem.kernels import data_path, derive_stream_counts, load_suite
 from stencilmem.roofline import load_machine
 
@@ -207,6 +209,23 @@ class TestSimulate:
         rc, out, err = run(capsys, "replay", str(trace), ICX)
         assert rc == 2 and out == ""
         assert "mode" in err
+
+    def test_failing_kernel_exits_2(self, capsys, tmp_path):
+        # a loop range past the 8x8 grid: the simulation raises, so --check
+        # must not pass and no trace may be written
+        kernel = {"name": "k", "loop_j_range": [0, 60], "accesses": [
+            {"array": "a", "dj": 0, "dk": 0, "mode": "read"}]}
+        doc = {"grids": {"g": {"inner_extent": 8, "outer_extent": 8}},
+               "arrays": {"a": {"grid": "g"}}, "kernels": [kernel]}
+        suite = tmp_path / "s.json"
+        suite.write_text(json.dumps(doc))
+        trace = tmp_path / "t.bin"
+        rc, out, err = run(capsys, "simulate", str(suite), ICX, "--grid", "8",
+                           "--kernel", "k", "--check", "--tolerance", "1",
+                           "--dump-trace", str(trace))
+        assert rc == 2 and out == ""
+        assert err.startswith("error: k: ")
+        assert not trace.exists()
 
     def test_unknown_kernel(self, capsys):
         rc, _, err = run(capsys, "simulate", SUITE, ICX, "--kernel", "nope")
@@ -421,7 +440,7 @@ class TestStoreRatio:
         assert float(out) == 2.0
 
     def test_nt_flag(self, capsys):
-        rc, out, _ = run(capsys, "store-ratio", "--streams", "2", "--nt",
+        rc, out, _ = run(capsys, "store-ratio", "--streams", "2", "--policy", "nt",
                          "--volume", "1048576")
         assert rc == 0
         assert float(out) == 1.0
@@ -431,10 +450,6 @@ class TestStoreRatio:
                          "--policy", "claim", "--volume", "1048576")
         assert rc == 0
         assert float(out) == 1.0
-
-    def test_nt_conflicts_with_policy(self, capsys):
-        rc, _, err = run(capsys, "store-ratio", "--nt", "--policy", "always")
-        assert rc == 2
 
     def test_bad_stream_count(self, capsys):
         rc, _, _ = run(capsys, "store-ratio", "--streams", "0")
@@ -459,3 +474,25 @@ class TestHaloCopy:
     def test_negative_halo(self, capsys):
         rc, _, _ = run(capsys, "halo-copy", "--halo", "-3")
         assert rc == 2
+
+
+def readme_synopsis_flags() -> dict[str, set[str]]:
+    """Subcommand -> the --flags its README synopsis lines name."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    flags: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        words = line.split()
+        if words[:1] == ["stencilmem"]:
+            command = words[1]
+        flags.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+    return flags
+
+
+def test_readme_synopsis_matches_parser():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    parser_flags = {name: {o for a in p._actions for o in a.option_strings
+                           if o.startswith("--") and o != "--help"}
+                    for name, p in sub.choices.items()}
+    assert readme_synopsis_flags() == parser_flags

@@ -150,6 +150,11 @@ class TestRankSweep:
         assert preds[1].bytes_per_it > preds[0].bytes_per_it
         assert preds[1].bytes_per_it > preds[2].bytes_per_it
 
+    def test_prime_flag_matches_is_prime(self, suite, icx):
+        ranks = range(1, 1001)
+        preds = predict_rank_sweep(suite.kernels["am04"], M, ranks, icx, FULL_WA)
+        assert [p.prime for p in preds] == [is_prime(p) for p in ranks]
+
     def test_unaligned_width_adds_write_side_term(self, suite, icx):
         # 67 ranks: prime, width 229 -> partial-line allocate on the write stream
         kernel = suite.kernels["am04"]
