@@ -20,7 +20,6 @@ from .kernels import (
     StreamCounts,
     derive_stream_counts,
     load_suite,
-    validate,
 )
 from .balance import (
     FULL_WA,

@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .kernels import (LINE_BYTES, READ, WRITE, Access, ArrayDecl, GridSpec,
-                      KernelError, KernelSpec)
+                      KernelError, KernelSpec, _loop_bounds, iteration_count)
 
 TRACE_DTYPE = np.dtype([("address", "<u8"), ("mode", "u1")])
 TRACE_BLOCK = 1 << 16   # records per block that load_trace yields
@@ -142,11 +142,13 @@ def array_layout(kernel: KernelSpec, grid: GridSpec) -> dict[str, int]:
     return out
 
 
-def _loop_bounds(kernel: KernelSpec, grid: GridSpec) -> tuple[int, int, int, int]:
-    j0, j1 = kernel.loop_j_range or (0, grid.inner_extent - 1)
-    k0, k1 = kernel.loop_k_range or (0, grid.outer_extent - 1)
-    if j0 > j1 or k0 > k1:
-        raise KernelError(f"{kernel.name}: empty loop range")
+def gen_trace_blocks(kernel: KernelSpec, grid: GridSpec):
+    """Yield the access stream as (addresses, write flags) numpy blocks.
+
+    Iteration order is k outer ascending, j inner ascending; within an
+    iteration reads come in declaration order, then writes.
+    """
+    j0, j1, k0, k1 = _loop_bounds(kernel, grid)
     for acc in kernel.accesses:
         if not (-grid.halo_lo <= j0 + acc.dj and
                 j1 + acc.dj <= grid.inner_extent - 1 + grid.halo_hi and
@@ -155,16 +157,6 @@ def _loop_bounds(kernel: KernelSpec, grid: GridSpec) -> tuple[int, int, int, int
             raise KernelError(
                 f"{kernel.name}: access {acc.array.name}({acc.dj},{acc.dk}) "
                 f"leaves the allocated grid (halos {grid.halo_lo}/{grid.halo_hi})")
-    return j0, j1, k0, k1
-
-
-def gen_trace_blocks(kernel: KernelSpec, grid: GridSpec):
-    """Yield the access stream as (addresses, write flags) numpy blocks.
-
-    Iteration order is k outer ascending, j inner ascending; within an
-    iteration reads come in declaration order, then writes.
-    """
-    j0, j1, k0, k1 = _loop_bounds(kernel, grid)
     esize = grid.element_size
     stride = grid.row_stride
     layout = array_layout(kernel, grid)
@@ -192,11 +184,6 @@ def gen_trace(kernel: KernelSpec, grid: GridSpec):
         records["address"] = addrs
         records["mode"] = writes
         yield records
-
-
-def iteration_count(kernel: KernelSpec, grid: GridSpec) -> int:
-    j0, j1, k0, k1 = _loop_bounds(kernel, grid)
-    return (j1 - j0 + 1) * (k1 - k0 + 1)
 
 
 class _Hierarchy:
@@ -399,8 +386,6 @@ def measure_balance(kernel: KernelSpec, grid: GridSpec, levels,
 
 def store_stream_kernel(streams: int, elements: int) -> tuple[KernelSpec, GridSpec]:
     """Pure store kernel writing `streams` independent aligned arrays."""
-    if streams < 1:
-        raise ValueError("streams must be >= 1")
     grid = GridSpec(inner_extent=elements, outer_extent=1)
     accesses = tuple(Access(ArrayDecl(f"s{i}", grid), 0, 0, WRITE)
                      for i in range(streams))
@@ -412,6 +397,8 @@ DEFAULT_BENCH_CACHE = (CacheLevelConfig(capacity=256 * 1024),)
 
 def store_ratio(streams: int, volume_bytes: int, policy: WritePolicySim) -> float:
     """Actual memory traffic / explicitly stored volume for n store streams."""
+    if volume_bytes < LINE_BYTES:
+        raise ValueError(f"volume must be at least one {LINE_BYTES}-byte cache line")
     lines = max(1, volume_bytes // (streams * LINE_BYTES))    # per stream
     kernel, grid = store_stream_kernel(streams, lines * LINE_BYTES // 8)
     t = simulate_kernel(kernel, grid, DEFAULT_BENCH_CACHE, policy)
@@ -431,8 +418,8 @@ def halo_copy_kernel(inner: int, halo: int, rows: int) -> tuple[KernelSpec, Grid
 def halo_copy_experiment(inner: int, halo: int, total_bytes: int,
                          policy: WritePolicySim) -> float:
     """Read-to-write traffic ratio of the strip-mined copy benchmark."""
-    if halo < 0:
-        raise ValueError("halo must be non-negative")
+    if total_bytes < LINE_BYTES:
+        raise ValueError(f"volume must be at least one {LINE_BYTES}-byte cache line")
     kernel, grid = halo_copy_kernel(inner, halo, max(1, total_bytes // (inner * 8)))
     t = simulate_kernel(kernel, grid, DEFAULT_BENCH_CACHE, policy)
     return t.read_bytes / t.write_bytes

@@ -142,11 +142,17 @@ def cmd_analyze(args) -> int:
 
 
 def _parse_policy(args) -> cachesim.WritePolicySim:
+    if args.claim_buffer is not None:
+        if args.claim_buffer < 1:
+            raise InputError("--claim-buffer must be >= 1")
+        if args.policy in ("always", "nt"):
+            print(f"note: --claim-buffer has no effect under --policy {args.policy}",
+                  file=sys.stderr)
     if args.policy == "always":
         return cachesim.AlwaysAllocate()
     if args.policy == "nt":
         return cachesim.NtBypass()
-    return cachesim.AutoClaim(buffer_lines=args.claim_buffer,
+    return cachesim.AutoClaim(args.claim_buffer or cachesim.AutoClaim.buffer_lines,
                               active=args.policy == "claim")
 
 
@@ -177,7 +183,7 @@ def cmd_simulate(args) -> int:
     worst = 0.0
     for name in names:
         kernel = suite.kernels[name]
-        grid = kernel.arrays[0].grid.resized(args.grid, args.grid)
+        grid = kernel.grid.resized(args.grid, args.grid)
         table = balance.scenario_table(kernel)
         # evasion policies are checked against the no-allocate floor, the rest
         # against the fulfilled-LC + write-allocate scenario
@@ -235,8 +241,7 @@ def cmd_prime_sweep(args) -> int:
     writer = csv.writer(sys.stdout)
     writer.writerow(["kernel", "p", "bytes_per_it", "prime"])
     for kernel in suite:
-        extent = kernel.arrays[0].grid.inner_extent
-        for pred in decomp.predict_rank_sweep(kernel, extent, ranks, machine, policy):
+        for pred in decomp.predict_rank_sweep(kernel, ranks, machine, policy):
             writer.writerow([kernel.name, pred.ranks, f"{pred.bytes_per_it:.4f}",
                              1 if pred.prime else 0])
     return EXIT_OK
@@ -284,8 +289,6 @@ def cmd_compare(args) -> int:
 def cmd_store_ratio(args) -> int:
     if args.streams < 1 or args.streams > 8:
         raise InputError("--streams must be in 1..8")
-    if args.volume < LINE_BYTES:
-        raise InputError("--volume must be at least one cache line")
     ratio = cachesim.store_ratio(args.streams, args.volume, _parse_policy(args))
     print(f"{ratio:.4f}")
     return EXIT_OK
@@ -310,8 +313,8 @@ def cmd_halo_copy(args) -> int:
 def _add_policy_args(p, default="always"):
     p.add_argument("--policy", choices=["always", "nt", "claim", "claim-inactive"],
                    default=default, help="simulator write policy")
-    p.add_argument("--claim-buffer", type=int, default=64,
-                   help="write-combine detector window in lines")
+    p.add_argument("--claim-buffer", type=int, help=f"claim detector window in "
+                   f"lines (default {cachesim.AutoClaim.buffer_lines})")
 
 
 def build_parser() -> argparse.ArgumentParser:

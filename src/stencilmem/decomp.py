@@ -123,11 +123,11 @@ class RankPrediction:
         return self.ranks > 1 and self.px == self.ranks
 
 
-def predict_rank_sweep(kernel: KernelSpec, extent: int, ranks,
-                       machine, policy: WaPolicy) -> list[RankPrediction]:
+def predict_rank_sweep(kernel: KernelSpec, ranks, machine,
+                       policy: WaPolicy) -> list[RankPrediction]:
     """Predicted bytes/iteration of `kernel` for each rank count.
 
-    For every p the grid is decomposed, layer conditions are evaluated at
+    For every p the kernel's grid is decomposed, layer conditions are evaluated at
     the smallest local inner width against the per-process cache share, and
     the plain scenario's ``code_balance`` is taken. An inner cut (px > 1)
     adds the halo read overhead plus - when local rows are not a whole
@@ -139,7 +139,7 @@ def predict_rank_sweep(kernel: KernelSpec, extent: int, ranks,
     esize = element_size(kernel)
     out = []
     for p in ranks:
-        dec = decompose(p, extent)
+        dec = decompose(p, kernel.grid.inner_extent)
         width = dec.min_inner_width
         lc = layer_condition(kernel, width, machine.effective_cache_per_process(p))
         bytes_per_it = code_balance(counts, lc.fulfilled, policy, esize)

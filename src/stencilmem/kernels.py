@@ -126,7 +126,8 @@ class KernelSpec:
 
     Loop bounds are inclusive (lo, hi) pairs in interior coordinates
     (0 .. extent-1); ``None`` means the full interior of whatever grid the
-    kernel runs on.
+    kernel runs on. Building a kernel checks it (:class:`KernelError` names
+    every violation); all of its arrays are declared on one :attr:`grid`.
     """
 
     name: str
@@ -137,6 +138,14 @@ class KernelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "accesses", tuple(self.accesses))
+        diags = _diagnostics(self)
+        if diags:
+            raise KernelError("; ".join(diags))
+
+    @property
+    def grid(self) -> GridSpec:
+        """The one grid all of the kernel's arrays are declared on."""
+        return self.accesses[0].array.grid
 
     @property
     def arrays(self) -> tuple[ArrayDecl, ...]:
@@ -160,7 +169,7 @@ class KernelSpec:
         return rows
 
 
-def validate(kernel: KernelSpec) -> list[str]:
+def _diagnostics(kernel: KernelSpec) -> list[str]:
     """Check kernel invariants; returns one diagnostic string per violation.
 
     An empty list means the kernel is valid. Diagnostics name the offending
@@ -171,6 +180,10 @@ def validate(kernel: KernelSpec) -> list[str]:
         diags.append(f"{kernel.name}: kernel has no accesses")
     if kernel.flops_per_it < 0:
         diags.append(f"{kernel.name}: flops_per_it must be non-negative")
+    for key in ("loop_j_range", "loop_k_range"):
+        lo, hi = getattr(kernel, key) or (0, 0)
+        if lo > hi:
+            diags.append(f"kernel {kernel.name!r}: {key} [{lo}, {hi}] is inverted")
 
     seen: set[tuple[str, int, int, str]] = set()
     writes_per_array: dict[str, int] = {}
@@ -190,21 +203,13 @@ def validate(kernel: KernelSpec) -> list[str]:
             diags.append(f"{kernel.name}: array {name!r} written at {count} "
                          f"offsets; one written element per array per iteration")
 
-    grids = {a.grid for a in kernel.arrays}
-    if len(grids) > 1 and len({g.element_size for g in grids}) > 1:
-        diags.append(f"{kernel.name}: arrays mix element sizes")
+    if len({acc.array.grid for acc in kernel.accesses}) > 1:
+        diags.append(f"{kernel.name}: arrays are declared on more than one grid")
     return diags
 
 
 def derive_stream_counts(kernel: KernelSpec) -> StreamCounts:
-    """Derive the per-iteration stream counts from the access list.
-
-    Raises :class:`KernelError` if the kernel fails validation.
-    """
-    diags = validate(kernel)
-    if diags:
-        raise KernelError("; ".join(diags))
-
+    """Derive the per-iteration stream counts from the access list."""
     arrays = {a.name for a in kernel.arrays}
     read_rows = kernel.read_dk_offsets()
     read_offsets = {(a.array.name, a.dj, a.dk) for a in kernel.reads()}
@@ -221,11 +226,20 @@ def derive_stream_counts(kernel: KernelSpec) -> StreamCounts:
 
 
 def element_size(kernel: KernelSpec) -> int:
-    """Element size shared by the kernel's arrays."""
-    sizes = {a.grid.element_size for a in kernel.arrays}
-    if len(sizes) != 1:
-        raise KernelError(f"{kernel.name}: arrays mix element sizes")
-    return sizes.pop()
+    """Element size of the kernel's grid."""
+    return kernel.grid.element_size
+
+
+def _loop_bounds(kernel: KernelSpec, grid: GridSpec) -> tuple[int, int, int, int]:
+    j0, j1 = kernel.loop_j_range or (0, grid.inner_extent - 1)
+    k0, k1 = kernel.loop_k_range or (0, grid.outer_extent - 1)
+    return j0, j1, k0, k1
+
+
+def iteration_count(kernel: KernelSpec, grid: GridSpec) -> int:
+    """Loop iterations of one sweep of `kernel` over `grid`."""
+    j0, j1, k0, k1 = _loop_bounds(kernel, grid)
+    return (j1 - j0 + 1) * (k1 - k0 + 1)
 
 
 @dataclass
@@ -289,12 +303,12 @@ def load_suite(path: str | Path) -> KernelSuite:
                                       f"array {aname!r}")
                 offsets = [acc["dj"], acc["dk"]]
                 if not all(type(v) is int for v in offsets):
-                    raise KernelError(f"{path}: kernel {name!r}: offsets of "
+                    raise KernelError(f"kernel {name!r}: offsets of "
                                       f"{aname!r} must be integers, not {offsets}")
                 accesses.append(Access(suite.arrays[aname], *offsets, acc["mode"]))
             flops = k.get("flops_per_it", 0)
             if type(flops) is not int:
-                raise KernelError(f"{path}: kernel {name!r}: flops_per_it must "
+                raise KernelError(f"kernel {name!r}: flops_per_it must "
                                   f"be an integer, not {flops!r}")
             ranges = {}
             for key in ("loop_j_range", "loop_k_range"):
@@ -302,21 +316,17 @@ def load_suite(path: str | Path) -> KernelSuite:
                     bounds = k[key]
                     if not (isinstance(bounds, list) and len(bounds) == 2
                             and all(type(v) is int for v in bounds)):
-                        raise KernelError(f"{path}: kernel {name!r}: {key} must "
+                        raise KernelError(f"kernel {name!r}: {key} must "
                                           f"be two integers [lo, hi], not {bounds!r}")
-                    lo, hi = ranges[key] = tuple(bounds)
-                    if lo > hi:
-                        raise KernelError(f"{path}: kernel {name!r}: {key} "
-                                          f"[{lo}, {hi}] is inverted")
+                    ranges[key] = tuple(bounds)
             kernel = KernelSpec(name=name, accesses=tuple(accesses),
                                 flops_per_it=flops, **ranges)
         except KeyError as exc:
             raise KernelError(f"{path}: kernel entry missing field {exc}") from exc
+        except KernelError as exc:
+            raise KernelError(f"{path}: {exc}") from exc
         if name in suite.kernels:
             raise KernelError(f"{path}: duplicate kernel name {name!r}")
-        diags = validate(kernel)
-        if diags:
-            raise KernelError(f"{path}: " + "; ".join(diags))
         suite.kernels[name] = kernel
     return suite
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .balance import USABLE_CACHE_SHARE, BalanceScenario
-from .kernels import GridSpec, KernelSpec
+from .kernels import GridSpec, KernelSpec, iteration_count
 
 
 @dataclass(frozen=True)
@@ -105,10 +105,10 @@ def roofline_predict(intensity: float, machine: MachineModel, cores: int) -> Pre
 
 def kernel_runtime(kernel: KernelSpec, grid: GridSpec, machine: MachineModel,
                    cores: int, scenario: BalanceScenario) -> Prediction:
-    """Roofline runtime of one grid sweep under a given balance scenario;
-    the bound is :func:`roofline_predict`'s at the scenario's intensity."""
+    """Roofline runtime of one sweep of the kernel's loops over `grid` under a
+    scenario; the bound is :func:`roofline_predict`'s at its intensity."""
     pred = roofline_predict(scenario.intensity, machine, cores)
-    iterations = grid.inner_extent * grid.outer_extent
+    iterations = iteration_count(kernel, grid)
     if pred.bound == "memory":
         runtime = iterations * scenario.bytes_per_it / pred.effective_bandwidth
     else:

@@ -131,6 +131,26 @@ class TestAnalyze:
         assert message in err
         assert str(p) in err and "kernel 'k'" in err
 
+    def test_kernel_on_two_grids_exits_2(self, capsys, tmp_path):
+        # a(-1,-1) on a 64x64 grid with halos, b(0,0) on a 4096x16 grid: in
+        # either order the kernel has no one grid to be priced on
+        read = {"array": "a", "dj": -1, "dk": -1, "mode": "read"}
+        write = {"array": "b", "dj": 0, "dk": 0, "mode": "write"}
+        doc = {"grids": {"g": {"inner_extent": 64, "outer_extent": 64,
+                               "halo_lo": 2, "halo_hi": 2},
+                         "h": {"inner_extent": 4096, "outer_extent": 16}},
+               "arrays": {"a": {"grid": "g"}, "b": {"grid": "h"}},
+               "kernels": [{"name": "ab", "accesses": [read, write]},
+                           {"name": "ba", "accesses": [write, read]}]}
+        p = tmp_path / "two_grid_kernel.json"
+        p.write_text(json.dumps(doc))
+        for argv in (["analyze", str(p), ICX],
+                     ["prime-sweep", str(p), ICX, "--ranks", "7"],
+                     ["simulate", str(p), ICX, "--grid", "32"]):
+            rc, out, err = run(capsys, *argv)
+            assert (rc, out) == (2, "")
+            assert err == f"error: {p}: ab: arrays are declared on more than one grid\n"
+
 
 class TestSimulate:
     def test_single_kernel_within_tolerance(self, capsys):
@@ -279,8 +299,7 @@ class TestPrimeSweep:
         policy = balance.evasion(icx.speci2m_factor)
         expected = {}
         for kernel in suite:
-            extent = kernel.arrays[0].grid.inner_extent
-            pred, = decomp.predict_rank_sweep(kernel, extent, [72], icx, policy)
+            pred, = decomp.predict_rank_sweep(kernel, [72], icx, policy)
             expected[kernel.name] = f"{pred.bytes_per_it:.4f}"
         assert got == expected
         assert got["on_wide"] != got["on_narrow"]
@@ -474,6 +493,64 @@ class TestHaloCopy:
     def test_negative_halo(self, capsys):
         rc, _, _ = run(capsys, "halo-copy", "--halo", "-3")
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["halo-copy", "store-ratio"])
+    @pytest.mark.parametrize("volume", ["-100", "0", "63"])
+    def test_volume_below_one_line(self, capsys, command, volume):
+        # one rule in the library for both microbenchmarks
+        rc, out, err = run(capsys, command, "--volume", volume)
+        assert (rc, out) == (2, "")
+        assert "at least one 64-byte cache line" in err
+
+
+class TestClaimBuffer:
+    """--claim-buffer is the claim detector's window: a value below one line
+    is an error under every policy, and a policy without the detector says
+    that it ignores the option."""
+
+    @pytest.fixture(scope="class")
+    def trace(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("trace") / "t.bin"
+        records = np.array([(0, 1), (8, 1), (64, 0)], dtype=TRACE_DTYPE)
+        records.tofile(path)
+        return str(path)
+
+    def argvs(self, trace):
+        return {"simulate": ["simulate", SUITE, ICX, "--kernel", "am04",
+                             "--grid", "32"],
+                "replay": ["replay", trace, ICX],
+                "store-ratio": ["store-ratio", "--volume", "4096"],
+                "halo-copy": ["halo-copy", "--inner", "16", "--halo", "2",
+                              "--volume", "4096"]}
+
+    @pytest.mark.parametrize("policy", ["always", "nt", "claim", "claim-inactive"])
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_below_one_exits_2(self, capsys, trace, policy, value):
+        for argv in self.argvs(trace).values():
+            rc, out, err = run(capsys, *argv, "--policy", policy,
+                               "--claim-buffer", value)
+            assert (rc, out) == (2, ""), argv
+            assert err == "error: --claim-buffer must be >= 1\n"
+
+    @pytest.mark.parametrize("policy", ["always", "nt"])
+    def test_no_detector_notes_and_ignores_it(self, capsys, trace, policy):
+        for argv in self.argvs(trace).values():
+            plain = run(capsys, *argv, "--policy", policy)
+            rc, out, err = run(capsys, *argv, "--policy", policy,
+                               "--claim-buffer", "32")
+            assert (rc, out) == plain[:2] and rc == 0, argv
+            assert err == (f"note: --claim-buffer has no effect under "
+                           f"--policy {policy}\n")
+
+    def test_claim_policy_uses_it_quietly(self, capsys):
+        # three interleaved store streams: a window of one line ages the
+        # other streams' lines out before they are complete; the default is
+        # AutoClaim's 64
+        argv = ["store-ratio", "--streams", "3", "--volume", "4096",
+                "--policy", "claim"]
+        assert run(capsys, *argv) == (0, "1.0000\n", "")
+        assert run(capsys, *argv, "--claim-buffer", "64") == (0, "1.0000\n", "")
+        assert run(capsys, *argv, "--claim-buffer", "1") == (0, "1.6667\n", "")
 
 
 def readme_synopsis_flags() -> dict[str, set[str]]:

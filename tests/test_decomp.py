@@ -113,13 +113,13 @@ class TestRankSweep:
     def test_single_rank_equals_plain_scenario(self, suite, icx):
         for name in ("am04", "ac03", "pdv01"):
             kernel = suite.kernels[name]
-            pred = predict_rank_sweep(kernel, M, [1], icx, FULL_WA)[0]
+            pred = predict_rank_sweep(kernel, [1], icx, FULL_WA)[0]
             assert pred.bytes_per_it == scenario_table(kernel).lcf_wa.bytes_per_it
 
     def test_am04_prime_spike_is_read_side_only(self, suite, icx):
         # local width 216 is line-aligned, so only the read streams inflate
         kernel = suite.kernels["am04"]
-        p1, p71 = predict_rank_sweep(kernel, M, [1, 71], icx, FULL_WA)
+        p1, p71 = predict_rank_sweep(kernel, [1, 71], icx, FULL_WA)
         h = halo_read_overhead(216)
         counts = derive_stream_counts(kernel)
         assert p71.min_inner_width == 216
@@ -130,7 +130,7 @@ class TestRankSweep:
     def test_class_iii_varies_by_halo_term_only(self, suite, icx):
         kernel = suite.kernels["ac03"]  # no evadable writes
         counts = derive_stream_counts(kernel)
-        for pred in predict_rank_sweep(kernel, M, [1, 19, 37, 71, 72], icx, FULL_WA):
+        for pred in predict_rank_sweep(kernel, [1, 19, 37, 71, 72], icx, FULL_WA):
             if pred.px == 1:
                 assert pred.bytes_per_it == 8 * (counts.rd_lcf + counts.wr)
                 continue
@@ -140,11 +140,11 @@ class TestRankSweep:
 
     def test_72_ranks_overhead_below_half_percent(self, suite, icx):
         for kernel in suite:
-            p1, p72 = predict_rank_sweep(kernel, M, [1, 72], icx, FULL_WA)
+            p1, p72 = predict_rank_sweep(kernel, [1, 72], icx, FULL_WA)
             assert p72.bytes_per_it / p1.bytes_per_it < 1.005
 
     def test_prime_flagging(self, suite, icx):
-        preds = predict_rank_sweep(suite.kernels["am04"], M, [70, 71, 72], icx,
+        preds = predict_rank_sweep(suite.kernels["am04"], [70, 71, 72], icx,
                                    evasion(1.2))
         assert [p.prime for p in preds] == [False, True, False]
         assert preds[1].bytes_per_it > preds[0].bytes_per_it
@@ -152,13 +152,13 @@ class TestRankSweep:
 
     def test_prime_flag_matches_is_prime(self, suite, icx):
         ranks = range(1, 1001)
-        preds = predict_rank_sweep(suite.kernels["am04"], M, ranks, icx, FULL_WA)
+        preds = predict_rank_sweep(suite.kernels["am04"], ranks, icx, FULL_WA)
         assert [p.prime for p in preds] == [is_prime(p) for p in ranks]
 
     def test_unaligned_width_adds_write_side_term(self, suite, icx):
         # 67 ranks: prime, width 229 -> partial-line allocate on the write stream
         kernel = suite.kernels["am04"]
-        pred = predict_rank_sweep(kernel, M, [67], icx, evasion(1.2))[0]
+        pred = predict_rank_sweep(kernel, [67], icx, evasion(1.2))[0]
         width = pred.min_inner_width
         assert width % 8 != 0
         h = halo_read_overhead(width)
@@ -174,7 +174,7 @@ class TestRankSweep:
         kernel = KernelSpec(name="float2row", accesses=(
             Access(a, 0, -1, READ), Access(a, 0, 1, READ), Access(b, 0, 0, WRITE)))
         counts = derive_stream_counts(kernel)
-        p1, p71 = predict_rank_sweep(kernel, M, [1, 71], icx, FULL_WA)
+        p1, p71 = predict_rank_sweep(kernel, [1, 71], icx, FULL_WA)
         assert p71.min_inner_width == 216
         assert p1.lc_fulfilled and p71.lc_fulfilled
         assert halo_read_overhead(216, 4) == 16 / 232

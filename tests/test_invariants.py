@@ -32,8 +32,8 @@ from stencilmem.decomp import (
 )
 from stencilmem.kernels import (
     GridSpec,
+    KernelSpec,
     derive_stream_counts,
-    validate,
 )
 
 from refdata import random_kernel
@@ -57,8 +57,9 @@ def sim_kernels():
 
 class TestGeneratedKernelAlgebra:
     def test_generator_produces_valid_kernels(self, arithmetic_kernels):
-        for kernel in arithmetic_kernels:
-            assert validate(kernel) == []
+        # building a kernel checks it, so every generated one was valid
+        assert len(arithmetic_kernels) == N_ARITHMETIC_KERNELS
+        assert all(isinstance(k, KernelSpec) for k in arithmetic_kernels)
 
     def test_scenario_ordering(self, arithmetic_kernels):
         for kernel in arithmetic_kernels:
@@ -92,7 +93,7 @@ class TestGeneratedKernelAlgebra:
 
     def test_rank_sweep_identity_at_one(self, arithmetic_kernels, icx):
         for kernel in arithmetic_kernels[:300]:
-            pred = predict_rank_sweep(kernel, 15360, [1], icx, FULL_WA)[0]
+            pred = predict_rank_sweep(kernel, [1], icx, FULL_WA)[0]
             assert pred.bytes_per_it == \
                 scenario_table(kernel).lcf_wa.bytes_per_it
 

@@ -12,7 +12,6 @@ from stencilmem.kernels import (
     KernelSpec,
     derive_stream_counts,
     load_suite,
-    validate,
 )
 
 from refdata import KERNEL_NAMES, counts_of
@@ -62,26 +61,51 @@ class TestArrayDecl:
 
 class TestValidate:
     def test_suite_kernels_are_valid(self, suite):
-        for kernel in suite:
-            assert validate(kernel) == []
+        # building a kernel checks it: the suite loaded, so all 22 are valid
+        assert all(isinstance(k, KernelSpec) for k in suite)
+        assert len(suite.kernels) == 22
 
     def test_empty_kernel_one_diagnostic(self):
-        kernel = KernelSpec(name="empty", accesses=())
-        assert len(validate(kernel)) == 1
+        with pytest.raises(KernelError, match=r"^empty: kernel has no accesses$"):
+            KernelSpec(name="empty", accesses=())
 
     def test_duplicate_access_flagged(self):
-        kernel = make_kernel([("a", 0, 0, READ), ("a", 0, 0, READ)])
-        diags = validate(kernel)
-        assert len(diags) == 1
-        assert "duplicate" in diags[0]
+        with pytest.raises(KernelError,
+                           match=r"^k: duplicate access \('a', 0, 0, 'read'\)$"):
+            make_kernel([("a", 0, 0, READ), ("a", 0, 0, READ)])
 
     def test_offset_out_of_range(self):
-        kernel = make_kernel([("a", 9, 0, READ)])
-        assert any("offset" in d for d in validate(kernel))
+        with pytest.raises(KernelError, match="offset out of range"):
+            make_kernel([("a", 9, 0, READ)])
 
     def test_two_write_offsets_rejected(self):
-        kernel = make_kernel([("a", 0, 0, WRITE), ("a", 1, 0, WRITE)])
-        assert any("written at 2 offsets" in d for d in validate(kernel))
+        with pytest.raises(KernelError, match="written at 2 offsets"):
+            make_kernel([("a", 0, 0, WRITE), ("a", 1, 0, WRITE)])
+
+    def test_arrays_on_two_grids_rejected(self):
+        # same element size, different extents: the rows the model prices
+        # would depend on which array the kernel names first
+        a = ArrayDecl("a", GridSpec(64, 64, halo_lo=2, halo_hi=2))
+        b = ArrayDecl("b", GridSpec(4096, 16))
+        for accesses in ((Access(a, -1, -1, READ), Access(b, 0, 0, WRITE)),
+                         (Access(b, 0, 0, WRITE), Access(a, -1, -1, READ))):
+            with pytest.raises(KernelError, match=r"^ab: arrays are declared on "
+                                                  r"more than one grid$"):
+                KernelSpec(name="ab", accesses=accesses)
+
+    def test_kernel_grid_is_its_arrays_grid(self, suite):
+        kernel = make_kernel([("a", 0, 0, READ), ("b", 0, 0, WRITE)])
+        assert kernel.grid == GridSpec(16, 8, halo_lo=2, halo_hi=2)
+        assert suite.kernels["am04"].grid.inner_extent == 15360
+
+    @pytest.mark.parametrize("ranges", [dict(loop_j_range=(2, 1)),
+                                        dict(loop_k_range=(5, 3))])
+    def test_inverted_range_rejected_in_code(self, ranges):
+        kernel = make_kernel([("a", 0, 0, READ)])
+        (key, (lo, hi)), = ranges.items()
+        with pytest.raises(KernelError,
+                           match=rf"^kernel 'k': {key} \[{lo}, {hi}\] is inverted$"):
+            KernelSpec(name="k", accesses=kernel.accesses, **ranges)
 
     def test_bad_mode_rejected_at_construction(self):
         g = GridSpec(8, 8)
@@ -110,8 +134,10 @@ class TestStreamCounts:
         assert derive_stream_counts(kernel).rdwr == 0
 
     def test_invalid_kernel_raises(self):
-        with pytest.raises(KernelError):
-            derive_stream_counts(KernelSpec(name="empty", accesses=()))
+        # an invalid kernel never reaches derive_stream_counts: it is
+        # rejected when built
+        with pytest.raises(KernelError, match="kernel has no accesses"):
+            KernelSpec(name="empty", accesses=())
 
     def test_pure_function(self, suite):
         k = suite.kernels["pdv00"]

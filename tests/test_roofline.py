@@ -123,3 +123,20 @@ class TestKernelRuntime:
             s = BalanceScenario(True, FULL_WA, bytes_per_it=b, flops_per_it=4)
             r.append(kernel_runtime(kernel, grid, icx, 18, s).runtime)
         assert r[1] == pytest.approx(2 * r[0])
+
+    def test_loop_ranges_set_the_iteration_count(self, icx):
+        # loop_j_range (0, 9) on a 100x100 grid: 10 x 100 iterations, the
+        # count the simulator replays
+        from stencilmem.balance import BalanceScenario, FULL_WA
+        from stencilmem.cachesim import CacheLevelConfig, simulate_kernel
+        from stencilmem.kernels import READ, KernelSpec
+        from test_kernels import make_kernel
+        grid = GridSpec(100, 100)
+        full = make_kernel([("a", 0, 0, READ)])
+        strip = KernelSpec(name="strip", accesses=full.accesses, loop_j_range=(0, 9))
+        s = BalanceScenario(True, FULL_WA, bytes_per_it=8.0, flops_per_it=0)
+        iterations = simulate_kernel(strip, grid, [CacheLevelConfig(64 * 64)]).iterations
+        assert iterations == 1000
+        assert kernel_runtime(strip, grid, icx, 1, s).runtime == pytest.approx(
+            kernel_runtime(full, grid, icx, 1, s).runtime * iterations / 100 ** 2,
+            rel=1e-12)
