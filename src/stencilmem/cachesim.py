@@ -30,12 +30,21 @@ A trace is an iterable of ``TRACE_DTYPE`` record blocks (u64 byte address,
 u8 mode: 0 read, 1 write); a trace file holds the same 9-byte records back
 to back. A file size that is no whole number of records, a mode byte above
 1 or an access across a cache line raises ValueError. Trace generation is
-vectorized and the replay works on runs of consecutive same-line events,
-which keeps the 22 desk-scale oracle runs within a few minutes of CPU time.
+vectorized and the replay works on runs of consecutive same-line events.
+
+A kernel sweep is periodic in its rows: row k + P is row k moved by whole
+lines, P = 64 / gcd(row_bytes, 64). ``simulate_kernel`` replays period by
+period until the state of the full last level (LRU order, dirty bits,
+claim table, WC buffers) equals the state one period earlier moved by P
+rows, then charges the remaining periods in bulk, bit-identical to the full
+replay. It replays in full where the state cannot repeat: a level of more
+than one set, or fewer than three periods of rows. ``simulate`` always
+replays a trace in full, as it has no rows.
 """
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import repeat
@@ -214,6 +223,10 @@ class _Hierarchy:
         self.wc: OrderedDict[int, int] = OrderedDict()
         self.nt = isinstance(policy, NtBypass)
         self.claim = evades(policy) and not self.nt
+        # rows of a kernel sweep replayed event by event, and rows charged in
+        # bulk from a repeating period (``_replay_kernel``)
+        self.replayed_rows = 0
+        self.bulk_rows = 0
 
     def feed(self, addrs: np.ndarray, writes: np.ndarray):
         """Replay one block run by run; a run is consecutive events on one
@@ -310,6 +323,15 @@ class _Hierarchy:
         self.write_lines += writes_out
         self.avoided_lines += avoided
 
+    def snapshot(self):
+        """LRU order and dirty bits of the one set, the claim table, the WC
+        buffers, then the counters: what a period of rows repeats."""
+        s = self.sets[0]
+        return (np.fromiter(s, dtype=np.int64, count=len(s)),
+                np.fromiter(s.values(), dtype=bool, count=len(s)),
+                list(self.pending.items()), list(self.wc.items()),
+                (self.read_lines, self.write_lines, self.avoided_lines))
+
     def finish(self):
         """End of trace: resolve open claims, drain WC buffers, flush dirty lines."""
         self.read_lines += len(self.pending) + len(self.wc)
@@ -324,14 +346,6 @@ class _Hierarchy:
                           write_bytes=self.write_lines * LINE_BYTES,
                           wa_avoided_bytes=self.avoided_lines * LINE_BYTES,
                           iterations=iterations)
-
-
-def _simulate_blocks(blocks, levels, policy, access_bytes, iterations) -> MemTraffic:
-    sim = _Hierarchy(list(levels), policy, access_bytes)
-    for addrs, writes in blocks:
-        sim.feed(addrs, writes)
-    sim.finish()
-    return sim.traffic(iterations)
 
 
 def _record_fields(records: np.ndarray, access_bytes: int):
@@ -353,24 +367,104 @@ def simulate(trace, levels, policy: WritePolicySim = AlwaysAllocate(),
     the levels above it never change the memory traffic. Every event
     touches ``access_bytes`` bytes starting at its address (the trace format
     itself carries no size). A mode byte above 1, or an access that crosses
-    a cache line, raises ValueError (exit 2 from ``stencilmem replay``). The
-    returned MemTraffic counts no iterations.
+    a cache line, raises ValueError (exit 2 from ``stencilmem replay``). A
+    trace has no rows, so it is replayed in full. The returned MemTraffic
+    counts no iterations.
     """
-    levels = list(levels)   # _Hierarchy checks them before the first block is read
-    blocks = (_record_fields(r, access_bytes) for r in trace)
-    return _simulate_blocks(blocks, levels, policy, access_bytes, 0)
+    sim = _Hierarchy(list(levels), policy, access_bytes)
+    for records in trace:
+        sim.feed(*_record_fields(records, access_bytes))
+    sim.finish()
+    return sim.traffic(0)
+
+
+def _repeats(now, before, shift: int) -> bool:
+    """Whether snapshot `now` is snapshot `before` with every line moved by
+    `shift` lines."""
+    keys, dirty, pending, wc, _ = now
+    keys0, dirty0, pending0, wc0, _ = before
+    return (np.array_equal(keys, keys0 + shift) and np.array_equal(dirty, dirty0)
+            and pending == [(line + shift, c) for line, c in pending0]
+            and wc == [(line + shift, c) for line, c in wc0])
+
+
+def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
+                   policy: WritePolicySim) -> _Hierarchy:
+    """Replay and finish one kernel's sweep, fast-forwarding its steady state.
+
+    Row k + P of the trace is row k moved by D = P * row_bytes / 64 whole
+    lines, with P = 64 / gcd(row_bytes, 64). The replay goes one period of P
+    rows at a time. Once the level is full (until then its contents only
+    grow), the state after each period is compared with the state one period
+    earlier moved by D lines. On a match the state repeats for good, so the
+    remaining whole periods are charged in bulk with the counter delta of the
+    last one. The engine only compares lines for equality and ``finish``
+    only counts, so the tail rows are replayed from the matched state with
+    the next rows of the trace instead of moving every table by the skipped
+    lines.
+
+    Cutting the trace at every period, where the full replay cuts it every
+    16 rows, leaves the traffic alone. A run of one line split at a row
+    boundary either has only reads before the cut, which replay alike whole
+    or split, or joins two writes of a kernel that reads nothing. Over three
+    periods of rows two such writes share a line only when they are the
+    same one array, a stream that never comes back to a line it has left.
+
+    The full replay stays where the state cannot repeat: a level of more
+    than one set (a shift moves lines between sets), and fewer than three
+    periods of rows.
+    """
+    sim = _Hierarchy(list(levels), policy, grid.element_size)
+    j0, j1, k0, k1 = _loop_bounds(kernel, grid)
+    rows = k1 - k0 + 1
+    row_events = (j1 - j0 + 1) * len(kernel.accesses)
+    row_bytes = grid.row_stride * grid.element_size
+    period = LINE_BYTES // math.gcd(row_bytes, LINE_BYTES)
+    blocks = gen_trace_blocks(kernel, grid)
+    fast = sim.sets.size == 1 and rows >= 3 * period
+    if fast:
+        step = period * row_events      # a period divides the 16 rows of a block
+        blocks = ((a[i:i + step], w[i:i + step]) for a, w in blocks
+                  for i in range(0, a.size, step))
+    shift = period * row_bytes // LINE_BYTES
+    s, before = sim.sets[0], None
+    for addrs, writes in blocks:
+        sim.feed(addrs, writes)
+        sim.replayed_rows += addrs.size // row_events
+        if not fast or len(s) < sim.ways:
+            continue
+        now = sim.snapshot()
+        if before is not None and _repeats(now, before, shift):
+            bulk, tail = divmod(rows - sim.replayed_rows, period)
+            (r, w, a), (r0, w0, a0) = now[-1], before[-1]
+            sim.read_lines += bulk * (r - r0)
+            sim.write_lines += bulk * (w - w0)
+            sim.avoided_lines += bulk * (a - a0)
+            sim.bulk_rows = bulk * period
+            if tail:
+                addrs, writes = next(blocks)
+                sim.feed(addrs[:tail * row_events], writes[:tail * row_events])
+                sim.replayed_rows += tail
+            break
+        before = now
+    sim.finish()
+    return sim
 
 
 def simulate_kernel(kernel: KernelSpec, grid: GridSpec, levels,
                     policy: WritePolicySim = AlwaysAllocate()) -> MemTraffic:
-    """Generate and replay the full sweep of one kernel over a grid.
+    """Generate and replay the sweep of one kernel over a grid.
 
     As in ``simulate``, only the last of ``levels`` is replayed. A kernel
-    trace is aligned to the element size, so no access crosses a line.
+    trace is aligned to the element size, so no access crosses a line. Once
+    the state of a fully associative level repeats from one period of rows
+    to the next, the remaining periods are charged in bulk, and the traffic
+    is bit-identical to ``simulate(gen_trace(kernel, grid), ...)``. A level
+    of more than one set, or fewer than three periods of rows, falls back to
+    the full replay (``_replay_kernel`` says why).
     """
-    blocks = gen_trace_blocks(kernel, grid)
-    return _simulate_blocks(blocks, levels, policy, grid.element_size,
-                            iteration_count(kernel, grid))
+    sim = _replay_kernel(kernel, grid, levels, policy)
+    return sim.traffic(iteration_count(kernel, grid))
 
 
 def measure_balance(kernel: KernelSpec, grid: GridSpec, levels,
@@ -397,6 +491,8 @@ DEFAULT_BENCH_CACHE = (CacheLevelConfig(capacity=256 * 1024),)
 
 def store_ratio(streams: int, volume_bytes: int, policy: WritePolicySim) -> float:
     """Actual memory traffic / explicitly stored volume for n store streams."""
+    if streams < 1:
+        raise ValueError(f"need at least one store stream, not {streams}")
     if volume_bytes < LINE_BYTES:
         raise ValueError(f"volume must be at least one {LINE_BYTES}-byte cache line")
     lines = max(1, volume_bytes // (streams * LINE_BYTES))    # per stream
@@ -418,6 +514,8 @@ def halo_copy_kernel(inner: int, halo: int, rows: int) -> tuple[KernelSpec, Grid
 def halo_copy_experiment(inner: int, halo: int, total_bytes: int,
                          policy: WritePolicySim) -> float:
     """Read-to-write traffic ratio of the strip-mined copy benchmark."""
+    if inner < 1:
+        raise ValueError(f"rows need at least one inner element, not {inner}")
     if total_bytes < LINE_BYTES:
         raise ValueError(f"volume must be at least one {LINE_BYTES}-byte cache line")
     kernel, grid = halo_copy_kernel(inner, halo, max(1, total_bytes // (inner * 8)))

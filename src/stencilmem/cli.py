@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
 import sys
 from dataclasses import dataclass
@@ -238,12 +239,16 @@ def cmd_prime_sweep(args) -> int:
     machine = load_machine(args.machine)
     ranks = _parse_int_range(args.ranks, 1, "rank")
     policy = balance.wa_policy(args.wa, machine)
-    writer = csv.writer(sys.stdout)
+    # the CSV goes out once every kernel is priced, so a kernel that fails
+    # leaves no partial output behind
+    out = io.StringIO()
+    writer = csv.writer(out)
     writer.writerow(["kernel", "p", "bytes_per_it", "prime"])
     for kernel in suite:
         for pred in decomp.predict_rank_sweep(kernel, ranks, machine, policy):
             writer.writerow([kernel.name, pred.ranks, f"{pred.bytes_per_it:.4f}",
                              1 if pred.prime else 0])
+    sys.stdout.write(out.getvalue())
     return EXIT_OK
 
 

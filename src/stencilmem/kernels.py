@@ -231,9 +231,18 @@ def element_size(kernel: KernelSpec) -> int:
 
 
 def _loop_bounds(kernel: KernelSpec, grid: GridSpec) -> tuple[int, int, int, int]:
-    j0, j1 = kernel.loop_j_range or (0, grid.inner_extent - 1)
-    k0, k1 = kernel.loop_k_range or (0, grid.outer_extent - 1)
-    return j0, j1, k0, k1
+    """The kernel's loop ranges on `grid`; a range that leaves the allocated
+    grid raises KernelError."""
+    bounds = []
+    for key, extent in (("loop_j_range", grid.inner_extent),
+                        ("loop_k_range", grid.outer_extent)):
+        lo, hi = getattr(kernel, key) or (0, extent - 1)
+        if lo < -grid.halo_lo or hi > extent - 1 + grid.halo_hi:
+            raise KernelError(
+                f"{kernel.name}: {key} [{lo}, {hi}] leaves the allocated grid "
+                f"[{-grid.halo_lo}, {extent - 1 + grid.halo_hi}]")
+        bounds += [lo, hi]
+    return tuple(bounds)
 
 
 def iteration_count(kernel: KernelSpec, grid: GridSpec) -> int:

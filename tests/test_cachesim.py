@@ -12,7 +12,10 @@ from stencilmem.cachesim import (
     array_layout,
     dump_trace,
     evades,
+    _repeats,
+    _replay_kernel,
     gen_trace,
+    gen_trace_blocks,
     halo_copy_experiment,
     halo_copy_kernel,
     load_trace,
@@ -22,7 +25,7 @@ from stencilmem.cachesim import (
     store_ratio,
     store_stream_kernel,
 )
-from stencilmem.kernels import READ, WRITE, GridSpec, KernelError
+from stencilmem.kernels import READ, WRITE, GridSpec, KernelError, KernelSpec
 
 from test_kernels import make_kernel
 
@@ -293,6 +296,11 @@ class TestStoreRatio:
     def test_inactive_claim_is_two(self):
         assert store_ratio(2, 1 << 20, AutoClaim(active=False)) == 2.0
 
+    @pytest.mark.parametrize("streams", [0, -1])
+    def test_no_stream_is_rejected(self, streams):
+        with pytest.raises(ValueError, match="at least one store stream"):
+            store_ratio(streams, 1 << 20, AlwaysAllocate())
+
     def test_store_kernel_shape(self):
         kernel, grid = store_stream_kernel(3, 4096)
         assert len(kernel.writes()) == 3
@@ -345,6 +353,11 @@ class TestHaloCopy:
         # without evasion every destination line is read once regardless of
         # alignment: ratio 2.0
         assert halo_copy_experiment(216, 0, 1 << 21, AlwaysAllocate()) == 2.0
+
+    @pytest.mark.parametrize("inner", [0, -8])
+    def test_empty_rows_are_rejected(self, inner):
+        with pytest.raises(ValueError, match="at least one inner element"):
+            halo_copy_experiment(inner, 2, 1 << 20, AutoClaim())
 
     def test_kernel_layout(self):
         kernel, grid = halo_copy_kernel(216, 5, 100)
@@ -408,3 +421,115 @@ class TestSmallElements:
         b8 = measure_balance(kernel, g8, lv(512))
         b4 = measure_balance(kernel, g4, lv(512))
         assert b4 == pytest.approx(b8 / 2)
+
+
+def row_lines(grid) -> int:
+    """Whole cache lines of one allocated grid row, rounded up."""
+    return -(-grid.row_stride * grid.element_size // LINE)
+
+
+def lc_hold(kernel, grid):
+    """Twice every (array, row) the kernel touches: the layer condition holds."""
+    rows = len({(a.array.name, a.dk) for a in kernel.accesses})
+    return lv(2 * rows * row_lines(grid))
+
+
+def below_one_row(kernel, grid):
+    return lv(row_lines(grid) - 2)
+
+
+def eight_way(kernel, grid):
+    return lv(-(-lc_hold(kernel, grid)[0].lines // 8) * 8, associativity=8)
+
+
+FF_POLICIES = {"always": AlwaysAllocate(), "claim": AutoClaim(), "nt": NtBypass()}
+FF_CACHES = {"lc-hold": lc_hold, "below-one-row": below_one_row, "8-way": eight_way}
+
+
+class TestFastForward:
+    """simulate_kernel charges the steady state of a sweep in bulk; the
+    reference is the full replay of the same trace through ``simulate``."""
+
+    @staticmethod
+    def replay(kernel, grid, levels, policy):
+        """Assert that simulate_kernel matches the full replay bit for bit;
+        return the fast-forward engine, which records its rows."""
+        got = simulate_kernel(kernel, grid, levels, policy)
+        want = simulate(gen_trace(kernel, grid), levels, policy, grid.element_size)
+        assert ((got.read_bytes, got.write_bytes, got.wa_avoided_bytes)
+                == (want.read_bytes, want.write_bytes, want.wa_avoided_bytes)), kernel.name
+        sim = _replay_kernel(kernel, grid, levels, policy)
+        assert sim.traffic(got.iterations) == got
+        k0, k1 = kernel.loop_k_range or (0, grid.outer_extent - 1)
+        assert sim.replayed_rows + sim.bulk_rows == k1 - k0 + 1
+        return sim
+
+    @staticmethod
+    def fills(kernel, grid, levels) -> bool:
+        """Whether the sweep touches more distinct lines than the level holds."""
+        lines = np.concatenate([addrs // LINE for addrs, _ in gen_trace_blocks(kernel, grid)])
+        return np.unique(lines).size > levels[-1].lines
+
+    @pytest.mark.parametrize("cache", FF_CACHES)
+    @pytest.mark.parametrize("policy", FF_POLICIES)
+    def test_suite_at_256_wide(self, suite, cache, policy):
+        for kernel in suite:
+            grid = kernel.grid.resized(256, 32)
+            levels = FF_CACHES[cache](kernel, grid)
+            sim = self.replay(kernel, grid, levels, FF_POLICIES[policy])
+            if cache == "8-way":
+                assert sim.bulk_rows == 0, kernel.name
+            else:
+                # the identity above holds trivially if nothing is skipped
+                assert self.fills(kernel, grid, levels), kernel.name
+                assert sim.bulk_rows > 0, kernel.name
+
+    @pytest.mark.parametrize("policy", FF_POLICIES)
+    def test_four_byte_elements(self, suite, policy):
+        # 260 floats a row are 16.25 lines: a period of 4 rows
+        for kernel in suite:
+            grid = GridSpec(256, 40, halo_lo=2, halo_hi=2, element_size=4)
+            sim = self.replay(kernel, grid, lc_hold(kernel, grid), FF_POLICIES[policy])
+            assert sim.bulk_rows > 0 and sim.bulk_rows % 4 == 0, kernel.name
+
+    @pytest.mark.parametrize("policy", FF_POLICIES)
+    def test_loop_k_range(self, suite, policy):
+        am04 = suite.kernels["am04"]
+        kernel = KernelSpec(name="band", accesses=am04.accesses,
+                            loop_j_range=(1, 250), loop_k_range=(3, 36))
+        grid = am04.grid.resized(256, 40)
+        sim = self.replay(kernel, grid, lc_hold(kernel, grid), FF_POLICIES[policy])
+        assert sim.bulk_rows > 0
+
+    @pytest.mark.parametrize("rows", [1, 6, 7])
+    @pytest.mark.parametrize("policy", FF_POLICIES)
+    def test_fewer_rows_than_the_warm_up(self, suite, policy, rows):
+        for name in ("am04", "pdv01"):
+            kernel = suite.kernels[name]
+            grid = kernel.grid.resized(256, rows)
+            sim = self.replay(kernel, grid, lc_hold(kernel, grid), FF_POLICIES[policy])
+            assert sim.bulk_rows == 0
+
+    @pytest.mark.parametrize("policy", [AutoClaim(buffer_lines=1), AutoClaim()])
+    def test_run_of_writes_across_a_period_cut(self, policy):
+        # one write stream over rows of 12 + 2 halo doubles, a period of 4
+        # rows: the last store before a period cut and the first after it
+        # hit one line, which the full replay splits only every 16 rows
+        kernel = make_kernel([("a", 0, 0, WRITE)])
+        sim = self.replay(kernel, GridSpec(12, 64, halo_lo=1, halo_hi=1), lv(4), policy)
+        assert sim.bulk_rows > 0
+
+    def test_state_repeats_only_in_full(self):
+        before = (np.array([5, 9, 7]), np.array([True, False, True]),
+                  [(9, 3)], [(6, 1)], (0, 0, 0))
+        now = (np.array([15, 19, 17]), np.array([True, False, True]),
+               [(19, 3)], [(16, 1)], (4, 2, 1))
+        assert _repeats(now, before, 10)
+        keys, dirty, pending, wc, counters = now
+        for other in ((np.array([15, 17, 19]), dirty, pending, wc, counters),
+                      (keys, np.array([True, True, True]), pending, wc, counters),
+                      (keys, dirty, [(19, 7)], wc, counters),
+                      (keys, dirty, [], wc, counters),
+                      (keys, dirty, pending, [(16, 3)], counters),
+                      (keys + 1, dirty, pending, wc, counters)):
+            assert not _repeats(other, before, 10)

@@ -279,7 +279,9 @@ class TestPrimeSweep:
         rc, _, err = run(capsys, "prime-sweep", SUITE, ICX, "--ranks", "5..1")
         assert rc == 2
 
-    def test_each_kernel_uses_its_own_grid(self, capsys, tmp_path):
+    @staticmethod
+    def two_grid_suite(tmp_path):
+        """A star kernel on a 15360-wide grid, then one on a 100-wide grid."""
         def star(name, arr):
             reads = [{"array": arr, "dj": dj, "dk": dk, "mode": "read"}
                      for dj, dk in ((0, -1), (-1, 0), (0, 0), (1, 0), (0, 1))]
@@ -292,6 +294,10 @@ class TestPrimeSweep:
                "kernels": [star("on_wide", "w"), star("on_narrow", "n")]}
         p = tmp_path / "two_grids.json"
         p.write_text(json.dumps(doc))
+        return p
+
+    def test_each_kernel_uses_its_own_grid(self, capsys, tmp_path):
+        p = self.two_grid_suite(tmp_path)
         rc, out, _ = run(capsys, "prime-sweep", str(p), ICX, "--ranks", "72")
         assert rc == 0
         got = {r["kernel"]: r["bytes_per_it"] for r in csv.DictReader(io.StringIO(out))}
@@ -303,6 +309,14 @@ class TestPrimeSweep:
             expected[kernel.name] = f"{pred.bytes_per_it:.4f}"
         assert got == expected
         assert got["on_wide"] != got["on_narrow"]
+
+    def test_failing_kernel_leaves_no_partial_csv(self, capsys, tmp_path):
+        # 120 ranks cannot split the second kernel's 100-wide grid
+        p = self.two_grid_suite(tmp_path)
+        rc, out, err = run(capsys, "prime-sweep", str(p), ICX, "--ranks", "1..120")
+        assert rc == 2
+        assert out == ""
+        assert "error" in err
 
     def test_closed_pipe_ends_quietly(self):
         # `prime-sweep | head`: far more output than a pipe buffer holds

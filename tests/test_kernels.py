@@ -11,6 +11,7 @@ from stencilmem.kernels import (
     KernelError,
     KernelSpec,
     derive_stream_counts,
+    iteration_count,
     load_suite,
 )
 
@@ -106,6 +107,23 @@ class TestValidate:
         with pytest.raises(KernelError,
                            match=rf"^kernel 'k': {key} \[{lo}, {hi}\] is inverted$"):
             KernelSpec(name="k", accesses=kernel.accesses, **ranges)
+
+    @pytest.mark.parametrize("ranges", [dict(loop_j_range=(0, 199)),
+                                        dict(loop_j_range=(-3, 10)),
+                                        dict(loop_k_range=(0, 102))])
+    def test_range_outside_the_grid_is_not_counted(self, ranges):
+        # the make_kernel grid is 16x8 with halos 2/2: j in -2..17, k in -2..9
+        kernel = KernelSpec(name="strip", accesses=make_kernel(
+            [("a", 0, 0, READ)]).accesses, **ranges)
+        (key, _), = ranges.items()
+        with pytest.raises(KernelError, match=rf"^strip: {key} .* leaves the "
+                                              rf"allocated grid"):
+            iteration_count(kernel, kernel.grid)
+
+    def test_range_into_the_halo_is_counted(self):
+        kernel = KernelSpec(name="strip", accesses=make_kernel(
+            [("a", 0, 0, READ)]).accesses, loop_j_range=(-2, 17), loop_k_range=(9, 9))
+        assert iteration_count(kernel, kernel.grid) == 20
 
     def test_bad_mode_rejected_at_construction(self):
         g = GridSpec(8, 8)

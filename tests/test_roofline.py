@@ -140,3 +140,13 @@ class TestKernelRuntime:
         assert kernel_runtime(strip, grid, icx, 1, s).runtime == pytest.approx(
             kernel_runtime(full, grid, icx, 1, s).runtime * iterations / 100 ** 2,
             rel=1e-12)
+
+    def test_loop_range_outside_the_grid_is_not_priced(self, icx):
+        from stencilmem.balance import BalanceScenario, FULL_WA
+        from stencilmem.kernels import READ, KernelError, KernelSpec
+        from test_kernels import make_kernel
+        full = make_kernel([("a", 0, 0, READ)])
+        strip = KernelSpec(name="strip", accesses=full.accesses, loop_j_range=(0, 199))
+        s = BalanceScenario(True, FULL_WA, bytes_per_it=8.0, flops_per_it=0)
+        with pytest.raises(KernelError, match="strip: loop_j_range"):
+            kernel_runtime(strip, GridSpec(100, 100), icx, 1, s)
