@@ -44,7 +44,6 @@ from .cachesim import (
     NtBypass,
     gen_trace,
     halo_copy_experiment,
-    measure_balance,
     simulate,
     simulate_kernel,
     store_ratio,

@@ -30,16 +30,18 @@ A trace is an iterable of ``TRACE_DTYPE`` record blocks (u64 byte address,
 u8 mode: 0 read, 1 write); a trace file holds the same 9-byte records back
 to back. A file size that is no whole number of records, a mode byte above
 1 or an access across a cache line raises ValueError. Trace generation is
-vectorized and the replay works on runs of consecutive same-line events.
+vectorized and the replay works on runs of consecutive same-line events. A
+run that goes on past the end of a block is held back and replayed with the
+next block, so the traffic does not depend on where a trace is cut into
+blocks.
 
 A kernel sweep is periodic in its rows: row k + P is row k moved by whole
 lines, P = 64 / gcd(row_bytes, 64). ``simulate_kernel`` replays period by
-period until the state of the full last level (LRU order, dirty bits,
-claim table, WC buffers) equals the state one period earlier moved by P
-rows, then charges the remaining periods in bulk, bit-identical to the full
-replay. It replays in full where the state cannot repeat: a level of more
-than one set, or fewer than three periods of rows. ``simulate`` always
-replays a trace in full, as it has no rows.
+period until the state of the full last level (LRU order and dirty bits of
+every set, claim table, WC buffers, held-back run) equals the state one
+period earlier moved by P rows, then charges the remaining periods in bulk,
+bit-identical to ``simulate`` of the whole trace. ``simulate`` replays a
+trace in full, as it has no rows.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +61,7 @@ TRACE_DTYPE = np.dtype([("address", "<u8"), ("mode", "u1")])
 TRACE_BLOCK = 1 << 16   # records per block that load_trace yields
 LINE_SHIFT = LINE_BYTES.bit_length() - 1
 FULL_MASK = (1 << LINE_BYTES) - 1     # coverage of a line written in full
+NO_EVENTS = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -223,14 +226,25 @@ class _Hierarchy:
         self.wc: OrderedDict[int, int] = OrderedDict()
         self.nt = isinstance(policy, NtBypass)
         self.claim = evades(policy) and not self.nt
+        # the events of the last run fed, which the next block may go on
+        self.held = NO_EVENTS
         # rows of a kernel sweep replayed event by event, and rows charged in
         # bulk from a repeating period (``_replay_kernel``)
         self.replayed_rows = 0
         self.bulk_rows = 0
 
-    def feed(self, addrs: np.ndarray, writes: np.ndarray):
+    def feed(self, addrs: np.ndarray, writes: np.ndarray, last: bool = False):
         """Replay one block run by run; a run is consecutive events on one
-        line, reads before writes."""
+        line, reads before writes.
+
+        The block's last run may go on in the next block, so its events are
+        held back and replayed at the front of the next block, or by
+        ``finish`` (``last``). So the traffic does not depend on where a
+        trace is cut into blocks.
+        """
+        if self.held[0].size:
+            addrs = np.concatenate((self.held[0], addrs))
+            writes = np.concatenate((self.held[1], writes))
         n = addrs.size
         if n == 0:
             return
@@ -241,6 +255,14 @@ class _Hierarchy:
         # reads come first, and its last event tells whether it writes
         np.logical_or(split, writes[:-1] & ~writes[1:], out=split)
         starts = np.flatnonzero(np.concatenate(([True], split)))
+        if last:
+            self.held = NO_EVENTS
+        else:
+            n = int(starts[-1])
+            self.held = addrs[n:], writes[n:]
+            if n == 0:
+                return
+            addrs, writes, starts = addrs[:n], writes[:n], starts[:-1]
         ends = np.append(starts[1:], n) - 1
         start_lines = lines[starts]
         run_lines = start_lines.tolist()
@@ -324,16 +346,22 @@ class _Hierarchy:
         self.avoided_lines += avoided
 
     def snapshot(self):
-        """LRU order and dirty bits of the one set, the claim table, the WC
-        buffers, then the counters: what a period of rows repeats."""
-        s = self.sets[0]
-        return (np.fromiter(s, dtype=np.int64, count=len(s)),
-                np.fromiter(s.values(), dtype=bool, count=len(s)),
-                list(self.pending.items()), list(self.wc.items()),
+        """State of a full level, what a period of rows repeats: LRU order
+        and dirty bits (one row per set), the claim table, the WC buffers,
+        the held-back run, then the counters."""
+        sets, ways = self.sets, self.ways
+        count = sets.size * ways
+        keys = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=count)
+        dirty = np.fromiter(chain.from_iterable(s.values() for s in sets),
+                            dtype=bool, count=count)
+        return (keys.reshape(sets.size, ways), dirty.reshape(sets.size, ways),
+                list(self.pending.items()), list(self.wc.items()), self.held,
                 (self.read_lines, self.write_lines, self.avoided_lines))
 
     def finish(self):
-        """End of trace: resolve open claims, drain WC buffers, flush dirty lines."""
+        """End of trace: replay the held-back run, resolve open claims, drain
+        WC buffers, flush dirty lines."""
+        self.feed(*NO_EVENTS, last=True)
         self.read_lines += len(self.pending) + len(self.wc)
         self.write_lines += len(self.wc)
         self.pending.clear()
@@ -368,8 +396,9 @@ def simulate(trace, levels, policy: WritePolicySim = AlwaysAllocate(),
     touches ``access_bytes`` bytes starting at its address (the trace format
     itself carries no size). A mode byte above 1, or an access that crosses
     a cache line, raises ValueError (exit 2 from ``stencilmem replay``). A
-    trace has no rows, so it is replayed in full. The returned MemTraffic
-    counts no iterations.
+    trace has no rows, so it is replayed in full. The traffic is the same
+    however the trace is cut into blocks. The returned MemTraffic counts no
+    iterations.
     """
     sim = _Hierarchy(list(levels), policy, access_bytes)
     for records in trace:
@@ -380,12 +409,15 @@ def simulate(trace, levels, policy: WritePolicySim = AlwaysAllocate(),
 
 def _repeats(now, before, shift: int) -> bool:
     """Whether snapshot `now` is snapshot `before` with every line moved by
-    `shift` lines."""
-    keys, dirty, pending, wc, _ = now
-    keys0, dirty0, pending0, wc0, _ = before
-    return (np.array_equal(keys, keys0 + shift) and np.array_equal(dirty, dirty0)
+    `shift` lines, which moves set s to set (s + shift) mod S."""
+    keys, dirty, pending, wc, (addrs, writes), _ = now
+    keys0, dirty0, pending0, wc0, (addrs0, writes0), _ = before
+    return (np.array_equal(keys, np.roll(keys0, shift, axis=0) + shift)
+            and np.array_equal(dirty, np.roll(dirty0, shift, axis=0))
             and pending == [(line + shift, c) for line, c in pending0]
-            and wc == [(line + shift, c) for line, c in wc0])
+            and wc == [(line + shift, c) for line, c in wc0]
+            and np.array_equal(addrs, addrs0 + shift * LINE_BYTES)
+            and np.array_equal(writes, writes0))
 
 
 def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
@@ -393,26 +425,16 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     """Replay and finish one kernel's sweep, fast-forwarding its steady state.
 
     Row k + P of the trace is row k moved by D = P * row_bytes / 64 whole
-    lines, with P = 64 / gcd(row_bytes, 64). The replay goes one period of P
-    rows at a time. Once the level is full (until then its contents only
-    grow), the state after each period is compared with the state one period
-    earlier moved by D lines. On a match the state repeats for good, so the
-    remaining whole periods are charged in bulk with the counter delta of the
-    last one. The engine only compares lines for equality and ``finish``
-    only counts, so the tail rows are replayed from the matched state with
-    the next rows of the trace instead of moving every table by the skipped
-    lines.
-
-    Cutting the trace at every period, where the full replay cuts it every
-    16 rows, leaves the traffic alone. A run of one line split at a row
-    boundary either has only reads before the cut, which replay alike whole
-    or split, or joins two writes of a kernel that reads nothing. Over three
-    periods of rows two such writes share a line only when they are the
-    same one array, a stream that never comes back to a line it has left.
-
-    The full replay stays where the state cannot repeat: a level of more
-    than one set (a shift moves lines between sets), and fewer than three
-    periods of rows.
+    lines, with P = 64 / gcd(row_bytes, 64), and a line moved by D lines
+    moves from set s to set (s + D) mod S. The replay goes one period of P
+    rows at a time. Once every set is full (until then the contents only
+    grow), the state after each period is compared with the state one
+    period earlier moved by D lines. On a match the state repeats for good,
+    so the remaining whole periods are charged in bulk with the counter
+    delta of the last one. The engine only compares lines for equality and
+    set numbers modulo S, and ``finish`` only counts, so the tail rows are
+    replayed from the matched state with the next rows of the trace instead
+    of moving every table by the skipped lines.
     """
     sim = _Hierarchy(list(levels), policy, grid.element_size)
     j0, j1, k0, k1 = _loop_bounds(kernel, grid)
@@ -420,18 +442,15 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     row_events = (j1 - j0 + 1) * len(kernel.accesses)
     row_bytes = grid.row_stride * grid.element_size
     period = LINE_BYTES // math.gcd(row_bytes, LINE_BYTES)
-    blocks = gen_trace_blocks(kernel, grid)
-    fast = sim.sets.size == 1 and rows >= 3 * period
-    if fast:
-        step = period * row_events      # a period divides the 16 rows of a block
-        blocks = ((a[i:i + step], w[i:i + step]) for a, w in blocks
-                  for i in range(0, a.size, step))
+    step = period * row_events      # a period divides the 16 rows of a block
+    periods = ((a[i:i + step], w[i:i + step])
+               for a, w in gen_trace_blocks(kernel, grid) for i in range(0, a.size, step))
     shift = period * row_bytes // LINE_BYTES
-    s, before = sim.sets[0], None
-    for addrs, writes in blocks:
+    sets, before = sim.sets, None
+    for addrs, writes in periods:
         sim.feed(addrs, writes)
         sim.replayed_rows += addrs.size // row_events
-        if not fast or len(s) < sim.ways:
+        if not all(len(s) == sim.ways for s in sets):
             continue
         now = sim.snapshot()
         if before is not None and _repeats(now, before, shift):
@@ -442,7 +461,7 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
             sim.avoided_lines += bulk * (a - a0)
             sim.bulk_rows = bulk * period
             if tail:
-                addrs, writes = next(blocks)
+                addrs, writes = next(periods)
                 sim.feed(addrs[:tail * row_events], writes[:tail * row_events])
                 sim.replayed_rows += tail
             break
@@ -457,20 +476,12 @@ def simulate_kernel(kernel: KernelSpec, grid: GridSpec, levels,
 
     As in ``simulate``, only the last of ``levels`` is replayed. A kernel
     trace is aligned to the element size, so no access crosses a line. Once
-    the state of a fully associative level repeats from one period of rows
-    to the next, the remaining periods are charged in bulk, and the traffic
-    is bit-identical to ``simulate(gen_trace(kernel, grid), ...)``. A level
-    of more than one set, or fewer than three periods of rows, falls back to
-    the full replay (``_replay_kernel`` says why).
+    the state of the level repeats from one period of rows to the next, the
+    remaining periods are charged in bulk (``_replay_kernel``), and the
+    traffic is bit-identical to ``simulate(gen_trace(kernel, grid), ...)``.
     """
     sim = _replay_kernel(kernel, grid, levels, policy)
     return sim.traffic(iteration_count(kernel, grid))
-
-
-def measure_balance(kernel: KernelSpec, grid: GridSpec, levels,
-                    policy: WritePolicySim = AlwaysAllocate()) -> float:
-    """Simulated bytes per iteration (total memory traffic / iterations)."""
-    return simulate_kernel(kernel, grid, levels, policy).bytes_per_it
 
 
 # -- microbenchmark kernels ---------------------------------------------------

@@ -189,7 +189,7 @@ def cmd_simulate(args) -> int:
         # evasion policies are checked against the no-allocate floor, the rest
         # against the fulfilled-LC + write-allocate scenario
         ref = (table.minimum if cachesim.evades(policy) else table.lcf_wa).bytes_per_it
-        sim = cachesim.measure_balance(kernel, grid, levels, policy)
+        sim = cachesim.simulate_kernel(kernel, grid, levels, policy).bytes_per_it
         delta = (sim - ref) / ref * 100
         worst = max(worst, abs(delta))
         rows.append([name, _num(ref), f"{sim:.3f}", f"{delta:+.2f}%"])

@@ -10,7 +10,7 @@ code-balance model in :mod:`stencilmem.balance`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 READ = "read"
@@ -43,6 +43,10 @@ class GridSpec:
     element_size: int = 8
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not int:
+                raise KernelError(f"{f.name} must be an integer, not {value!r}")
         if self.inner_extent < 1 or self.outer_extent < 1:
             raise KernelError("grid extents must be >= 1")
         if self.halo_lo < 0 or self.halo_hi < 0:
@@ -263,6 +267,14 @@ class KernelSuite:
         return iter(self.kernels.values())
 
 
+def _check_shape(value, kind: type, what: str):
+    """Raise KernelError unless `value` is a JSON object (``dict``) or array
+    (``list``), as `kind` says."""
+    if not isinstance(value, kind):
+        noun = "an object" if kind is dict else "an array"
+        raise KernelError(f"{what} must be {noun}, not {type(value).__name__}")
+
+
 def load_suite(path: str | Path) -> KernelSuite:
     """Load a kernel-suite JSON file.
 
@@ -280,13 +292,16 @@ def load_suite(path: str | Path) -> KernelSuite:
     except json.JSONDecodeError as exc:
         raise KernelError(f"{path}: not valid JSON: {exc}") from exc
 
-    for key in ("grids", "arrays", "kernels"):
+    _check_shape(doc, dict, f"{path}: the suite")
+    for key, kind in (("grids", dict), ("arrays", dict), ("kernels", list)):
         if key not in doc:
             raise KernelError(f"{path}: missing top-level key {key!r}")
+        _check_shape(doc[key], kind, f"{path}: {key!r}")
 
     suite = KernelSuite()
     for name, g in doc["grids"].items():
         try:
+            _check_shape(g, dict, "the entry")
             suite.grids[name] = GridSpec(
                 inner_extent=g["inner_extent"], outer_extent=g["outer_extent"],
                 halo_lo=g.get("halo_lo", 0), halo_hi=g.get("halo_hi", 0),
@@ -295,6 +310,7 @@ def load_suite(path: str | Path) -> KernelSuite:
             raise KernelError(f"{path}: grid {name!r}: {exc}") from exc
 
     for name, a in doc["arrays"].items():
+        _check_shape(a, dict, f"{path}: array {name!r}")
         gname = a.get("grid")
         if gname not in suite.grids:
             raise KernelError(f"{path}: array {name!r} references unknown grid {gname!r}")
@@ -303,9 +319,12 @@ def load_suite(path: str | Path) -> KernelSuite:
 
     for k in doc["kernels"]:
         try:
+            _check_shape(k, dict, "a kernel entry")
             name = k["name"]
             accesses = []
+            _check_shape(k["accesses"], list, f"kernel {name!r}: accesses")
             for acc in k["accesses"]:
+                _check_shape(acc, dict, f"kernel {name!r}: an access")
                 aname = acc["array"]
                 if aname not in suite.arrays:
                     raise KernelError(f"kernel {name!r} references undeclared "

@@ -123,6 +123,9 @@ def load_machine(path: str | Path) -> MachineModel:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a machine config must be an object, "
+                         f"not {type(doc).__name__}")
     doc.pop("comment", None)
     counts_and_sizes = {f.name for f in fields(MachineModel) if f.type == "int"}
     for key, value in doc.items():

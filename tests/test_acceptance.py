@@ -41,7 +41,6 @@ from stencilmem.cachesim import (
     CacheLevelConfig,
     NtBypass,
     halo_copy_experiment,
-    measure_balance,
     simulate_kernel,
     store_ratio,
 )
@@ -185,13 +184,13 @@ def test_c4_oracle_equivalence(suite):
         grid = kernel.arrays[0].grid.resized(1024, 1024)
         table = scenario_table(kernel)
 
-        sim_lcf = measure_balance(kernel, grid, lc_pass_cache(kernel, grid),
-                                  AlwaysAllocate())
+        sim_lcf = simulate_kernel(kernel, grid, lc_pass_cache(kernel, grid),
+                                  AlwaysAllocate()).bytes_per_it
         want = table.lcf_wa.bytes_per_it
         delta_lcf = abs(sim_lcf - want) / want * 100
 
-        sim_max = measure_balance(kernel, grid, lc_break_cache(kernel, grid),
-                                  AlwaysAllocate())
+        sim_max = simulate_kernel(kernel, grid, lc_break_cache(kernel, grid),
+                                  AlwaysAllocate()).bytes_per_it
         want_max = table.maximum.bytes_per_it
         delta_max = abs(sim_max - want_max) / want_max * 100
 
@@ -203,8 +202,8 @@ def test_c4_oracle_equivalence(suite):
     # the smallest kernel also matches under a literal 4-line cache
     am04 = suite.kernels["am04"]
     grid = am04.arrays[0].grid.resized(1024, 1024)
-    four = measure_balance(am04, grid, [CacheLevelConfig(4 * 64)],
-                           AlwaysAllocate())
+    four = simulate_kernel(am04, grid, [CacheLevelConfig(4 * 64)],
+                           AlwaysAllocate()).bytes_per_it
     ok = not over and abs(four - 32) <= 0.5
     report(4, ok, f"22 kernels at 1024^2: worst LC-held delta {worst_lcf:.2f}%, "
                   f"worst LC-broken delta {worst_max:.2f}%; am04 on 4 lines "

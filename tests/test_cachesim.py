@@ -19,7 +19,6 @@ from stencilmem.cachesim import (
     halo_copy_experiment,
     halo_copy_kernel,
     load_trace,
-    measure_balance,
     simulate,
     simulate_kernel,
     store_ratio,
@@ -254,16 +253,16 @@ def grid(am04):
 
 class TestMeasureBalance:
     def test_lc_satisfied_write_allocate(self, am04, grid):
-        b = measure_balance(am04, grid, lv(4096), AlwaysAllocate())
+        b = simulate_kernel(am04, grid, lv(4096), AlwaysAllocate()).bytes_per_it
         assert b == pytest.approx(24, abs=0.5)
 
     def test_lc_broken(self, am04, grid):
-        b = measure_balance(am04, grid, lv(4), AlwaysAllocate())
+        b = simulate_kernel(am04, grid, lv(4), AlwaysAllocate()).bytes_per_it
         assert b == pytest.approx(32, abs=0.5)
 
     def test_lc_satisfied_claims(self, am04, grid):
-        b = measure_balance(am04, grid, lv(4096), AutoClaim(buffer_lines=256))
-        assert b == pytest.approx(16, abs=0.5)
+        t = simulate_kernel(am04, grid, lv(4096), AutoClaim(buffer_lines=256))
+        assert t.bytes_per_it == pytest.approx(16, abs=0.5)
 
     def test_copy_kernel_split(self):
         # streaming copy under write-allocate: 8 B/it demand read plus
@@ -406,6 +405,45 @@ class TestTraceIO:
             (replayed.read_bytes, replayed.write_bytes, replayed.wa_avoided_bytes)
 
 
+class TestBlockCuts:
+    """``simulate`` gives the same traffic wherever a trace is cut into
+    blocks: a run of one line that goes on in the next block stays one run."""
+
+    POLICIES = (AlwaysAllocate(), AutoClaim(buffer_lines=1), AutoClaim(buffer_lines=2),
+                NtBypass(combine_buffers=1), NtBypass(combine_buffers=2))
+
+    @staticmethod
+    def traffic(records, cuts, policy, levels):
+        t = simulate(np.split(records, cuts), levels, policy)
+        return t.read_bytes, t.write_bytes, t.wa_avoided_bytes
+
+    def test_every_cut_of_a_line_written_in_two_runs(self):
+        # four half-line writes to line 0, a whole line 1, the rest of line 0
+        [records] = as_trace([(a, WRITE) for a in (0, 8, 16, 24, *range(64, 128, 8),
+                                                    32, 40, 48, 56)])
+        for policy in (AutoClaim(buffer_lines=1), NtBypass(combine_buffers=1),
+                       AlwaysAllocate()):
+            whole = self.traffic(records, [], policy, lv(64))
+            for cut in range(records.size + 1):
+                cut_once = self.traffic(records, [cut], policy, lv(64))
+                assert cut_once == whole, (policy, cut)
+
+    def test_random_partial_line_writes(self):
+        # runs of consecutive 8-byte writes inside random lines of a small
+        # pool, through a 4-line cache, cut at one to three random places
+        rng = np.random.default_rng(2023)
+        for case in range(500):
+            addrs = []
+            for line, first in zip(rng.integers(12, size=12), rng.integers(8, size=12)):
+                count = int(rng.integers(1, 9 - first))
+                addrs += [int(line) * LINE + 8 * e for e in range(first, first + count)]
+            [records] = as_trace([(a, WRITE) for a in addrs])
+            cuts = np.sort(rng.integers(0, records.size + 1, size=rng.integers(1, 4)))
+            for policy in self.POLICIES:
+                assert (self.traffic(records, cuts, policy, lv(4))
+                        == self.traffic(records, [], policy, lv(4))), (case, policy, cuts)
+
+
 class TestSmallElements:
     def test_four_byte_elements_claimable(self):
         grid = GridSpec(inner_extent=256, outer_extent=1, element_size=4)
@@ -418,8 +456,8 @@ class TestSmallElements:
         kernel = make_kernel([("a", 0, 0, READ), ("c", 0, 0, WRITE)])
         g8 = GridSpec(256, 16)
         g4 = GridSpec(256, 16, element_size=4)
-        b8 = measure_balance(kernel, g8, lv(512))
-        b4 = measure_balance(kernel, g4, lv(512))
+        b8 = simulate_kernel(kernel, g8, lv(512)).bytes_per_it
+        b4 = simulate_kernel(kernel, g4, lv(512)).bytes_per_it
         assert b4 == pytest.approx(b8 / 2)
 
 
@@ -477,12 +515,10 @@ class TestFastForward:
             grid = kernel.grid.resized(256, 32)
             levels = FF_CACHES[cache](kernel, grid)
             sim = self.replay(kernel, grid, levels, FF_POLICIES[policy])
-            if cache == "8-way":
-                assert sim.bulk_rows == 0, kernel.name
-            else:
-                # the identity above holds trivially if nothing is skipped
-                assert self.fills(kernel, grid, levels), kernel.name
-                assert sim.bulk_rows > 0, kernel.name
+            # the identity above holds trivially if nothing is skipped; on
+            # the 8-way level a period moves every line to another set
+            assert self.fills(kernel, grid, levels), kernel.name
+            assert sim.bulk_rows > 0, kernel.name
 
     @pytest.mark.parametrize("policy", FF_POLICIES)
     def test_four_byte_elements(self, suite, policy):
@@ -520,16 +556,23 @@ class TestFastForward:
         assert sim.bulk_rows > 0
 
     def test_state_repeats_only_in_full(self):
-        before = (np.array([5, 9, 7]), np.array([True, False, True]),
-                  [(9, 3)], [(6, 1)], (0, 0, 0))
-        now = (np.array([15, 19, 17]), np.array([True, False, True]),
-               [(19, 3)], [(16, 1)], (4, 2, 1))
-        assert _repeats(now, before, 10)
-        keys, dirty, pending, wc, counters = now
-        for other in ((np.array([15, 17, 19]), dirty, pending, wc, counters),
-                      (keys, np.array([True, True, True]), pending, wc, counters),
-                      (keys, dirty, [(19, 7)], wc, counters),
-                      (keys, dirty, [], wc, counters),
-                      (keys, dirty, pending, [(16, 3)], counters),
-                      (keys + 1, dirty, pending, wc, counters)):
-            assert not _repeats(other, before, 10)
+        # two sets of two ways: a shift of 3 lines moves set 0 to set 1
+        held = (np.array([69, 70], dtype=np.uint64), np.array([False, True]))
+        before = (np.array([[4, 8], [5, 9]]), np.array([[True, False], [False, True]]),
+                  [(9, 3)], [(6, 1)], held, (0, 0, 0))
+        now = (np.array([[8, 12], [7, 11]]), np.array([[False, True], [True, False]]),
+               [(12, 3)], [(9, 1)], (held[0] + 3 * LINE, held[1]), (4, 2, 1))
+        assert _repeats(now, before, 3)
+        keys, dirty, pending, wc, moved, counters = now
+        for other in ((keys[:, ::-1], dirty, pending, wc, moved, counters),
+                      (keys, ~dirty, pending, wc, moved, counters),
+                      (keys, dirty, [(12, 7)], wc, moved, counters),
+                      (keys, dirty, [], wc, moved, counters),
+                      (keys, dirty, pending, [(9, 3)], moved, counters),
+                      (keys + 1, dirty, pending, wc, moved, counters),
+                      # a held-back run that differs from the one before
+                      (keys, dirty, pending, wc, held, counters),
+                      (keys, dirty, pending, wc, (moved[0], ~moved[1]), counters),
+                      # every line moved, but each left in its old set
+                      (keys[::-1], dirty[::-1], pending, wc, moved, counters)):
+            assert not _repeats(other, before, 3)

@@ -68,6 +68,34 @@ class TestAnalyze:
         rc, _, err = run(capsys, "analyze", SUITE, str(p))
         assert rc == 2
 
+    @pytest.mark.parametrize("which, doc, message", [
+        ("machine", [1, 2], "a machine config must be an object, not list"),
+        ("suite", {"grids": [], "arrays": {}, "kernels": []},
+         "'grids' must be an object, not list"),
+        ("suite", {"grids": {}, "arrays": {}, "kernels": {"a": 1}},
+         "'kernels' must be an array, not dict"),
+    ], ids=["machine_list", "grids_list", "kernels_object"])
+    def test_malformed_document_shape_exits_2(self, capsys, tmp_path, which, doc,
+                                              message):
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps(doc))
+        argv = [SUITE, str(p)] if which == "machine" else [str(p), ICX]
+        rc, out, err = run(capsys, "analyze", *argv)
+        assert (rc, out, err) == (2, "", f"error: {p}: {message}\n")
+
+    @pytest.mark.parametrize("value", [10.5, True, 8.0])
+    def test_non_integer_grid_field_exits_2(self, capsys, tmp_path, value):
+        # the rank sweep splits the extent into local widths: it must be whole
+        doc = json.loads(Path(SUITE).read_text())
+        [name] = doc["grids"]
+        doc["grids"][name]["inner_extent"] = value
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        rc, out, err = run(capsys, "prime-sweep", str(p), ICX, "--ranks", "1..3")
+        assert (rc, out) == (2, "")
+        assert err == (f"error: {p}: grid {name!r}: inner_extent must be an "
+                       f"integer, not {value!r}\n")
+
     def test_machine_with_clock_hz_exits_2(self, capsys, tmp_path):
         # clock_hz is no machine field; it fails like any unknown key
         doc = json.loads(Path(ICX).read_text())

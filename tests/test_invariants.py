@@ -148,7 +148,6 @@ class TestSimulatorInvariants:
         # fulfilled-LC bound, a stream-preserving tiny cache on the max
         # bound; residual deltas are cold-start rows and halo columns
         from stencilmem.balance import scenario_table as table
-        from stencilmem.cachesim import measure_balance
         from stencilmem.kernels import derive_stream_counts
 
         def reuse_cache(kernel, grid, counts):
@@ -169,11 +168,11 @@ class TestSimulatorInvariants:
             kernel = random_kernel(rng, i, grid)
             c = derive_stream_counts(kernel)
             t = table(kernel)
-            held = measure_balance(kernel, grid, reuse_cache(kernel, grid, c),
-                                   AlwaysAllocate())
+            held = simulate_kernel(kernel, grid, reuse_cache(kernel, grid, c),
+                                   AlwaysAllocate()).bytes_per_it
             tiny = max(4, 2 * (c.rd_lcb + c.wr) + 8)
-            broken = measure_balance(kernel, grid, [CacheLevelConfig(tiny * 64)],
-                                     AlwaysAllocate())
+            broken = simulate_kernel(kernel, grid, [CacheLevelConfig(tiny * 64)],
+                                     AlwaysAllocate()).bytes_per_it
             assert held == pytest.approx(t.lcf_wa.bytes_per_it, rel=0.025), \
                 kernel.name
             assert broken == pytest.approx(t.maximum.bytes_per_it, rel=0.015), \

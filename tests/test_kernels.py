@@ -39,6 +39,11 @@ class TestGridSpec:
         dict(inner_extent=1, outer_extent=0),
         dict(inner_extent=1, outer_extent=1, halo_lo=-1),
         dict(inner_extent=1, outer_extent=1, element_size=16),
+        dict(inner_extent=10.5, outer_extent=1),
+        dict(inner_extent=1, outer_extent=True),
+        dict(inner_extent=1, outer_extent=1, halo_lo=2.0),
+        dict(inner_extent=1, outer_extent=1, halo_hi=True),
+        dict(inner_extent=1, outer_extent=1, element_size=8.0),
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(KernelError):
