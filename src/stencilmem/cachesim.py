@@ -37,19 +37,24 @@ blocks.
 
 A kernel sweep is periodic in its rows: row k + P is row k moved by whole
 lines, P = 64 / gcd(row_bytes, 64). ``simulate_kernel`` replays period by
-period until the state of the full last level (LRU order and dirty bits of
-every set, claim table, WC buffers, held-back run) equals the state one
-period earlier moved by P rows, then charges the remaining periods in bulk,
-bit-identical to ``simulate`` of the whole trace. ``simulate`` replays a
-trace in full, as it has no rows.
+period and charges periods in bulk once they repeat, bit-identical to
+``simulate`` of the whole trace. Before any set overflows nothing is
+evicted, so the LRU order is never read and the lines that the sweep has
+left behind only take room: it is enough that the lines the rest of the
+sweep can touch (with their dirty bits and order), the claim table, the
+WC buffers and the held-back run repeat, and the bulk runs up to the
+period in which a set could overflow. From then on the state of the full
+last level must repeat. ``simulate`` replays a trace in full, as it has
+no rows.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from itertools import chain, repeat
+from operator import sub
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +165,12 @@ def gen_trace_blocks(kernel: KernelSpec, grid: GridSpec):
     Iteration order is k outer ascending, j inner ascending; within an
     iteration reads come in declaration order, then writes.
     """
+    yield from _row_blocks(kernel, grid, _loop_bounds(kernel, grid)[2])
+
+
+def _row_blocks(kernel: KernelSpec, grid: GridSpec, first_row: int):
+    """The blocks of ``gen_trace_blocks`` from iteration row `first_row` on,
+    16 rows a block."""
     j0, j1, k0, k1 = _loop_bounds(kernel, grid)
     for acc in kernel.accesses:
         if not (-grid.halo_lo <= j0 + acc.dj and
@@ -180,7 +191,7 @@ def gen_trace_blocks(kernel: KernelSpec, grid: GridSpec):
     jcol = np.arange(j0, j1 + 1, dtype=np.int64) * esize
     row_bytes = stride * esize
     rows_per_block = 16
-    for kb in range(k0, k1 + 1, rows_per_block):
+    for kb in range(first_row, k1 + 1, rows_per_block):
         ks = np.arange(kb, min(kb + rows_per_block, k1 + 1), dtype=np.int64)
         block = (ks[:, None, None] * row_bytes
                  + jcol[None, :, None]
@@ -228,10 +239,16 @@ class _Hierarchy:
         self.claim = evades(policy) and not self.nt
         # the events of the last run fed, which the next block may go on
         self.held = NO_EVENTS
-        # rows of a kernel sweep replayed event by event, and rows charged in
-        # bulk from a repeating period (``_replay_kernel``)
+        # rows of a kernel sweep replayed event by event, rows charged in
+        # bulk from a repeating period, the share of those charged before the
+        # level filled, and the dirty lines and open claims those rows left
+        # behind, which ``finish`` writes back and fills (``_replay_kernel``)
         self.replayed_rows = 0
         self.bulk_rows = 0
+        self.fill_rows = 0
+        self.bulk_dirty = 0
+        self.bulk_claims = 0
+        self.claim_peak = 0
 
     def feed(self, addrs: np.ndarray, writes: np.ndarray, last: bool = False):
         """Replay one block run by run; a run is consecutive events on one
@@ -240,8 +257,10 @@ class _Hierarchy:
         The block's last run may go on in the next block, so its events are
         held back and replayed at the front of the next block, or by
         ``finish`` (``last``). So the traffic does not depend on where a
-        trace is cut into blocks.
+        trace is cut into blocks. ``claim_peak`` records the most claims
+        the table held during the call, before aging one out.
         """
+        self.claim_peak = len(self.pending)
         if self.held[0].size:
             addrs = np.concatenate((self.held[0], addrs))
             writes = np.concatenate((self.held[1], writes))
@@ -286,6 +305,7 @@ class _Hierarchy:
         window = self.policy.buffer_lines if claim else 0
         buffers = self.policy.combine_buffers if nt else 0
         reads = writes_out = avoided = 0
+        peak = self.claim_peak
         for s, line, first_w, any_w, cov in zip(run_sets, run_lines, run_first_w,
                                                 run_any_w, run_cov):
             if line in s:
@@ -338,9 +358,13 @@ class _Hierarchy:
                 avoided += 1    # whole line written in one go
             else:
                 pending[line] = cov
-                if len(pending) > window:
+                size = len(pending)
+                if size > peak:
+                    peak = size
+                if size > window:
                     pending.popitem(last=False)
                     reads += 1  # incomplete: regular allocate after all
+        self.claim_peak = peak
         self.read_lines += reads
         self.write_lines += writes_out
         self.avoided_lines += avoided
@@ -355,15 +379,95 @@ class _Hierarchy:
         dirty = np.fromiter(chain.from_iterable(s.values() for s in sets),
                             dtype=bool, count=count)
         return (keys.reshape(sets.size, ways), dirty.reshape(sets.size, ways),
-                list(self.pending.items()), list(self.wc.items()), self.held,
+                *self._tables())
+
+    def window(self, recent: np.ndarray):
+        """State of a level that has not overflowed, as far as the rest of a
+        sweep can see it: the window, then as ``snapshot``.
+
+        The window is the newest entries of each set whose lines are among
+        `recent`, the lines touched since some row: one (line, dirty, age)
+        row per entry, sorted by line, age 0 the newest of its set. Before
+        any eviction a set is in order of last touch, so they are a tail.
+        """
+        sets = self.sets
+        keep = set(recent.tolist())
+        if sets.size == 1:
+            visit = sets
+        else:
+            visit = sets[np.bincount((recent % np.uint64(sets.size)).astype(np.intp),
+                                     minlength=sets.size) > 0]
+        rows = []
+        for s in visit:
+            for age, (line, dirty) in enumerate(reversed(s.items())):
+                if line not in keep:
+                    break
+                rows.append((line, dirty, age))
+        table = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        return (table[np.argsort(table[:, 0])], *self._tables())
+
+    def _tables(self):
+        return (list(self.pending.items()), list(self.wc.items()), self.held,
                 (self.read_lines, self.write_lines, self.avoided_lines))
+
+    def fast_forward(self, retired: np.ndarray, window: np.ndarray,
+                     periods: int, shift: int, claims=None):
+        """Move a level that has not overflowed on by `periods` periods of
+        `shift` lines.
+
+        `retired` and `window` are rows of ``window`` tables: the lines that
+        the last period retired, and the window now. Each period retires
+        the lines the one before retired, moved by `shift`, in the same LRU
+        order, and the window moves along: so each set gets the retired
+        copies, oldest first, then its moved window. The claim table moves
+        as a whole, unless `claims` gives the number of its oldest claims on
+        lines the sweep has left and the claims the last period left there:
+        then the table keeps the former, gets a copy of the latter for each
+        period and moves the rest, and its oldest claims age out past its
+        size.
+        """
+        sets = self.sets
+        moved = periods * shift
+
+        def oldest_first(table):
+            return table[np.lexsort((-table[:, 2], table[:, 0] % sets.size))]
+
+        old, new = oldest_first(retired), oldest_first(window)
+        copies = old[None, :, 0] + shift * np.arange(1, periods + 1)[:, None]
+        lines = np.concatenate((copies.ravel(), new[:, 0] + moved))
+        dirty = np.concatenate((np.tile(old[:, 1], periods), new[:, 1])).astype(bool)
+        where = lines % sets.size
+        order = np.argsort(where, kind="stable")
+        lines, dirty, where = lines[order], dirty[order], where[order]
+        for s, count in enumerate(np.bincount(window[:, 0] % sets.size,
+                                              minlength=sets.size).tolist()):
+            for _ in range(count):
+                sets[s].popitem()
+        cuts = np.flatnonzero(where[1:] != where[:-1]) + 1
+        for first, ls, ds in zip(np.concatenate(([0], cuts)), np.split(lines, cuts),
+                                 np.split(dirty, cuts)):
+            if ls.size:
+                sets[where[first]].update(zip(ls.tolist(), ds.tolist()))
+        items = list(self.pending.items())
+        left, opened = claims or (0, [])
+        kept = items[:left] + [(line + k * shift, c) for k in range(1, periods + 1)
+                               for line, c in opened]
+        # the table peaks len(opened) claims a period higher than in the
+        # last one; each claim past its size ages out one left behind
+        aged = max(0, self.claim_peak + periods * len(opened) - self.policy.buffer_lines
+                   ) if claims else 0
+        self.read_lines += aged
+        self.pending = OrderedDict(kept[aged:] + [(line + moved, c)
+                                                  for line, c in items[left:]])
+        self.wc = OrderedDict((line + moved, c) for line, c in self.wc.items())
+        self.held = (self.held[0] + np.uint64(moved * LINE_BYTES), self.held[1])
 
     def finish(self):
         """End of trace: replay the held-back run, resolve open claims, drain
-        WC buffers, flush dirty lines."""
+        WC buffers, flush dirty lines, those left in bulk included."""
         self.feed(*NO_EVENTS, last=True)
-        self.read_lines += len(self.pending) + len(self.wc)
-        self.write_lines += len(self.wc)
+        self.read_lines += len(self.pending) + len(self.wc) + self.bulk_claims
+        self.write_lines += len(self.wc) + self.bulk_dirty
         self.pending.clear()
         self.wc.clear()
         for s in self.sets:
@@ -408,66 +512,283 @@ def simulate(trace, levels, policy: WritePolicySim = AlwaysAllocate(),
 
 
 def _repeats(now, before, shift: int) -> bool:
-    """Whether snapshot `now` is snapshot `before` with every line moved by
+    """Whether ``snapshot`` `now` is `before` with every line moved by
     `shift` lines, which moves set s to set (s + shift) mod S."""
-    keys, dirty, pending, wc, (addrs, writes), _ = now
-    keys0, dirty0, pending0, wc0, (addrs0, writes0), _ = before
+    keys, dirty, *tables = now
+    keys0, dirty0, *tables0 = before
     return (np.array_equal(keys, np.roll(keys0, shift, axis=0) + shift)
             and np.array_equal(dirty, np.roll(dirty0, shift, axis=0))
-            and pending == [(line + shift, c) for line, c in pending0]
+            and _tables_moved(tables, tables0, shift))
+
+
+def _window_repeats(now, before, shift: int) -> bool:
+    """Whether ``window`` snapshot `now` is `before` with every line moved
+    by `shift` lines: the same dirty bits and ages in each moved set, and
+    the same claim table, or at least the same claims after those on lines
+    that the sweep has left (``_left_claims``)."""
+    table, pending, *tables = now
+    table0, pending0, *tables0 = before
+    if not (np.array_equal(table[:, 0], table0[:, 0] + shift)
+            and np.array_equal(table[:, 1:], table0[:, 1:])):
+        return False
+    if _tables_moved(now[1:], before[1:], shift):
+        return True
+    left, left0 = _left_claims(now), _left_claims(before)
+    return (left is not None and left0 is not None
+            and _tables_moved((pending[left:], *tables), (pending0[left0:], *tables0),
+                              shift))
+
+
+def _left_claims(snapshot) -> int | None:
+    """How many of the oldest claims of a ``window`` snapshot are on lines
+    outside its window, which no access touches again; None if such a
+    claim is newer than one on a line in the window."""
+    table, pending = snapshot[:2]
+    inside = _in_window(np.array([line for line, _ in pending], dtype=np.int64), table)
+    left = int(np.argmax(inside)) if inside.any() else inside.size
+    return None if inside[left:].size != inside[left:].sum() else left
+
+
+def _tables_moved(now, before, shift: int) -> bool:
+    """Whether the claim table, WC buffers and held-back run of `now` are
+    those of `before` moved by `shift` lines."""
+    pending, wc, (addrs, writes), _ = now
+    pending0, wc0, (addrs0, writes0), _ = before
+    return (pending == [(line + shift, c) for line, c in pending0]
             and wc == [(line + shift, c) for line, c in wc0]
             and np.array_equal(addrs, addrs0 + shift * LINE_BYTES)
             and np.array_equal(writes, writes0))
 
 
+def _in_window(lines: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Whether each of `lines` is a line of the ``window`` table `table`."""
+    if not table.size:
+        return np.zeros(lines.size, dtype=bool)
+    keys = table[:, 0]
+    return keys[np.minimum(np.searchsorted(keys, lines), keys.size - 1)] == lines
+
+
+def _reuse_rows(kernel: KernelSpec, grid: GridSpec) -> int | None:
+    """The most iteration rows from one touch of a cache line to the next.
+
+    A line that has not been touched for more rows is never touched again.
+    Access a of an array touches line L in the rows k with
+    first_a + k * row_bytes <= 64 L + 63 and last_a + k * row_bytes >= 64 L
+    (its first and last byte offsets in row 0), and every line pattern
+    repeats after one period's D lines. None if two arrays share a line,
+    as then a line may come back a whole sweep later.
+    """
+    esize, stride = grid.element_size, grid.row_stride
+    row_bytes = stride * esize
+    origin = (grid.halo_lo * stride + grid.halo_lo) * esize
+    if any((addr - origin) % LINE_BYTES for addr in array_layout(kernel, grid).values()):
+        return None
+    j0, j1, _, _ = _loop_bounds(kernel, grid)
+    shift = row_bytes // math.gcd(row_bytes, LINE_BYTES)
+    line = np.arange(shift) * LINE_BYTES
+    reach = 1
+    for arr in kernel.arrays:
+        accs = [a for a in kernel.accesses if a.array is arr]
+        first = np.array([[origin + (a.dk * stride + j0 + a.dj) * esize] for a in accs])
+        last = first + (j1 - j0) * esize
+        lo = -((last - line) // row_bytes)                  # first row, per access
+        hi = (line + LINE_BYTES - 1 - first) // row_bytes   # and last row
+        # an access that misses a line adds no gap: make it a point at the end
+        empty = lo > hi
+        end = np.where(empty, np.iinfo(np.int64).min, hi).max(axis=0)
+        lo, hi = np.where(empty, end, lo), np.where(empty, end, hi)
+        order = np.argsort(lo, axis=0)
+        lo = np.take_along_axis(lo, order, axis=0)
+        hi = np.maximum.accumulate(np.take_along_axis(hi, order, axis=0), axis=0)
+        if len(accs) > 1:
+            reach = max(reach, int((lo[1:] - hi[:-1]).max()))
+    return reach
+
+
+def _periods_until_full(occupied: np.ndarray, retired: np.ndarray,
+                        window: np.ndarray, shift: int, ways: int, most: int) -> int:
+    """The most whole periods, up to `most`, after which no set holds more
+    than `ways` lines, if no line is evicted.
+
+    Per set: `occupied` lines now, `window` of them in the window; the
+    next period retires `retired` lines and moves both by `shift` sets, so
+    after n periods set s holds occupied - window plus retired summed over
+    the sets s - shift .. s - n * shift, plus the window of set s - n * shift.
+    The sum goes along the cycles of the rotation (prefix sums over two
+    turns), and a set only grows, so the answer is a binary search.
+    """
+    sets = occupied.size
+    cycles = math.gcd(shift, sets)
+    length = sets // cycles
+    where = (np.arange(cycles)[:, None] + np.arange(length) * shift) % sets
+    turns = np.tile(retired[where], 2)
+    prefix = np.concatenate((np.zeros((cycles, 1), dtype=np.int64),
+                             np.cumsum(turns, axis=1)), axis=1)
+    col = np.arange(length) + length
+    frozen = occupied - window
+
+    def fits(n: int) -> bool:
+        laps, part = divmod(n, length)
+        added = np.empty(sets, dtype=np.int64)
+        added[where] = laps * prefix[:, length:length + 1] + prefix[:, col] - prefix[:, col - part]
+        return bool(np.all(frozen + added + np.roll(window, n * shift % sets) <= ways))
+
+    lo, hi = 0, most
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
                    policy: WritePolicySim) -> _Hierarchy:
-    """Replay and finish one kernel's sweep, fast-forwarding its steady state.
+    """Replay and finish one kernel's sweep, fast-forwarding what repeats.
 
     Row k + P of the trace is row k moved by D = P * row_bytes / 64 whole
     lines, with P = 64 / gcd(row_bytes, 64), and a line moved by D lines
     moves from set s to set (s + D) mod S. The replay goes one period of P
-    rows at a time. Once every set is full (until then the contents only
-    grow), the state after each period is compared with the state one
-    period earlier moved by D lines. On a match the state repeats for good,
-    so the remaining whole periods are charged in bulk with the counter
-    delta of the last one. The engine only compares lines for equality and
-    set numbers modulo S, and ``finish`` only counts, so the tail rows are
-    replayed from the matched state with the next rows of the trace instead
-    of moving every table by the skipped lines.
+    rows at a time and fast-forwards in two ways.
+
+    Before any set overflows, nothing is evicted, so the LRU order is
+    never read and a line that the sweep has left (``_reuse_rows``) only
+    takes room. After each period the window, the lines touched since
+    that many rows, is compared with the window one period earlier moved
+    by D lines, together with the claim table, the WC buffers and the
+    held-back run. On a match each further period retires the lines that
+    the last one retired, moved by D, so whole periods are charged in bulk
+    up to the first one in which a set could overflow
+    (``_periods_until_full``). If the sweep ends first, ``finish`` writes
+    back the dirty lines retired in bulk; otherwise the skipped lines are
+    put in place (``_Hierarchy.fast_forward``) and the replay goes on.
+    A window is only taken in a period after which a whole period could
+    still fit, and only once it lies wholly inside the replayed rows.
+
+    Once every set is full, the state after each period is compared with
+    the state one period earlier moved by D lines, over every set. On a
+    match the state repeats for good, so the remaining whole periods are
+    charged in bulk with the counter delta of the last one.
+
+    The engine only compares lines for equality and set numbers modulo S,
+    and ``finish`` only counts, so when the bulk runs to the end of the
+    sweep, the tail rows are replayed from the matched state with the next
+    rows of the trace instead of moving every table by the skipped lines.
     """
     sim = _Hierarchy(list(levels), policy, grid.element_size)
     j0, j1, k0, k1 = _loop_bounds(kernel, grid)
-    rows = k1 - k0 + 1
     row_events = (j1 - j0 + 1) * len(kernel.accesses)
     row_bytes = grid.row_stride * grid.element_size
     period = LINE_BYTES // math.gcd(row_bytes, LINE_BYTES)
     step = period * row_events      # a period divides the 16 rows of a block
-    periods = ((a[i:i + step], w[i:i + step])
-               for a, w in gen_trace_blocks(kernel, grid) for i in range(0, a.size, step))
     shift = period * row_bytes // LINE_BYTES
-    sets, before = sim.sets, None
-    for addrs, writes in periods:
+    sets, ways = sim.sets, sim.ways
+    row = k0                        # the first row of the next period
+
+    def periods_from(first_row):
+        return ((a[i:i + step], w[i:i + step])
+                for a, w in _row_blocks(kernel, grid, first_row)
+                for i in range(0, a.size, step))
+
+    periods = periods_from(row)
+    # a window spans every line the rest of the sweep can touch
+    # (``_reuse_rows``) and every line the next period retires (a period),
+    # worked out when first needed; `recent` holds the addresses of enough
+    # periods for any window, as the touches of a line lie within `span` rows
+    width = None
+    dks = [a.dk for a in kernel.accesses]
+    span = max(dks) - min(dks) + LINE_BYTES // row_bytes + 1
+    recent = deque(maxlen=2 + span // period)
+    occupied = [0] * sets.size      # lines per set after the last period
+    before = window = None
+    while (chunk := next(periods, None)) is not None:
+        addrs, writes = chunk
         sim.feed(addrs, writes)
         sim.replayed_rows += addrs.size // row_events
-        if not all(len(s) == sim.ways for s in sets):
+        row += addrs.size // row_events
+        whole, tail = divmod(k1 + 1 - row, period)
+        before_period, occupied = occupied, list(map(len, sets))
+        recent.append(addrs)
+        if min(occupied) == ways:
+            now = sim.snapshot()
+            if before is not None and _repeats(now, before, shift):
+                _charge(sim, now, before, whole, period)
+                if tail:
+                    _replay_tail(sim, next(periods), tail, row_events)
+                break
+            before = now
             continue
-        now = sim.snapshot()
-        if before is not None and _repeats(now, before, shift):
-            bulk, tail = divmod(rows - sim.replayed_rows, period)
-            (r, w, a), (r0, w0, a0) = now[-1], before[-1]
-            sim.read_lines += bulk * (r - r0)
-            sim.write_lines += bulk * (w - w0)
-            sim.avoided_lines += bulk * (a - a0)
-            sim.bulk_rows = bulk * period
-            if tail:
-                addrs, writes = next(periods)
-                sim.feed(addrs[:tail * row_events], writes[:tail * row_events])
-                sim.replayed_rows += tail
-            break
-        before = now
+        # a window needs a level that never overflowed, a whole period to
+        # skip and room for one, and replayed rows enough behind it
+        if whole < 1 or max(occupied) + max(1, *map(sub, occupied, before_period)) > ways:
+            window = None
+            continue
+        if width is None:
+            reach = _reuse_rows(kernel, grid)
+            width = 0 if reach is None else max(reach, period)
+        applied = len(recent) * step - sim.held[0].size
+        first = (applied // row_events - width) * row_events
+        if not width or first < 0:
+            window = None
+            continue
+        touched = np.concatenate(recent)[first:applied] >> np.uint64(LINE_SHIFT)
+        now = sim.window(touched)
+        if window is not None and _window_repeats(now, window, shift):
+            table, table0 = now[0], window[0]
+            retired = table0[~_in_window(table0[:, 0], table)]
+            per_set = sets.size
+            fit = _periods_until_full(
+                np.array(occupied), np.bincount(retired[:, 0] % per_set, minlength=per_set),
+                np.bincount(table[:, 0] % per_set, minlength=per_set),
+                shift % per_set, ways, whole + 1)
+            # a claim table that moves as a whole repeats, aging included;
+            # otherwise the claims on lines the sweep has left pile up, and
+            # only they may age out: in the last period none did
+            claims = None
+            if not _tables_moved(now[1:], window[1:], shift):
+                left, left0 = _left_claims(now), _left_claims(window)
+                claims = left, now[1][left0:left]
+                if sim.claim_peak > sim.policy.buffer_lines:
+                    fit = 0
+            bulk = min(fit, whole)
+            if bulk:
+                _charge(sim, now, window, bulk, period)
+                sim.fill_rows += bulk * period
+                if bulk == whole and (fit > whole or not tail):
+                    # the sweep ends before the level fills; a claim left
+                    # behind costs one fill, whether it ages out or not
+                    sim.bulk_dirty += bulk * int(retired[:, 1].sum())
+                    sim.bulk_claims += bulk * (0 if claims is None else len(claims[1]))
+                    if tail:
+                        _replay_tail(sim, next(periods), tail, row_events)
+                    break
+                sim.fast_forward(retired, table, bulk, shift, claims)
+                row += bulk * period
+                periods = periods_from(row)
+                recent.clear()
+                occupied = list(map(len, sets))
+                now = None
+        window = now
     sim.finish()
     return sim
+
+
+def _charge(sim: _Hierarchy, now, before, periods: int, period: int):
+    """Charge `periods` more periods of `period` rows with the counter delta
+    from snapshot `before` to snapshot `now`."""
+    (r, w, a), (r0, w0, a0) = now[-1], before[-1]
+    sim.read_lines += periods * (r - r0)
+    sim.write_lines += periods * (w - w0)
+    sim.avoided_lines += periods * (a - a0)
+    sim.bulk_rows += periods * period
+
+
+def _replay_tail(sim: _Hierarchy, chunk, rows: int, row_events: int):
+    """Replay the first `rows` rows of a period."""
+    addrs, writes = chunk
+    sim.feed(addrs[:rows * row_events], writes[:rows * row_events])
+    sim.replayed_rows += rows
 
 
 def simulate_kernel(kernel: KernelSpec, grid: GridSpec, levels,
@@ -476,9 +797,9 @@ def simulate_kernel(kernel: KernelSpec, grid: GridSpec, levels,
 
     As in ``simulate``, only the last of ``levels`` is replayed. A kernel
     trace is aligned to the element size, so no access crosses a line. Once
-    the state of the level repeats from one period of rows to the next, the
-    remaining periods are charged in bulk (``_replay_kernel``), and the
-    traffic is bit-identical to ``simulate(gen_trace(kernel, grid), ...)``.
+    the periods of rows repeat, before the level fills and again once it
+    is full, they are charged in bulk (``_replay_kernel``), and the traffic
+    is bit-identical to ``simulate(gen_trace(kernel, grid), ...)``.
     """
     sim = _replay_kernel(kernel, grid, levels, policy)
     return sim.traffic(iteration_count(kernel, grid))
@@ -501,14 +822,20 @@ DEFAULT_BENCH_CACHE = (CacheLevelConfig(capacity=256 * 1024),)
 
 
 def store_ratio(streams: int, volume_bytes: int, policy: WritePolicySim) -> float:
-    """Actual memory traffic / explicitly stored volume for n store streams."""
+    """Actual memory traffic / explicitly stored volume for n store streams.
+
+    The one row of the store kernel is replayed as rows of one line each:
+    with no halo that is the same trace byte for byte, and a period of one
+    row, so ``simulate_kernel`` fast-forwards it.
+    """
     if streams < 1:
         raise ValueError(f"need at least one store stream, not {streams}")
     if volume_bytes < LINE_BYTES:
         raise ValueError(f"volume must be at least one {LINE_BYTES}-byte cache line")
     lines = max(1, volume_bytes // (streams * LINE_BYTES))    # per stream
     kernel, grid = store_stream_kernel(streams, lines * LINE_BYTES // 8)
-    t = simulate_kernel(kernel, grid, DEFAULT_BENCH_CACHE, policy)
+    t = simulate_kernel(kernel, grid.resized(LINE_BYTES // 8, lines),
+                        DEFAULT_BENCH_CACHE, policy)
     return t.total_bytes / (lines * streams * LINE_BYTES)
 
 

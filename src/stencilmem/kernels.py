@@ -77,6 +77,9 @@ class ArrayDecl:
 
     def __post_init__(self):
         a = self.base_alignment
+        if type(a) is not int:
+            raise KernelError(f"array {self.name!r}: base_alignment must be an "
+                              f"integer, not {a!r}")
         if a < self.grid.element_size or a & (a - 1):
             raise KernelError(
                 f"array {self.name!r}: base_alignment must be a power of two "
@@ -268,10 +271,10 @@ class KernelSuite:
 
 
 def _check_shape(value, kind: type, what: str):
-    """Raise KernelError unless `value` is a JSON object (``dict``) or array
-    (``list``), as `kind` says."""
+    """Raise KernelError unless `value` is a JSON object (``dict``), array
+    (``list``) or string (``str``), as `kind` says."""
     if not isinstance(value, kind):
-        noun = "an object" if kind is dict else "an array"
+        noun = {dict: "an object", list: "an array", str: "a string"}[kind]
         raise KernelError(f"{what} must be {noun}, not {type(value).__name__}")
 
 
@@ -310,22 +313,28 @@ def load_suite(path: str | Path) -> KernelSuite:
             raise KernelError(f"{path}: grid {name!r}: {exc}") from exc
 
     for name, a in doc["arrays"].items():
-        _check_shape(a, dict, f"{path}: array {name!r}")
-        gname = a.get("grid")
-        if gname not in suite.grids:
-            raise KernelError(f"{path}: array {name!r} references unknown grid {gname!r}")
-        suite.arrays[name] = ArrayDecl(name, suite.grids[gname],
-                                       a.get("base_alignment", LINE_BYTES))
+        try:
+            _check_shape(a, dict, f"array {name!r}")
+            gname = a.get("grid")
+            _check_shape(gname, str, f"array {name!r}: grid")
+            if gname not in suite.grids:
+                raise KernelError(f"array {name!r} references unknown grid {gname!r}")
+            suite.arrays[name] = ArrayDecl(name, suite.grids[gname],
+                                           a.get("base_alignment", LINE_BYTES))
+        except KernelError as exc:
+            raise KernelError(f"{path}: {exc}") from exc
 
     for k in doc["kernels"]:
         try:
             _check_shape(k, dict, "a kernel entry")
             name = k["name"]
+            _check_shape(name, str, "a kernel name")
             accesses = []
             _check_shape(k["accesses"], list, f"kernel {name!r}: accesses")
             for acc in k["accesses"]:
                 _check_shape(acc, dict, f"kernel {name!r}: an access")
                 aname = acc["array"]
+                _check_shape(aname, str, f"kernel {name!r}: an access's array")
                 if aname not in suite.arrays:
                     raise KernelError(f"kernel {name!r} references undeclared "
                                       f"array {aname!r}")

@@ -3,6 +3,7 @@ import pytest
 
 from stencilmem.balance import scenario_table
 from stencilmem.cachesim import (
+    DEFAULT_BENCH_CACHE,
     TRACE_BLOCK,
     TRACE_DTYPE,
     AlwaysAllocate,
@@ -12,8 +13,12 @@ from stencilmem.cachesim import (
     array_layout,
     dump_trace,
     evades,
+    _Hierarchy,
+    _periods_until_full,
     _repeats,
     _replay_kernel,
+    _reuse_rows,
+    _window_repeats,
     gen_trace,
     gen_trace_blocks,
     halo_copy_experiment,
@@ -24,7 +29,8 @@ from stencilmem.cachesim import (
     store_ratio,
     store_stream_kernel,
 )
-from stencilmem.kernels import READ, WRITE, GridSpec, KernelError, KernelSpec
+from stencilmem.kernels import (READ, WRITE, Access, ArrayDecl, GridSpec, KernelError,
+                                KernelSpec)
 
 from test_kernels import make_kernel
 
@@ -484,6 +490,42 @@ FF_POLICIES = {"always": AlwaysAllocate(), "claim": AutoClaim(), "nt": NtBypass(
 FF_CACHES = {"lc-hold": lc_hold, "below-one-row": below_one_row, "8-way": eight_way}
 
 
+def kept_lines(kernel, grid, policy) -> int:
+    """Distinct lines the sweep leaves in the cache (NT stores keep none)."""
+    nt = isinstance(policy, NtBypass)
+    lines = [addrs[~writes] if nt else addrs for addrs, writes in gen_trace_blocks(kernel, grid)]
+    return np.unique(np.concatenate(lines) // LINE).size
+
+
+def beyond_footprint(lines):
+    return lv(lines + 8)
+
+
+def fills_mid_sweep(lines):
+    return lv(lines * 3 // 4)
+
+
+def eight_way_fills_mid_sweep(lines):
+    # a power of two sets, so that arrays a whole number of lines apart do
+    # not pile up in a few sets
+    return lv(8 << ((lines * 3 // 32).bit_length() - 1), associativity=8)
+
+
+FILL_CACHES = {"beyond-footprint": beyond_footprint, "fills": fills_mid_sweep,
+               "8-way-fills": eight_way_fills_mid_sweep}
+
+
+def trace_reuse_rows(kernel, grid) -> int:
+    """The most iteration rows between two touches of one line in the trace."""
+    blocks = list(gen_trace_blocks(kernel, grid))
+    lines = np.concatenate([addrs for addrs, _ in blocks]) // LINE
+    rows = np.arange(lines.size) // (lines.size // grid.outer_extent)
+    order = np.lexsort((rows, lines))
+    lines, rows = lines[order], rows[order]
+    same = lines[1:] == lines[:-1]
+    return max(1, int((rows[1:] - rows[:-1])[same].max()))
+
+
 class TestFastForward:
     """simulate_kernel charges the steady state of a sweep in bulk; the
     reference is the full replay of the same trace through ``simulate``."""
@@ -576,3 +618,177 @@ class TestFastForward:
                       # every line moved, but each left in its old set
                       (keys[::-1], dirty[::-1], pending, wc, moved, counters)):
             assert not _repeats(other, before, 3)
+
+    @pytest.mark.parametrize("cache", FILL_CACHES)
+    @pytest.mark.parametrize("policy", FF_POLICIES)
+    def test_suite_before_the_level_fills(self, suite, cache, policy):
+        # 192 rows of 16: the claim table of 64 lines takes a few dozen rows
+        # to repeat, and the two smaller levels fill at about 3/4 of the sweep
+        for kernel in suite:
+            grid = kernel.grid.resized(16, 192)
+            lines = kept_lines(kernel, grid, FF_POLICIES[policy])
+            levels = FILL_CACHES[cache](lines)
+            sim = self.replay(kernel, grid, levels, FF_POLICIES[policy])
+            assert sim.fill_rows > 0, kernel.name
+            if cache == "beyond-footprint":
+                # charged in bulk to the end, with no table built
+                assert sim.bulk_rows == sim.fill_rows, kernel.name
+                assert len(sim.sets[0]) < lines, kernel.name
+            else:
+                # the level fills, and after the hand-over the full-level
+                # fast-forward charges the rest
+                assert lines > levels[-1].lines, kernel.name
+                assert sim.replayed_rows + sim.fill_rows < grid.outer_extent, kernel.name
+
+    @pytest.mark.parametrize("halo", range(18))
+    def test_halo_copy_against_full_replay(self, halo):
+        # the store-copy benchmark's sizes: 75 rows, and 13 of the 18 levels
+        # fill only in the last rows
+        kernel, grid = halo_copy_kernel(216, halo, 128 * 1024 // (216 * 8))
+        for policy in FF_POLICIES.values():
+            sim = self.replay(kernel, grid, DEFAULT_BENCH_CACHE, policy)
+            assert sim.fill_rows > 0
+        want = simulate(gen_trace(kernel, grid), DEFAULT_BENCH_CACHE, AutoClaim())
+        assert (halo_copy_experiment(216, halo, 128 * 1024, AutoClaim())
+                == want.read_bytes / want.write_bytes)
+
+    @pytest.mark.parametrize("case, policy", [
+        (case, policy) for case in ("am04", "pdv01", "halo-copy", "held-line")
+        for policy in FF_POLICIES
+        # NT: the first five rows of `a` stay in the WC buffers for good
+        if (case, policy) != ("held-line", "nt")])
+    def test_built_tables_are_the_replayed_ones(self, suite, monkeypatch, case, policy):
+        # the tables that the fast-forward builds when the level is about to
+        # fill must be those of the replay at that row: every set in LRU
+        # order, the claim table, the WC buffers and the held-back run. In
+        # "halo-copy" the claim table fills during the bulk and ages out
+        # claims that the sweep has left. In "held-line" rows are two lines,
+        # and the last run of each row, held back, writes the first element
+        # of the second line, which a read touched five rows (the reuse
+        # reach) earlier and nothing since.
+        if case == "halo-copy":
+            kernel, grid = halo_copy_kernel(216, 3, 75)
+        elif case == "held-line":
+            kernel = make_kernel([("a", 0, 5, READ), ("a", 0, 0, WRITE)])
+            grid = GridSpec(4, 100, halo_lo=5, halo_hi=7)
+        else:
+            kernel = suite.kernels[case]
+            grid = kernel.grid.resized(16, 192)
+        policy = FF_POLICIES[policy]
+        levels = fills_mid_sweep(kept_lines(kernel, grid, policy))
+        built = []
+        fast_forward = _Hierarchy.fast_forward
+
+        def record(sim, *args):
+            fast_forward(sim, *args)
+            built.append((sim.replayed_rows + sim.bulk_rows, state(sim)))
+
+        def state(sim):
+            return ([list(s.items()) for s in sim.sets], list(sim.pending.items()),
+                    list(sim.wc.items()), [a.tolist() for a in sim.held],
+                    (sim.read_lines, sim.write_lines, sim.avoided_lines))
+
+        monkeypatch.setattr(_Hierarchy, "fast_forward", record)
+        self.replay(kernel, grid, levels, policy)
+        assert built
+        rows, got = built[0]
+        ref = _Hierarchy(levels, policy, grid.element_size)
+        addrs, writes = (np.concatenate(a) for a in zip(*gen_trace_blocks(kernel, grid)))
+        events = rows * addrs.size // grid.outer_extent
+        ref.feed(addrs[:events], writes[:events])
+        assert got == state(ref)
+
+    @pytest.mark.parametrize("streams", range(1, 9))
+    @pytest.mark.parametrize("policy", [AlwaysAllocate(), NtBypass(), AutoClaim(),
+                                        AutoClaim(active=False)],
+                             ids=["always", "nt", "claim", "claim-inactive"])
+    def test_store_ratio_against_full_replay(self, streams, policy):
+        volume = 256 * 1024
+        lines = volume // (streams * LINE)
+        kernel, grid = store_stream_kernel(streams, lines * 8)
+        rows = grid.resized(8, lines)
+        # rows of one line each hold the same trace, byte for byte
+        assert np.array_equal(np.concatenate(list(gen_trace(kernel, grid))),
+                              np.concatenate(list(gen_trace(kernel, rows))))
+        want = simulate(gen_trace(kernel, grid), DEFAULT_BENCH_CACHE, policy)
+        assert store_ratio(streams, volume, policy) == want.total_bytes / (lines * streams * LINE)
+        sim = self.replay(kernel, rows, DEFAULT_BENCH_CACHE, policy)
+        assert sim.fill_rows > 0
+
+    @pytest.mark.parametrize("associativity", [None, 8])
+    @pytest.mark.parametrize("policy", [AlwaysAllocate(), AutoClaim()],
+                             ids=["always", "claim"])
+    def test_fill_stops_before_the_first_overflow(self, associativity, policy):
+        # two store streams 100 lines apart, one line each a row: on 16 sets
+        # of 8 ways row k fills sets k and k + 4 mod 16, so the level takes 64
+        # rows. Three are replayed, 61 charged in bulk and the full level
+        # repeats after two more rows.
+        kernel, grid = store_stream_kernel(2, 100 * 8)
+        sim = self.replay(kernel, grid.resized(8, 100), lv(128, associativity=associativity),
+                          policy)
+        assert (sim.replayed_rows, sim.fill_rows, sim.bulk_rows) == (5, 61, 95)
+
+    @pytest.mark.parametrize("cache", FILL_CACHES)
+    @pytest.mark.parametrize("policy", FF_POLICIES)
+    def test_line_reused_five_rows_later(self, cache, policy):
+        # a row of `a` is written 3 rows ahead and read 2 rows behind: five
+        # rows apart, and rows of 16 doubles are two whole lines, a period of
+        # one row, so each period's window must reach five rows back
+        kernel = make_kernel([("a", 0, -2, READ), ("b", 0, 0, READ), ("a", 0, 3, WRITE)])
+        grid = GridSpec(10, 160, halo_lo=3, halo_hi=3)
+        assert _reuse_rows(kernel, grid) == trace_reuse_rows(kernel, grid) == 5
+        levels = FILL_CACHES[cache](kept_lines(kernel, grid, FF_POLICIES[policy]))
+        sim = self.replay(kernel, grid, levels, FF_POLICIES[policy])
+        assert sim.fill_rows > 0
+
+    def test_reuse_rows_match_the_trace(self, suite):
+        # the window may be no row shorter than the longest gap in the trace
+        for kernel in suite:
+            for grid in (kernel.grid.resized(20, 16),
+                         GridSpec(13, 16, halo_lo=2, halo_hi=2, element_size=4)):
+                assert _reuse_rows(kernel, grid) == trace_reuse_rows(kernel, grid), kernel.name
+        # arrays that share a line: a line may come back a whole sweep later
+        grid = GridSpec(3, 4)       # 96 bytes an array
+        shared = KernelSpec("shared", (Access(ArrayDecl("a", grid), 0, 0, READ),
+                                       Access(ArrayDecl("b", grid, 8), 0, 0, WRITE)))
+        assert _reuse_rows(shared, grid) is None
+
+    def test_periods_until_full_follow_the_rotation(self):
+        # four sets of four ways; each period retires one line of set 0 moved
+        # by one more set, and the window of sets 0 and 1 moves along
+        occupied, retired, window = [np.array(v) for v in ([2, 1, 0, 0], [1, 0, 0, 0],
+                                                            [1, 1, 0, 0])]
+        assert _periods_until_full(occupied, retired, window, 1, 4, 100) == 11
+        assert _periods_until_full(occupied, retired, window, 1, 4, 5) == 5
+        # unmoved, set 0 takes every retired line
+        assert _periods_until_full(occupied, retired, window, 0, 4, 100) == 2
+        assert _periods_until_full(occupied, retired, window, 2, 4, 100) == 5
+        assert _periods_until_full(occupied, 0 * retired, window, 1, 4, 100) == 100
+
+    def test_window_repeats_only_when_moved(self):
+        # (line, dirty, age) rows sorted by line; a move of 4 lines, and one
+        # claim on a line the sweep has left (7) before the one in the window
+        held = (np.array([325, 326], dtype=np.uint64), np.array([False, True]))
+        before = (np.array([[8, 1, 2], [9, 0, 0], [13, 1, 1]]),
+                  [(7, 3), (13, 5)], [(6, 1)], held, (0, 0, 0))
+        now = (np.array([[12, 1, 2], [13, 0, 0], [17, 1, 1]]),
+               [(7, 3), (11, 15), (17, 5)], [(10, 1)],
+               (held[0] + 4 * LINE, held[1]), (4, 2, 1))
+        # claims left behind pile up in front of the ones that move
+        assert _window_repeats(now, before, 4)
+        table, pending, wc, moved, counters = now
+        exact = (table, [(11, 3), (17, 5)], wc, moved, counters)
+        assert _window_repeats(exact, before, 4)
+        for other in ((table[:, [0, 2, 1]], pending, wc, moved, counters),
+                      (table * [1, 1, 0], pending, wc, moved, counters),
+                      (table + [1, 0, 0], pending, wc, moved, counters),
+                      (table[:2], pending, wc, moved, counters),
+                      (table, [(7, 3), (11, 15), (17, 6)], wc, moved, counters),
+                      (table, [(7, 3), (17, 5)] + [(11, 15)], wc, moved, counters),
+                      # a claim on a left line newer than one in the window
+                      (table, [(17, 5), (11, 15)], wc, moved, counters),
+                      (table, pending, [(10, 2)], moved, counters),
+                      (table, pending, [], moved, counters),
+                      (table, pending, wc, held, counters),
+                      (table, pending, wc, (moved[0], ~moved[1]), counters)):
+            assert not _window_repeats(other, before, 4)

@@ -159,6 +159,31 @@ class TestAnalyze:
         assert message in err
         assert str(p) in err and "kernel 'k'" in err
 
+    @pytest.mark.parametrize("where, field, value, message", [
+        ("array", "grid", ["g"], "array 'a': grid must be a string, not list"),
+        ("kernel", "name", ["k"], "a kernel name must be a string, not list"),
+        ("access", "array", ["x"],
+         "kernel 'k': an access's array must be a string, not list"),
+        ("array", "base_alignment", 64.0,
+         "array 'a': base_alignment must be an integer, not 64.0"),
+        ("array", "base_alignment", "64",
+         "array 'a': base_alignment must be an integer, not '64'"),
+    ], ids=["grid_list", "name_list", "array_list", "alignment_float",
+            "alignment_str"])
+    def test_mistyped_suite_field_exits_2(self, capsys, tmp_path, where, field,
+                                          value, message):
+        # each of these once escaped load_suite as a TypeError (exit 1)
+        access = {"array": "a", "dj": 0, "dk": 0, "mode": "read"}
+        kernel = {"name": "k", "accesses": [access]}
+        array = {"grid": "g"}
+        {"array": array, "kernel": kernel, "access": access}[where][field] = value
+        doc = {"grids": {"g": {"inner_extent": 8, "outer_extent": 8}},
+               "arrays": {"a": array}, "kernels": [kernel]}
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        rc, out, err = run(capsys, "analyze", str(p), ICX)
+        assert (rc, out, err) == (2, "", f"error: {p}: {message}\n")
+
     def test_kernel_on_two_grids_exits_2(self, capsys, tmp_path):
         # a(-1,-1) on a 64x64 grid with halos, b(0,0) on a 4096x16 grid: in
         # either order the kernel has no one grid to be priced on
