@@ -95,37 +95,49 @@ class LayerConditionReport:
     total_required: int
     effective_cache: float
 
+    @staticmethod
+    def holds(required: float, effective_cache: float) -> bool:
+        """The layer condition: `required` bytes of rows fit the cache."""
+        return required < effective_cache
+
     @property
     def fulfilled(self) -> bool:
-        return self.total_required < self.effective_cache
+        return self.holds(self.total_required, self.effective_cache)
 
     @property
     def status(self) -> str:
         return "fulfilled" if self.fulfilled else "broken"
 
 
-def layer_condition(kernel: KernelSpec, inner_extent: int,
-                    effective_cache: float) -> LayerConditionReport:
-    """Evaluate the joint layer condition against one effective cache.
-
-    Every array whose reads touch n >= 2 distinct rows must keep n rows of
-    ``inner_extent`` elements cached; the requirements of all such arrays
-    are summed and compared against ``effective_cache``.
+def row_reuse_bytes(kernel: KernelSpec) -> dict[str, int]:
+    """Cache bytes per element of inner extent that each array's row reuse
+    needs: n rows of the kernel's element size for every array whose reads
+    touch n >= 2 distinct rows. Single-row arrays need none.
 
     The n-rows figure assumes the rows a stencil reads are contiguous in
     the outer dimension (true for every bundled kernel). A stencil with a
     gap in its row offsets keeps rows alive across the gap and needs
     correspondingly more cache than this reports.
     """
+    esize = element_size(kernel)
+    return {name: len(rows) * esize
+            for name, rows in kernel.read_dk_offsets().items() if len(rows) >= 2}
+
+
+def layer_condition(kernel: KernelSpec, inner_extent: int,
+                    effective_cache: float) -> LayerConditionReport:
+    """Evaluate the joint layer condition against one effective cache.
+
+    Every array with row reuse must keep its rows of ``inner_extent``
+    elements cached (:func:`row_reuse_bytes`); the requirements of all such
+    arrays are summed and compared against ``effective_cache``.
+    """
     if inner_extent < 1:
         raise ValueError("inner_extent must be >= 1")
     if effective_cache <= 0:
         raise ValueError("effective_cache must be positive")
-    esize = element_size(kernel)
-    per_array = {}
-    for name, rows in kernel.read_dk_offsets().items():
-        if len(rows) >= 2:
-            per_array[name] = len(rows) * inner_extent * esize
+    per_array = {name: need * inner_extent
+                 for name, need in row_reuse_bytes(kernel).items()}
     return LayerConditionReport(per_array=per_array,
                                 total_required=sum(per_array.values()),
                                 effective_cache=effective_cache)

@@ -217,14 +217,16 @@ def cmd_replay(args) -> int:
     return EXIT_OK
 
 
-def _parse_int_range(spec: str, minimum: int, what: str) -> list[int]:
+def _parse_int_range(spec: str, minimum: int, what: str) -> range | list[int]:
+    """`lo..hi` as a lazy range (no list of its values is built) or a
+    comma-separated list."""
     try:
         if ".." in spec:
             lo, hi = spec.split("..", 1)
             lo, hi = int(lo), int(hi)
             if lo < minimum or hi < lo:
                 raise ValueError
-            return list(range(lo, hi + 1))
+            return range(lo, hi + 1)
         values = [int(p) for p in spec.split(",")]
         if any(v < minimum for v in values):
             raise ValueError

@@ -7,13 +7,17 @@ and partial-cache-line overheads relatively expensive - the source of the
 upward balance spikes at prime rank counts. Each local row is charged one
 ``LINE_BYTES`` cache line of halo data on its read streams, counted in the
 kernel's own element size (8 doubles or 16 floats).
+
+A :class:`Decomposition` keeps only the process grid and the extent; the
+per-rank widths and heights are derived on demand, so pricing a rank count
+costs the same for p = 2 as for a prime p in the thousands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .balance import WaPolicy, code_balance, layer_condition
+from .balance import LayerConditionReport, WaPolicy, code_balance, row_reuse_bytes
 from .kernels import LINE_BYTES, KernelSpec, derive_stream_counts, element_size
 
 
@@ -24,7 +28,7 @@ def _prime_factors_desc(n: int) -> list[int]:
         while n % d == 0:
             factors.append(d)
             n //= d
-        d += 1
+        d = 3 if d == 2 else d + 2  # past 2, only odd divisors
     if n > 1:
         factors.append(n)
     factors.sort(reverse=True)
@@ -59,39 +63,63 @@ def factorize_ranks(p: int) -> tuple[int, int]:
     return px, py
 
 
+def _check_split(extent: int, parts: int):
+    if parts < 1:
+        raise ValueError("parts must be >= 1")
+    if extent < parts:
+        raise ValueError(f"cannot split extent {extent} into {parts} parts")
+
+
 def local_extents(extent: int, parts: int) -> list[int]:
     """Split `extent` cells into `parts` near-equal chunks.
 
     Each chunk is floor(extent/parts) or one more; the extent mod parts
     larger chunks go to the lower ranks.
     """
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
-    if extent < parts:
-        raise ValueError(f"cannot split extent {extent} into {parts} parts")
+    _check_split(extent, parts)
     base, rem = divmod(extent, parts)
     return [base + 1 if i < rem else base for i in range(parts)]
 
 
 @dataclass(frozen=True)
 class Decomposition:
+    """`ranks` ranks on a (px, py) process grid over a square grid of
+    `extent` cells per side.
+
+    The per-rank extents (:func:`local_extents` of each dimension) are
+    derived on demand; the narrowest local row, the one figure the model
+    reads, is ``extent // px`` without building them.
+    """
+
     ranks: int
     px: int
     py: int
-    local_inner_widths: tuple[int, ...]
-    local_outer_heights: tuple[int, ...]
+    extent: int
+
+    @property
+    def local_inner_widths(self) -> tuple[int, ...]:
+        return tuple(local_extents(self.extent, self.px))
+
+    @property
+    def local_outer_heights(self) -> tuple[int, ...]:
+        return tuple(local_extents(self.extent, self.py))
 
     @property
     def min_inner_width(self) -> int:
-        return min(self.local_inner_widths)
+        return self.extent // self.px
+
+
+def _process_grid(p: int, extent: int) -> tuple[int, int]:
+    """:func:`factorize_ranks`, checked against an `extent` cut both ways."""
+    px, py = factorize_ranks(p)
+    _check_split(extent, px)
+    _check_split(extent, py)
+    return px, py
 
 
 def decompose(p: int, extent: int) -> Decomposition:
     """Factorize p ranks over a square grid of `extent` cells per side."""
-    px, py = factorize_ranks(p)
-    return Decomposition(p, px, py,
-                         tuple(local_extents(extent, px)),
-                         tuple(local_extents(extent, py)))
+    return Decomposition(p, *_process_grid(p, extent), extent)
 
 
 def halo_read_overhead(inner: int, element_size: int = 8) -> float:
@@ -134,21 +162,30 @@ def predict_rank_sweep(kernel: KernelSpec, ranks, machine,
     number of cache lines - a partial-line write-allocate of the same
     magnitude on the evadable write streams. A single rank (and any pure
     outer cut) has no inner halos and gives exactly the plain scenario.
+
+    What depends on the kernel alone is worked out once: the layer
+    condition's bytes per element of width and the plain balance and read
+    streams of a fulfilled and of a broken layer condition. A rank count
+    then costs O(1) (plus the trial division of its factorization): no
+    per-rank extents are built.
     """
     counts = derive_stream_counts(kernel)
     esize = element_size(kernel)
+    extent = kernel.grid.inner_extent
+    evadable = counts.evadable_writes
+    lc_bytes_per_width = sum(row_reuse_bytes(kernel).values())
+    plain = {lc: code_balance(counts, lc, policy, esize) for lc in (True, False)}
+    reads = {True: counts.rd_lcf, False: counts.rd_lcb}
     out = []
     for p in ranks:
-        dec = decompose(p, kernel.grid.inner_extent)
-        width = dec.min_inner_width
-        lc = layer_condition(kernel, width, machine.effective_cache_per_process(p))
-        bytes_per_it = code_balance(counts, lc.fulfilled, policy, esize)
-        if dec.px > 1:
+        px, py = _process_grid(p, extent)
+        width = extent // px    # the narrowest local row, as in Decomposition
+        lc = LayerConditionReport.holds(lc_bytes_per_width * width,
+                                        machine.effective_cache_per_process(p))
+        bytes_per_it = plain[lc]
+        if px > 1:
             h = halo_read_overhead(width, esize)
-            rd = counts.rd_lcf if lc.fulfilled else counts.rd_lcb
-            partial_line_wa = (counts.evadable_writes * h
-                               if width * esize % LINE_BYTES else 0.0)
-            bytes_per_it += esize * (rd * h + partial_line_wa)
-        out.append(RankPrediction(p, dec.px, dec.py, width, bytes_per_it,
-                                  lc.fulfilled))
+            partial_line_wa = evadable * h if width * esize % LINE_BYTES else 0.0
+            bytes_per_it += esize * (reads[lc] * h + partial_line_wa)
+        out.append(RankPrediction(p, px, py, width, bytes_per_it, lc))
     return out

@@ -5,6 +5,7 @@ from stencilmem.balance import (
     FULL_WA,
     NO_WA,
     SCENARIOS,
+    LayerConditionReport,
     WaPolicy,
     classify,
     code_balance,
@@ -12,6 +13,7 @@ from stencilmem.balance import (
     layer_condition,
     min_total_cache,
     nt_plus_evasion,
+    row_reuse_bytes,
     scenario_balance,
     scenario_table,
     wa_policy,
@@ -148,6 +150,16 @@ class TestLayerCondition:
     def test_am04_needs_two_rows(self, suite):
         rep = layer_condition(suite.kernels["am04"], 15360, 2 ** 30)
         assert rep.per_array == {"mass_flux_x": 2 * 15360 * 8}
+
+    def test_requirement_scales_the_per_width_bytes(self, suite):
+        # the rank sweep prices the width through row_reuse_bytes alone
+        for kernel in suite:
+            per_width = row_reuse_bytes(kernel)
+            for width in (1, 216, 15360):
+                rep = layer_condition(kernel, width, 10 ** 6)
+                assert rep.per_array == {n: b * width for n, b in per_width.items()}
+                assert rep.fulfilled == LayerConditionReport.holds(
+                    sum(per_width.values()) * width, 10 ** 6)
 
     def test_threshold_helper(self):
         assert min_total_cache(2, 15360) == 491520

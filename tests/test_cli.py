@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import stencilmem
-from stencilmem import balance, cachesim, decomp
+from stencilmem import balance, cachesim, cli, decomp
 from stencilmem.cachesim import TRACE_DTYPE
 from stencilmem.cli import InputError, build_parser, main, read_measurements
 from stencilmem.kernels import data_path, derive_stream_counts, load_suite
@@ -370,6 +370,17 @@ class TestPrimeSweep:
         assert rc == 2
         assert out == ""
         assert "error" in err
+
+    def test_huge_range_stops_at_first_unsplittable_rank(self, capsys):
+        # the range is walked, never listed: 15361 is prime and wider than
+        # the bundled 15360-cell grid, so the sweep stops there, as
+        # `--ranks 15361` does, without building 10**12 rank counts first
+        assert cli._parse_int_range("1..1000000000000", 1, "rank") == \
+            range(1, 10 ** 12 + 1)
+        for ranks in ("15361", "1..1000000000000"):
+            rc, out, err = run(capsys, "prime-sweep", SUITE, ICX, "--ranks", ranks)
+            assert (rc, out) == (2, "")
+            assert err == "error: cannot split extent 15360 into 15361 parts\n"
 
     def test_closed_pipe_ends_quietly(self):
         # `prime-sweep | head`: far more output than a pipe buffer holds

@@ -1,7 +1,18 @@
+from dataclasses import replace
+
 import pytest
 
-from stencilmem.balance import FULL_WA, evasion, scenario_table
+from stencilmem.balance import (
+    FULL_WA,
+    WA_MODELS,
+    code_balance,
+    evasion,
+    layer_condition,
+    scenario_table,
+    wa_policy,
+)
 from stencilmem.decomp import (
+    RankPrediction,
     decompose,
     factorize_ranks,
     halo_read_overhead,
@@ -10,6 +21,7 @@ from stencilmem.decomp import (
     predict_rank_sweep,
 )
 from stencilmem.kernels import (
+    LINE_BYTES,
     READ,
     WRITE,
     Access,
@@ -17,9 +29,18 @@ from stencilmem.kernels import (
     GridSpec,
     KernelSpec,
     derive_stream_counts,
+    element_size,
 )
 
 M = 15360
+
+
+def float2row():
+    """Two-row float stencil on the bundled extent: 16 elements a line."""
+    grid = GridSpec(M, M, halo_lo=2, halo_hi=2, element_size=4)
+    a, b = ArrayDecl("a", grid), ArrayDecl("b", grid)
+    return KernelSpec(name="float2row", accesses=(
+        Access(a, 0, -1, READ), Access(a, 0, 1, READ), Access(b, 0, 0, WRITE)))
 
 
 class TestFactorize:
@@ -81,13 +102,31 @@ class TestLocalExtents:
 
 class TestDecompose:
     def test_invariants(self):
-        for p in (1, 2, 19, 36, 38, 71, 72):
+        for p in (1, 2, 19, 36, 38, 71, 72, 360):
             d = decompose(p, M)
             assert d.px * d.py == p
+            assert d.min_inner_width == min(local_extents(M, d.px))
             assert sum(d.local_inner_widths) == M
             assert sum(d.local_outer_heights) == M
             assert max(d.local_inner_widths) - min(d.local_inner_widths) <= 1
             assert max(d.local_outer_heights) - min(d.local_outer_heights) <= 1
+
+    def test_large_prime_builds_no_per_rank_tuple(self):
+        # a million-wide grid over the prime 999983: one cell a rank; building
+        # the per-rank widths would take a 999983-entry tuple
+        d = decompose(999983, 10 ** 6)
+        assert (d.px, d.py) == (999983, 1)
+        assert d.min_inner_width == 1
+
+    def test_unsplittable_extent_raises(self):
+        with pytest.raises(ValueError,
+                           match="^cannot split extent 15360 into 15361 parts$"):
+            decompose(15361, M)
+        # 2 x 15361 puts the prime on the outer dimension
+        assert factorize_ranks(2 * 15361) == (2, 15361)
+        with pytest.raises(ValueError,
+                           match="^cannot split extent 15360 into 15361 parts$"):
+            decompose(2 * 15361, M)
 
 
 class TestHaloReadOverhead:
@@ -169,10 +208,7 @@ class TestRankSweep:
         # one 64-byte halo line holds 16 floats: at 71 ranks (width 216) each
         # read stream pays 16/232, and 216 floats end in the middle of a
         # line, so the write stream pays the partial-line allocate too
-        grid = GridSpec(M, M, halo_lo=2, halo_hi=2, element_size=4)
-        a, b = ArrayDecl("a", grid), ArrayDecl("b", grid)
-        kernel = KernelSpec(name="float2row", accesses=(
-            Access(a, 0, -1, READ), Access(a, 0, 1, READ), Access(b, 0, 0, WRITE)))
+        kernel = float2row()
         counts = derive_stream_counts(kernel)
         p1, p71 = predict_rank_sweep(kernel, [1, 71], icx, FULL_WA)
         assert p71.min_inner_width == 216
@@ -180,3 +216,45 @@ class TestRankSweep:
         assert halo_read_overhead(216, 4) == 16 / 232
         assert p71.bytes_per_it - p1.bytes_per_it == pytest.approx(
             4 * (counts.rd_lcf + counts.evadable_writes) * 16 / 232)
+
+
+def composed_rank_prediction(kernel, p, machine, policy) -> RankPrediction:
+    """One rank count priced by composing the public steps per p: the
+    per-rank widths of the decomposition, a layer-condition report at the
+    narrowest one, ``code_balance`` and the halo and partial-line terms."""
+    counts = derive_stream_counts(kernel)
+    esize = element_size(kernel)
+    dec = decompose(p, kernel.grid.inner_extent)
+    width = min(dec.local_inner_widths)
+    lc = layer_condition(kernel, width, machine.effective_cache_per_process(p))
+    bytes_per_it = code_balance(counts, lc.fulfilled, policy, esize)
+    if dec.px > 1:
+        h = halo_read_overhead(width, esize)
+        rd = counts.rd_lcf if lc.fulfilled else counts.rd_lcb
+        partial_line_wa = (counts.evadable_writes * h
+                           if width * esize % LINE_BYTES else 0.0)
+        bytes_per_it += esize * (rd * h + partial_line_wa)
+    return RankPrediction(p, dec.px, dec.py, width, bytes_per_it, lc.fulfilled)
+
+
+@pytest.mark.parametrize("wa", sorted(WA_MODELS))
+@pytest.mark.parametrize("machine_name", ["icx", "spr", "small"])
+def test_sweep_equals_per_rank_composition(suite, machine_name, wa, request):
+    # exact equality: the sweep hoists the per-kernel work out of the rank
+    # loop, which must not move a single bit of any field. Both bundled
+    # machines hold every layer condition over 1..400, so a machine with
+    # 16 KiB of L2 and 256 KiB of L3 adds rank counts that break it
+    if machine_name == "small":
+        machine = replace(request.getfixturevalue("icx"), cache_l2=16 * 1024,
+                          cache_l3=256 * 1024)
+    else:
+        machine = request.getfixturevalue(machine_name)
+    policy = wa_policy(wa, machine)
+    ranks = range(1, 401)
+    states = set()
+    for kernel in (*suite, float2row()):
+        got = predict_rank_sweep(kernel, ranks, machine, policy)
+        want = [composed_rank_prediction(kernel, p, machine, policy) for p in ranks]
+        assert got == want, kernel.name
+        states |= {pred.lc_fulfilled for pred in got}
+    assert states == ({True, False} if machine_name == "small" else {True})
