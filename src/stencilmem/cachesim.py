@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from operator import sub
 from pathlib import Path
@@ -163,14 +163,9 @@ def gen_trace_blocks(kernel: KernelSpec, grid: GridSpec):
     """Yield the access stream as (addresses, write flags) numpy blocks.
 
     Iteration order is k outer ascending, j inner ascending; within an
-    iteration reads come in declaration order, then writes.
+    iteration reads come in declaration order, then writes. A block holds
+    16 iteration rows.
     """
-    yield from _row_blocks(kernel, grid, _loop_bounds(kernel, grid)[2])
-
-
-def _row_blocks(kernel: KernelSpec, grid: GridSpec, first_row: int):
-    """The blocks of ``gen_trace_blocks`` from iteration row `first_row` on,
-    16 rows a block."""
     j0, j1, k0, k1 = _loop_bounds(kernel, grid)
     for acc in kernel.accesses:
         if not (-grid.halo_lo <= j0 + acc.dj and
@@ -191,7 +186,7 @@ def _row_blocks(kernel: KernelSpec, grid: GridSpec, first_row: int):
     jcol = np.arange(j0, j1 + 1, dtype=np.int64) * esize
     row_bytes = stride * esize
     rows_per_block = 16
-    for kb in range(first_row, k1 + 1, rows_per_block):
+    for kb in range(k0, k1 + 1, rows_per_block):
         ks = np.arange(kb, min(kb + rows_per_block, k1 + 1), dtype=np.int64)
         block = (ks[:, None, None] * row_bytes
                  + jcol[None, :, None]
@@ -240,14 +235,11 @@ class _Hierarchy:
         # the events of the last run fed, which the next block may go on
         self.held = NO_EVENTS
         # rows of a kernel sweep replayed event by event, rows charged in
-        # bulk from a repeating period, the share of those charged before the
-        # level filled, and the dirty lines and open claims those rows left
-        # behind, which ``finish`` writes back and fills (``_replay_kernel``)
+        # bulk from a repeating period, and the share of those charged before
+        # the level filled (``_replay_kernel``)
         self.replayed_rows = 0
         self.bulk_rows = 0
         self.fill_rows = 0
-        self.bulk_dirty = 0
-        self.bulk_claims = 0
         self.claim_peak = 0
 
     def feed(self, addrs: np.ndarray, writes: np.ndarray, last: bool = False):
@@ -464,10 +456,10 @@ class _Hierarchy:
 
     def finish(self):
         """End of trace: replay the held-back run, resolve open claims, drain
-        WC buffers, flush dirty lines, those left in bulk included."""
+        WC buffers, flush dirty lines."""
         self.feed(*NO_EVENTS, last=True)
-        self.read_lines += len(self.pending) + len(self.wc) + self.bulk_claims
-        self.write_lines += len(self.wc) + self.bulk_dirty
+        self.read_lines += len(self.pending) + len(self.wc)
+        self.write_lines += len(self.wc)
         self.pending.clear()
         self.wc.clear()
         for s in self.sets:
@@ -568,41 +560,25 @@ def _in_window(lines: np.ndarray, table: np.ndarray) -> np.ndarray:
     return keys[np.minimum(np.searchsorted(keys, lines), keys.size - 1)] == lines
 
 
-def _reuse_rows(kernel: KernelSpec, grid: GridSpec) -> int | None:
-    """The most iteration rows from one touch of a cache line to the next.
+def _window_rows(kernel: KernelSpec, grid: GridSpec) -> int:
+    """Rows of a fast-forward window: the kernel's row span, at least a
+    period, or 0 if two arrays share a cache line.
 
-    A line that has not been touched for more rows is never touched again.
-    Access a of an array touches line L in the rows k with
-    first_a + k * row_bytes <= 64 L + 63 and last_a + k * row_bytes >= 64 L
-    (its first and last byte offsets in row 0), and every line pattern
-    repeats after one period's D lines. None if two arrays share a line,
-    as then a line may come back a whole sweep later.
+    Iteration row k touches rows k + dk of the arrays, and a line lies in
+    at most 64 // row_bytes + 2 consecutive rows of its array, so the first
+    and last touch of a line are at most
+    span = max(dk) - min(dk) + 64 // row_bytes + 1 rows apart: a line
+    untouched for that many rows is never touched again. If two arrays
+    share a line, it may come back a whole sweep later.
     """
     esize, stride = grid.element_size, grid.row_stride
     row_bytes = stride * esize
     origin = (grid.halo_lo * stride + grid.halo_lo) * esize
     if any((addr - origin) % LINE_BYTES for addr in array_layout(kernel, grid).values()):
-        return None
-    j0, j1, _, _ = _loop_bounds(kernel, grid)
-    shift = row_bytes // math.gcd(row_bytes, LINE_BYTES)
-    line = np.arange(shift) * LINE_BYTES
-    reach = 1
-    for arr in kernel.arrays:
-        accs = [a for a in kernel.accesses if a.array is arr]
-        first = np.array([[origin + (a.dk * stride + j0 + a.dj) * esize] for a in accs])
-        last = first + (j1 - j0) * esize
-        lo = -((last - line) // row_bytes)                  # first row, per access
-        hi = (line + LINE_BYTES - 1 - first) // row_bytes   # and last row
-        # an access that misses a line adds no gap: make it a point at the end
-        empty = lo > hi
-        end = np.where(empty, np.iinfo(np.int64).min, hi).max(axis=0)
-        lo, hi = np.where(empty, end, lo), np.where(empty, end, hi)
-        order = np.argsort(lo, axis=0)
-        lo = np.take_along_axis(lo, order, axis=0)
-        hi = np.maximum.accumulate(np.take_along_axis(hi, order, axis=0), axis=0)
-        if len(accs) > 1:
-            reach = max(reach, int((lo[1:] - hi[:-1]).max()))
-    return reach
+        return 0
+    dks = [a.dk for a in kernel.accesses]
+    span = max(dks) - min(dks) + LINE_BYTES // row_bytes + 1
+    return max(span, LINE_BYTES // math.gcd(row_bytes, LINE_BYTES))
 
 
 def _periods_until_full(occupied: np.ndarray, retired: np.ndarray,
@@ -653,7 +629,7 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     rows at a time and fast-forwards in two ways.
 
     Before any set overflows, nothing is evicted, so the LRU order is
-    never read and a line that the sweep has left (``_reuse_rows``) only
+    never read and a line that the sweep has left (``_window_rows``) only
     takes room. After each period the window, the lines touched since
     that many rows, is compared with the window one period earlier moved
     by D lines, together with the claim table, the WC buffers and the
@@ -686,20 +662,20 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     sets, ways = sim.sets, sim.ways
     row = k0                        # the first row of the next period
 
-    def periods_from(first_row):
+    def periods_of(sweep):
         return ((a[i:i + step], w[i:i + step])
-                for a, w in _row_blocks(kernel, grid, first_row)
+                for a, w in gen_trace_blocks(sweep, grid)
                 for i in range(0, a.size, step))
 
-    periods = periods_from(row)
-    # a window spans every line the rest of the sweep can touch
-    # (``_reuse_rows``) and every line the next period retires (a period),
-    # worked out when first needed; `recent` holds the addresses of enough
-    # periods for any window, as the touches of a line lie within `span` rows
-    width = None
-    dks = [a.dk for a in kernel.accesses]
-    span = max(dks) - min(dks) + LINE_BYTES // row_bytes + 1
-    recent = deque(maxlen=2 + span // period)
+    periods = periods_of(kernel)
+    # a window spans every line the rest of the sweep can touch and every
+    # line the next period retires; `recent` holds the addresses of enough
+    # periods for any window
+    width = _window_rows(kernel, grid)
+    recent = deque(maxlen=2 + width // period)
+    # the dirty lines and open claims left behind by a bulk that runs to
+    # the end of the sweep, which ``finish`` does not see
+    bulk_dirty = bulk_claims = 0
     occupied = [0] * sets.size      # lines per set after the last period
     before = window = None
     while (chunk := next(periods, None)) is not None:
@@ -724,9 +700,6 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
         if whole < 1 or max(occupied) + max(1, *map(sub, occupied, before_period)) > ways:
             window = None
             continue
-        if width is None:
-            reach = _reuse_rows(kernel, grid)
-            width = 0 if reach is None else max(reach, period)
         applied = len(recent) * step - sim.held[0].size
         first = (applied // row_events - width) * row_events
         if not width or first < 0:
@@ -758,19 +731,21 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
                 if bulk == whole and (fit > whole or not tail):
                     # the sweep ends before the level fills; a claim left
                     # behind costs one fill, whether it ages out or not
-                    sim.bulk_dirty += bulk * int(retired[:, 1].sum())
-                    sim.bulk_claims += bulk * (0 if claims is None else len(claims[1]))
+                    bulk_dirty = bulk * int(retired[:, 1].sum())
+                    bulk_claims = bulk * (0 if claims is None else len(claims[1]))
                     if tail:
                         _replay_tail(sim, next(periods), tail, row_events)
                     break
                 sim.fast_forward(retired, table, bulk, shift, claims)
                 row += bulk * period
-                periods = periods_from(row)
+                periods = periods_of(replace(kernel, loop_k_range=(row, k1)))
                 recent.clear()
                 occupied = list(map(len, sets))
                 now = None
         window = now
     sim.finish()
+    sim.write_lines += bulk_dirty
+    sim.read_lines += bulk_claims
     return sim
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -157,6 +158,12 @@ def _parse_policy(args) -> cachesim.WritePolicySim:
                               active=args.policy == "claim")
 
 
+def _check_tolerance(tolerance: float):
+    # NaN compares false both ways, so it fails the check too
+    if not 0 <= tolerance < math.inf:
+        raise InputError(f"--tolerance must be a finite number >= 0, not {tolerance:g}")
+
+
 def _sim_levels(machine: MachineModel, mode: str) -> list[cachesim.CacheLevelConfig]:
     if mode == "effective":
         cap = int(machine.effective_cache_per_process(1)) // LINE_BYTES * LINE_BYTES
@@ -171,6 +178,7 @@ def cmd_simulate(args) -> int:
         raise InputError("--grid must be >= 1")
     if args.dump_trace and not args.kernel:
         raise InputError("--dump-trace needs --kernel")
+    _check_tolerance(args.tolerance)
     suite = load_suite(args.suite)
     machine = load_machine(args.machine)
     policy = _parse_policy(args)
@@ -255,6 +263,7 @@ def cmd_prime_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _check_tolerance(args.tolerance)
     suite = load_suite(args.suite)
     machine = load_machine(args.machine)
     records = read_measurements(args.measurements)

@@ -109,17 +109,18 @@ class Decomposition:
         return self.extent // self.px
 
 
-def _process_grid(p: int, extent: int) -> tuple[int, int]:
-    """:func:`factorize_ranks`, checked against an `extent` cut both ways."""
+def _process_grid(p: int, inner: int, outer: int) -> tuple[int, int]:
+    """:func:`factorize_ranks`, checked against the `inner` extent that px
+    cuts and the `outer` extent that py cuts."""
     px, py = factorize_ranks(p)
-    _check_split(extent, px)
-    _check_split(extent, py)
+    _check_split(inner, px)
+    _check_split(outer, py)
     return px, py
 
 
 def decompose(p: int, extent: int) -> Decomposition:
     """Factorize p ranks over a square grid of `extent` cells per side."""
-    return Decomposition(p, *_process_grid(p, extent), extent)
+    return Decomposition(p, *_process_grid(p, extent, extent), extent)
 
 
 def halo_read_overhead(inner: int, element_size: int = 8) -> float:
@@ -171,14 +172,14 @@ def predict_rank_sweep(kernel: KernelSpec, ranks, machine,
     """
     counts = derive_stream_counts(kernel)
     esize = element_size(kernel)
-    extent = kernel.grid.inner_extent
+    extent, outer = kernel.grid.inner_extent, kernel.grid.outer_extent
     evadable = counts.evadable_writes
     lc_bytes_per_width = sum(row_reuse_bytes(kernel).values())
     plain = {lc: code_balance(counts, lc, policy, esize) for lc in (True, False)}
     reads = {True: counts.rd_lcf, False: counts.rd_lcb}
     out = []
     for p in ranks:
-        px, py = _process_grid(p, extent)
+        px, py = _process_grid(p, extent, outer)
         width = extent // px    # the narrowest local row, as in Decomposition
         lc = LayerConditionReport.holds(lc_bytes_per_width * width,
                                         machine.effective_cache_per_process(p))

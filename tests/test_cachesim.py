@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stencilmem import cachesim
 from stencilmem.balance import scenario_table
 from stencilmem.cachesim import (
     DEFAULT_BENCH_CACHE,
@@ -17,8 +18,8 @@ from stencilmem.cachesim import (
     _periods_until_full,
     _repeats,
     _replay_kernel,
-    _reuse_rows,
     _window_repeats,
+    _window_rows,
     gen_trace,
     gen_trace_blocks,
     halo_copy_experiment,
@@ -30,7 +31,7 @@ from stencilmem.cachesim import (
     store_stream_kernel,
 )
 from stencilmem.kernels import (READ, WRITE, Access, ArrayDecl, GridSpec, KernelError,
-                                KernelSpec)
+                                KernelSpec, _loop_bounds)
 
 from test_kernels import make_kernel
 
@@ -517,13 +518,42 @@ FILL_CACHES = {"beyond-footprint": beyond_footprint, "fills": fills_mid_sweep,
 
 def trace_reuse_rows(kernel, grid) -> int:
     """The most iteration rows between two touches of one line in the trace."""
-    blocks = list(gen_trace_blocks(kernel, grid))
-    lines = np.concatenate([addrs for addrs, _ in blocks]) // LINE
-    rows = np.arange(lines.size) // (lines.size // grid.outer_extent)
+    j0, j1, _, _ = _loop_bounds(kernel, grid)
+    lines = np.concatenate([addrs for addrs, _ in gen_trace_blocks(kernel, grid)]) // LINE
+    rows = np.arange(lines.size) // ((j1 - j0 + 1) * len(kernel.accesses))
     order = np.lexsort((rows, lines))
     lines, rows = lines[order], rows[order]
     same = lines[1:] == lines[:-1]
-    return max(1, int((rows[1:] - rows[:-1])[same].max()))
+    return max(1, int((rows[1:] - rows[:-1])[same].max(initial=0)))
+
+
+def random_kernel(rng) -> tuple[KernelSpec, GridSpec]:
+    """A small kernel of 1-3 arrays (any base alignment, so some share a
+    line) with 1-6 accesses inside halos of 0-5, 4- or 8-byte elements and,
+    half of the time, loop ranges."""
+    esize = int(rng.choice([4, 8]))
+    lo, hi = (int(h) for h in rng.integers(0, 6, 2))
+    grid = GridSpec(int(rng.integers(1, 25)), int(rng.integers(1, 30)),
+                    halo_lo=lo, halo_hi=hi, element_size=esize)
+    arrays = [ArrayDecl(f"a{i}", grid, esize << int(rng.integers(0, 6)))
+              for i in range(int(rng.integers(1, 4)))]
+    accesses, seen, written = [], set(), set()
+    for _ in range(int(rng.integers(1, 7))):
+        arr = arrays[int(rng.integers(len(arrays)))]
+        dj, dk = (int(d) for d in rng.integers(-lo, hi + 1, 2))
+        mode = WRITE if arr.name not in written and rng.random() < 0.3 else READ
+        if (arr.name, dj, dk, mode) not in seen:
+            seen.add((arr.name, dj, dk, mode))
+            if mode == WRITE:
+                written.add(arr.name)
+            accesses.append(Access(arr, dj, dk, mode))
+    ranges = {}
+    if rng.random() < 0.5:
+        for key, extent in (("loop_j_range", grid.inner_extent),
+                            ("loop_k_range", grid.outer_extent)):
+            a, b = sorted(int(v) for v in rng.integers(0, extent, 2))
+            ranges[key] = (a, b)
+    return KernelSpec("random", tuple(accesses), **ranges), grid
 
 
 class TestFastForward:
@@ -698,6 +728,51 @@ class TestFastForward:
         ref.feed(addrs[:events], writes[:events])
         assert got == state(ref)
 
+    @pytest.mark.parametrize("case", ["am04", "halo-copy"])
+    def test_every_replayed_row_comes_from_gen_trace_blocks(self, suite, monkeypatch,
+                                                            case):
+        # the benchmark counts the events of a sweep by replacing the module's
+        # gen_trace_blocks: every event that simulate_kernel replays must come
+        # through it, also after the restart that follows a fast_forward
+        if case == "halo-copy":
+            kernel, grid = halo_copy_kernel(216, 3, 75)
+        else:
+            kernel = suite.kernels[case]
+            grid = kernel.grid.resized(16, 192)
+        policy = AutoClaim()
+        levels = fills_mid_sweep(kept_lines(kernel, grid, policy))
+        calls, drawn, fed, engines, moves = [], [], [], set(), []
+        gen, feed, fast_forward = (cachesim.gen_trace_blocks, _Hierarchy.feed,
+                                   _Hierarchy.fast_forward)
+
+        def counting(*args):
+            calls.append(args)
+            for block in gen(*args):
+                drawn.append(block[0])
+                yield block
+
+        def record_feed(sim, addrs, writes, last=False):
+            engines.add(sim)
+            fed.append(addrs)
+            feed(sim, addrs, writes, last)
+
+        def record_move(sim, *args):
+            moves.append(len(calls))
+            fast_forward(sim, *args)
+
+        monkeypatch.setattr(cachesim, "gen_trace_blocks", counting)
+        monkeypatch.setattr(_Hierarchy, "feed", record_feed)
+        monkeypatch.setattr(_Hierarchy, "fast_forward", record_move)
+        simulate_kernel(kernel, grid, levels, policy)
+        (sim,) = engines
+        # one draw from the first row, then one after each move
+        assert moves and moves == list(range(1, len(calls)))
+        assert all(any(np.shares_memory(addrs, block) for block in drawn)
+                   for addrs in fed if addrs.size)
+        j0, j1, _, _ = _loop_bounds(kernel, grid)
+        row_events = (j1 - j0 + 1) * len(kernel.accesses)
+        assert sum(addrs.size for addrs in fed) == sim.replayed_rows * row_events
+
     @pytest.mark.parametrize("streams", range(1, 9))
     @pytest.mark.parametrize("policy", [AlwaysAllocate(), NtBypass(), AutoClaim(),
                                         AutoClaim(active=False)],
@@ -721,12 +796,13 @@ class TestFastForward:
     def test_fill_stops_before_the_first_overflow(self, associativity, policy):
         # two store streams 100 lines apart, one line each a row: on 16 sets
         # of 8 ways row k fills sets k and k + 4 mod 16, so the level takes 64
-        # rows. Three are replayed, 61 charged in bulk and the full level
-        # repeats after two more rows.
+        # rows. Four are replayed (a window of two rows, compared with the one
+        # a row earlier), 60 charged in bulk, and the full level repeats after
+        # two more rows.
         kernel, grid = store_stream_kernel(2, 100 * 8)
         sim = self.replay(kernel, grid.resized(8, 100), lv(128, associativity=associativity),
                           policy)
-        assert (sim.replayed_rows, sim.fill_rows, sim.bulk_rows) == (5, 61, 95)
+        assert (sim.replayed_rows, sim.fill_rows, sim.bulk_rows) == (6, 60, 94)
 
     @pytest.mark.parametrize("cache", FILL_CACHES)
     @pytest.mark.parametrize("policy", FF_POLICIES)
@@ -736,22 +812,54 @@ class TestFastForward:
         # one row, so each period's window must reach five rows back
         kernel = make_kernel([("a", 0, -2, READ), ("b", 0, 0, READ), ("a", 0, 3, WRITE)])
         grid = GridSpec(10, 160, halo_lo=3, halo_hi=3)
-        assert _reuse_rows(kernel, grid) == trace_reuse_rows(kernel, grid) == 5
+        assert _window_rows(kernel, grid) >= trace_reuse_rows(kernel, grid) == 5
         levels = FILL_CACHES[cache](kept_lines(kernel, grid, FF_POLICIES[policy]))
         sim = self.replay(kernel, grid, levels, FF_POLICIES[policy])
         assert sim.fill_rows > 0
 
-    def test_reuse_rows_match_the_trace(self, suite):
+    @pytest.mark.parametrize("cache", FILL_CACHES)
+    @pytest.mark.parametrize("policy", FF_POLICIES)
+    def test_line_across_two_rows_reused_a_span_later(self, cache, policy):
+        # rows of 12 doubles are 1.5 lines, so every other line holds the
+        # last element of one row and the first of the next; `a` is read 2
+        # rows ahead at the one and in the row at the other, so the line is
+        # touched again 3 rows later, and nothing touches it in between: the
+        # row span bound is exact here
+        grid = GridSpec(8, 160, halo_lo=0, halo_hi=4)
+        a, b = ArrayDecl("a", grid), ArrayDecl("b", grid)
+        kernel = KernelSpec("straddle", (Access(a, 8, 2, READ), Access(a, -3, 0, READ),
+                                         Access(b, 0, 0, WRITE)), loop_j_range=(3, 3))
+        assert _window_rows(kernel, grid) == trace_reuse_rows(kernel, grid) == 3
+        levels = FILL_CACHES[cache](kept_lines(kernel, grid, FF_POLICIES[policy]))
+        sim = self.replay(kernel, grid, levels, FF_POLICIES[policy])
+        assert sim.fill_rows > 0
+
+    def test_window_covers_the_reuse_in_the_trace(self, suite):
         # the window may be no row shorter than the longest gap in the trace
         for kernel in suite:
-            for grid in (kernel.grid.resized(20, 16),
+            for grid in (kernel.grid.resized(20, 16), kernel.grid.resized(3, 16),
+                         kernel.grid.resized(70, 12),
                          GridSpec(13, 16, halo_lo=2, halo_hi=2, element_size=4)):
-                assert _reuse_rows(kernel, grid) == trace_reuse_rows(kernel, grid), kernel.name
+                assert _window_rows(kernel, grid) >= trace_reuse_rows(kernel, grid), kernel.name
         # arrays that share a line: a line may come back a whole sweep later
         grid = GridSpec(3, 4)       # 96 bytes an array
         shared = KernelSpec("shared", (Access(ArrayDecl("a", grid), 0, 0, READ),
                                        Access(ArrayDecl("b", grid, 8), 0, 0, WRITE)))
-        assert _reuse_rows(shared, grid) is None
+        assert _window_rows(shared, grid) == 0
+
+    def test_window_covers_the_reuse_of_random_kernels(self):
+        rng = np.random.default_rng(13)
+        aligned = 0
+        for _ in range(500):
+            kernel, grid = random_kernel(rng)
+            width = _window_rows(kernel, grid)
+            # arrays a whole number of lines apart share no line
+            if len({a % LINE for a in array_layout(kernel, grid).values()}) > 1:
+                assert width == 0
+            else:
+                aligned += 1
+                assert width >= trace_reuse_rows(kernel, grid)
+        assert aligned > 200
 
     def test_periods_until_full_follow_the_rotation(self):
         # four sets of four ways; each period retires one line of set 0 moved

@@ -229,6 +229,14 @@ class TestSimulate:
         assert rc == 1
         assert "check failed" in err
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_tolerance_must_be_finite_and_not_negative(self, capsys, tolerance):
+        # NaN would pass any delta, and a negative tolerance would fail any
+        rc, out, err = run(capsys, "simulate", SUITE, ICX, "--kernel", "am04",
+                           "--grid", "128", "--check", "--tolerance", tolerance)
+        assert (rc, out) == (2, "")
+        assert "--tolerance must be a finite number >= 0" in err
+
     def test_dump_trace_needs_kernel(self, capsys, tmp_path):
         rc, _, err = run(capsys, "simulate", SUITE, ICX,
                          "--dump-trace", str(tmp_path / "t.bin"))
@@ -371,6 +379,24 @@ class TestPrimeSweep:
         assert out == ""
         assert "error" in err
 
+    def test_outer_cut_is_checked_against_the_outer_extent(self, capsys, tmp_path):
+        # a grid 4096 wide and 2 high: 4 ranks go on (2, 2), but 8 ranks on
+        # (2, 4), and 4 parts do not fit in 2 rows
+        doc = {"grids": {"flat": {"inner_extent": 4096, "outer_extent": 2,
+                                  "halo_lo": 1, "halo_hi": 1}},
+               "arrays": {"a": {"grid": "flat"}, "b": {"grid": "flat"}},
+               "kernels": [{"name": "copy", "accesses": [
+                   {"array": "a", "dj": 0, "dk": 0, "mode": "read"},
+                   {"array": "b", "dj": 0, "dk": 0, "mode": "write"}]}]}
+        p = tmp_path / "flat.json"
+        p.write_text(json.dumps(doc))
+        rc, out, _ = run(capsys, "prime-sweep", str(p), ICX, "--ranks", "1..5")
+        assert rc == 0 and len(out.splitlines()) == 1 + 5
+        for ranks in ("8", "1..64"):
+            rc, out, err = run(capsys, "prime-sweep", str(p), ICX, "--ranks", ranks)
+            assert (rc, out) == (2, "")
+            assert err.startswith("error: cannot split extent 2 into ")
+
     def test_huge_range_stops_at_first_unsplittable_rank(self, capsys):
         # the range is walked, never listed: 15361 is prime and wider than
         # the bundled 15360-cell grid, so the sweep stops there, as
@@ -429,6 +455,13 @@ class TestCompare:
                          "--scenario", "min", "--check", "--tolerance", "1")
         assert rc == 1
         assert "check failed" in err
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_tolerance_must_be_finite_and_not_negative(self, capsys, tolerance):
+        rc, out, err = run(capsys, "compare", SUITE, ICX, RANK72, "--check",
+                           "--tolerance", tolerance)
+        assert (rc, out) == (2, "")
+        assert "--tolerance must be a finite number >= 0" in err
 
     def test_no_evasion_override_improves_fit(self, capsys):
         def mean_err(*extra):
