@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import math
 import os
 import sys
@@ -61,8 +62,10 @@ class MeasurementRecord:
     def __post_init__(self):
         if min(self.ranks, self.call_count, self.timesteps, self.grid_points) <= 0:
             raise InputError(f"measurement {self.kernel!r}: counts must be positive")
-        if self.read_gbytes < 0 or self.write_gbytes < 0:
-            raise InputError(f"measurement {self.kernel!r}: negative data volume")
+        # NaN compares false both ways, so it fails too
+        if not all(0 <= v < math.inf for v in (self.read_gbytes, self.write_gbytes)):
+            raise InputError(f"measurement {self.kernel!r}: data volumes must be "
+                             f"finite and not negative")
         if self.read_gbytes + self.write_gbytes == 0:
             raise InputError(f"measurement {self.kernel!r}: zero data volume")
 
@@ -249,15 +252,16 @@ def cmd_prime_sweep(args) -> int:
     machine = load_machine(args.machine)
     ranks = _parse_int_range(args.ranks, 1, "rank")
     policy = balance.wa_policy(args.wa, machine)
-    # the CSV goes out once every kernel is priced, so a kernel that fails
-    # leaves no partial output behind
+    # all kernels are priced before any row is written, so a failing one leaves
+    # no partial output; one write, as a write per row to a pipe is costly
+    sweeps = decomp.predict_rank_sweep(suite, ranks, machine, policy)
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["kernel", "p", "bytes_per_it", "prime"])
-    for kernel in suite:
-        for pred in decomp.predict_rank_sweep(kernel, ranks, machine, policy):
-            writer.writerow([kernel.name, pred.ranks, f"{pred.bytes_per_it:.4f}",
-                             1 if pred.prime else 0])
+    for kernel, sweep in zip(suite, sweeps):
+        writer.writerows(zip(itertools.repeat(kernel.name), sweep.ranks.tolist(),
+                             [f"{b:.4f}" for b in sweep.bytes_per_it.tolist()],
+                             sweep.prime.astype(int).tolist()))
     sys.stdout.write(out.getvalue())
     return EXIT_OK
 

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .balance import LayerConditionReport, WaPolicy, code_balance, row_reuse_bytes
-from .kernels import LINE_BYTES, KernelSpec, derive_stream_counts, element_size
+from .kernels import LINE_BYTES, derive_stream_counts, element_size
 
 
 def _prime_factors_desc(n: int) -> list[int]:
@@ -49,8 +51,6 @@ def factorize_ranks(p: int) -> tuple[int, int]:
     """
     if p < 1:
         raise ValueError("rank count must be >= 1")
-    if p == 1:
-        return (1, 1)
     factors = _prime_factors_desc(p)
     if len(factors) == 1:
         return (p, 1)
@@ -123,38 +123,38 @@ def decompose(p: int, extent: int) -> Decomposition:
     return Decomposition(p, *_process_grid(p, extent, extent), extent)
 
 
-def halo_read_overhead(inner: int, element_size: int = 8) -> float:
+def halo_read_overhead(inner, element_size: int = 8):
     """Extra traffic fraction a read stream pays for row-boundary halo lines.
 
     Each local row of `inner` elements drags in one cache line of halo
     data, ``e = LINE_BYTES / element_size`` elements, so the overhead is
     e / (inner + e): 8/224 = 3.57% for doubles at inner=216, 16/232 for
-    floats, vanishing for long rows.
+    floats, vanishing for long rows. `inner` may be an integer array, which
+    gives an array of overheads.
     """
-    if inner < 1:
+    if np.any(np.less(inner, 1)):
         raise ValueError("inner extent must be >= 1")
     line_elems = LINE_BYTES // element_size
     return line_elems / (inner + line_elems)
 
 
-@dataclass(frozen=True)
-class RankPrediction:
-    ranks: int
-    px: int
-    py: int
-    min_inner_width: int
-    bytes_per_it: float
-    lc_fulfilled: bool
+@dataclass(frozen=True, eq=False)
+class RankSweep:
+    """One kernel's predictions, one entry per rank count in the order given.
+    factorize_ranks cuts only the inner dimension exactly at a prime count."""
 
-    @property
-    def prime(self) -> bool:
-        # factorize_ranks cuts only the inner dimension exactly at a prime
-        return self.ranks > 1 and self.px == self.ranks
+    ranks: np.ndarray
+    px: np.ndarray
+    py: np.ndarray
+    min_inner_width: np.ndarray
+    bytes_per_it: np.ndarray
+    lc_fulfilled: np.ndarray
+    prime: np.ndarray
 
 
-def predict_rank_sweep(kernel: KernelSpec, ranks, machine,
-                       policy: WaPolicy) -> list[RankPrediction]:
-    """Predicted bytes/iteration of `kernel` for each rank count.
+def predict_rank_sweep(kernels, ranks, machine, policy: WaPolicy) -> list[RankSweep]:
+    """Predicted bytes/iteration of each kernel for each rank count, one
+    :class:`RankSweep` per kernel in input order.
 
     For every p the kernel's grid is decomposed, layer conditions are evaluated at
     the smallest local inner width against the per-process cache share, and
@@ -164,29 +164,30 @@ def predict_rank_sweep(kernel: KernelSpec, ranks, machine,
     magnitude on the evadable write streams. A single rank (and any pure
     outer cut) has no inner halos and gives exactly the plain scenario.
 
-    What depends on the kernel alone is worked out once: the layer
-    condition's bytes per element of width and the plain balance and read
-    streams of a fulfilled and of a broken layer condition. A rank count
-    then costs O(1) (plus the trial division of its factorization): no
-    per-rank extents are built.
+    The process grids and cache shares are worked out once per call and
+    grid, in kernel order, then each kernel is priced as numpy columns.
     """
-    counts = derive_stream_counts(kernel)
-    esize = element_size(kernel)
-    extent, outer = kernel.grid.inner_extent, kernel.grid.outer_extent
-    evadable = counts.evadable_writes
-    lc_bytes_per_width = sum(row_reuse_bytes(kernel).values())
-    plain = {lc: code_balance(counts, lc, policy, esize) for lc in (True, False)}
-    reads = {True: counts.rd_lcf, False: counts.rd_lcb}
+    grids = {}      # (inner, outer) -> rank, px, py and cache-share columns
     out = []
-    for p in ranks:
-        px, py = _process_grid(p, extent, outer)
-        width = extent // px    # the narrowest local row, as in Decomposition
-        lc = LayerConditionReport.holds(lc_bytes_per_width * width,
-                                        machine.effective_cache_per_process(p))
-        bytes_per_it = plain[lc]
-        if px > 1:
-            h = halo_read_overhead(width, esize)
-            partial_line_wa = evadable * h if width * esize % LINE_BYTES else 0.0
-            bytes_per_it += esize * (reads[lc] * h + partial_line_wa)
-        out.append(RankPrediction(p, px, py, width, bytes_per_it, lc))
+    for kernel in kernels:
+        inner, outer = key = kernel.grid.inner_extent, kernel.grid.outer_extent
+        if key not in grids:    # one walk of `ranks`: the first count that fails raises
+            ps, px, py = np.array([(p, *_process_grid(p, inner, outer)) for p in ranks],
+                                  dtype=np.int64).reshape(-1, 3).T
+            grids[key] = ps, px, py, np.array(
+                [machine.effective_cache_per_process(p) for p in ps.tolist()])
+        ps, px, py, cache = grids[key]
+        counts = derive_stream_counts(kernel)
+        esize = element_size(kernel)
+        width = inner // px     # the narrowest local row, as in Decomposition
+        lc = LayerConditionReport.holds(sum(row_reuse_bytes(kernel).values()) * width,
+                                        cache)
+        plain = np.where(lc, code_balance(counts, True, policy, esize),
+                         code_balance(counts, False, policy, esize))
+        h = halo_read_overhead(width, esize)
+        partial_line_wa = np.where(width * esize % LINE_BYTES != 0,
+                                   counts.evadable_writes * h, 0.0)
+        halo = esize * (np.where(lc, counts.rd_lcf, counts.rd_lcb) * h + partial_line_wa)
+        out.append(RankSweep(ps, px, py, width, np.where(px > 1, plain + halo, plain),
+                             lc, (ps > 1) & (px == ps)))
     return out

@@ -127,13 +127,17 @@ def load_machine(path: str | Path) -> MachineModel:
         raise ValueError(f"{path}: a machine config must be an object, "
                          f"not {type(doc).__name__}")
     doc.pop("comment", None)
-    counts_and_sizes = {f.name for f in fields(MachineModel) if f.type == "int"}
+    # unknown keys are left to MachineModel, which names them
+    kinds = {f.name: f.type for f in fields(MachineModel)}
     for key, value in doc.items():
-        if isinstance(value, bool) or (isinstance(value, float)
-                                       and not math.isfinite(value)):
-            raise ValueError(f"{path}: {key} must be a finite number, not {value!r}")
-        if key in counts_and_sizes and type(value) is not int:
+        kind = kinds.get(key)
+        if kind == "str" and not isinstance(value, str):
+            raise ValueError(f"{path}: {key} must be a string, not {value!r}")
+        if kind == "int" and type(value) is not int:
             raise ValueError(f"{path}: {key} must be an integer, not {value!r}")
+        if kind == "float" and (type(value) not in (int, float)
+                                or not math.isfinite(value)):
+            raise ValueError(f"{path}: {key} must be a finite number, not {value!r}")
     try:
         return MachineModel(**doc)
     except TypeError as exc:

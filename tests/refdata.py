@@ -1,5 +1,6 @@
-"""Frozen per-loop reference values for the bundled CloverLeaf suite, and
-the random kernel generator the invariant and acceptance tests share.
+"""Frozen per-loop reference values for the bundled CloverLeaf suite, the
+random kernel generator the invariant and acceptance tests share, and a
+row view of a rank sweep's columns.
 
 Columns: arrays, rd_lcf, rd_lcb, wr, rdwr, flops/it, then the four balance
 bounds in bytes/iteration (min, lcf_wa, lcb, max), then the measured
@@ -8,6 +9,8 @@ is the published single-core value the rank-1 CSV fixture transcribes.
 """
 
 import random
+from dataclasses import fields
+from types import SimpleNamespace
 
 from stencilmem.kernels import READ, WRITE, Access, ArrayDecl, GridSpec, KernelSpec
 
@@ -92,3 +95,11 @@ def random_kernel(rng: random.Random, idx: int,
         accesses.append(Access(ArrayDecl("lone", grid), 0, 0, READ))
     return KernelSpec(name=f"rand{idx}", accesses=tuple(accesses),
                       flops_per_it=rng.randint(0, 30))
+
+
+def sweep_rows(sweep) -> list[SimpleNamespace]:
+    """A ``decomp.RankSweep`` as one record per rank count, each field a
+    Python scalar, for tests that read a sweep row by row."""
+    columns = {f.name: getattr(sweep, f.name).tolist() for f in fields(sweep)}
+    return [SimpleNamespace(**dict(zip(columns, row)))
+            for row in zip(*columns.values())]

@@ -18,6 +18,8 @@ from stencilmem.cli import InputError, build_parser, main, read_measurements
 from stencilmem.kernels import data_path, derive_stream_counts, load_suite
 from stencilmem.roofline import load_machine
 
+from refdata import sweep_rows
+
 SUITE = str(data_path("cloverleaf_tiny.json"))
 ICX = str(data_path("icx_8360y.json"))
 RANK1 = str(data_path("reference/clv_tiny_rank1.csv"))
@@ -114,24 +116,33 @@ class TestAnalyze:
         assert rc == 2 and out == ""
         assert err.startswith("error: ") and "missing.json" in err
 
-    @pytest.mark.parametrize("field, value", [
-        ("mem_bw_per_domain", float("nan")),
-        ("mem_bw_per_domain", float("inf")),
-        ("mem_bw_per_domain", True),
-        ("cores_per_domain", 18.5),
-        ("cache_l3", 5.6e7),
-    ], ids=["nan", "inf", "bool", "fractional_cores", "float_cache"])
+    @pytest.mark.parametrize("field, value, message", [
+        ("mem_bw_per_domain", float("nan"), "must be a finite number"),
+        ("mem_bw_per_domain", float("inf"), "must be a finite number"),
+        ("mem_bw_per_domain", True, "must be a finite number"),
+        ("cores_per_domain", 18.5, "must be an integer"),
+        ("cache_l3", 5.6e7, "must be an integer"),
+        # a string factor reached the evasion model of `prime-sweep --wa
+        # speci2m` and failed there with a TypeError; a null one and a
+        # numeric name were accepted without a word
+        ("speci2m_factor", "1.2", "must be a finite number"),
+        ("nt_factor", None, "must be a finite number"),
+        ("name", 8360, "must be a string"),
+    ], ids=["nan", "inf", "bool", "fractional_cores", "float_cache",
+            "factor_string", "factor_null", "name_number"])
     def test_non_finite_machine_number_exits_2(self, capsys, tmp_path, field,
-                                               value):
+                                               value, message):
         doc = json.loads(Path(ICX).read_text())
         doc[field] = value
         p = tmp_path / "m.json"
         p.write_text(json.dumps(doc))
         for argv in (["analyze", SUITE, str(p)],
-                     ["prime-sweep", SUITE, str(p), "--ranks", "36"]):
-            rc, _, err = run(capsys, *argv)
-            assert rc == 2
-            assert field in err
+                     ["prime-sweep", SUITE, str(p), "--ranks", "36"],
+                     ["prime-sweep", SUITE, str(p), "--ranks", "36", "--wa",
+                      "nt-speci2m"]):
+            rc, out, err = run(capsys, *argv)
+            assert (rc, out, err) == (2, "", f"error: {p}: {field} {message}, "
+                                             f"not {value!r}\n")
 
     @pytest.mark.parametrize("field, value, message", [
         ("dj", 1.7, "must be integers"),
@@ -366,7 +377,8 @@ class TestPrimeSweep:
         policy = balance.evasion(icx.speci2m_factor)
         expected = {}
         for kernel in suite:
-            pred, = decomp.predict_rank_sweep(kernel, [72], icx, policy)
+            sweep, = decomp.predict_rank_sweep([kernel], [72], icx, policy)
+            pred, = sweep_rows(sweep)
             expected[kernel.name] = f"{pred.bytes_per_it:.4f}"
         assert got == expected
         assert got["on_wide"] != got["on_narrow"]
@@ -378,6 +390,34 @@ class TestPrimeSweep:
         assert rc == 2
         assert out == ""
         assert "error" in err
+
+    def test_first_failing_rank_of_the_first_failing_grid_is_named(self, capsys,
+                                                                  tmp_path):
+        # the wide grid takes every count of 1..120; the narrow one fails
+        # first at 101, which is prime and cuts its 100 cells 101 ways
+        p = self.two_grid_suite(tmp_path)
+        rc, out, err = run(capsys, "prime-sweep", str(p), ICX, "--ranks", "1..120")
+        assert (rc, out, err) == (2, "", "error: cannot split extent 100 into "
+                                         "101 parts\n")
+
+    @pytest.mark.parametrize("wa", sorted(balance.WA_MODELS))
+    def test_rank_list_keeps_its_order_and_duplicates(self, capsys, wa):
+        from test_decomp import composed_rank_prediction
+        ranks = [72, 8, 72, 1]
+        rc, out, err = run(capsys, "prime-sweep", SUITE, ICX, "--ranks",
+                           ",".join(map(str, ranks)), "--wa", wa)
+        assert (rc, err) == (0, "")
+        suite, icx = load_suite(SUITE), load_machine(ICX)
+        policy = balance.wa_policy(wa, icx)
+        composed = {k.name: [composed_rank_prediction(k, p, icx, policy)
+                             for p in ranks] for k in suite}
+        want = [[name, str(w["ranks"]), f"{w['bytes_per_it']:.4f}",
+                 str(int(w["prime"]))] for name, ws in composed.items() for w in ws]
+        assert list(csv.reader(io.StringIO(out)))[1:] == want
+        kernels = list(suite)
+        for kernel, sweep in zip(kernels, decomp.predict_rank_sweep(kernels, ranks,
+                                                                    icx, policy)):
+            assert [vars(r) for r in sweep_rows(sweep)] == composed[kernel.name]
 
     def test_outer_cut_is_checked_against_the_outer_extent(self, capsys, tmp_path):
         # a grid 4096 wide and 2 high: 4 ranks go on (2, 2), but 8 ranks on
@@ -553,6 +593,21 @@ class TestCompare:
                      "timesteps,grid_points\nam04,1,-1.0,1.0,1,400,1000\n")
         with pytest.raises(InputError):
             read_measurements(str(p))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["read_gbytes", "write_gbytes"])
+    def test_non_finite_volume_exits_2(self, capsys, tmp_path, column, value):
+        # a NaN volume made the mean error NaN, which passed --check
+        volumes = {"read_gbytes": "1.0", "write_gbytes": "1.0", column: value}
+        p = tmp_path / "m.csv"
+        p.write_text("kernel,ranks,read_gbytes,write_gbytes,call_count,"
+                     "timesteps,grid_points\n"
+                     f"am04,1,{volumes['read_gbytes']},{volumes['write_gbytes']},"
+                     "1,400,1000\n")
+        rc, out, err = run(capsys, "compare", SUITE, ICX, str(p), "--check",
+                           "--tolerance", "5")
+        assert (rc, out, err) == (2, "", "error: measurement 'am04': data volumes "
+                                         "must be finite and not negative\n")
 
     def test_zero_volume_rejected(self, tmp_path):
         p = tmp_path / "m.csv"

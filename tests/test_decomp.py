@@ -1,5 +1,6 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from stencilmem.balance import (
@@ -12,7 +13,7 @@ from stencilmem.balance import (
     wa_policy,
 )
 from stencilmem.decomp import (
-    RankPrediction,
+    RankSweep,
     decompose,
     factorize_ranks,
     halo_read_overhead,
@@ -31,6 +32,8 @@ from stencilmem.kernels import (
     derive_stream_counts,
     element_size,
 )
+
+from refdata import sweep_rows
 
 M = 15360
 
@@ -147,18 +150,27 @@ class TestHaloReadOverhead:
         with pytest.raises(ValueError):
             halo_read_overhead(0)
 
+    def test_integer_array_gives_the_scalar_values(self):
+        # the rank sweep prices a whole column of widths in one call
+        widths = np.array([1, 100, 216, 229, 15360])
+        for esize in (4, 8):
+            assert halo_read_overhead(widths, esize).tolist() == \
+                [halo_read_overhead(w, esize) for w in widths.tolist()]
+        with pytest.raises(ValueError):
+            halo_read_overhead(np.array([216, 0]))
+
 
 class TestRankSweep:
     def test_single_rank_equals_plain_scenario(self, suite, icx):
         for name in ("am04", "ac03", "pdv01"):
             kernel = suite.kernels[name]
-            pred = predict_rank_sweep(kernel, [1], icx, FULL_WA)[0]
+            pred, = sweep_rows(predict_rank_sweep([kernel], [1], icx, FULL_WA)[0])
             assert pred.bytes_per_it == scenario_table(kernel).lcf_wa.bytes_per_it
 
     def test_am04_prime_spike_is_read_side_only(self, suite, icx):
         # local width 216 is line-aligned, so only the read streams inflate
         kernel = suite.kernels["am04"]
-        p1, p71 = predict_rank_sweep(kernel, [1, 71], icx, FULL_WA)
+        p1, p71 = sweep_rows(predict_rank_sweep([kernel], [1, 71], icx, FULL_WA)[0])
         h = halo_read_overhead(216)
         counts = derive_stream_counts(kernel)
         assert p71.min_inner_width == 216
@@ -169,7 +181,8 @@ class TestRankSweep:
     def test_class_iii_varies_by_halo_term_only(self, suite, icx):
         kernel = suite.kernels["ac03"]  # no evadable writes
         counts = derive_stream_counts(kernel)
-        for pred in predict_rank_sweep(kernel, [1, 19, 37, 71, 72], icx, FULL_WA):
+        sweep, = predict_rank_sweep([kernel], [1, 19, 37, 71, 72], icx, FULL_WA)
+        for pred in sweep_rows(sweep):
             if pred.px == 1:
                 assert pred.bytes_per_it == 8 * (counts.rd_lcf + counts.wr)
                 continue
@@ -178,26 +191,28 @@ class TestRankSweep:
             assert pred.bytes_per_it == pytest.approx(expect)
 
     def test_72_ranks_overhead_below_half_percent(self, suite, icx):
-        for kernel in suite:
-            p1, p72 = predict_rank_sweep(kernel, [1, 72], icx, FULL_WA)
+        kernels = list(suite)
+        for kernel, sweep in zip(kernels, predict_rank_sweep(kernels, [1, 72], icx,
+                                                             FULL_WA)):
+            p1, p72 = sweep_rows(sweep)
             assert p72.bytes_per_it / p1.bytes_per_it < 1.005
 
     def test_prime_flagging(self, suite, icx):
-        preds = predict_rank_sweep(suite.kernels["am04"], [70, 71, 72], icx,
-                                   evasion(1.2))
+        preds = sweep_rows(predict_rank_sweep([suite.kernels["am04"]], [70, 71, 72],
+                                              icx, evasion(1.2))[0])
         assert [p.prime for p in preds] == [False, True, False]
         assert preds[1].bytes_per_it > preds[0].bytes_per_it
         assert preds[1].bytes_per_it > preds[2].bytes_per_it
 
     def test_prime_flag_matches_is_prime(self, suite, icx):
         ranks = range(1, 1001)
-        preds = predict_rank_sweep(suite.kernels["am04"], ranks, icx, FULL_WA)
-        assert [p.prime for p in preds] == [is_prime(p) for p in ranks]
+        sweep, = predict_rank_sweep([suite.kernels["am04"]], ranks, icx, FULL_WA)
+        assert sweep.prime.tolist() == [is_prime(p) for p in ranks]
 
     def test_unaligned_width_adds_write_side_term(self, suite, icx):
         # 67 ranks: prime, width 229 -> partial-line allocate on the write stream
         kernel = suite.kernels["am04"]
-        pred = predict_rank_sweep(kernel, [67], icx, evasion(1.2))[0]
+        pred, = sweep_rows(predict_rank_sweep([kernel], [67], icx, evasion(1.2))[0])
         width = pred.min_inner_width
         assert width % 8 != 0
         h = halo_read_overhead(width)
@@ -210,7 +225,7 @@ class TestRankSweep:
         # line, so the write stream pays the partial-line allocate too
         kernel = float2row()
         counts = derive_stream_counts(kernel)
-        p1, p71 = predict_rank_sweep(kernel, [1, 71], icx, FULL_WA)
+        p1, p71 = sweep_rows(predict_rank_sweep([kernel], [1, 71], icx, FULL_WA)[0])
         assert p71.min_inner_width == 216
         assert p1.lc_fulfilled and p71.lc_fulfilled
         assert halo_read_overhead(216, 4) == 16 / 232
@@ -218,10 +233,11 @@ class TestRankSweep:
             4 * (counts.rd_lcf + counts.evadable_writes) * 16 / 232)
 
 
-def composed_rank_prediction(kernel, p, machine, policy) -> RankPrediction:
+def composed_rank_prediction(kernel, p, machine, policy) -> dict:
     """One rank count priced by composing the public steps per p: the
     per-rank widths of the decomposition, a layer-condition report at the
-    narrowest one, ``code_balance`` and the halo and partial-line terms."""
+    narrowest one, ``code_balance`` and the halo and partial-line terms.
+    Keyed by the :class:`RankSweep` field names."""
     counts = derive_stream_counts(kernel)
     esize = element_size(kernel)
     dec = decompose(p, kernel.grid.inner_extent)
@@ -234,16 +250,19 @@ def composed_rank_prediction(kernel, p, machine, policy) -> RankPrediction:
         partial_line_wa = (counts.evadable_writes * h
                            if width * esize % LINE_BYTES else 0.0)
         bytes_per_it += esize * (rd * h + partial_line_wa)
-    return RankPrediction(p, dec.px, dec.py, width, bytes_per_it, lc.fulfilled)
+    return dict(ranks=p, px=dec.px, py=dec.py, min_inner_width=width,
+                bytes_per_it=bytes_per_it, lc_fulfilled=lc.fulfilled,
+                prime=is_prime(p))
 
 
 @pytest.mark.parametrize("wa", sorted(WA_MODELS))
 @pytest.mark.parametrize("machine_name", ["icx", "spr", "small"])
 def test_sweep_equals_per_rank_composition(suite, machine_name, wa, request):
     # exact equality: the sweep hoists the per-kernel work out of the rank
-    # loop, which must not move a single bit of any field. Both bundled
-    # machines hold every layer condition over 1..400, so a machine with
-    # 16 KiB of L2 and 256 KiB of L3 adds rank counts that break it
+    # loop, shares the per-rank work between kernels on one grid and prices
+    # as numpy columns, which must not move a single bit of any field. Both
+    # bundled machines hold every layer condition over 1..400, so a machine
+    # with 16 KiB of L2 and 256 KiB of L3 adds rank counts that break it
     if machine_name == "small":
         machine = replace(request.getfixturevalue("icx"), cache_l2=16 * 1024,
                           cache_l3=256 * 1024)
@@ -251,10 +270,14 @@ def test_sweep_equals_per_rank_composition(suite, machine_name, wa, request):
         machine = request.getfixturevalue(machine_name)
     policy = wa_policy(wa, machine)
     ranks = range(1, 401)
+    kernels = [*suite, float2row()]
+    sweeps = predict_rank_sweep(kernels, ranks, machine, policy)
+    assert len(sweeps) == len(kernels)
     states = set()
-    for kernel in (*suite, float2row()):
-        got = predict_rank_sweep(kernel, ranks, machine, policy)
+    for kernel, got in zip(kernels, sweeps):
         want = [composed_rank_prediction(kernel, p, machine, policy) for p in ranks]
-        assert got == want, kernel.name
-        states |= {pred.lc_fulfilled for pred in got}
+        for field in fields(RankSweep):
+            assert getattr(got, field.name).tolist() == \
+                [w[field.name] for w in want], (kernel.name, field.name)
+        states |= set(got.lc_fulfilled.tolist())
     assert states == ({True, False} if machine_name == "small" else {True})

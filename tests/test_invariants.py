@@ -36,7 +36,7 @@ from stencilmem.kernels import (
     derive_stream_counts,
 )
 
-from refdata import random_kernel
+from refdata import random_kernel, sweep_rows
 
 N_ARITHMETIC_KERNELS = 1200
 N_SIM_KERNELS = 36
@@ -92,8 +92,10 @@ class TestGeneratedKernelAlgebra:
             assert label == {0: "iii", 1: "i"}.get(c.wr - c.rdwr, "ii")
 
     def test_rank_sweep_identity_at_one(self, arithmetic_kernels, icx):
-        for kernel in arithmetic_kernels[:300]:
-            pred = predict_rank_sweep(kernel, [1], icx, FULL_WA)[0]
+        kernels = arithmetic_kernels[:300]
+        for kernel, sweep in zip(kernels, predict_rank_sweep(kernels, [1], icx,
+                                                             FULL_WA)):
+            pred, = sweep_rows(sweep)
             assert pred.bytes_per_it == \
                 scenario_table(kernel).lcf_wa.bytes_per_it
 
