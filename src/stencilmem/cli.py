@@ -31,6 +31,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import balance, cachesim, decomp
 from .kernels import LINE_BYTES, derive_stream_counts, load_suite
 from .roofline import MachineModel, load_machine
@@ -247,6 +249,13 @@ def _parse_int_range(spec: str, minimum: int, what: str) -> range | list[int]:
                          f"{minimum}..72 or 8,19,72")
 
 
+def _csv_row(fields) -> str:
+    """One row as ``csv.writer`` writes it: quoted where needed, CRLF-ended."""
+    out = io.StringIO()
+    csv.writer(out).writerow(fields)
+    return out.getvalue()
+
+
 def cmd_prime_sweep(args) -> int:
     suite = load_suite(args.suite)
     machine = load_machine(args.machine)
@@ -255,14 +264,25 @@ def cmd_prime_sweep(args) -> int:
     # all kernels are priced before any row is written, so a failing one leaves
     # no partial output; one write, as a write per row to a pipe is costly
     sweeps = decomp.predict_rank_sweep(suite, ranks, machine, policy)
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["kernel", "p", "bytes_per_it", "prime"])
+    # every sweep has the same rank column; it is read rather than `ranks`,
+    # a lazy range of up to 10**12 counts that an empty suite never walks
+    p_fields = [f"{p}," for p in sweeps[0].ranks.tolist()] if sweeps else []
+    # indexed by the prime flag; every row shares these two strings, which
+    # keeps the peak memory at the row-by-row writer's
+    ends = np.array([",0\r\n", ",1\r\n"], dtype=object)
+    rows = []
     for kernel, sweep in zip(suite, sweeps):
-        writer.writerows(zip(itertools.repeat(kernel.name), sweep.ranks.tolist(),
-                             [f"{b:.4f}" for b in sweep.bytes_per_it.tolist()],
-                             sweep.prime.astype(int).tolist()))
-    sys.stdout.write(out.getvalue())
+        name_field = _csv_row([kernel.name, ""]).removesuffix("\r\n")  # "<name>,"
+        # one .4f per distinct value; grouped by bit pattern, so -0.0 and 0.0
+        # stay apart as they would formatted one by one
+        bits, inverse = np.unique(sweep.bytes_per_it.view(np.uint64), return_inverse=True)
+        text = np.array([f"{b:.4f}" for b in bits.view(np.float64).tolist()],
+                        dtype=object)
+        rows.append(itertools.chain.from_iterable(zip(
+            itertools.repeat(name_field), p_fields, text[inverse].tolist(),
+            ends[sweep.prime.view(np.uint8)].tolist())))
+    header = _csv_row(["kernel", "p", "bytes_per_it", "prime"])
+    sys.stdout.write("".join(itertools.chain([header], *rows)))
     return EXIT_OK
 
 

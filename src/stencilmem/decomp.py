@@ -111,7 +111,11 @@ class Decomposition:
 
 def _process_grid(p: int, inner: int, outer: int) -> tuple[int, int]:
     """:func:`factorize_ranks`, checked against the `inner` extent that px
-    cuts and the `outer` extent that py cuts."""
+    cuts and the `outer` extent that py cuts. A count above the grid's
+    cell count can never fit, so it is refused before its trial division,
+    which runs for minutes on a prime near 2**61."""
+    if p > inner * outer:
+        raise ValueError(f"cannot split a {inner} x {outer} grid into {p} ranks")
     px, py = factorize_ranks(p)
     _check_split(inner, px)
     _check_split(outer, py)

@@ -1,8 +1,10 @@
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -31,6 +33,19 @@ def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def csv_writer_emitter(kernels, sweeps) -> str:
+    """``prime-sweep``'s stdout written row by row through ``csv.writer``:
+    the reference the column-wise emitter must match byte for byte."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["kernel", "p", "bytes_per_it", "prime"])
+    for kernel, sweep in zip(kernels, sweeps):
+        writer.writerows(zip(itertools.repeat(kernel.name), sweep.ranks.tolist(),
+                             [f"{b:.4f}" for b in sweep.bytes_per_it.tolist()],
+                             sweep.prime.astype(int).tolist()))
+    return out.getvalue()
 
 
 class TestAnalyze:
@@ -447,6 +462,91 @@ class TestPrimeSweep:
             rc, out, err = run(capsys, "prime-sweep", SUITE, ICX, "--ranks", ranks)
             assert (rc, out) == (2, "")
             assert err == "error: cannot split extent 15360 into 15361 parts\n"
+
+    def test_kernel_names_are_quoted_as_csv_writer_quotes_them(self, capsys,
+                                                               tmp_path):
+        doc = json.loads(self.two_grid_suite(tmp_path).read_text())
+        for kernel, name in zip(doc["kernels"], ['comma,name', 'say "hi"']):
+            kernel["name"] = name
+        doc["kernels"].append(dict(doc["kernels"][0], name=" leading space"))
+        p = tmp_path / "odd_names.json"
+        p.write_text(json.dumps(doc))
+        rc, out, err = run(capsys, "prime-sweep", str(p), ICX, "--ranks", "1..30")
+        assert (rc, err) == (0, "")
+        suite, icx = load_suite(p), load_machine(ICX)
+        sweeps = decomp.predict_rank_sweep(suite, range(1, 31), icx,
+                                           balance.wa_policy("speci2m", icx))
+        assert out == csv_writer_emitter(suite, sweeps)
+        lines = out.split("\r\n")
+        assert lines[1].startswith('"comma,name",1,')
+        assert lines[31].startswith('"say ""hi""",1,')
+        assert lines[61].startswith(" leading space,1,")
+
+    @pytest.mark.parametrize("wa", sorted(balance.WA_MODELS))
+    @pytest.mark.parametrize("machine", ["icx_8360y", "spr_8480p"])
+    def test_random_rank_lists_match_csv_writer(self, capsys, monkeypatch,
+                                                machine, wa):
+        # unsorted lists with duplicates; every other sweep has a few
+        # balances overwritten with -0.0 and 0.0, which format apart
+        # ("-0.0000", "0.0000") though they compare equal
+        rng = random.Random(f"{machine}-{wa}")
+        path = str(data_path(f"{machine}.json"))
+        suite = load_suite(SUITE)
+        real_sweep = decomp.predict_rank_sweep
+        seen = []
+
+        def sweep_with_signed_zeros(kernels, ranks, *rest):
+            sweeps = real_sweep(kernels, ranks, *rest)
+            if len(seen) % 2:
+                for sweep in rng.sample(sweeps, 3):
+                    for value in (-0.0, 0.0, -0.0, 0.0):
+                        sweep.bytes_per_it[rng.randrange(len(ranks))] = value
+            seen.append(sweeps)
+            return sweeps
+
+        monkeypatch.setattr(decomp, "predict_rank_sweep", sweep_with_signed_zeros)
+        for _ in range(50):
+            ranks = [rng.choice([rng.randint(1, 400), rng.randint(1, 15360)])
+                     for _ in range(rng.randint(1, 500))]
+            ranks += rng.choices(ranks, k=rng.randint(0, 20))
+            rng.shuffle(ranks)
+            rc, out, err = run(capsys, "prime-sweep", SUITE, path, "--ranks",
+                               ",".join(map(str, ranks)), "--wa", wa)
+            assert (rc, err) == (0, "")
+            assert seen[-1][0].ranks.tolist() == ranks
+            # compared as split lines, equal exactly when the texts are, since
+            # pytest's report on two long unequal strings takes minutes
+            want = csv_writer_emitter(suite, seen[-1])
+            assert out.split("\r\n") == want.split("\r\n")
+        # some column held both zeros (its only negatives are -0.0)
+        assert any(np.signbit(b).any() and (b == 0).sum() > np.signbit(b).sum()
+                   for sweeps in seen for b in (s.bytes_per_it for s in sweeps))
+
+    def test_header_and_crlf_line_ends_are_documented(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        cli_section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        assert "the header `kernel,p,bytes_per_it,prime`" in cli_section
+        assert "Lines end in CRLF" in " ".join(cli_section.split())
+        env = dict(os.environ, PYTHONPATH=str(Path(stencilmem.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-m", "stencilmem.cli", "prime-sweep", SUITE, ICX,
+             "--ranks", "70..72"], capture_output=True, env=env, timeout=60,
+            check=True).stdout
+        assert out.startswith(b"kernel,p,bytes_per_it,prime\r\n")
+        assert out.endswith(b"\r\n")
+        assert out.count(b"\n") == out.count(b"\r\n") == 1 + 22 * 3
+        assert out.count(b"\r") == out.count(b"\r\n")
+
+    def test_more_ranks_than_grid_cells_exit_at_once(self):
+        # 2**61 - 1 is prime: its trial division alone would run for minutes,
+        # so the count must be refused as larger than the 15360 x 15360 grid
+        env = dict(os.environ, PYTHONPATH=str(Path(stencilmem.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stencilmem.cli", "prime-sweep", SUITE, ICX,
+             "--ranks", str(2 ** 61 - 1)], capture_output=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, b"", b"error: cannot split a 15360 x 15360 grid into "
+                    b"2305843009213693951 ranks\n")
 
     def test_closed_pipe_ends_quietly(self):
         # `prime-sweep | head`: far more output than a pipe buffer holds

@@ -131,6 +131,16 @@ class TestDecompose:
                            match="^cannot split extent 15360 into 15361 parts$"):
             decompose(2 * 15361, M)
 
+    def test_more_ranks_than_cells_raises_before_factorizing(self):
+        # 16 ranks fill a 4 x 4 grid, 17 can never fit; 2**61 - 1 is a prime
+        # whose trial division alone would run for minutes
+        d = decompose(16, 4)
+        assert (d.px, d.py) == (4, 4)
+        for p, extent in ((17, 4), (2 ** 61 - 1, M)):
+            with pytest.raises(ValueError, match=f"^cannot split a {extent} x "
+                                                 f"{extent} grid into {p} ranks$"):
+                decompose(p, extent)
+
 
 class TestHaloReadOverhead:
     def test_short_rows(self):
