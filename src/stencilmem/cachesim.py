@@ -37,24 +37,22 @@ blocks.
 
 A kernel sweep is periodic in its rows: row k + P is row k moved by whole
 lines, P = 64 / gcd(row_bytes, 64). ``simulate_kernel`` replays period by
-period and charges periods in bulk once they repeat, bit-identical to
-``simulate`` of the whole trace. Before any set overflows nothing is
-evicted, so the LRU order is never read and the lines that the sweep has
-left behind only take room: it is enough that the lines the rest of the
-sweep can touch (with their dirty bits and order), the claim table, the
-WC buffers and the held-back run repeat, and the bulk runs up to the
-period in which a set could overflow. From then on the state of the full
-last level must repeat. ``simulate`` replays a trace in full, as it has
-no rows.
+period and charges the rest of the sweep in bulk once a period repeats,
+bit-identical to ``simulate`` of the whole trace. While no set is full, it
+compares only the lines the rest of the sweep can touch (with their dirty
+bits and order), the claim table, the WC buffers and the held-back run;
+if the live lines then fit the ways of every set, LRU only ever evicts
+lines the sweep has left, so it charges every remaining period at once.
+Otherwise, once every set is full, the state of the full last level must
+repeat. ``simulate`` replays a trace in full, as it has no rows.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import sub
 from pathlib import Path
 
 import numpy as np
@@ -235,8 +233,8 @@ class _Hierarchy:
         # the events of the last run fed, which the next block may go on
         self.held = NO_EVENTS
         # rows of a kernel sweep replayed event by event, rows charged in
-        # bulk from a repeating period, and the share of those charged before
-        # the level filled (``_replay_kernel``)
+        # bulk from a repeating period, and the share of those charged while
+        # no set was full (``_replay_kernel``)
         self.replayed_rows = 0
         self.bulk_rows = 0
         self.fill_rows = 0
@@ -402,58 +400,6 @@ class _Hierarchy:
         return (list(self.pending.items()), list(self.wc.items()), self.held,
                 (self.read_lines, self.write_lines, self.avoided_lines))
 
-    def fast_forward(self, retired: np.ndarray, window: np.ndarray,
-                     periods: int, shift: int, claims=None):
-        """Move a level that has not overflowed on by `periods` periods of
-        `shift` lines.
-
-        `retired` and `window` are rows of ``window`` tables: the lines that
-        the last period retired, and the window now. Each period retires
-        the lines the one before retired, moved by `shift`, in the same LRU
-        order, and the window moves along: so each set gets the retired
-        copies, oldest first, then its moved window. The claim table moves
-        as a whole, unless `claims` gives the number of its oldest claims on
-        lines the sweep has left and the claims the last period left there:
-        then the table keeps the former, gets a copy of the latter for each
-        period and moves the rest, and its oldest claims age out past its
-        size.
-        """
-        sets = self.sets
-        moved = periods * shift
-
-        def oldest_first(table):
-            return table[np.lexsort((-table[:, 2], table[:, 0] % sets.size))]
-
-        old, new = oldest_first(retired), oldest_first(window)
-        copies = old[None, :, 0] + shift * np.arange(1, periods + 1)[:, None]
-        lines = np.concatenate((copies.ravel(), new[:, 0] + moved))
-        dirty = np.concatenate((np.tile(old[:, 1], periods), new[:, 1])).astype(bool)
-        where = lines % sets.size
-        order = np.argsort(where, kind="stable")
-        lines, dirty, where = lines[order], dirty[order], where[order]
-        for s, count in enumerate(np.bincount(window[:, 0] % sets.size,
-                                              minlength=sets.size).tolist()):
-            for _ in range(count):
-                sets[s].popitem()
-        cuts = np.flatnonzero(where[1:] != where[:-1]) + 1
-        for first, ls, ds in zip(np.concatenate(([0], cuts)), np.split(lines, cuts),
-                                 np.split(dirty, cuts)):
-            if ls.size:
-                sets[where[first]].update(zip(ls.tolist(), ds.tolist()))
-        items = list(self.pending.items())
-        left, opened = claims or (0, [])
-        kept = items[:left] + [(line + k * shift, c) for k in range(1, periods + 1)
-                               for line, c in opened]
-        # the table peaks len(opened) claims a period higher than in the
-        # last one; each claim past its size ages out one left behind
-        aged = max(0, self.claim_peak + periods * len(opened) - self.policy.buffer_lines
-                   ) if claims else 0
-        self.read_lines += aged
-        self.pending = OrderedDict(kept[aged:] + [(line + moved, c)
-                                                  for line, c in items[left:]])
-        self.wc = OrderedDict((line + moved, c) for line, c in self.wc.items())
-        self.held = (self.held[0] + np.uint64(moved * LINE_BYTES), self.held[1])
-
     def finish(self):
         """End of trace: replay the held-back run, resolve open claims, drain
         WC buffers, flush dirty lines."""
@@ -581,66 +527,36 @@ def _window_rows(kernel: KernelSpec, grid: GridSpec) -> int:
     return max(span, LINE_BYTES // math.gcd(row_bytes, LINE_BYTES))
 
 
-def _periods_until_full(occupied: np.ndarray, retired: np.ndarray,
-                        window: np.ndarray, shift: int, ways: int, most: int) -> int:
-    """The most whole periods, up to `most`, after which no set holds more
-    than `ways` lines, if no line is evicted.
-
-    Per set: `occupied` lines now, `window` of them in the window; the
-    next period retires `retired` lines and moves both by `shift` sets, so
-    after n periods set s holds occupied - window plus retired summed over
-    the sets s - shift .. s - n * shift, plus the window of set s - n * shift.
-    The sum goes along the cycles of the rotation (prefix sums over two
-    turns), and a set only grows, so the answer is a binary search.
-    """
-    sets = occupied.size
-    cycles = math.gcd(shift, sets)
-    length = sets // cycles
-    where = (np.arange(cycles)[:, None] + np.arange(length) * shift) % sets
-    turns = np.tile(retired[where], 2)
-    prefix = np.concatenate((np.zeros((cycles, 1), dtype=np.int64),
-                             np.cumsum(turns, axis=1)), axis=1)
-    col = np.arange(length) + length
-    frozen = occupied - window
-
-    def fits(n: int) -> bool:
-        laps, part = divmod(n, length)
-        added = np.empty(sets, dtype=np.int64)
-        added[where] = laps * prefix[:, length:length + 1] + prefix[:, col] - prefix[:, col - part]
-        return bool(np.all(frozen + added + np.roll(window, n * shift % sets) <= ways))
-
-    lo, hi = 0, most
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if fits(mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
 def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
                    policy: WritePolicySim) -> _Hierarchy:
-    """Replay and finish one kernel's sweep, fast-forwarding what repeats.
+    """Replay and finish one kernel's sweep, charging what repeats in bulk.
 
     Row k + P of the trace is row k moved by D = P * row_bytes / 64 whole
     lines, with P = 64 / gcd(row_bytes, 64), and a line moved by D lines
     moves from set s to set (s + D) mod S. The replay goes one period of P
-    rows at a time and fast-forwards in two ways.
+    rows at a time and charges the rest of the sweep in bulk in two ways.
 
-    Before any set overflows, nothing is evicted, so the LRU order is
-    never read and a line that the sweep has left (``_window_rows``) only
-    takes room. After each period the window, the lines touched since
-    that many rows, is compared with the window one period earlier moved
-    by D lines, together with the claim table, the WC buffers and the
-    held-back run. On a match each further period retires the lines that
-    the last one retired, moved by D, so whole periods are charged in bulk
-    up to the first one in which a set could overflow
-    (``_periods_until_full``). If the sweep ends first, ``finish`` writes
-    back the dirty lines retired in bulk; otherwise the skipped lines are
-    put in place (``_Hierarchy.fast_forward``) and the replay goes on.
-    A window is only taken in a period after which a whole period could
-    still fit, and only once it lies wholly inside the replayed rows.
+    While no set is full, nothing has been evicted. A line that the sweep
+    has left (``_window_rows``) is never touched again. After each period
+    the window, the lines touched since that many rows, is compared with
+    the window one period earlier moved by D lines, together with the
+    claim table, the WC buffers and the held-back run. On a match the live
+    lines, those touched in the last ``_window_rows`` + P rows, are counted
+    per set. If no set holds more of them than its ways and no claim aged
+    out in the last period, every remaining whole period is charged with
+    the counter delta of the last one, however full the level would get:
+    LRU evicts the oldest line of a set, a left line is older than every
+    line that can still be touched, and a line touched again during a
+    period is live at its end, so only left lines are evicted and no hit
+    turns into a miss. The move by D lines only permutes the per-set
+    counts, so the check at the match covers every later period. The
+    claims on left lines are the oldest in the table and the others never
+    outgrow it, so only they age out. A left line costs the same wherever
+    it goes: a dirty one is written once, evicted or flushed by
+    ``finish``, and a claim on one costs one fill, whether it ages out, is
+    evicted or is left open. So the dirty lines and the claims that each
+    period leaves behind are added per period. If the window repeats but
+    the live lines do not fit, no more windows are taken.
 
     Once every set is full, the state after each period is compared with
     the state one period earlier moved by D lines, over every set. On a
@@ -648,9 +564,9 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     charged in bulk with the counter delta of the last one.
 
     The engine only compares lines for equality and set numbers modulo S,
-    and ``finish`` only counts, so when the bulk runs to the end of the
-    sweep, the tail rows are replayed from the matched state with the next
-    rows of the trace instead of moving every table by the skipped lines.
+    and ``finish`` only counts, so after either bulk the tail rows are
+    replayed from the matched state with the next rows of the trace instead
+    of moving every table by the skipped lines.
     """
     sim = _Hierarchy(list(levels), policy, grid.element_size)
     j0, j1, k0, k1 = _loop_bounds(kernel, grid)
@@ -661,30 +577,24 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     shift = period * row_bytes // LINE_BYTES
     sets, ways = sim.sets, sim.ways
     row = k0                        # the first row of the next period
-
-    def periods_of(sweep):
-        return ((a[i:i + step], w[i:i + step])
-                for a, w in gen_trace_blocks(sweep, grid)
-                for i in range(0, a.size, step))
-
-    periods = periods_of(kernel)
-    # a window spans every line the rest of the sweep can touch and every
-    # line the next period retires; `recent` holds the addresses of enough
-    # periods for any window
+    periods = ((a[i:i + step], w[i:i + step])
+               for a, w in gen_trace_blocks(kernel, grid)
+               for i in range(0, a.size, step))
+    # the live lines are those touched in the last `width` + P rows, and
+    # `recent` holds the addresses of enough periods for them
     width = _window_rows(kernel, grid)
+    live_events = (width + period) * row_events
     recent = deque(maxlen=2 + width // period)
-    # the dirty lines and open claims left behind by a bulk that runs to
-    # the end of the sweep, which ``finish`` does not see
+    # the dirty lines and open claims left behind by the pre-fill bulk,
+    # which ``finish`` does not see
     bulk_dirty = bulk_claims = 0
-    occupied = [0] * sets.size      # lines per set after the last period
     before = window = None
-    while (chunk := next(periods, None)) is not None:
-        addrs, writes = chunk
+    for addrs, writes in periods:
         sim.feed(addrs, writes)
         sim.replayed_rows += addrs.size // row_events
         row += addrs.size // row_events
         whole, tail = divmod(k1 + 1 - row, period)
-        before_period, occupied = occupied, list(map(len, sets))
+        occupied = list(map(len, sets))
         recent.append(addrs)
         if min(occupied) == ways:
             now = sim.snapshot()
@@ -695,53 +605,31 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
                 break
             before = now
             continue
-        # a window needs a level that never overflowed, a whole period to
-        # skip and room for one, and replayed rows enough behind it
-        if whole < 1 or max(occupied) + max(1, *map(sub, occupied, before_period)) > ways:
-            window = None
-            continue
+        # a window needs a level with no set full, a whole period to charge
+        # and the live rows replayed
         applied = len(recent) * step - sim.held[0].size
         first = (applied // row_events - width) * row_events
-        if not width or first < 0:
+        if (not width or whole < 1 or max(occupied) == ways or first < 0
+                or len(recent) * step < live_events):
             window = None
             continue
-        touched = np.concatenate(recent)[first:applied] >> np.uint64(LINE_SHIFT)
-        now = sim.window(touched)
+        touched = np.concatenate(recent) >> np.uint64(LINE_SHIFT)
+        now = sim.window(touched[first:applied])
         if window is not None and _window_repeats(now, window, shift):
+            live = np.unique(touched[-live_events:]) % np.uint64(sets.size)
+            if np.bincount(live.astype(np.intp)).max() > ways or (
+                    sim.claim and sim.claim_peak > sim.policy.buffer_lines):
+                width = 0       # the full-level path takes over
+                continue
             table, table0 = now[0], window[0]
             retired = table0[~_in_window(table0[:, 0], table)]
-            per_set = sets.size
-            fit = _periods_until_full(
-                np.array(occupied), np.bincount(retired[:, 0] % per_set, minlength=per_set),
-                np.bincount(table[:, 0] % per_set, minlength=per_set),
-                shift % per_set, ways, whole + 1)
-            # a claim table that moves as a whole repeats, aging included;
-            # otherwise the claims on lines the sweep has left pile up, and
-            # only they may age out: in the last period none did
-            claims = None
-            if not _tables_moved(now[1:], window[1:], shift):
-                left, left0 = _left_claims(now), _left_claims(window)
-                claims = left, now[1][left0:left]
-                if sim.claim_peak > sim.policy.buffer_lines:
-                    fit = 0
-            bulk = min(fit, whole)
-            if bulk:
-                _charge(sim, now, window, bulk, period)
-                sim.fill_rows += bulk * period
-                if bulk == whole and (fit > whole or not tail):
-                    # the sweep ends before the level fills; a claim left
-                    # behind costs one fill, whether it ages out or not
-                    bulk_dirty = bulk * int(retired[:, 1].sum())
-                    bulk_claims = bulk * (0 if claims is None else len(claims[1]))
-                    if tail:
-                        _replay_tail(sim, next(periods), tail, row_events)
-                    break
-                sim.fast_forward(retired, table, bulk, shift, claims)
-                row += bulk * period
-                periods = periods_of(replace(kernel, loop_k_range=(row, k1)))
-                recent.clear()
-                occupied = list(map(len, sets))
-                now = None
+            _charge(sim, now, window, whole, period)
+            sim.fill_rows += whole * period
+            bulk_dirty = whole * int(retired[:, 1].sum())
+            bulk_claims = whole * (_left_claims(now) - _left_claims(window))
+            if tail:
+                _replay_tail(sim, next(periods), tail, row_events)
+            break
         window = now
     sim.finish()
     sim.write_lines += bulk_dirty
@@ -772,9 +660,10 @@ def simulate_kernel(kernel: KernelSpec, grid: GridSpec, levels,
 
     As in ``simulate``, only the last of ``levels`` is replayed. A kernel
     trace is aligned to the element size, so no access crosses a line. Once
-    the periods of rows repeat, before the level fills and again once it
-    is full, they are charged in bulk (``_replay_kernel``), and the traffic
-    is bit-identical to ``simulate(gen_trace(kernel, grid), ...)``.
+    the periods of rows repeat, while no set is full and the live lines fit
+    or once the level is full, the rest of the sweep is charged in bulk
+    (``_replay_kernel``), and the traffic is bit-identical to
+    ``simulate(gen_trace(kernel, grid), ...)``.
     """
     sim = _replay_kernel(kernel, grid, levels, policy)
     return sim.traffic(iteration_count(kernel, grid))

@@ -15,7 +15,6 @@ from stencilmem.cachesim import (
     dump_trace,
     evades,
     _Hierarchy,
-    _periods_until_full,
     _repeats,
     _replay_kernel,
     _window_repeats,
@@ -659,16 +658,14 @@ class TestFastForward:
             lines = kept_lines(kernel, grid, FF_POLICIES[policy])
             levels = FILL_CACHES[cache](lines)
             sim = self.replay(kernel, grid, levels, FF_POLICIES[policy])
+            # the live lines fit, so the bulk runs to the end of the sweep,
+            # also on the two levels that it fills
             assert sim.fill_rows > 0, kernel.name
+            assert sim.replayed_rows + sim.fill_rows == grid.outer_extent, kernel.name
             if cache == "beyond-footprint":
-                # charged in bulk to the end, with no table built
-                assert sim.bulk_rows == sim.fill_rows, kernel.name
                 assert len(sim.sets[0]) < lines, kernel.name
             else:
-                # the level fills, and after the hand-over the full-level
-                # fast-forward charges the rest
                 assert lines > levels[-1].lines, kernel.name
-                assert sim.replayed_rows + sim.fill_rows < grid.outer_extent, kernel.name
 
     @pytest.mark.parametrize("halo", range(18))
     def test_halo_copy_against_full_replay(self, halo):
@@ -682,58 +679,12 @@ class TestFastForward:
         assert (halo_copy_experiment(216, halo, 128 * 1024, AutoClaim())
                 == want.read_bytes / want.write_bytes)
 
-    @pytest.mark.parametrize("case, policy", [
-        (case, policy) for case in ("am04", "pdv01", "halo-copy", "held-line")
-        for policy in FF_POLICIES
-        # NT: the first five rows of `a` stay in the WC buffers for good
-        if (case, policy) != ("held-line", "nt")])
-    def test_built_tables_are_the_replayed_ones(self, suite, monkeypatch, case, policy):
-        # the tables that the fast-forward builds when the level is about to
-        # fill must be those of the replay at that row: every set in LRU
-        # order, the claim table, the WC buffers and the held-back run. In
-        # "halo-copy" the claim table fills during the bulk and ages out
-        # claims that the sweep has left. In "held-line" rows are two lines,
-        # and the last run of each row, held back, writes the first element
-        # of the second line, which a read touched five rows (the reuse
-        # reach) earlier and nothing since.
-        if case == "halo-copy":
-            kernel, grid = halo_copy_kernel(216, 3, 75)
-        elif case == "held-line":
-            kernel = make_kernel([("a", 0, 5, READ), ("a", 0, 0, WRITE)])
-            grid = GridSpec(4, 100, halo_lo=5, halo_hi=7)
-        else:
-            kernel = suite.kernels[case]
-            grid = kernel.grid.resized(16, 192)
-        policy = FF_POLICIES[policy]
-        levels = fills_mid_sweep(kept_lines(kernel, grid, policy))
-        built = []
-        fast_forward = _Hierarchy.fast_forward
-
-        def record(sim, *args):
-            fast_forward(sim, *args)
-            built.append((sim.replayed_rows + sim.bulk_rows, state(sim)))
-
-        def state(sim):
-            return ([list(s.items()) for s in sim.sets], list(sim.pending.items()),
-                    list(sim.wc.items()), [a.tolist() for a in sim.held],
-                    (sim.read_lines, sim.write_lines, sim.avoided_lines))
-
-        monkeypatch.setattr(_Hierarchy, "fast_forward", record)
-        self.replay(kernel, grid, levels, policy)
-        assert built
-        rows, got = built[0]
-        ref = _Hierarchy(levels, policy, grid.element_size)
-        addrs, writes = (np.concatenate(a) for a in zip(*gen_trace_blocks(kernel, grid)))
-        events = rows * addrs.size // grid.outer_extent
-        ref.feed(addrs[:events], writes[:events])
-        assert got == state(ref)
-
     @pytest.mark.parametrize("case", ["am04", "halo-copy"])
     def test_every_replayed_row_comes_from_gen_trace_blocks(self, suite, monkeypatch,
                                                             case):
         # the benchmark counts the events of a sweep by replacing the module's
         # gen_trace_blocks: every event that simulate_kernel replays must come
-        # through it, also after the restart that follows a fast_forward
+        # through it, from one draw of the whole sweep
         if case == "halo-copy":
             kernel, grid = halo_copy_kernel(216, 3, 75)
         else:
@@ -741,9 +692,8 @@ class TestFastForward:
             grid = kernel.grid.resized(16, 192)
         policy = AutoClaim()
         levels = fills_mid_sweep(kept_lines(kernel, grid, policy))
-        calls, drawn, fed, engines, moves = [], [], [], set(), []
-        gen, feed, fast_forward = (cachesim.gen_trace_blocks, _Hierarchy.feed,
-                                   _Hierarchy.fast_forward)
+        calls, drawn, fed, engines = [], [], [], set()
+        gen, feed = cachesim.gen_trace_blocks, _Hierarchy.feed
 
         def counting(*args):
             calls.append(args)
@@ -756,17 +706,11 @@ class TestFastForward:
             fed.append(addrs)
             feed(sim, addrs, writes, last)
 
-        def record_move(sim, *args):
-            moves.append(len(calls))
-            fast_forward(sim, *args)
-
         monkeypatch.setattr(cachesim, "gen_trace_blocks", counting)
         monkeypatch.setattr(_Hierarchy, "feed", record_feed)
-        monkeypatch.setattr(_Hierarchy, "fast_forward", record_move)
         simulate_kernel(kernel, grid, levels, policy)
         (sim,) = engines
-        # one draw from the first row, then one after each move
-        assert moves and moves == list(range(1, len(calls)))
+        assert calls == [(kernel, grid)]
         assert all(any(np.shares_memory(addrs, block) for block in drawn)
                    for addrs in fed if addrs.size)
         j0, j1, _, _ = _loop_bounds(kernel, grid)
@@ -793,16 +737,57 @@ class TestFastForward:
     @pytest.mark.parametrize("associativity", [None, 8])
     @pytest.mark.parametrize("policy", [AlwaysAllocate(), AutoClaim()],
                              ids=["always", "claim"])
-    def test_fill_stops_before_the_first_overflow(self, associativity, policy):
+    def test_bulk_runs_past_the_first_overflow(self, associativity, policy):
         # two store streams 100 lines apart, one line each a row: on 16 sets
-        # of 8 ways row k fills sets k and k + 4 mod 16, so the level takes 64
-        # rows. Four are replayed (a window of two rows, compared with the one
-        # a row earlier), 60 charged in bulk, and the full level repeats after
-        # two more rows.
+        # of 8 ways row k fills sets k and k + 4 mod 16, so the level fills
+        # after 64 rows. Four are replayed until the window repeats, and the
+        # live lines, two a row over the last few rows, fit every set, so
+        # the other 96 are charged in bulk to the end.
         kernel, grid = store_stream_kernel(2, 100 * 8)
         sim = self.replay(kernel, grid.resized(8, 100), lv(128, associativity=associativity),
                           policy)
-        assert (sim.replayed_rows, sim.fill_rows, sim.bulk_rows) == (6, 60, 94)
+        assert (sim.replayed_rows, sim.fill_rows, sim.bulk_rows) == (4, 96, 96)
+
+    @pytest.mark.parametrize("case, policy", [
+        (case, policy) for case in ("am04", "pdv01", "halo-copy", "held-line")
+        for policy in FF_POLICIES
+        # NT: the first five rows of `a` stay in the WC buffers for good, so
+        # no window repeats (test_nt_buffers_held_for_good_replay_in_full)
+        if (case, policy) != ("held-line", "nt")])
+    def test_full_replay_evicts_only_left_lines(self, suite, case, policy):
+        # the bulk runs to the end on a level that the sweep fills, which is
+        # right because LRU then evicts no line that the sweep touches again:
+        # row by row, the full replay evicts each line after its last touch.
+        # In "halo-copy" the claim table fills during the bulk. In
+        # "held-line" rows are two lines, and the last run of each row, held
+        # back, writes a line that a read touched five rows earlier.
+        if case == "halo-copy":
+            kernel, grid = halo_copy_kernel(216, 3, 75)
+        elif case == "held-line":
+            kernel = make_kernel([("a", 0, 5, READ), ("a", 0, 0, WRITE)])
+            grid = GridSpec(4, 100, halo_lo=5, halo_hi=7)
+        else:
+            kernel = suite.kernels[case]
+            grid = kernel.grid.resized(16, 192)
+        policy = FF_POLICIES[policy]
+        levels = fills_mid_sweep(kept_lines(kernel, grid, policy))
+        sim = self.replay(kernel, grid, levels, policy)
+        _, _, k0, k1 = _loop_bounds(kernel, grid)
+        assert sim.fill_rows > 0 and sim.replayed_rows + sim.fill_rows == k1 - k0 + 1
+        addrs, writes = (np.concatenate(a) for a in zip(*gen_trace_blocks(kernel, grid)))
+        rows = np.split(np.arange(addrs.size), k1 - k0 + 1)
+        last_touch = {line: k for k, row in enumerate(rows)
+                      for line in (addrs[row] // LINE).tolist()}
+        ref = _Hierarchy(levels, policy, grid.element_size)
+        cached, evicted = set(), 0
+        for k, row in enumerate(rows):
+            ref.feed(addrs[row], writes[row])
+            now = set().union(*ref.sets)
+            # a run held back from row k - 1 may evict in row k
+            assert all(last_touch[line] <= k for line in cached - now)
+            evicted += len(cached - now)
+            cached = now
+        assert evicted > 0
 
     @pytest.mark.parametrize("cache", FILL_CACHES)
     @pytest.mark.parametrize("policy", FF_POLICIES)
@@ -861,17 +846,71 @@ class TestFastForward:
                 assert width >= trace_reuse_rows(kernel, grid)
         assert aligned > 200
 
-    def test_periods_until_full_follow_the_rotation(self):
-        # four sets of four ways; each period retires one line of set 0 moved
-        # by one more set, and the window of sets 0 and 1 moves along
-        occupied, retired, window = [np.array(v) for v in ([2, 1, 0, 0], [1, 0, 0, 0],
-                                                            [1, 1, 0, 0])]
-        assert _periods_until_full(occupied, retired, window, 1, 4, 100) == 11
-        assert _periods_until_full(occupied, retired, window, 1, 4, 5) == 5
-        # unmoved, set 0 takes every retired line
-        assert _periods_until_full(occupied, retired, window, 0, 4, 100) == 2
-        assert _periods_until_full(occupied, retired, window, 2, 4, 100) == 5
-        assert _periods_until_full(occupied, 0 * retired, window, 1, 4, 100) == 100
+    def test_random_kernels_caches_and_policies(self):
+        # random kernels, stretched to 30-119 rows unless they have loop
+        # ranges, through levels of 0.1-2x the lines the sweep keeps, of any
+        # associativity, under each policy with random buffer sizes
+        rng = np.random.default_rng(16)
+        charged = past_fill = full_level = 0
+        for _ in range(1200):
+            kernel, grid = random_kernel(rng)
+            if kernel.loop_k_range is None:
+                grid = grid.resized(grid.inner_extent, int(rng.integers(30, 120)))
+            policy = (AlwaysAllocate(), NtBypass(int(rng.integers(1, 12))),
+                      AutoClaim(int(rng.integers(1, 80))))[int(rng.integers(3))]
+            ways = (None, 1, 2, 4, 8)[int(rng.integers(5))]
+            kept = kept_lines(kernel, grid, policy)
+            lines = max(1, round(kept * rng.uniform(0.1, 2)))
+            levels = lv(-(-lines // (ways or 1)) * (ways or 1), associativity=ways)
+            sim = self.replay(kernel, grid, levels, policy)
+            charged += sim.fill_rows > 0
+            past_fill += sim.fill_rows > 0 and levels[-1].lines < kept
+            full_level += sim.bulk_rows > sim.fill_rows
+        # the pre-fill bulk runs past the fill of the level in some sweeps,
+        # and the full-level path charges others
+        assert charged > 200 and past_fill > 50 and full_level > 80
+
+    def test_live_lines_one_over_the_ways(self):
+        # NT stores to row k of `a`, read three rows later: the stored lines
+        # are live but not yet cached, so the level holds fewer lines than
+        # the live ones when the window repeats
+        kernel = make_kernel([("a", 0, -3, READ), ("a", 0, 0, WRITE)])
+        grid = GridSpec(8, 60, halo_lo=8, halo_hi=0)
+        policy = NtBypass()
+        # rows of two whole lines, a period of one row
+        rows = _window_rows(kernel, grid) + 1
+        lines = np.concatenate([addrs // LINE for addrs, _ in gen_trace_blocks(kernel, grid)])
+        live = np.unique(lines.reshape(grid.outer_extent, -1)[30 - rows:30]).size
+        fit = self.replay(kernel, grid, lv(live), policy)
+        assert fit.fill_rows > 0 and fit.replayed_rows + fit.fill_rows == grid.outer_extent
+        # the bulk leaves the level as it was at the match, with fewer lines
+        # than the level one line short holds: no set of that one is full
+        assert len(fit.sets[0]) < live - 1
+        short = self.replay(kernel, grid, lv(live - 1), policy)
+        assert short.fill_rows == 0
+
+    def test_claims_left_behind_age_out_during_the_bulk(self):
+        # halo-copy rows of 216 + 3 doubles leave a claim on a partly
+        # written line at each row edge; the bulk runs over the fill of the
+        # level, and the claims left behind outgrow the table of 64
+        kernel, grid = halo_copy_kernel(216, 3, 400)
+        policy = AutoClaim()
+        assert kept_lines(kernel, grid, policy) > DEFAULT_BENCH_CACHE[-1].lines
+        full = _Hierarchy(DEFAULT_BENCH_CACHE, policy, grid.element_size)
+        full.feed(*(np.concatenate(blocks) for blocks in zip(*gen_trace_blocks(kernel, grid))))
+        assert full.claim_peak > policy.buffer_lines
+        sim = self.replay(kernel, grid, DEFAULT_BENCH_CACHE, policy)
+        assert sim.fill_rows > 0 and sim.replayed_rows + sim.fill_rows == grid.outer_extent
+
+    def test_nt_buffers_held_for_good_replay_in_full(self):
+        # the first five rows of `a` are NT-written before any read and
+        # stay in the write-combine buffers for good, so no window repeats
+        # and the level never repeats in full
+        kernel = make_kernel([("a", 0, 5, READ), ("a", 0, 0, WRITE)])
+        grid = GridSpec(4, 100, halo_lo=5, halo_hi=7)
+        policy = NtBypass()
+        levels = fills_mid_sweep(kept_lines(kernel, grid, policy))
+        assert self.replay(kernel, grid, levels, policy).replayed_rows == grid.outer_extent
 
     def test_window_repeats_only_when_moved(self):
         # (line, dirty, age) rows sorted by line; a move of 4 lines, and one

@@ -4,7 +4,9 @@ The hashes pin every subcommand: the analytic ones (``analyze``,
 ``prime-sweep``, ``compare``) and, at desk-scale sizes, the simulator ones
 (``simulate`` under each policy and cache mode, ``store-ratio``,
 ``halo-copy``, and ``replay`` of an am00 trace that ``simulate
---dump-trace`` writes). A refactor can so show that it prints exactly what
+--dump-trace`` writes), and default ``simulate`` at its paper-scale grid
+(1024x1024), where the level fills, under ``always``, ``claim`` and ``nt``
+and with ``--cache-mode levels``. A refactor can so show that it prints exactly what
 it printed before. A change that means to alter an output re-records the
 table with ``PYTHONPATH=src python tests/test_golden_cli.py`` and says why.
 """
@@ -51,6 +53,9 @@ def commands() -> dict[str, list[str]]:
         argvs += [["store-ratio", "--streams", str(streams), "--volume", SIM_VOLUME,
                    "--policy", policy] for streams in (1, 2, 3)]
     argvs.append(["halo-copy", "--volume", SIM_VOLUME])
+    argvs += [["simulate", SUITE, MACHINES["icx"], "--policy", policy]
+              for policy in ("always", "claim", "nt")]
+    argvs.append(["simulate", SUITE, MACHINES["icx"], "--cache-mode", "levels"])
     return {" ".join(a.replace(str(data_path("")), "data") for a in argv): argv
             for argv in argvs}
 
@@ -190,6 +195,14 @@ GOLDEN = {
         '184796c69470aeab17a895160c1abe5a19eff3ccd1b21b689d94e6281caa98e6',
     'halo-copy --volume 262144':
         '892f25ec3a472b515fb5cc93bc80afd3eb5ce93fa3f1471effc614d3f9e7cadc',
+    'simulate data/cloverleaf_tiny.json data/icx_8360y.json --policy always':
+        '55c5bdd1855b06d79d6fb16d85c9790ba1f24eb31e6f4985b73afafec0cc974f',
+    'simulate data/cloverleaf_tiny.json data/icx_8360y.json --policy claim':
+        '5113f7dc23d4f09db288a7fdb3f6b44d7c43c0ca3049af3f2761452a64a351be',
+    'simulate data/cloverleaf_tiny.json data/icx_8360y.json --policy nt':
+        '5113f7dc23d4f09db288a7fdb3f6b44d7c43c0ca3049af3f2761452a64a351be',
+    'simulate data/cloverleaf_tiny.json data/icx_8360y.json --cache-mode levels':
+        '55c5bdd1855b06d79d6fb16d85c9790ba1f24eb31e6f4985b73afafec0cc974f',
     'simulate data/cloverleaf_tiny.json data/icx_8360y.json --grid 64 --kernel am00 --dump-trace am00.trace':
         'f6dabf774a5a0a5a0b2c8d5362af0cfa8a61d78aa02a78e938f387e54dfefac1',
     'replay am00.trace data/icx_8360y.json --policy always --cache-mode effective':
