@@ -35,6 +35,17 @@ run that goes on past the end of a block is held back and replayed with the
 next block, so the traffic does not depend on where a trace is cut into
 blocks.
 
+A block that can evict no line and age no claim out of the table is
+replayed once per distinct line, not once per run: under always-allocate
+and claims (never under NT, whose write-combine buffers depend on the order
+of the runs), when every set has room for the block's new lines and the
+open claims never outnumber the table. Nothing then leaves the level or the
+table, so each line's misses and claim follow from its own runs alone, and
+the LRU order of a set is its old lines, then the touched ones in order of
+last touch (the stack property of LRU, Mattson et al. 1970). The state
+after the block is the one the run loop leaves; any other block takes the
+run loop.
+
 A kernel sweep is periodic in its rows: row k + P is row k moved by whole
 lines, P = 64 / gcd(row_bytes, 64). ``simulate_kernel`` replays period by
 period and charges the rest of the sweep in bulk once a period repeats,
@@ -52,7 +63,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress, islice, repeat, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +73,7 @@ from .kernels import (LINE_BYTES, READ, WRITE, Access, ArrayDecl, GridSpec,
 
 TRACE_DTYPE = np.dtype([("address", "<u8"), ("mode", "u1")])
 TRACE_BLOCK = 1 << 16   # records per block that load_trace yields
+LINE_REPLAY_RUNS = 256  # fewest runs a block replays line by line
 LINE_SHIFT = LINE_BYTES.bit_length() - 1
 FULL_MASK = (1 << LINE_BYTES) - 1     # coverage of a line written in full
 NO_EVENTS = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=bool))
@@ -248,7 +260,11 @@ class _Hierarchy:
         held back and replayed at the front of the next block, or by
         ``finish`` (``last``). So the traffic does not depend on where a
         trace is cut into blocks. ``claim_peak`` records the most claims
-        the table held during the call, before aging one out.
+        the table held during the call, before aging one out. A block of
+        at least ``LINE_REPLAY_RUNS`` runs that can evict no line and age
+        out no claim is replayed line by line instead (``_feed_lines``),
+        to the same state; fewer runs cost less in the run loop than the
+        per-line path's fixed numpy calls.
         """
         self.claim_peak = len(self.pending)
         if self.held[0].size:
@@ -274,16 +290,21 @@ class _Hierarchy:
             addrs, writes, starts = addrs[:n], writes[:n], starts[:-1]
         ends = np.append(starts[1:], n) - 1
         start_lines = lines[starts]
-        run_lines = start_lines.tolist()
-        run_first_w = writes[starts].tolist()
-        run_any_w = writes[ends].tolist()
+        first_w, any_w = writes[starts], writes[ends]
         if self.claim or self.nt:
             offs = addrs & np.uint64(LINE_BYTES - 1)
             masks = np.where(writes, np.left_shift(np.uint64(self.elem_bits), offs),
                              np.uint64(0))
-            run_cov = np.bitwise_or.reduceat(masks, starts).tolist()
+            cov = np.bitwise_or.reduceat(masks, starts)
         else:
-            run_cov = repeat(0)     # only claims and NT stores read the coverage
+            cov = None              # only claims and NT stores read the coverage
+        if (not self.nt and starts.size >= LINE_REPLAY_RUNS
+                and self._feed_lines(start_lines, first_w, any_w, cov)):
+            return
+        run_lines = start_lines.tolist()
+        run_first_w = first_w.tolist()
+        run_any_w = any_w.tolist()
+        run_cov = repeat(0) if cov is None else cov.tolist()
 
         sets, ways = self.sets, self.ways
         if sets.size == 1:
@@ -359,6 +380,108 @@ class _Hierarchy:
         self.write_lines += writes_out
         self.avoided_lines += avoided
 
+    def _feed_lines(self, lines, first_w, any_w, cov) -> bool:
+        """Replay a block's runs line by line if no line can be evicted and
+        no claim can age out; otherwise return False with nothing changed.
+        The arguments hold one entry per run, as ``feed`` finds them.
+
+        With nothing leaving the level or the claim table, a line's first
+        run misses if the line is not cached: a read fills it, and under
+        claims a write opens a claim (or is avoided at once if it covers
+        the line). A claim, new or already in the table, ends at its line's
+        first run that reads (a fill) or completes the line (avoided). The
+        table keeps its order; new open claims join in the order they
+        opened. Each touched line moves to the end of its set in order of
+        last touch, dirty if it was or any of its runs writes.
+        """
+        sets, ways = self.sets, self.ways
+        if sets.size == 1 and len(sets[0]) == ways:
+            return False
+        n = lines.size
+        order = np.argsort(lines, kind="stable")    # the runs of each line
+        lines, fw = lines[order], first_w[order]
+        edge = np.ones(n + 1, dtype=bool)  # edge[i]: runs i - 1 and i differ in line
+        np.not_equal(lines[1:], lines[:-1], out=edge[1:n])
+        first, last = np.flatnonzero(edge[:-1]), np.flatnonzero(edge[1:])
+        k = first.size
+        if sets.size == 1 and k > ways:
+            return False
+        ulines = lines[first]
+        keys = ulines.tolist()
+        if sets.size == 1:
+            line_sets = repeat(sets[0])
+            present = np.fromiter(map(sets[0].__contains__, keys), bool, k)
+            fits = len(sets[0]) + k - np.count_nonzero(present) <= ways
+        else:
+            idx = (ulines % np.uint64(sets.size)).astype(np.intp)
+            line_sets = sets[idx]
+            present = np.fromiter(map(OrderedDict.__contains__, line_sets, keys), bool, k)
+            grown, added = np.unique(idx[~present], return_counts=True)
+            fits = all(len(s) + a <= ways
+                       for s, a in zip(sets[grown], added.tolist()))
+        if not fits:
+            return False
+        hits = np.count_nonzero(present)
+        reads = k - hits
+        avoided, peak = 0, self.claim_peak
+        if self.claim:
+            pending, full = self.pending, np.uint64(FULL_MASK)
+            start = ~present & fw[first]    # a write miss starts a claim
+            reads -= np.count_nonzero(start)
+            # each line's coverage after each of its runs, reads adding none
+            c = np.where(fw, cov[order], np.uint64(0))
+            old = np.zeros(k, dtype=bool)   # the lines of the claim table
+            if pending:
+                table = np.fromiter(pending, np.uint64, len(pending))
+                at = np.searchsorted(ulines, table)
+                found = ulines[np.minimum(at, k - 1)] == table
+                old[at[found]] = True
+                c[first[at[found]]] |= np.fromiter(pending.values(), np.uint64,
+                                                   len(pending))[found]
+            runs = np.arange(n)
+            place = runs - np.repeat(first, last - first + 1)  # among its line's runs
+            d, span = 1, place.max()
+            while d <= span:
+                c[d:] |= np.where(place[d:] >= d, c[:-d], np.uint64(0))
+                d *= 2
+            # a claim ends at its line's first run that reads or completes it
+            end = np.minimum.reduceat(np.where(~fw | (c == full), runs, n), first)
+            ended = (start | old) & (end < n)
+            filled = np.count_nonzero(ended & ~fw[np.minimum(end, n - 1)])
+            opened = start & (c[first] != full)
+            if opened.any():
+                # the table's size after each run, from the claims that open or end
+                step = np.zeros(n, dtype=np.int8)
+                step[order[first[opened]]] = 1
+                step[order[end[ended & (old | opened)]]] = -1
+                peak = max(peak, len(pending) + int(np.cumsum(step).max()))
+                if peak > self.policy.buffer_lines:
+                    return False
+            reads += filled
+            avoided = np.count_nonzero(ended) - filled
+            for x in compress(keys, old & ended):
+                del pending[x]
+            kept = old & ~ended
+            pending.update(zip(compress(keys, kept), c[last[kept]].tolist()))
+            new = np.flatnonzero(opened & ~ended)
+            new = new[np.argsort(order[first[new]])]
+            pending.update(zip(ulines[new].tolist(), c[last[new]].tolist()))
+        # each line moves to the end of its set in order of last touch
+        dirty = np.logical_or.reduceat(any_w[order], first)
+        dirty[present] |= np.fromiter(map(OrderedDict.pop, compress(line_sets, present),
+                                          compress(keys, present)), bool, hits)
+        recent = np.argsort(order[last])
+        touched = zip(ulines[recent].tolist(), dirty[recent].tolist())
+        if sets.size == 1:
+            sets[0].update(touched)
+        else:
+            for s, (x, w) in zip(line_sets[recent].tolist(), touched):
+                s[x] = w
+        self.claim_peak = peak
+        self.read_lines += int(reads)
+        self.avoided_lines += int(avoided)
+        return True
+
     def snapshot(self):
         """State of a full level, what a period of rows repeats: LRU order
         and dirty bits (one row per set), the claim table, the WC buffers,
@@ -387,13 +510,13 @@ class _Hierarchy:
         else:
             visit = sets[np.bincount((recent % np.uint64(sets.size)).astype(np.intp),
                                      minlength=sets.size) > 0]
-        rows = []
+        lines, dirty, ages = [], [], []
         for s in visit:
-            for age, (line, dirty) in enumerate(reversed(s.items())):
-                if line not in keep:
-                    break
-                rows.append((line, dirty, age))
-        table = np.array(rows, dtype=np.int64).reshape(-1, 3)
+            tail = list(takewhile(keep.__contains__, reversed(s)))
+            lines += tail
+            dirty += islice(reversed(s.values()), len(tail))
+            ages += range(len(tail))
+        table = np.array((lines, dirty, ages), dtype=np.int64).T
         return (table[np.argsort(table[:, 0])], *self._tables())
 
     def _tables(self):

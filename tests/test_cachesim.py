@@ -939,3 +939,171 @@ class TestFastForward:
                       (table, pending, wc, held, counters),
                       (table, pending, wc, (moved[0], ~moved[1]), counters)):
             assert not _window_repeats(other, before, 4)
+
+    def test_claims_aging_out_each_period_stop_the_bulk(self):
+        # copies of `b` into `a` and `c`: each iteration opens a claim on a
+        # line of `a` and one on a line of `c`, so a table of one line ages
+        # one claim out per row and the pre-fill bulk is declined, while a
+        # table of two takes it
+        kernel = make_kernel([("b", 0, 0, READ), ("a", 0, 0, WRITE), ("c", 0, 0, WRITE)])
+        grid = GridSpec(8, 60)
+        levels = beyond_footprint(kept_lines(kernel, grid, AutoClaim()))
+        full = _Hierarchy(levels, AutoClaim(1), grid.element_size)
+        full.feed(*(np.concatenate(blocks) for blocks in zip(*gen_trace_blocks(kernel, grid))))
+        assert full.claim_peak == 2
+        declined = self.replay(kernel, grid, levels, AutoClaim(1))
+        assert declined.fill_rows == 0 and declined.replayed_rows == grid.outer_extent
+        taken = self.replay(kernel, grid, levels, AutoClaim(2))
+        assert taken.fill_rows > 0
+
+
+def hierarchy_state(sim: _Hierarchy):
+    """All that a later block, ``window``, ``snapshot`` or a bulk reads."""
+    counters = (sim.read_lines, sim.write_lines, sim.avoided_lines)
+    assert all(type(c) is int for c in counters)
+    return ([list(s.items()) for s in sim.sets], list(sim.pending.items()),
+            list(sim.wc.items()), sim.held[0].tolist(), sim.held[1].tolist(),
+            sim.claim_peak, counters)
+
+
+class TestLineReplay:
+    """A block that can neither evict a line nor age out a claim is replayed
+    line by line (``_Hierarchy._feed_lines``); the run loop, which the
+    per-line replay is patched to decline, is the reference."""
+
+    @pytest.fixture
+    def paths(self, monkeypatch):
+        """Count the blocks the per-line replay takes (True) and declines
+        (False); a hierarchy in ``paths["loop"]`` always uses the run loop."""
+        line_replay = _Hierarchy._feed_lines
+        paths = {True: 0, False: 0, "loop": ()}
+
+        def feed_lines(sim, *runs):
+            assert not sim.nt
+            if sim in paths["loop"]:
+                return False
+            took = line_replay(sim, *runs)
+            paths[took] += 1
+            return took
+
+        monkeypatch.setattr(_Hierarchy, "_feed_lines", feed_lines)
+        # the block size only picks the cheaper path: check every size
+        monkeypatch.setattr(cachesim, "LINE_REPLAY_RUNS", 1)
+        return paths
+
+    @staticmethod
+    def both(paths, levels, policy, access_bytes):
+        sim, loop = (_Hierarchy(levels, policy, access_bytes) for _ in range(2))
+        paths["loop"] = (loop,)
+        return sim, loop
+
+    @staticmethod
+    def random_events(rng, lines, access_bytes, size):
+        """Scattered accesses mixed with partial and whole-line write runs."""
+        addrs, writes = [], []
+        while len(addrs) < size:
+            line = int(rng.integers(lines)) * LINE
+            slots = LINE // access_bytes
+            if rng.random() < 0.4:
+                addrs.append(line + int(rng.integers(slots)) * access_bytes)
+                writes.append(bool(rng.random() < 0.5))
+            else:
+                first = int(rng.integers(slots))
+                count = int(rng.integers(1, slots - first + 1))
+                addrs += [line + (first + i) * access_bytes for i in range(count)]
+                writes += [True] * count
+        return (np.array(addrs[:size], dtype=np.uint64) + (1 << 30),
+                np.array(writes[:size], dtype=bool))
+
+    def test_random_blocks_leave_the_run_loops_state(self, paths):
+        # random traces cut into one to six blocks, through 1, 2 or 4 sets
+        # of 1-64 ways; claim tables of one to three lines age out in
+        # mid-block; NT always takes the run loop
+        rng = np.random.default_rng(17)
+        aged = 0
+        for case in range(700):
+            access_bytes = int(rng.choice([1, 2, 4, 8]))
+            policy = (AlwaysAllocate(), AutoClaim(1), AutoClaim(2), AutoClaim(3),
+                      AutoClaim(64), AutoClaim(active=False),
+                      NtBypass(int(rng.integers(1, 4))))[int(rng.integers(7))]
+            sets, ways = int(rng.choice([1, 2, 4])), int(rng.integers(1, 65))
+            levels = lv(sets * ways, associativity=ways if sets > 1 else None)
+            addrs, writes = self.random_events(rng, int(rng.integers(1, 3 * sets * ways + 3)),
+                                               access_bytes, int(rng.integers(0, 301)))
+            cuts = np.sort(rng.integers(0, addrs.size + 1, size=rng.integers(0, 6)))
+            sim, loop = self.both(paths, levels, policy, access_bytes)
+            for block in zip(np.split(addrs, cuts), np.split(writes, cuts)):
+                sim.feed(*block)
+                loop.feed(*block)
+                assert hierarchy_state(sim) == hierarchy_state(loop), case
+                aged += sim.claim and loop.claim_peak > policy.buffer_lines
+            sim.finish()
+            loop.finish()
+            assert hierarchy_state(sim) == hierarchy_state(loop), case
+        assert paths[True] >= 500 and paths[False] >= 500 and aged >= 100
+
+    def test_blocks_one_line_short_of_fitting(self, paths):
+        # one block of `lines` distinct lines, the held-back last run on a
+        # line the block already touched, into a fully associative level of
+        # `lines` ways (it fits) or one fewer (it does not)
+        rng = np.random.default_rng(18)
+        fits = {True: 0, False: 0}
+        for case in range(400):
+            access_bytes = int(rng.choice([4, 8]))
+            policy = (AlwaysAllocate(), AutoClaim(3), AutoClaim(64))[int(rng.integers(3))]
+            addrs, writes = self.random_events(rng, int(rng.integers(2, 40)), access_bytes,
+                                               int(rng.integers(2, 200)))
+            addrs, writes = np.append(addrs, addrs[0]), np.append(writes, False)
+            lines = np.unique(addrs // LINE).size
+            short = lines > 1 and bool(rng.random() < 0.5)
+            sim, loop = self.both(paths, lv(lines - short), policy, access_bytes)
+            took = paths[True]
+            sim.feed(addrs, writes)
+            loop.feed(addrs, writes)
+            assert hierarchy_state(sim) == hierarchy_state(loop), case
+            if paths[True] > took:
+                fits[True] += 1
+                assert not short
+            elif short:
+                fits[False] += 1
+            sim.finish()
+            loop.finish()
+            assert hierarchy_state(sim) == hierarchy_state(loop), case
+        assert fits[True] >= 100 and fits[False] >= 100
+
+    @staticmethod
+    def store_streams(streams, lines):
+        """`streams` interleaved 8-byte store streams of `lines` lines each:
+        every stream holds one open claim until its line is complete."""
+        j = np.arange(streams * lines * 8)
+        addrs = ((j % streams) * (1 << 20) + (j // streams) * 8).astype(np.uint64)
+        return addrs, np.ones(addrs.size, dtype=bool)
+
+    def test_claim_peak_at_the_table_size(self, paths):
+        policy = AutoClaim(buffer_lines=3)
+        sim, loop = self.both(paths, lv(64), policy, 8)
+        block = self.store_streams(3, 12)
+        sim.feed(*block)
+        loop.feed(*block)
+        assert paths[True] == 1 and paths[False] == 0
+        assert sim.claim_peak == loop.claim_peak == 3
+        assert hierarchy_state(sim) == hierarchy_state(loop)
+
+    def test_claim_peak_over_the_table_size(self, paths):
+        policy = AutoClaim(buffer_lines=3)
+        sim, loop = self.both(paths, lv(64), policy, 8)
+        block = self.store_streams(4, 12)
+        sim.feed(*block)
+        loop.feed(*block)
+        assert paths[True] == 0 and paths[False] == 1
+        assert sim.claim_peak == loop.claim_peak == 4
+        assert hierarchy_state(sim) == hierarchy_state(loop)
+
+    def test_full_level_declines_before_sorting(self, paths, monkeypatch):
+        sim = _Hierarchy(lv(4), AlwaysAllocate(), 8)
+        sim.feed(np.arange(0, 8 * LINE, 8, dtype=np.uint64), np.zeros(64, dtype=bool))
+        assert len(sim.sets[0]) == 4
+        declined = paths[False]
+        monkeypatch.setattr(np, "argsort", None)
+        sim.feed(np.arange(0, 8 * LINE, 8, dtype=np.uint64), np.zeros(64, dtype=bool))
+        assert paths[False] == declined + 1
