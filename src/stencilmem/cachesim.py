@@ -38,24 +38,24 @@ blocks.
 A block that can evict no line and age no claim out of the table is
 replayed once per distinct line, not once per run: under always-allocate
 and claims (never under NT, whose write-combine buffers depend on the order
-of the runs), when every set has room for the block's new lines and the
+of the runs), when the level has room for the block's new lines and the
 open claims never outnumber the table. Nothing then leaves the level or the
 table, so each line's misses and claim follow from its own runs alone, and
-the LRU order of a set is its old lines, then the touched ones in order of
-last touch (the stack property of LRU, Mattson et al. 1970). The state
-after the block is the one the run loop leaves; any other block takes the
-run loop.
+the LRU order is the old lines, then the touched ones in order of last
+touch (the stack property of LRU, Mattson et al. 1970). The state after
+the block is the one the run loop leaves; any other block takes the run
+loop.
 
 A kernel sweep is periodic in its rows: row k + P is row k moved by whole
 lines, P = 64 / gcd(row_bytes, 64). ``simulate_kernel`` replays period by
 period and charges the rest of the sweep in bulk once a period repeats,
-bit-identical to ``simulate`` of the whole trace. While no set is full, it
-compares only the lines the rest of the sweep can touch (with their dirty
-bits and order), the claim table, the WC buffers and the held-back run;
-if the live lines then fit the ways of every set, LRU only ever evicts
+bit-identical to ``simulate`` of the whole trace. While the level is not
+full, it compares only the lines the rest of the sweep can touch (with
+their dirty bits and order), the claim table, the WC buffers and the
+held-back run; if the live lines then fit the level, LRU only ever evicts
 lines the sweep has left, so it charges every remaining period at once.
-Otherwise, once every set is full, the state of the full last level must
-repeat. ``simulate`` replays a trace in full, as it has no rows.
+Otherwise, once the level is full, the whole level must repeat.
+``simulate`` replays a trace in full, as it has no rows.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat, takewhile
+from itertools import compress, repeat, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -81,17 +81,13 @@ NO_EVENTS = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=bool))
 
 @dataclass(frozen=True)
 class CacheLevelConfig:
-    """One cache level; ``associativity=None`` means fully associative LRU."""
+    """One fully associative LRU cache level."""
 
     capacity: int
-    associativity: int | None = None
 
     def __post_init__(self):
         if self.capacity <= 0 or self.capacity % LINE_BYTES:
             raise ValueError(f"capacity must be a positive multiple of {LINE_BYTES}")
-        if self.associativity is not None:
-            if self.associativity < 1 or self.lines % self.associativity:
-                raise ValueError("associativity must divide the line count")
 
     @property
     def lines(self) -> int:
@@ -224,12 +220,9 @@ class _Hierarchy:
             raise ValueError("need at least one cache level")
         if access_bytes < 1 or access_bytes > LINE_BYTES:
             raise ValueError(f"access_bytes must be in 1..{LINE_BYTES}")
-        last = levels[-1]
-        self.ways = last.associativity or last.lines
-        # one OrderedDict (line -> dirty) per set, in LRU order; an object
-        # array, so that a block looks up the sets of all its runs at once
-        self.sets = np.empty(last.lines // self.ways, dtype=object)
-        self.sets[:] = [OrderedDict() for _ in range(self.sets.size)]
+        self.ways = levels[-1].lines
+        # the cached lines (line -> dirty), least recently used first
+        self.lru: OrderedDict[int, bool] = OrderedDict()
         self.policy = policy
         self.elem_bits = (1 << access_bytes) - 1
         self.read_lines = 0
@@ -246,7 +239,7 @@ class _Hierarchy:
         self.held = NO_EVENTS
         # rows of a kernel sweep replayed event by event, rows charged in
         # bulk from a repeating period, and the share of those charged while
-        # no set was full (``_replay_kernel``)
+        # the level was not full (``_replay_kernel``)
         self.replayed_rows = 0
         self.bulk_rows = 0
         self.fill_rows = 0
@@ -305,24 +298,18 @@ class _Hierarchy:
         run_first_w = first_w.tolist()
         run_any_w = any_w.tolist()
         run_cov = repeat(0) if cov is None else cov.tolist()
-
-        sets, ways = self.sets, self.ways
-        if sets.size == 1:
-            run_sets = repeat(sets[0])
-        else:
-            run_sets = sets[start_lines % np.uint64(sets.size)].tolist()
+        lru, ways = self.lru, self.ways
         pending, wc, full = self.pending, self.wc, FULL_MASK
         claim, nt = self.claim, self.nt
         window = self.policy.buffer_lines if claim else 0
         buffers = self.policy.combine_buffers if nt else 0
         reads = writes_out = avoided = 0
         peak = self.claim_peak
-        for s, line, first_w, any_w, cov in zip(run_sets, run_lines, run_first_w,
-                                                run_any_w, run_cov):
-            if line in s:
-                s.move_to_end(line)
+        for line, first_w, any_w, cov in zip(run_lines, run_first_w, run_any_w, run_cov):
+            if line in lru:
+                lru.move_to_end(line)
                 if any_w:
-                    s[line] = True
+                    lru[line] = True
                 if pending and line in pending:
                     if not first_w:
                         # the read needs the pre-write bytes: fill after all
@@ -354,9 +341,9 @@ class _Hierarchy:
                 del wc[line]
                 writes_out += 1
                 reads += 1
-            s[line] = any_w
-            if len(s) > ways:
-                victim, dirty = s.popitem(last=False)
+            lru[line] = any_w
+            if len(lru) > ways:
+                victim, dirty = lru.popitem(last=False)
                 if dirty:
                     writes_out += 1
                 if pending and victim in pending:
@@ -391,37 +378,36 @@ class _Hierarchy:
         the line). A claim, new or already in the table, ends at its line's
         first run that reads (a fill) or completes the line (avoided). The
         table keeps its order; new open claims join in the order they
-        opened. Each touched line moves to the end of its set in order of
-        last touch, dirty if it was or any of its runs writes.
+        opened. Each touched line moves to the end of the LRU order in order
+        of last touch, dirty if it was or any of its runs writes.
+
+        A full level, or a block whose lines fall in more than ``ways``
+        residues modulo a power of two above ``ways`` (so it has more than
+        ``ways`` distinct lines), is declined before any sort.
         """
-        sets, ways = self.sets, self.ways
-        if sets.size == 1 and len(sets[0]) == ways:
-            return False
+        lru, ways = self.lru, self.ways
         n = lines.size
+        if len(lru) == ways:
+            return False
+        if n > ways:
+            residues = np.zeros(1 << ways.bit_length(), dtype=bool)
+            residues[lines & np.uint64(residues.size - 1)] = True
+            if np.count_nonzero(residues) > ways:
+                return False
         order = np.argsort(lines, kind="stable")    # the runs of each line
         lines, fw = lines[order], first_w[order]
         edge = np.ones(n + 1, dtype=bool)  # edge[i]: runs i - 1 and i differ in line
         np.not_equal(lines[1:], lines[:-1], out=edge[1:n])
         first, last = np.flatnonzero(edge[:-1]), np.flatnonzero(edge[1:])
         k = first.size
-        if sets.size == 1 and k > ways:
+        if k > ways:
             return False
         ulines = lines[first]
         keys = ulines.tolist()
-        if sets.size == 1:
-            line_sets = repeat(sets[0])
-            present = np.fromiter(map(sets[0].__contains__, keys), bool, k)
-            fits = len(sets[0]) + k - np.count_nonzero(present) <= ways
-        else:
-            idx = (ulines % np.uint64(sets.size)).astype(np.intp)
-            line_sets = sets[idx]
-            present = np.fromiter(map(OrderedDict.__contains__, line_sets, keys), bool, k)
-            grown, added = np.unique(idx[~present], return_counts=True)
-            fits = all(len(s) + a <= ways
-                       for s, a in zip(sets[grown], added.tolist()))
-        if not fits:
-            return False
+        present = np.fromiter(map(lru.__contains__, keys), bool, k)
         hits = np.count_nonzero(present)
+        if len(lru) + k - hits > ways:
+            return False
         reads = k - hits
         avoided, peak = 0, self.claim_peak
         if self.claim:
@@ -466,61 +452,38 @@ class _Hierarchy:
             new = np.flatnonzero(opened & ~ended)
             new = new[np.argsort(order[first[new]])]
             pending.update(zip(ulines[new].tolist(), c[last[new]].tolist()))
-        # each line moves to the end of its set in order of last touch
+        # each line moves to the end of the LRU order in order of last touch
         dirty = np.logical_or.reduceat(any_w[order], first)
-        dirty[present] |= np.fromiter(map(OrderedDict.pop, compress(line_sets, present),
-                                          compress(keys, present)), bool, hits)
+        dirty[present] |= np.fromiter(map(lru.pop, compress(keys, present)), bool, hits)
         recent = np.argsort(order[last])
-        touched = zip(ulines[recent].tolist(), dirty[recent].tolist())
-        if sets.size == 1:
-            sets[0].update(touched)
-        else:
-            for s, (x, w) in zip(line_sets[recent].tolist(), touched):
-                s[x] = w
+        lru.update(zip(ulines[recent].tolist(), dirty[recent].tolist()))
         self.claim_peak = peak
         self.read_lines += int(reads)
         self.avoided_lines += int(avoided)
         return True
 
-    def snapshot(self):
-        """State of a full level, what a period of rows repeats: LRU order
-        and dirty bits (one row per set), the claim table, the WC buffers,
-        the held-back run, then the counters."""
-        sets, ways = self.sets, self.ways
-        count = sets.size * ways
-        keys = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=count)
-        dirty = np.fromiter(chain.from_iterable(s.values() for s in sets),
-                            dtype=bool, count=count)
-        return (keys.reshape(sets.size, ways), dirty.reshape(sets.size, ways),
-                *self._tables())
+    def window(self, recent: np.ndarray | None = None):
+        """State of the level as far as the rest of a sweep can see it: the
+        window, the claim table, the WC buffers, the held-back run, then
+        the counters.
 
-    def window(self, recent: np.ndarray):
-        """State of a level that has not overflowed, as far as the rest of a
-        sweep can see it: the window, then as ``snapshot``.
-
-        The window is the newest entries of each set whose lines are among
-        `recent`, the lines touched since some row: one (line, dirty, age)
-        row per entry, sorted by line, age 0 the newest of its set. Before
-        any eviction a set is in order of last touch, so they are a tail.
+        The window is the newest cached lines that are among `recent`, the
+        lines touched since some row, or the whole level if `recent` is
+        None: one (line, dirty, age) row per line, sorted by line, age 0
+        the most recently used. Before any eviction the level is in order
+        of last touch, so they are a tail.
         """
-        sets = self.sets
-        keep = set(recent.tolist())
-        if sets.size == 1:
-            visit = sets
+        lru = self.lru
+        if recent is None:
+            size = len(lru)
         else:
-            visit = sets[np.bincount((recent % np.uint64(sets.size)).astype(np.intp),
-                                     minlength=sets.size) > 0]
-        lines, dirty, ages = [], [], []
-        for s in visit:
-            tail = list(takewhile(keep.__contains__, reversed(s)))
-            lines += tail
-            dirty += islice(reversed(s.values()), len(tail))
-            ages += range(len(tail))
-        table = np.array((lines, dirty, ages), dtype=np.int64).T
-        return (table[np.argsort(table[:, 0])], *self._tables())
-
-    def _tables(self):
-        return (list(self.pending.items()), list(self.wc.items()), self.held,
+            keep = set(recent.tolist())
+            size = len(list(takewhile(keep.__contains__, reversed(lru))))
+        lines = np.fromiter(reversed(lru), np.int64, size)
+        dirty = np.fromiter(reversed(lru.values()), bool, size)
+        ages = np.argsort(lines)
+        return (np.column_stack((lines[ages], dirty[ages], ages)),
+                list(self.pending.items()), list(self.wc.items()), self.held,
                 (self.read_lines, self.write_lines, self.avoided_lines))
 
     def finish(self):
@@ -531,8 +494,7 @@ class _Hierarchy:
         self.write_lines += len(self.wc)
         self.pending.clear()
         self.wc.clear()
-        for s in self.sets:
-            self.write_lines += sum(s.values())
+        self.write_lines += sum(self.lru.values())
 
     def traffic(self, iterations: int) -> MemTraffic:
         return MemTraffic(read_bytes=self.read_lines * LINE_BYTES,
@@ -572,21 +534,12 @@ def simulate(trace, levels, policy: WritePolicySim = AlwaysAllocate(),
     return sim.traffic(0)
 
 
-def _repeats(now, before, shift: int) -> bool:
-    """Whether ``snapshot`` `now` is `before` with every line moved by
-    `shift` lines, which moves set s to set (s + shift) mod S."""
-    keys, dirty, *tables = now
-    keys0, dirty0, *tables0 = before
-    return (np.array_equal(keys, np.roll(keys0, shift, axis=0) + shift)
-            and np.array_equal(dirty, np.roll(dirty0, shift, axis=0))
-            and _tables_moved(tables, tables0, shift))
-
-
 def _window_repeats(now, before, shift: int) -> bool:
-    """Whether ``window`` snapshot `now` is `before` with every line moved
-    by `shift` lines: the same dirty bits and ages in each moved set, and
-    the same claim table, or at least the same claims after those on lines
-    that the sweep has left (``_left_claims``)."""
+    """Whether ``window`` state `now` is `before` with every line moved by
+    `shift` lines: the same dirty bits and ages, and the same claim table,
+    or at least the same claims after those on lines that the sweep has
+    left (``_left_claims``). A whole level holds every claimed line, so it
+    must repeat with the same claim table."""
     table, pending, *tables = now
     table0, pending0, *tables0 = before
     if not (np.array_equal(table[:, 0], table0[:, 0] + shift)
@@ -600,11 +553,11 @@ def _window_repeats(now, before, shift: int) -> bool:
                               shift))
 
 
-def _left_claims(snapshot) -> int | None:
-    """How many of the oldest claims of a ``window`` snapshot are on lines
+def _left_claims(state) -> int | None:
+    """How many of the oldest claims of a ``window`` state are on lines
     outside its window, which no access touches again; None if such a
     claim is newer than one on a line in the window."""
-    table, pending = snapshot[:2]
+    table, pending = state[:2]
     inside = _in_window(np.array([line for line, _ in pending], dtype=np.int64), table)
     left = int(np.argmax(inside)) if inside.any() else inside.size
     return None if inside[left:].size != inside[left:].sum() else left
@@ -655,41 +608,38 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     """Replay and finish one kernel's sweep, charging what repeats in bulk.
 
     Row k + P of the trace is row k moved by D = P * row_bytes / 64 whole
-    lines, with P = 64 / gcd(row_bytes, 64), and a line moved by D lines
-    moves from set s to set (s + D) mod S. The replay goes one period of P
-    rows at a time and charges the rest of the sweep in bulk in two ways.
+    lines, with P = 64 / gcd(row_bytes, 64). The replay goes one period of
+    P rows at a time and charges the rest of the sweep in bulk in two ways.
 
-    While no set is full, nothing has been evicted. A line that the sweep
-    has left (``_window_rows``) is never touched again. After each period
-    the window, the lines touched since that many rows, is compared with
-    the window one period earlier moved by D lines, together with the
+    While the level is not full, nothing has been evicted. A line that the
+    sweep has left (``_window_rows``) is never touched again. After each
+    period the window, the lines touched since that many rows, is compared
+    with the window one period earlier moved by D lines, together with the
     claim table, the WC buffers and the held-back run. On a match the live
-    lines, those touched in the last ``_window_rows`` + P rows, are counted
-    per set. If no set holds more of them than its ways and no claim aged
-    out in the last period, every remaining whole period is charged with
-    the counter delta of the last one, however full the level would get:
-    LRU evicts the oldest line of a set, a left line is older than every
-    line that can still be touched, and a line touched again during a
-    period is live at its end, so only left lines are evicted and no hit
-    turns into a miss. The move by D lines only permutes the per-set
-    counts, so the check at the match covers every later period. The
-    claims on left lines are the oldest in the table and the others never
-    outgrow it, so only they age out. A left line costs the same wherever
-    it goes: a dirty one is written once, evicted or flushed by
-    ``finish``, and a claim on one costs one fill, whether it ages out, is
-    evicted or is left open. So the dirty lines and the claims that each
-    period leaves behind are added per period. If the window repeats but
-    the live lines do not fit, no more windows are taken.
+    lines, those touched in the last ``_window_rows`` + P rows, are
+    counted. If they fit the level and no claim aged out in the last
+    period, every remaining whole period is charged with the counter delta
+    of the last one, however full the level would get: LRU evicts the
+    oldest line, a left line is older than every line that can still be
+    touched, and a line touched again during a period is live at its end,
+    so only left lines are evicted and no hit turns into a miss. The claims
+    on left lines are the oldest in the table and the others never outgrow
+    it, so only they age out. A left line costs the same wherever it goes:
+    a dirty one is written once, evicted or flushed by ``finish``, and a
+    claim on one costs one fill, whether it ages out, is evicted or is left
+    open. So the dirty lines and the claims that each period leaves behind
+    are added per period. If the window repeats but the live lines do not
+    fit, no more windows are taken.
 
-    Once every set is full, the state after each period is compared with
-    the state one period earlier moved by D lines, over every set. On a
-    match the state repeats for good, so the remaining whole periods are
-    charged in bulk with the counter delta of the last one.
+    Once the level is full, the whole level after each period is compared
+    in the same way with the whole level one period earlier. On a match
+    the state repeats for good, so the remaining whole periods are charged
+    in bulk with the counter delta of the last one.
 
-    The engine only compares lines for equality and set numbers modulo S,
-    and ``finish`` only counts, so after either bulk the tail rows are
-    replayed from the matched state with the next rows of the trace instead
-    of moving every table by the skipped lines.
+    The engine only compares lines for equality, and ``finish`` only
+    counts, so after either bulk the tail rows are replayed from the
+    matched state with the next rows of the trace instead of moving every
+    table by the skipped lines.
     """
     sim = _Hierarchy(list(levels), policy, grid.element_size)
     j0, j1, k0, k1 = _loop_bounds(kernel, grid)
@@ -698,7 +648,7 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     period = LINE_BYTES // math.gcd(row_bytes, LINE_BYTES)
     step = period * row_events      # a period divides the 16 rows of a block
     shift = period * row_bytes // LINE_BYTES
-    sets, ways = sim.sets, sim.ways
+    lru, ways = sim.lru, sim.ways
     row = k0                        # the first row of the next period
     periods = ((a[i:i + step], w[i:i + step])
                for a, w in gen_trace_blocks(kernel, grid)
@@ -717,30 +667,26 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
         sim.replayed_rows += addrs.size // row_events
         row += addrs.size // row_events
         whole, tail = divmod(k1 + 1 - row, period)
-        occupied = list(map(len, sets))
         recent.append(addrs)
-        if min(occupied) == ways:
-            now = sim.snapshot()
-            if before is not None and _repeats(now, before, shift):
+        if len(lru) == ways:
+            now = sim.window()
+            if before is not None and _window_repeats(now, before, shift):
                 _charge(sim, now, before, whole, period)
                 if tail:
                     _replay_tail(sim, next(periods), tail, row_events)
                 break
             before = now
             continue
-        # a window needs a level with no set full, a whole period to charge
-        # and the live rows replayed
+        # a window needs a whole period to charge and the live rows replayed
         applied = len(recent) * step - sim.held[0].size
         first = (applied // row_events - width) * row_events
-        if (not width or whole < 1 or max(occupied) == ways or first < 0
-                or len(recent) * step < live_events):
+        if not width or whole < 1 or first < 0 or len(recent) * step < live_events:
             window = None
             continue
         touched = np.concatenate(recent) >> np.uint64(LINE_SHIFT)
         now = sim.window(touched[first:applied])
         if window is not None and _window_repeats(now, window, shift):
-            live = np.unique(touched[-live_events:]) % np.uint64(sets.size)
-            if np.bincount(live.astype(np.intp)).max() > ways or (
+            if np.unique(touched[-live_events:]).size > ways or (
                     sim.claim and sim.claim_peak > sim.policy.buffer_lines):
                 width = 0       # the full-level path takes over
                 continue
@@ -762,7 +708,7 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
 
 def _charge(sim: _Hierarchy, now, before, periods: int, period: int):
     """Charge `periods` more periods of `period` rows with the counter delta
-    from snapshot `before` to snapshot `now`."""
+    from ``window`` state `before` to `now`."""
     (r, w, a), (r0, w0, a0) = now[-1], before[-1]
     sim.read_lines += periods * (r - r0)
     sim.write_lines += periods * (w - w0)
@@ -783,8 +729,8 @@ def simulate_kernel(kernel: KernelSpec, grid: GridSpec, levels,
 
     As in ``simulate``, only the last of ``levels`` is replayed. A kernel
     trace is aligned to the element size, so no access crosses a line. Once
-    the periods of rows repeat, while no set is full and the live lines fit
-    or once the level is full, the rest of the sweep is charged in bulk
+    the periods of rows repeat, while the level is not full and the live
+    lines fit or once it is full, the rest of the sweep is charged in bulk
     (``_replay_kernel``), and the traffic is bit-identical to
     ``simulate(gen_trace(kernel, grid), ...)``.
     """

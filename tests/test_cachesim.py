@@ -15,7 +15,6 @@ from stencilmem.cachesim import (
     dump_trace,
     evades,
     _Hierarchy,
-    _repeats,
     _replay_kernel,
     _window_repeats,
     _window_rows,
@@ -37,9 +36,8 @@ from test_kernels import make_kernel
 LINE = 64
 
 
-def lv(*line_counts, associativity=None):
-    return [CacheLevelConfig(capacity=n * LINE, associativity=associativity)
-            for n in line_counts]
+def lv(*line_counts):
+    return [CacheLevelConfig(capacity=n * LINE) for n in line_counts]
 
 
 def as_trace(events):
@@ -154,14 +152,12 @@ class TestSimulateBasics:
         assert (one.read_bytes, one.write_bytes) == \
             (three.read_bytes, three.write_bytes)
 
-    def test_set_conflicts_with_limited_associativity(self):
-        # lines 0 and 2 collide in a 2-set direct-mapped cache but coexist
-        # in a fully associative one of the same capacity
+    def test_any_lines_share_a_fully_associative_level(self):
+        # lines 0 and 2 would map to one set of any power-of-two number of
+        # sets; a level of two lines holds both, a level of one reloads each
         trace = [(0, READ), (128, READ)] * 3
-        direct = simulate(as_trace(trace), lv(2, associativity=1))
-        full = simulate(as_trace(trace), lv(2))
-        assert direct.read_bytes == 6 * LINE
-        assert full.read_bytes == 2 * LINE
+        assert simulate(as_trace(trace), lv(2)).read_bytes == 2 * LINE
+        assert simulate(as_trace(trace), lv(1)).read_bytes == 6 * LINE
 
 
 class TestAutoClaim:
@@ -482,12 +478,15 @@ def below_one_row(kernel, grid):
     return lv(row_lines(grid) - 2)
 
 
-def eight_way(kernel, grid):
-    return lv(-(-lc_hold(kernel, grid)[0].lines // 8) * 8, associativity=8)
+def lc_broken(kernel, grid):
+    """Half of every (array, row) the kernel touches, but at least one row:
+    the layer condition fails."""
+    rows = len({(a.array.name, a.dk) for a in kernel.accesses})
+    return lv(max(1, rows // 2) * row_lines(grid))
 
 
 FF_POLICIES = {"always": AlwaysAllocate(), "claim": AutoClaim(), "nt": NtBypass()}
-FF_CACHES = {"lc-hold": lc_hold, "below-one-row": below_one_row, "8-way": eight_way}
+FF_CACHES = {"lc-hold": lc_hold, "below-one-row": below_one_row, "lc-broken": lc_broken}
 
 
 def kept_lines(kernel, grid, policy) -> int:
@@ -505,14 +504,12 @@ def fills_mid_sweep(lines):
     return lv(lines * 3 // 4)
 
 
-def eight_way_fills_mid_sweep(lines):
-    # a power of two sets, so that arrays a whole number of lines apart do
-    # not pile up in a few sets
-    return lv(8 << ((lines * 3 // 32).bit_length() - 1), associativity=8)
+def fills_early(lines):
+    return lv(lines // 4)
 
 
 FILL_CACHES = {"beyond-footprint": beyond_footprint, "fills": fills_mid_sweep,
-               "8-way-fills": eight_way_fills_mid_sweep}
+               "fills-early": fills_early}
 
 
 def trace_reuse_rows(kernel, grid) -> int:
@@ -586,8 +583,7 @@ class TestFastForward:
             grid = kernel.grid.resized(256, 32)
             levels = FF_CACHES[cache](kernel, grid)
             sim = self.replay(kernel, grid, levels, FF_POLICIES[policy])
-            # the identity above holds trivially if nothing is skipped; on
-            # the 8-way level a period moves every line to another set
+            # the identity above holds trivially if nothing is skipped
             assert self.fills(kernel, grid, levels), kernel.name
             assert sim.bulk_rows > 0, kernel.name
 
@@ -626,28 +622,6 @@ class TestFastForward:
         sim = self.replay(kernel, GridSpec(12, 64, halo_lo=1, halo_hi=1), lv(4), policy)
         assert sim.bulk_rows > 0
 
-    def test_state_repeats_only_in_full(self):
-        # two sets of two ways: a shift of 3 lines moves set 0 to set 1
-        held = (np.array([69, 70], dtype=np.uint64), np.array([False, True]))
-        before = (np.array([[4, 8], [5, 9]]), np.array([[True, False], [False, True]]),
-                  [(9, 3)], [(6, 1)], held, (0, 0, 0))
-        now = (np.array([[8, 12], [7, 11]]), np.array([[False, True], [True, False]]),
-               [(12, 3)], [(9, 1)], (held[0] + 3 * LINE, held[1]), (4, 2, 1))
-        assert _repeats(now, before, 3)
-        keys, dirty, pending, wc, moved, counters = now
-        for other in ((keys[:, ::-1], dirty, pending, wc, moved, counters),
-                      (keys, ~dirty, pending, wc, moved, counters),
-                      (keys, dirty, [(12, 7)], wc, moved, counters),
-                      (keys, dirty, [], wc, moved, counters),
-                      (keys, dirty, pending, [(9, 3)], moved, counters),
-                      (keys + 1, dirty, pending, wc, moved, counters),
-                      # a held-back run that differs from the one before
-                      (keys, dirty, pending, wc, held, counters),
-                      (keys, dirty, pending, wc, (moved[0], ~moved[1]), counters),
-                      # every line moved, but each left in its old set
-                      (keys[::-1], dirty[::-1], pending, wc, moved, counters)):
-            assert not _repeats(other, before, 3)
-
     @pytest.mark.parametrize("cache", FILL_CACHES)
     @pytest.mark.parametrize("policy", FF_POLICIES)
     def test_suite_before_the_level_fills(self, suite, cache, policy):
@@ -663,7 +637,7 @@ class TestFastForward:
             assert sim.fill_rows > 0, kernel.name
             assert sim.replayed_rows + sim.fill_rows == grid.outer_extent, kernel.name
             if cache == "beyond-footprint":
-                assert len(sim.sets[0]) < lines, kernel.name
+                assert len(sim.lru) < lines, kernel.name
             else:
                 assert lines > levels[-1].lines, kernel.name
 
@@ -734,18 +708,17 @@ class TestFastForward:
         sim = self.replay(kernel, rows, DEFAULT_BENCH_CACHE, policy)
         assert sim.fill_rows > 0
 
-    @pytest.mark.parametrize("associativity", [None, 8])
+    @pytest.mark.parametrize("lines", [16, 128])
     @pytest.mark.parametrize("policy", [AlwaysAllocate(), AutoClaim()],
                              ids=["always", "claim"])
-    def test_bulk_runs_past_the_first_overflow(self, associativity, policy):
-        # two store streams 100 lines apart, one line each a row: on 16 sets
-        # of 8 ways row k fills sets k and k + 4 mod 16, so the level fills
-        # after 64 rows. Four are replayed until the window repeats, and the
-        # live lines, two a row over the last few rows, fit every set, so
-        # the other 96 are charged in bulk to the end.
+    def test_bulk_runs_past_the_first_overflow(self, policy, lines):
+        # two store streams 100 lines apart, one line each a row: a level of
+        # 16 lines fills after 8 rows, one of 128 after 64. Four are replayed
+        # until the window repeats, and the live lines, two a row over the
+        # last few rows, fit the level, so the other 96 are charged in bulk
+        # to the end.
         kernel, grid = store_stream_kernel(2, 100 * 8)
-        sim = self.replay(kernel, grid.resized(8, 100), lv(128, associativity=associativity),
-                          policy)
+        sim = self.replay(kernel, grid.resized(8, 100), lv(lines), policy)
         assert (sim.replayed_rows, sim.fill_rows, sim.bulk_rows) == (4, 96, 96)
 
     @pytest.mark.parametrize("case, policy", [
@@ -782,7 +755,7 @@ class TestFastForward:
         cached, evicted = set(), 0
         for k, row in enumerate(rows):
             ref.feed(addrs[row], writes[row])
-            now = set().union(*ref.sets)
+            now = set(ref.lru)
             # a run held back from row k - 1 may evict in row k
             assert all(last_touch[line] <= k for line in cached - now)
             evicted += len(cached - now)
@@ -848,8 +821,8 @@ class TestFastForward:
 
     def test_random_kernels_caches_and_policies(self):
         # random kernels, stretched to 30-119 rows unless they have loop
-        # ranges, through levels of 0.1-2x the lines the sweep keeps, of any
-        # associativity, under each policy with random buffer sizes
+        # ranges, through levels of 0.1-2x the lines the sweep keeps, under
+        # each policy with random buffer sizes
         rng = np.random.default_rng(16)
         charged = past_fill = full_level = 0
         for _ in range(1200):
@@ -858,10 +831,8 @@ class TestFastForward:
                 grid = grid.resized(grid.inner_extent, int(rng.integers(30, 120)))
             policy = (AlwaysAllocate(), NtBypass(int(rng.integers(1, 12))),
                       AutoClaim(int(rng.integers(1, 80))))[int(rng.integers(3))]
-            ways = (None, 1, 2, 4, 8)[int(rng.integers(5))]
             kept = kept_lines(kernel, grid, policy)
-            lines = max(1, round(kept * rng.uniform(0.1, 2)))
-            levels = lv(-(-lines // (ways or 1)) * (ways or 1), associativity=ways)
+            levels = lv(max(1, round(kept * rng.uniform(0.1, 2))))
             sim = self.replay(kernel, grid, levels, policy)
             charged += sim.fill_rows > 0
             past_fill += sim.fill_rows > 0 and levels[-1].lines < kept
@@ -884,8 +855,8 @@ class TestFastForward:
         fit = self.replay(kernel, grid, lv(live), policy)
         assert fit.fill_rows > 0 and fit.replayed_rows + fit.fill_rows == grid.outer_extent
         # the bulk leaves the level as it was at the match, with fewer lines
-        # than the level one line short holds: no set of that one is full
-        assert len(fit.sets[0]) < live - 1
+        # than the level one line short holds, which is not full
+        assert len(fit.lru) < live - 1
         short = self.replay(kernel, grid, lv(live - 1), policy)
         assert short.fill_rows == 0
 
@@ -940,6 +911,25 @@ class TestFastForward:
                       (table, pending, wc, (moved[0], ~moved[1]), counters)):
             assert not _window_repeats(other, before, 4)
 
+    def test_whole_level_repeats_only_in_lru_order(self):
+        # levels of four lines that lines 0-3, 4-7 and 5, 4, 6, 7 were read
+        # or written into in that order: the whole-level window lists every
+        # line with its dirty bit and LRU age, so it tells apart two orders
+        # of lines that the sweep has left, which a window of the recent
+        # lines 6 and 7 cannot see
+        def level(*lines):
+            sim = _Hierarchy(lv(4), AlwaysAllocate(), 8)
+            lines = np.array(lines, dtype=np.uint64)
+            sim.feed(lines * np.uint64(LINE), lines % 2 == 1, last=True)
+            return sim
+
+        before, now, swapped = level(0, 1, 2, 3), level(4, 5, 6, 7), level(5, 4, 6, 7)
+        assert before.window()[0].tolist() == [[0, 0, 3], [1, 1, 2], [2, 0, 1], [3, 1, 0]]
+        assert _window_repeats(now.window(), before.window(), 4)
+        assert not _window_repeats(swapped.window(), before.window(), 4)
+        recent = np.array([6, 7], dtype=np.uint64)
+        assert _window_repeats(swapped.window(recent), before.window(recent - np.uint64(4)), 4)
+
     def test_claims_aging_out_each_period_stop_the_bulk(self):
         # copies of `b` into `a` and `c`: each iteration opens a claim on a
         # line of `a` and one on a line of `c`, so a table of one line ages
@@ -958,10 +948,10 @@ class TestFastForward:
 
 
 def hierarchy_state(sim: _Hierarchy):
-    """All that a later block, ``window``, ``snapshot`` or a bulk reads."""
+    """All that a later block, ``window`` or a bulk reads."""
     counters = (sim.read_lines, sim.write_lines, sim.avoided_lines)
     assert all(type(c) is int for c in counters)
-    return ([list(s.items()) for s in sim.sets], list(sim.pending.items()),
+    return (list(sim.lru.items()), list(sim.pending.items()),
             list(sim.wc.items()), sim.held[0].tolist(), sim.held[1].tolist(),
             sim.claim_peak, counters)
 
@@ -1016,9 +1006,9 @@ class TestLineReplay:
                 np.array(writes[:size], dtype=bool))
 
     def test_random_blocks_leave_the_run_loops_state(self, paths):
-        # random traces cut into one to six blocks, through 1, 2 or 4 sets
-        # of 1-64 ways; claim tables of one to three lines age out in
-        # mid-block; NT always takes the run loop
+        # random traces cut into one to six blocks, through levels of 1-64
+        # lines; claim tables of one to three lines age out in mid-block; NT
+        # always takes the run loop
         rng = np.random.default_rng(17)
         aged = 0
         for case in range(700):
@@ -1026,12 +1016,11 @@ class TestLineReplay:
             policy = (AlwaysAllocate(), AutoClaim(1), AutoClaim(2), AutoClaim(3),
                       AutoClaim(64), AutoClaim(active=False),
                       NtBypass(int(rng.integers(1, 4))))[int(rng.integers(7))]
-            sets, ways = int(rng.choice([1, 2, 4])), int(rng.integers(1, 65))
-            levels = lv(sets * ways, associativity=ways if sets > 1 else None)
-            addrs, writes = self.random_events(rng, int(rng.integers(1, 3 * sets * ways + 3)),
+            ways = int(rng.integers(1, 65))
+            addrs, writes = self.random_events(rng, int(rng.integers(1, 3 * ways + 3)),
                                                access_bytes, int(rng.integers(0, 301)))
             cuts = np.sort(rng.integers(0, addrs.size + 1, size=rng.integers(0, 6)))
-            sim, loop = self.both(paths, levels, policy, access_bytes)
+            sim, loop = self.both(paths, lv(ways), policy, access_bytes)
             for block in zip(np.split(addrs, cuts), np.split(writes, cuts)):
                 sim.feed(*block)
                 loop.feed(*block)
@@ -1102,8 +1091,23 @@ class TestLineReplay:
     def test_full_level_declines_before_sorting(self, paths, monkeypatch):
         sim = _Hierarchy(lv(4), AlwaysAllocate(), 8)
         sim.feed(np.arange(0, 8 * LINE, 8, dtype=np.uint64), np.zeros(64, dtype=bool))
-        assert len(sim.sets[0]) == 4
+        assert len(sim.lru) == 4
         declined = paths[False]
         monkeypatch.setattr(np, "argsort", None)
         sim.feed(np.arange(0, 8 * LINE, 8, dtype=np.uint64), np.zeros(64, dtype=bool))
         assert paths[False] == declined + 1
+
+    @pytest.mark.parametrize("lines", [4, 5])
+    def test_more_lines_than_ways_decline_before_sorting(self, paths, monkeypatch, lines):
+        # eight rounds over `lines` lines into an empty level of four: more
+        # runs than ways, so the lines are first counted by residue modulo
+        # 8; four lines are replayed line by line, five declined unsorted
+        addrs = np.tile(np.arange(lines, dtype=np.uint64) * np.uint64(LINE), 8)
+        writes = np.zeros(addrs.size, dtype=bool)
+        sim, loop = self.both(paths, lv(4), AlwaysAllocate(), 8)
+        if lines > 4:
+            monkeypatch.setattr(np, "argsort", None)
+        sim.feed(addrs, writes, last=True)
+        loop.feed(addrs, writes, last=True)
+        assert (paths[True], paths[False]) == ((1, 0) if lines == 4 else (0, 1))
+        assert hierarchy_state(sim) == hierarchy_state(loop)
