@@ -14,6 +14,9 @@ It parses arguments, reads measurement CSVs and formats output; named
 scenarios and which of them evade live in :mod:`stencilmem.balance`, which
 simulator policies evade in :mod:`stencilmem.cachesim`.
 
+The parser is built once, on import (``PARSER``); ``main`` runs the
+subcommand's ``cmd_*`` function, looked up in this module when it is called.
+
 Exit codes: 0 success, 1 tolerance check failed (only with --check), 2
 malformed input, an unreadable file or a usage error. A reader that closes
 standard output early (``| head``) ends the command quietly with exit 0.
@@ -230,9 +233,10 @@ def cmd_replay(args) -> int:
     return EXIT_OK
 
 
-def _parse_int_range(spec: str, minimum: int, what: str) -> range | list[int]:
+def _parse_int_range(spec: str, minimum: int, what: str,
+                     example: str) -> range | list[int]:
     """`lo..hi` as a lazy range (no list of its values is built) or a
-    comma-separated list."""
+    comma-separated list; `example` shows the caller's kind of values."""
     try:
         if ".." in spec:
             lo, hi = spec.split("..", 1)
@@ -245,8 +249,7 @@ def _parse_int_range(spec: str, minimum: int, what: str) -> range | list[int]:
             raise ValueError
         return values
     except ValueError:
-        raise InputError(f"bad {what} range {spec!r}; use e.g. "
-                         f"{minimum}..72 or 8,19,72")
+        raise InputError(f"bad {what} range {spec!r}; use e.g. {example}")
 
 
 def _csv_row(fields) -> str:
@@ -259,7 +262,7 @@ def _csv_row(fields) -> str:
 def cmd_prime_sweep(args) -> int:
     suite = load_suite(args.suite)
     machine = load_machine(args.machine)
-    ranks = _parse_int_range(args.ranks, 1, "rank")
+    ranks = _parse_int_range(args.ranks, 1, "rank", "1..72 or 8,19,72")
     policy = balance.wa_policy(args.wa, machine)
     # all kernels are priced before any row is written, so a failing one leaves
     # no partial output; one write, as a write per row to a pipe is costly
@@ -270,17 +273,23 @@ def cmd_prime_sweep(args) -> int:
     # indexed by the prime flag; every row shares these two strings, which
     # keeps the peak memory at the row-by-row writer's
     ends = np.array([",0\r\n", ",1\r\n"], dtype=object)
+    # one .4f per distinct value of the whole sweep, grouped by bit pattern,
+    # so -0.0 and 0.0 stay apart as they would formatted one by one (the
+    # leading empty array lets an empty suite concatenate)
+    bits, inverse = np.unique(np.concatenate(
+        [np.empty(0), *(sweep.bytes_per_it for sweep in sweeps)]).view(np.uint64),
+        return_inverse=True)
+    text = np.array([f"{b:.4f}" for b in bits.view(np.float64).tolist()], dtype=object)
+    n = len(p_fields)
     rows = []
-    for kernel, sweep in zip(suite, sweeps):
+    for i, (kernel, sweep) in enumerate(zip(suite, sweeps)):
         name_field = _csv_row([kernel.name, ""]).removesuffix("\r\n")  # "<name>,"
-        # one .4f per distinct value; grouped by bit pattern, so -0.0 and 0.0
-        # stay apart as they would formatted one by one
-        bits, inverse = np.unique(sweep.bytes_per_it.view(np.uint64), return_inverse=True)
-        text = np.array([f"{b:.4f}" for b in bits.view(np.float64).tolist()],
-                        dtype=object)
+        # the kernel's own cells only: a table of all of them raises the peak
         rows.append(itertools.chain.from_iterable(zip(
-            itertools.repeat(name_field), p_fields, text[inverse].tolist(),
+            itertools.repeat(name_field), p_fields,
+            text[inverse[i * n:(i + 1) * n]].tolist(),
             ends[sweep.prime.view(np.uint8)].tolist())))
+    del inverse     # one int64 a cell; gone before the joined text is built
     header = _csv_row(["kernel", "p", "bytes_per_it", "prime"])
     sys.stdout.write("".join(itertools.chain([header], *rows)))
     return EXIT_OK
@@ -337,7 +346,7 @@ def cmd_store_ratio(args) -> int:
 def cmd_halo_copy(args) -> int:
     if args.inner < 1:
         raise InputError("--inner must be >= 1")
-    halos = _parse_int_range(str(args.halo), 0, "halo")
+    halos = _parse_int_range(str(args.halo), 0, "halo", "0..17 or 0,3,8")
     policy = _parse_policy(args)
     rows = []
     for halo in halos:
@@ -367,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite")
     p.add_argument("machine")
     p.add_argument("--csv", action="store_true")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("simulate", help="simulated balance vs. the analytic model")
     p.add_argument("suite")
@@ -382,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=2.0,
                    help="max |delta| percent for --check")
     p.add_argument("--csv", action="store_true")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("replay", help="replay a dumped binary trace")
     p.add_argument("trace")
@@ -391,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="effective")
     p.add_argument("--access-bytes", type=int, default=8)
     _add_policy_args(p)
-    p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("prime-sweep",
                        help="predicted balance per rank count (CSV on stdout)")
@@ -400,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ranks", default="1..72", help="e.g. 1..72 or 8,19,71,72")
     p.add_argument("--wa", choices=list(balance.WA_MODELS),
                    default="speci2m", help="write-allocate model for the sweep")
-    p.set_defaults(func=cmd_prime_sweep)
 
     p = sub.add_parser("compare", help="model vs. measurement CSV")
     p.add_argument("suite")
@@ -414,13 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=10.0,
                    help="max mean absolute error percent for --check")
     p.add_argument("--csv", action="store_true")
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("store-ratio", help="n-stream store benchmark ratio")
     p.add_argument("--streams", type=int, default=1)
     p.add_argument("--volume", type=int, default=8 * 1024 * 1024)
     _add_policy_args(p)
-    p.set_defaults(func=cmd_store_ratio)
 
     p = sub.add_parser("halo-copy", help="strip-mined copy read/write ratio")
     p.add_argument("--inner", type=int, default=216)
@@ -428,16 +431,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--volume", type=int, default=4 * 1024 * 1024)
     _add_policy_args(p, default="claim")
     p.add_argument("--csv", action="store_true")
-    p.set_defaults(func=cmd_halo_copy)
 
     return parser
 
 
+# built once, on import; a call pays only for its own command
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
+    # looked up when called, so a cmd_* replaced after import is the one run
+    command = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
-        rc = args.func(args)
+        rc = command(args)
         sys.stdout.flush()
         return rc
     except BrokenPipeError:     # an OSError, so it must come first

@@ -11,6 +11,8 @@ kernel's own element size (8 doubles or 16 floats).
 A :class:`Decomposition` keeps only the process grid and the extent; the
 per-rank widths and heights are derived on demand, so pricing a rank count
 costs the same for p = 2 as for a prime p in the thousands.
+:func:`predict_rank_sweep` prices all kernels of one grid together, as one
+(kernels x ranks) table.
 """
 
 from __future__ import annotations
@@ -133,8 +135,8 @@ def halo_read_overhead(inner, element_size: int = 8):
     Each local row of `inner` elements drags in one cache line of halo
     data, ``e = LINE_BYTES / element_size`` elements, so the overhead is
     e / (inner + e): 8/224 = 3.57% for doubles at inner=216, 16/232 for
-    floats, vanishing for long rows. `inner` may be an integer array, which
-    gives an array of overheads.
+    floats, vanishing for long rows. `inner` and `element_size` may be
+    integer arrays, which broadcast to an array of overheads.
     """
     if np.any(np.less(inner, 1)):
         raise ValueError("inner extent must be >= 1")
@@ -156,6 +158,19 @@ class RankSweep:
     prime: np.ndarray
 
 
+def _sweep_figures(kernel, policy: WaPolicy) -> tuple:
+    """What a rank sweep prices `kernel` with: its element size, the summed
+    row-reuse bytes per inner element, the plain balances with the layer
+    condition fulfilled and broken, and the rd_lcf, rd_lcb and evadable
+    write stream counts."""
+    counts = derive_stream_counts(kernel)
+    esize = element_size(kernel)
+    return (esize, sum(row_reuse_bytes(kernel).values()),
+            code_balance(counts, True, policy, esize),
+            code_balance(counts, False, policy, esize),
+            counts.rd_lcf, counts.rd_lcb, counts.evadable_writes)
+
+
 def predict_rank_sweep(kernels, ranks, machine, policy: WaPolicy) -> list[RankSweep]:
     """Predicted bytes/iteration of each kernel for each rank count, one
     :class:`RankSweep` per kernel in input order.
@@ -168,30 +183,34 @@ def predict_rank_sweep(kernels, ranks, machine, policy: WaPolicy) -> list[RankSw
     magnitude on the evadable write streams. A single rank (and any pure
     outer cut) has no inner halos and gives exactly the plain scenario.
 
-    The process grids and cache shares are worked out once per call and
-    grid, in kernel order, then each kernel is priced as numpy columns.
+    The kernels are grouped by grid, and the grids are walked in order of
+    first appearance: each walks `ranks` once for its process grids and
+    cache shares, so the first count that fails raises. All kernels of a
+    grid are then priced as one (kernels x ranks) table, per-kernel columns
+    broadcast against the grid's rank columns; each :class:`RankSweep`
+    holds its kernel's row of the table and shares the grid's columns.
     """
-    grids = {}      # (inner, outer) -> rank, px, py and cache-share columns
-    out = []
-    for kernel in kernels:
-        inner, outer = key = kernel.grid.inner_extent, kernel.grid.outer_extent
-        if key not in grids:    # one walk of `ranks`: the first count that fails raises
-            ps, px, py = np.array([(p, *_process_grid(p, inner, outer)) for p in ranks],
-                                  dtype=np.int64).reshape(-1, 3).T
-            grids[key] = ps, px, py, np.array(
-                [machine.effective_cache_per_process(p) for p in ps.tolist()])
-        ps, px, py, cache = grids[key]
-        counts = derive_stream_counts(kernel)
-        esize = element_size(kernel)
+    kernels = list(kernels)
+    grids = {}      # (inner, outer) -> indices of its kernels
+    for i, kernel in enumerate(kernels):
+        grids.setdefault((kernel.grid.inner_extent, kernel.grid.outer_extent),
+                         []).append(i)
+    out = [None] * len(kernels)
+    for (inner, outer), members in grids.items():
+        ps, px, py = np.array([(p, *_process_grid(p, inner, outer)) for p in ranks],
+                              dtype=np.int64).reshape(-1, 3).T
+        cache = np.array([machine.effective_cache_per_process(p) for p in ps.tolist()])
         width = inner // px     # the narrowest local row, as in Decomposition
-        lc = LayerConditionReport.holds(sum(row_reuse_bytes(kernel).values()) * width,
-                                        cache)
-        plain = np.where(lc, code_balance(counts, True, policy, esize),
-                         code_balance(counts, False, policy, esize))
+        prime = (ps > 1) & (px == ps)
+        esize, reuse, lcf, lcb, rd_lcf, rd_lcb, evadable = (
+            np.array(column)[:, None] for column in zip(
+                *(_sweep_figures(kernels[i], policy) for i in members)))
+        lc = LayerConditionReport.holds(reuse * width, cache)
+        plain = np.where(lc, lcf, lcb)
         h = halo_read_overhead(width, esize)
-        partial_line_wa = np.where(width * esize % LINE_BYTES != 0,
-                                   counts.evadable_writes * h, 0.0)
-        halo = esize * (np.where(lc, counts.rd_lcf, counts.rd_lcb) * h + partial_line_wa)
-        out.append(RankSweep(ps, px, py, width, np.where(px > 1, plain + halo, plain),
-                             lc, (ps > 1) & (px == ps)))
+        partial_line_wa = np.where(width * esize % LINE_BYTES != 0, evadable * h, 0.0)
+        halo = esize * (np.where(lc, rd_lcf, rd_lcb) * h + partial_line_wa)
+        table = np.where(px > 1, plain + halo, plain)
+        for i, row_bytes, row_lc in zip(members, table, lc):
+            out[i] = RankSweep(ps, px, py, width, row_bytes, row_lc, prime)
     return out

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from stencilmem import balance, cachesim, cli, decomp
 from stencilmem.cachesim import TRACE_DTYPE
 from stencilmem.cli import InputError, build_parser, main, read_measurements
 from stencilmem.kernels import data_path, derive_stream_counts, load_suite
-from stencilmem.roofline import load_machine
+from stencilmem.roofline import MachineModel, load_machine
 
 from refdata import sweep_rows
 
@@ -366,6 +367,10 @@ class TestPrimeSweep:
         rc, _, err = run(capsys, "prime-sweep", SUITE, ICX, "--ranks", "5..1")
         assert rc == 2
 
+    def test_bad_range_hints_at_rank_counts(self, capsys):
+        assert run(capsys, "prime-sweep", SUITE, ICX, "--ranks", "5..1") == (
+            2, "", "error: bad rank range '5..1'; use e.g. 1..72 or 8,19,72\n")
+
     @staticmethod
     def two_grid_suite(tmp_path):
         """A star kernel on a 15360-wide grid, then one on a 100-wide grid."""
@@ -382,6 +387,97 @@ class TestPrimeSweep:
         p = tmp_path / "two_grids.json"
         p.write_text(json.dumps(doc))
         return p
+
+    @classmethod
+    def interleaved_suite(cls, tmp_path, kernels=None):
+        """Kernels that alternate between grids and element sizes: a star on
+        the wide grid, one on the narrow 100-cell grid, a two-row float
+        stencil on the wide extents, then a copy on the wide grid (a write
+        that can evade its allocate, and no row reuse). `kernels` picks a
+        subset by index, in the order given."""
+        doc = json.loads(cls.two_grid_suite(tmp_path).read_text())
+        doc["grids"]["wide_float"] = dict(doc["grids"]["wide"], element_size=4)
+        doc["arrays"].update({"fa": {"grid": "wide_float"},
+                              "fb": {"grid": "wide_float"},
+                              "c": {"grid": "wide"}})
+        doc["kernels"] += [
+            {"name": "float2row", "accesses": [
+                {"array": "fa", "dj": 0, "dk": -1, "mode": "read"},
+                {"array": "fa", "dj": 0, "dk": 1, "mode": "read"},
+                {"array": "fb", "dj": 0, "dk": 0, "mode": "write"}]},
+            {"name": "copy_wide", "accesses": [
+                {"array": "w", "dj": 0, "dk": 0, "mode": "read"},
+                {"array": "c", "dj": 0, "dk": 0, "mode": "write"}]}]
+        if kernels is not None:
+            doc["kernels"] = [doc["kernels"][i] for i in kernels]
+        p = tmp_path / f"interleaved{''.join(map(str, kernels or ''))}.json"
+        p.write_text(json.dumps(doc))
+        return p
+
+    @pytest.mark.parametrize("machine_name", ["icx", "small"])
+    def test_interleaved_grids_price_as_each_kernel_alone(self, tmp_path, icx,
+                                                          machine_name):
+        # kernels on one grid are priced together as one table; each must
+        # still get, bit for bit, what it gets alone. A machine with 16 KiB
+        # of L2 and 256 KiB of L3 breaks the wide grid's layer conditions at
+        # low counts, so both states are priced
+        machine = icx if machine_name == "icx" else replace(
+            icx, cache_l2=16 * 1024, cache_l3=256 * 1024)
+        kernels = list(load_suite(self.interleaved_suite(tmp_path)))
+        assert [(k.grid.inner_extent, k.grid.element_size) for k in kernels] == \
+            [(15360, 8), (100, 8), (15360, 4), (15360, 8)]
+        policy = balance.wa_policy("speci2m", machine)
+        ranks = [*range(1, 101), 71, 8, 1]
+        sweeps = decomp.predict_rank_sweep(kernels, ranks, machine, policy)
+        assert len(sweeps) == len(kernels)
+        states = set()
+        for kernel, got in zip(kernels, sweeps):
+            alone, = decomp.predict_rank_sweep([kernel], ranks, machine, policy)
+            for field in fields(decomp.RankSweep):
+                a, b = getattr(got, field.name), getattr(alone, field.name)
+                assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), \
+                    (kernel.name, field.name)
+            states |= set(got.lc_fulfilled.tolist())
+        assert states == ({True} if machine_name == "icx" else {True, False})
+
+    def test_interleaved_grids_csv_joins_the_one_kernel_csvs(self, capsys,
+                                                             tmp_path):
+        argv = [ICX, "--ranks", "1..100", "--wa", "full"]
+        rc, out, err = run(capsys, "prime-sweep",
+                           str(self.interleaved_suite(tmp_path)), *argv)
+        assert (rc, err) == (0, "")
+        header, body = out.split("\r\n", 1)
+        alone = []
+        for i in range(4):
+            rc, one, err = run(capsys, "prime-sweep",
+                               str(self.interleaved_suite(tmp_path, [i])), *argv)
+            assert (rc, err) == (0, "")
+            assert one.startswith(header + "\r\n")
+            alone.append(one.split("\r\n", 1)[1])
+        assert [len(a.splitlines()) for a in alone] == [100] * 4
+        assert body == "".join(alone)
+
+    def test_one_process_grid_and_cache_share_per_count_and_grid(self, capsys,
+                                                                 monkeypatch):
+        # the bundled kernels share one grid: 360 counts are factorized and
+        # given a cache share once each, not once per kernel
+        calls = {"grid": 0, "cache": 0}
+        process_grid = decomp._process_grid
+        cache_share = MachineModel.effective_cache_per_process
+
+        def counted_grid(*args):
+            calls["grid"] += 1
+            return process_grid(*args)
+
+        def counted_cache(*args):
+            calls["cache"] += 1
+            return cache_share(*args)
+
+        monkeypatch.setattr(decomp, "_process_grid", counted_grid)
+        monkeypatch.setattr(MachineModel, "effective_cache_per_process", counted_cache)
+        rc, out, _ = run(capsys, "prime-sweep", SUITE, ICX, "--ranks", "1..360")
+        assert rc == 0 and len(out.splitlines()) == 1 + 22 * 360
+        assert calls == {"grid": 360, "cache": 360}
 
     def test_each_kernel_uses_its_own_grid(self, capsys, tmp_path):
         p = self.two_grid_suite(tmp_path)
@@ -414,6 +510,19 @@ class TestPrimeSweep:
         rc, out, err = run(capsys, "prime-sweep", str(p), ICX, "--ranks", "1..120")
         assert (rc, out, err) == (2, "", "error: cannot split extent 100 into "
                                          "101 parts\n")
+
+    def test_grids_are_walked_in_order_of_first_appearance(self, capsys, tmp_path):
+        # 16384 ranks go on (128, 128): 128 parts do not fit the wide grid's
+        # 64 rows, and 16384 is more than the narrow grid's 6400 cells, so
+        # the grid of the first kernel names the error
+        doc = json.loads(self.two_grid_suite(tmp_path).read_text())
+        errors = {"on_wide": "error: cannot split extent 64 into 128 parts\n",
+                  "on_narrow": "error: cannot split a 100 x 64 grid into 16384 ranks\n"}
+        for kernels in (doc["kernels"], doc["kernels"][::-1]):
+            p = tmp_path / "ordered.json"
+            p.write_text(json.dumps(dict(doc, kernels=kernels)))
+            assert run(capsys, "prime-sweep", str(p), ICX, "--ranks", "16384") == (
+                2, "", errors[kernels[0]["name"]])
 
     @pytest.mark.parametrize("wa", sorted(balance.WA_MODELS))
     def test_rank_list_keeps_its_order_and_duplicates(self, capsys, wa):
@@ -456,7 +565,7 @@ class TestPrimeSweep:
         # the range is walked, never listed: 15361 is prime and wider than
         # the bundled 15360-cell grid, so the sweep stops there, as
         # `--ranks 15361` does, without building 10**12 rank counts first
-        assert cli._parse_int_range("1..1000000000000", 1, "rank") == \
+        assert cli._parse_int_range("1..1000000000000", 1, "rank", "") == \
             range(1, 10 ** 12 + 1)
         for ranks in ("15361", "1..1000000000000"):
             rc, out, err = run(capsys, "prime-sweep", SUITE, ICX, "--ranks", ranks)
@@ -760,6 +869,10 @@ class TestHaloCopy:
         rc, _, _ = run(capsys, "halo-copy", "--halo", "-3")
         assert rc == 2
 
+    def test_bad_range_hints_at_halo_widths(self, capsys):
+        assert run(capsys, "halo-copy", "--halo", "17..0") == (
+            2, "", "error: bad halo range '17..0'; use e.g. 0..17 or 0,3,8\n")
+
     @pytest.mark.parametrize("command", ["halo-copy", "store-ratio"])
     @pytest.mark.parametrize("volume", ["-100", "0", "63"])
     def test_volume_below_one_line(self, capsys, command, volume):
@@ -817,6 +930,40 @@ class TestClaimBuffer:
         assert run(capsys, *argv) == (0, "1.0000\n", "")
         assert run(capsys, *argv, "--claim-buffer", "64") == (0, "1.0000\n", "")
         assert run(capsys, *argv, "--claim-buffer", "1") == (0, "1.6667\n", "")
+
+
+class TestDispatch:
+    def test_parser_is_built_once_on_import(self, capsys, monkeypatch):
+        def no_parser():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", no_parser)
+        for _ in range(3):
+            assert run(capsys, "store-ratio", "--volume", "4096")[0] == 0
+            assert run(capsys, "analyze", SUITE, ICX)[0] == 0
+
+    def test_replaced_command_is_the_one_called(self, capsys, monkeypatch):
+        seen = []
+
+        def fake_analyze(args):
+            seen.append((args.suite, args.machine, args.csv))
+            print("fake")
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_analyze", fake_analyze)
+        assert run(capsys, "analyze", SUITE, ICX, "--csv") == (0, "fake\n", "")
+        assert seen == [(SUITE, ICX, True)]
+
+    def test_usage_error_leaves_the_next_call_working(self, capsys):
+        want = run(capsys, "prime-sweep", SUITE, ICX, "--ranks", "70..72")
+        assert want[0] == 0
+        for argv in (["prime-sweep", SUITE], ["prime-sweep", SUITE, ICX, "--wa", "x"],
+                     ["no-such-command"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "usage:" in capsys.readouterr().err
+            assert run(capsys, "prime-sweep", SUITE, ICX, "--ranks", "70..72") == want
 
 
 def readme_synopsis_flags() -> dict[str, set[str]]:
