@@ -49,13 +49,14 @@ loop.
 A kernel sweep is periodic in its rows: row k + P is row k moved by whole
 lines, P = 64 / gcd(row_bytes, 64). ``simulate_kernel`` replays period by
 period and charges the rest of the sweep in bulk once a period repeats,
-bit-identical to ``simulate`` of the whole trace. While the level is not
-full, it compares only the lines the rest of the sweep can touch (with
-their dirty bits and order), the claim table, the WC buffers and the
-held-back run; if the live lines then fit the level, LRU only ever evicts
-lines the sweep has left, so it charges every remaining period at once.
-Otherwise, once the level is full, the whole level must repeat.
-``simulate`` replays a trace in full, as it has no rows.
+bit-identical to ``simulate`` of the whole trace. It compares a window of
+the level (with dirty bits and order), the claim table, the WC buffers and
+the held-back run with those of one period earlier. Once the level is
+full, the window is the whole level. While it fills, the window is only
+the lines the rest of the sweep can touch, and a match also needs the live
+lines to fit the level and no claim to have aged out: then LRU only ever
+evicts lines the sweep has left. ``simulate`` replays a trace in full, as
+it has no rows.
 """
 
 from __future__ import annotations
@@ -237,13 +238,16 @@ class _Hierarchy:
         self.claim = evades(policy) and not self.nt
         # the events of the last run fed, which the next block may go on
         self.held = NO_EVENTS
+        # claims aged out of a full claim table; like the other counters it
+        # covers the replayed rows, but a bulk does not scale it: a bulk
+        # while the level fills needs none aged out in its last period
+        self.aged_claims = 0
         # rows of a kernel sweep replayed event by event, rows charged in
         # bulk from a repeating period, and the share of those charged while
         # the level was not full (``_replay_kernel``)
         self.replayed_rows = 0
         self.bulk_rows = 0
         self.fill_rows = 0
-        self.claim_peak = 0
 
     def feed(self, addrs: np.ndarray, writes: np.ndarray, last: bool = False):
         """Replay one block run by run; a run is consecutive events on one
@@ -252,14 +256,12 @@ class _Hierarchy:
         The block's last run may go on in the next block, so its events are
         held back and replayed at the front of the next block, or by
         ``finish`` (``last``). So the traffic does not depend on where a
-        trace is cut into blocks. ``claim_peak`` records the most claims
-        the table held during the call, before aging one out. A block of
-        at least ``LINE_REPLAY_RUNS`` runs that can evict no line and age
-        out no claim is replayed line by line instead (``_feed_lines``),
-        to the same state; fewer runs cost less in the run loop than the
-        per-line path's fixed numpy calls.
+        trace is cut into blocks. A block of at least ``LINE_REPLAY_RUNS``
+        runs that can evict no line and age out no claim is replayed line
+        by line instead (``_feed_lines``), to the same state; fewer runs
+        cost less in the run loop than the per-line path's fixed numpy
+        calls. ``aged_claims`` counts the claims the call ages out.
         """
-        self.claim_peak = len(self.pending)
         if self.held[0].size:
             addrs = np.concatenate((self.held[0], addrs))
             writes = np.concatenate((self.held[1], writes))
@@ -303,8 +305,7 @@ class _Hierarchy:
         claim, nt = self.claim, self.nt
         window = self.policy.buffer_lines if claim else 0
         buffers = self.policy.combine_buffers if nt else 0
-        reads = writes_out = avoided = 0
-        peak = self.claim_peak
+        reads = writes_out = avoided = aged = 0
         for line, first_w, any_w, cov in zip(run_lines, run_first_w, run_any_w, run_cov):
             if line in lru:
                 lru.move_to_end(line)
@@ -356,13 +357,11 @@ class _Hierarchy:
                 avoided += 1    # whole line written in one go
             else:
                 pending[line] = cov
-                size = len(pending)
-                if size > peak:
-                    peak = size
-                if size > window:
+                if len(pending) > window:
                     pending.popitem(last=False)
                     reads += 1  # incomplete: regular allocate after all
-        self.claim_peak = peak
+                    aged += 1
+        self.aged_claims += aged
         self.read_lines += reads
         self.write_lines += writes_out
         self.avoided_lines += avoided
@@ -409,7 +408,7 @@ class _Hierarchy:
         if len(lru) + k - hits > ways:
             return False
         reads = k - hits
-        avoided, peak = 0, self.claim_peak
+        avoided = 0
         if self.claim:
             pending, full = self.pending, np.uint64(FULL_MASK)
             start = ~present & fw[first]    # a write miss starts a claim
@@ -440,7 +439,7 @@ class _Hierarchy:
                 step = np.zeros(n, dtype=np.int8)
                 step[order[first[opened]]] = 1
                 step[order[end[ended & (old | opened)]]] = -1
-                peak = max(peak, len(pending) + int(np.cumsum(step).max()))
+                peak = len(pending) + int(np.cumsum(step).max())
                 if peak > self.policy.buffer_lines:
                     return False
             reads += filled
@@ -457,7 +456,6 @@ class _Hierarchy:
         dirty[present] |= np.fromiter(map(lru.pop, compress(keys, present)), bool, hits)
         recent = np.argsort(order[last])
         lru.update(zip(ulines[recent].tolist(), dirty[recent].tolist()))
-        self.claim_peak = peak
         self.read_lines += int(reads)
         self.avoided_lines += int(avoided)
         return True
@@ -465,7 +463,7 @@ class _Hierarchy:
     def window(self, recent: np.ndarray | None = None):
         """State of the level as far as the rest of a sweep can see it: the
         window, the claim table, the WC buffers, the held-back run, then
-        the counters.
+        the traffic counters and ``aged_claims``.
 
         The window is the newest cached lines that are among `recent`, the
         lines touched since some row, or the whole level if `recent` is
@@ -484,7 +482,8 @@ class _Hierarchy:
         ages = np.argsort(lines)
         return (np.column_stack((lines[ages], dirty[ages], ages)),
                 list(self.pending.items()), list(self.wc.items()), self.held,
-                (self.read_lines, self.write_lines, self.avoided_lines))
+                (self.read_lines, self.write_lines, self.avoided_lines,
+                 self.aged_claims))
 
     def finish(self):
         """End of trace: replay the held-back run, resolve open claims, drain
@@ -609,37 +608,36 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
 
     Row k + P of the trace is row k moved by D = P * row_bytes / 64 whole
     lines, with P = 64 / gcd(row_bytes, 64). The replay goes one period of
-    P rows at a time and charges the rest of the sweep in bulk in two ways.
+    P rows at a time. After each period it takes a window of the level and
+    compares it, with the claim table, the WC buffers and the held-back
+    run, with the window one period earlier moved by D lines. On a match
+    it charges every remaining whole period with the counter delta of the
+    last one, replays the tail rows and finishes.
 
-    While the level is not full, nothing has been evicted. A line that the
-    sweep has left (``_window_rows``) is never touched again. After each
-    period the window, the lines touched since that many rows, is compared
-    with the window one period earlier moved by D lines, together with the
-    claim table, the WC buffers and the held-back run. On a match the live
-    lines, those touched in the last ``_window_rows`` + P rows, are
-    counted. If they fit the level and no claim aged out in the last
-    period, every remaining whole period is charged with the counter delta
-    of the last one, however full the level would get: LRU evicts the
-    oldest line, a left line is older than every line that can still be
-    touched, and a line touched again during a period is live at its end,
-    so only left lines are evicted and no hit turns into a miss. The claims
-    on left lines are the oldest in the table and the others never outgrow
-    it, so only they age out. A left line costs the same wherever it goes:
-    a dirty one is written once, evicted or flushed by ``finish``, and a
-    claim on one costs one fill, whether it ages out, is evicted or is left
-    open. So the dirty lines and the claims that each period leaves behind
-    are added per period. If the window repeats but the live lines do not
-    fit, no more windows are taken.
+    Once the level is full, the window is the whole level: on a match the
+    state repeats for good.
 
-    Once the level is full, the whole level after each period is compared
-    in the same way with the whole level one period earlier. On a match
-    the state repeats for good, so the remaining whole periods are charged
-    in bulk with the counter delta of the last one.
+    While the level is not full, nothing has been evicted, and a line that
+    the sweep has left (``_window_rows``) is never touched again. The
+    window is then the lines touched since that many rows, and a match
+    also needs the live lines, those touched in the last ``_window_rows``
+    + P rows, to fit the level and no claim to have aged out in the last
+    period. Then the rest of the sweep is charged however full the level
+    would get: LRU evicts the oldest line, a left line is older than every
+    line that can still be touched, and a line touched again during a
+    period is live at its end, so only left lines are evicted and no hit
+    turns into a miss. The claims on left lines are the oldest in the table
+    and the others never outgrow it, so only they age out. A left line
+    costs the same wherever it goes: a dirty one is written once, evicted
+    or flushed by ``finish``, and a claim on one costs one fill, whether it
+    ages out, is evicted or is left open. So the dirty lines and the claims
+    that a period leaves behind join its counter delta. If the live lines
+    do not fit, only the whole level is compared from then on.
 
     The engine only compares lines for equality, and ``finish`` only
-    counts, so after either bulk the tail rows are replayed from the
-    matched state with the next rows of the trace instead of moving every
-    table by the skipped lines.
+    counts, so the tail rows are replayed from the matched state with the
+    next rows of the trace instead of moving every table by the skipped
+    lines.
     """
     sim = _Hierarchy(list(levels), policy, grid.element_size)
     j0, j1, k0, k1 = _loop_bounds(kernel, grid)
@@ -658,69 +656,48 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     width = _window_rows(kernel, grid)
     live_events = (width + period) * row_events
     recent = deque(maxlen=2 + width // period)
-    # the dirty lines and open claims left behind by the pre-fill bulk,
-    # which ``finish`` does not see
-    bulk_dirty = bulk_claims = 0
-    before = window = None
+    before = None
     for addrs, writes in periods:
         sim.feed(addrs, writes)
         sim.replayed_rows += addrs.size // row_events
         row += addrs.size // row_events
         whole, tail = divmod(k1 + 1 - row, period)
         recent.append(addrs)
-        if len(lru) == ways:
+        filling = len(lru) < ways
+        if filling:
+            # a window needs a whole period to charge and the live rows replayed
+            applied = len(recent) * step - sim.held[0].size
+            first = (applied // row_events - width) * row_events
+            if not width or whole < 1 or first < 0 or len(recent) * step < live_events:
+                before = None
+                continue
+            touched = np.concatenate(recent) >> np.uint64(LINE_SHIFT)
+            now = sim.window(touched[first:applied])
+        else:       # a window from while the level filled has fewer lines
             now = sim.window()
-            if before is not None and _window_repeats(now, before, shift):
-                _charge(sim, now, before, whole, period)
-                if tail:
-                    _replay_tail(sim, next(periods), tail, row_events)
-                break
+        if before is None or not _window_repeats(now, before, shift):
             before = now
             continue
-        # a window needs a whole period to charge and the live rows replayed
-        applied = len(recent) * step - sim.held[0].size
-        first = (applied // row_events - width) * row_events
-        if not width or whole < 1 or first < 0 or len(recent) * step < live_events:
-            window = None
-            continue
-        touched = np.concatenate(recent) >> np.uint64(LINE_SHIFT)
-        now = sim.window(touched[first:applied])
-        if window is not None and _window_repeats(now, window, shift):
-            if np.unique(touched[-live_events:]).size > ways or (
-                    sim.claim and sim.claim_peak > sim.policy.buffer_lines):
-                width = 0       # the full-level path takes over
+        (r, w, a, aged), (r0, w0, a0, aged0) = now[-1], before[-1]
+        if filling:
+            if np.unique(touched[-live_events:]).size > ways or aged > aged0:
+                width = 0       # the whole level takes over
                 continue
-            table, table0 = now[0], window[0]
-            retired = table0[~_in_window(table0[:, 0], table)]
-            _charge(sim, now, window, whole, period)
+            table, table0 = now[0], before[0]
+            w += int(table0[~_in_window(table0[:, 0], table), 1].sum())
+            r += _left_claims(now) - _left_claims(before)
             sim.fill_rows += whole * period
-            bulk_dirty = whole * int(retired[:, 1].sum())
-            bulk_claims = whole * (_left_claims(now) - _left_claims(window))
-            if tail:
-                _replay_tail(sim, next(periods), tail, row_events)
-            break
-        window = now
+        sim.read_lines += whole * (r - r0)
+        sim.write_lines += whole * (w - w0)
+        sim.avoided_lines += whole * (a - a0)
+        sim.bulk_rows += whole * period
+        if tail:
+            addrs, writes = next(periods)
+            sim.feed(addrs[:tail * row_events], writes[:tail * row_events])
+            sim.replayed_rows += tail
+        break
     sim.finish()
-    sim.write_lines += bulk_dirty
-    sim.read_lines += bulk_claims
     return sim
-
-
-def _charge(sim: _Hierarchy, now, before, periods: int, period: int):
-    """Charge `periods` more periods of `period` rows with the counter delta
-    from ``window`` state `before` to `now`."""
-    (r, w, a), (r0, w0, a0) = now[-1], before[-1]
-    sim.read_lines += periods * (r - r0)
-    sim.write_lines += periods * (w - w0)
-    sim.avoided_lines += periods * (a - a0)
-    sim.bulk_rows += periods * period
-
-
-def _replay_tail(sim: _Hierarchy, chunk, rows: int, row_events: int):
-    """Replay the first `rows` rows of a period."""
-    addrs, writes = chunk
-    sim.feed(addrs[:rows * row_events], writes[:rows * row_events])
-    sim.replayed_rows += rows
 
 
 def simulate_kernel(kernel: KernelSpec, grid: GridSpec, levels,

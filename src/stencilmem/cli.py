@@ -155,7 +155,7 @@ def _parse_policy(args) -> cachesim.WritePolicySim:
     if args.claim_buffer is not None:
         if args.claim_buffer < 1:
             raise InputError("--claim-buffer must be >= 1")
-        if args.policy in ("always", "nt"):
+        if args.policy in ("always", "nt", "claim-inactive"):
             print(f"note: --claim-buffer has no effect under --policy {args.policy}",
                   file=sys.stderr)
     if args.policy == "always":

@@ -260,10 +260,8 @@ def iteration_count(kernel: KernelSpec, grid: GridSpec) -> int:
 
 @dataclass
 class KernelSuite:
-    """A set of kernels sharing grid and array declarations."""
+    """The kernels of a suite file, by name."""
 
-    grids: dict[str, GridSpec] = field(default_factory=dict)
-    arrays: dict[str, ArrayDecl] = field(default_factory=dict)
     kernels: dict[str, KernelSpec] = field(default_factory=dict)
 
     def __iter__(self):
@@ -302,25 +300,27 @@ def load_suite(path: str | Path) -> KernelSuite:
         _check_shape(doc[key], kind, f"{path}: {key!r}")
 
     suite = KernelSuite()
+    grids: dict[str, GridSpec] = {}
     for name, g in doc["grids"].items():
         try:
             _check_shape(g, dict, "the entry")
-            suite.grids[name] = GridSpec(
+            grids[name] = GridSpec(
                 inner_extent=g["inner_extent"], outer_extent=g["outer_extent"],
                 halo_lo=g.get("halo_lo", 0), halo_hi=g.get("halo_hi", 0),
                 element_size=g.get("element_size", 8))
         except (KeyError, KernelError) as exc:
             raise KernelError(f"{path}: grid {name!r}: {exc}") from exc
 
+    arrays: dict[str, ArrayDecl] = {}
     for name, a in doc["arrays"].items():
         try:
             _check_shape(a, dict, f"array {name!r}")
             gname = a.get("grid")
             _check_shape(gname, str, f"array {name!r}: grid")
-            if gname not in suite.grids:
+            if gname not in grids:
                 raise KernelError(f"array {name!r} references unknown grid {gname!r}")
-            suite.arrays[name] = ArrayDecl(name, suite.grids[gname],
-                                           a.get("base_alignment", LINE_BYTES))
+            arrays[name] = ArrayDecl(name, grids[gname],
+                                     a.get("base_alignment", LINE_BYTES))
         except KernelError as exc:
             raise KernelError(f"{path}: {exc}") from exc
 
@@ -335,14 +335,14 @@ def load_suite(path: str | Path) -> KernelSuite:
                 _check_shape(acc, dict, f"kernel {name!r}: an access")
                 aname = acc["array"]
                 _check_shape(aname, str, f"kernel {name!r}: an access's array")
-                if aname not in suite.arrays:
+                if aname not in arrays:
                     raise KernelError(f"kernel {name!r} references undeclared "
                                       f"array {aname!r}")
                 offsets = [acc["dj"], acc["dk"]]
                 if not all(type(v) is int for v in offsets):
                     raise KernelError(f"kernel {name!r}: offsets of "
                                       f"{aname!r} must be integers, not {offsets}")
-                accesses.append(Access(suite.arrays[aname], *offsets, acc["mode"]))
+                accesses.append(Access(arrays[aname], *offsets, acc["mode"]))
             flops = k.get("flops_per_it", 0)
             if type(flops) is not int:
                 raise KernelError(f"kernel {name!r}: flops_per_it must "

@@ -869,7 +869,7 @@ class TestFastForward:
         assert kept_lines(kernel, grid, policy) > DEFAULT_BENCH_CACHE[-1].lines
         full = _Hierarchy(DEFAULT_BENCH_CACHE, policy, grid.element_size)
         full.feed(*(np.concatenate(blocks) for blocks in zip(*gen_trace_blocks(kernel, grid))))
-        assert full.claim_peak > policy.buffer_lines
+        assert full.aged_claims > 0
         sim = self.replay(kernel, grid, DEFAULT_BENCH_CACHE, policy)
         assert sim.fill_rows > 0 and sim.replayed_rows + sim.fill_rows == grid.outer_extent
 
@@ -940,7 +940,7 @@ class TestFastForward:
         levels = beyond_footprint(kept_lines(kernel, grid, AutoClaim()))
         full = _Hierarchy(levels, AutoClaim(1), grid.element_size)
         full.feed(*(np.concatenate(blocks) for blocks in zip(*gen_trace_blocks(kernel, grid))))
-        assert full.claim_peak == 2
+        assert full.aged_claims == grid.outer_extent
         declined = self.replay(kernel, grid, levels, AutoClaim(1))
         assert declined.fill_rows == 0 and declined.replayed_rows == grid.outer_extent
         taken = self.replay(kernel, grid, levels, AutoClaim(2))
@@ -953,7 +953,7 @@ def hierarchy_state(sim: _Hierarchy):
     assert all(type(c) is int for c in counters)
     return (list(sim.lru.items()), list(sim.pending.items()),
             list(sim.wc.items()), sim.held[0].tolist(), sim.held[1].tolist(),
-            sim.claim_peak, counters)
+            sim.aged_claims, counters)
 
 
 class TestLineReplay:
@@ -1022,10 +1022,11 @@ class TestLineReplay:
             cuts = np.sort(rng.integers(0, addrs.size + 1, size=rng.integers(0, 6)))
             sim, loop = self.both(paths, lv(ways), policy, access_bytes)
             for block in zip(np.split(addrs, cuts), np.split(writes, cuts)):
+                aged_before = loop.aged_claims
                 sim.feed(*block)
                 loop.feed(*block)
                 assert hierarchy_state(sim) == hierarchy_state(loop), case
-                aged += sim.claim and loop.claim_peak > policy.buffer_lines
+                aged += loop.aged_claims > aged_before
             sim.finish()
             loop.finish()
             assert hierarchy_state(sim) == hierarchy_state(loop), case
@@ -1068,24 +1069,33 @@ class TestLineReplay:
         addrs = ((j % streams) * (1 << 20) + (j // streams) * 8).astype(np.uint64)
         return addrs, np.ones(addrs.size, dtype=bool)
 
-    def test_claim_peak_at_the_table_size(self, paths):
+    def test_claims_at_the_table_size_age_none_out(self, paths):
+        # three streams hold at most three open claims, one each: a table
+        # of three never overflows, so the per-line replay takes the block
         policy = AutoClaim(buffer_lines=3)
         sim, loop = self.both(paths, lv(64), policy, 8)
         block = self.store_streams(3, 12)
         sim.feed(*block)
         loop.feed(*block)
         assert paths[True] == 1 and paths[False] == 0
-        assert sim.claim_peak == loop.claim_peak == 3
+        assert sim.aged_claims == loop.aged_claims == 0
         assert hierarchy_state(sim) == hierarchy_state(loop)
 
-    def test_claim_peak_over_the_table_size(self, paths):
+    @pytest.mark.parametrize("lines", [1, 5, 12])
+    def test_claims_over_the_table_size_age_out_one_per_line(self, paths, lines):
+        # four streams of `lines` lines into a table of three: each round of
+        # first stores opens four claims, and the fourth ages out the first
+        # stream's, whose line is then an ordinary hit; the other three
+        # complete in the round's eighth store, before the next round opens
+        # claims. So exactly `lines` claims age out, in the run loop and in
+        # the per-line replay's fallback to it
         policy = AutoClaim(buffer_lines=3)
         sim, loop = self.both(paths, lv(64), policy, 8)
-        block = self.store_streams(4, 12)
+        block = self.store_streams(4, lines)
         sim.feed(*block)
         loop.feed(*block)
         assert paths[True] == 0 and paths[False] == 1
-        assert sim.claim_peak == loop.claim_peak == 4
+        assert sim.aged_claims == loop.aged_claims == lines
         assert hierarchy_state(sim) == hierarchy_state(loop)
 
     def test_full_level_declines_before_sorting(self, paths, monkeypatch):

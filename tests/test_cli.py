@@ -884,8 +884,8 @@ class TestHaloCopy:
 
 class TestClaimBuffer:
     """--claim-buffer is the claim detector's window: a value below one line
-    is an error under every policy, and a policy without the detector says
-    that it ignores the option."""
+    is an error under every policy, and a policy without an active detector
+    says that it ignores the option."""
 
     @pytest.fixture(scope="class")
     def trace(self, tmp_path_factory):
@@ -911,7 +911,7 @@ class TestClaimBuffer:
             assert (rc, out) == (2, ""), argv
             assert err == "error: --claim-buffer must be >= 1\n"
 
-    @pytest.mark.parametrize("policy", ["always", "nt"])
+    @pytest.mark.parametrize("policy", ["always", "nt", "claim-inactive"])
     def test_no_detector_notes_and_ignores_it(self, capsys, trace, policy):
         for argv in self.argvs(trace).values():
             plain = run(capsys, *argv, "--policy", policy)
@@ -966,12 +966,16 @@ class TestDispatch:
             assert run(capsys, "prime-sweep", SUITE, ICX, "--ranks", "70..72") == want
 
 
+def readme_synopsis() -> str:
+    """The code block that opens README's CLI section."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    return text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+
+
 def readme_synopsis_flags() -> dict[str, set[str]]:
     """Subcommand -> the --flags its README synopsis lines name."""
-    text = (Path(__file__).parents[1] / "README.md").read_text()
-    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     flags: dict[str, set[str]] = {}
-    for line in block.splitlines():
+    for line in readme_synopsis().splitlines():
         words = line.split()
         if words[:1] == ["stencilmem"]:
             command = words[1]
@@ -979,10 +983,38 @@ def readme_synopsis_flags() -> dict[str, set[str]]:
     return flags
 
 
+def subcommands(parser) -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_readme_synopsis_matches_parser():
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
     parser_flags = {name: {o for a in p._actions for o in a.option_strings
                            if o.startswith("--") and o != "--help"}
-                    for name, p in sub.choices.items()}
+                    for name, p in subcommands(build_parser()).items()}
     assert readme_synopsis_flags() == parser_flags
+
+
+def test_readme_synopsis_lists_every_command_and_choice():
+    # each subcommand has a synopsis line, and an option with choices
+    # lists exactly the parser's, in its order, wherever it spells them out
+    commands = subcommands(cli.PARSER)
+    block = readme_synopsis()
+    named = [line.split()[1] for line in block.splitlines()
+             if line.startswith("stencilmem ")]
+    assert sorted(named) == sorted(commands)
+    choices: dict[str, set[tuple[str, ...]]] = {}
+    for parser in commands.values():
+        for action in parser._actions:
+            if action.choices and action.option_strings:
+                choices.setdefault(action.option_strings[0], set()).add(
+                    tuple(action.choices))
+    assert set(choices) == {"--policy", "--cache-mode", "--wa", "--scenario"}
+    listed: dict[str, list[tuple[str, ...]]] = {}
+    for flag, values in re.findall(r"\[(--[a-z-]+) ([^\]\s]+)\]", block):
+        if "|" in values:
+            listed.setdefault(flag, []).append(tuple(values.split("|")))
+    assert set(listed) == set(choices)
+    for flag, (want, *others) in choices.items():
+        assert not others, flag     # the same choices under every subcommand
+        assert set(listed[flag]) == {want}, flag
