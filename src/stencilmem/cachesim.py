@@ -35,16 +35,15 @@ run that goes on past the end of a block is held back and replayed with the
 next block, so the traffic does not depend on where a trace is cut into
 blocks.
 
-A block that can evict no line and age no claim out of the table is
-replayed once per distinct line, not once per run: under always-allocate
-and claims (never under NT, whose write-combine buffers depend on the order
-of the runs), when the level has room for the block's new lines and the
-open claims never outnumber the table. Nothing then leaves the level or the
-table, so each line's misses and claim follow from its own runs alone, and
-the LRU order is the old lines, then the touched ones in order of last
-touch (the stack property of LRU, Mattson et al. 1970). The state after
-the block is the one the run loop leaves; any other block takes the run
-loop.
+A block that evicts only lines it never touches and ages no claim out of
+the table is replayed once per distinct line, not once per run, under
+always-allocate and claims (never under NT, whose write-combine buffers
+depend on the order of the runs). No touched line then leaves the level,
+so each line's misses and claim follow from its own runs alone. The
+victims are the oldest lines the block does not touch, and the LRU order
+is the old lines left, then the touched ones in order of last touch (the
+stack property of LRU, Mattson et al. 1970). The state after the block
+is the one the run loop leaves; any other block takes the run loop.
 
 A kernel sweep is periodic in its rows: row k + P is row k moved by whole
 lines, P = 64 / gcd(row_bytes, 64). ``simulate_kernel`` replays period by
@@ -64,7 +63,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from itertools import compress, repeat, takewhile
+from itertools import compress, islice, repeat, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -257,10 +256,11 @@ class _Hierarchy:
         held back and replayed at the front of the next block, or by
         ``finish`` (``last``). So the traffic does not depend on where a
         trace is cut into blocks. A block of at least ``LINE_REPLAY_RUNS``
-        runs that can evict no line and age out no claim is replayed line
-        by line instead (``_feed_lines``), to the same state; fewer runs
-        cost less in the run loop than the per-line path's fixed numpy
-        calls. ``aged_claims`` counts the claims the call ages out.
+        runs that evicts only lines it never touches and ages out no claim
+        is replayed line by line instead (``_feed_lines``), to the same
+        state; fewer runs cost less in the run loop than the per-line
+        path's fixed numpy calls. NT always takes the run loop.
+        ``aged_claims`` counts the claims the call ages out.
         """
         if self.held[0].size:
             addrs = np.concatenate((self.held[0], addrs))
@@ -367,27 +367,38 @@ class _Hierarchy:
         self.avoided_lines += avoided
 
     def _feed_lines(self, lines, first_w, any_w, cov) -> bool:
-        """Replay a block's runs line by line if no line can be evicted and
-        no claim can age out; otherwise return False with nothing changed.
-        The arguments hold one entry per run, as ``feed`` finds them.
+        """Replay a block's runs line by line if every line it evicts is one
+        it never touches and no claim can age out; otherwise return False
+        with nothing changed. The arguments hold one entry per run, as
+        ``feed`` finds them.
 
-        With nothing leaving the level or the claim table, a line's first
-        run misses if the line is not cached: a read fills it, and under
-        claims a write opens a claim (or is avoided at once if it covers
-        the line). A claim, new or already in the table, ends at its line's
-        first run that reads (a fill) or completes the line (avoided). The
-        table keeps its order; new open claims join in the order they
-        opened. Each touched line moves to the end of the LRU order in order
-        of last touch, dirty if it was or any of its runs writes.
+        Let ``evict = len(lru) + new - ways``, where ``new`` is the number
+        of lines the block adds. The i-th miss past the free room evicts the
+        oldest line that the block has not touched by that run. The block
+        is taken only if each of those ``evict`` victims is a line it never
+        touches: then the victims are the oldest ``evict`` untouched lines,
+        and each touched line older than a victim has its first run before
+        that victim's evicting miss (a prefix maximum of first-touch runs
+        over the head of the LRU order). The first ``evict + hits`` lines of
+        the LRU order hold them all, so the check costs O(block). A dirty
+        victim is written; a claimed one costs one read and leaves the
+        table at its evicting run, before a claim that opens there.
 
-        A full level, or a block whose lines fall in more than ``ways``
-        residues modulo a power of two above ``ways`` (so it has more than
-        ``ways`` distinct lines), is declined before any sort.
+        No touched line then leaves the level, so a line's first run misses
+        if the line was not cached: a read fills it, and under claims a
+        write opens a claim (or is avoided at once if it covers the line). A claim, new or
+        already in the table, ends at its line's first run that reads (a
+        fill) or completes the line (avoided). The table keeps its order;
+        new open claims join in the order they opened. Each touched line
+        moves to the end of the LRU order in order of last touch, dirty if
+        it was or any of its runs writes.
+
+        A block whose lines fall in more than ``ways`` residues modulo a
+        power of two above ``ways`` (so it has more than ``ways`` distinct
+        lines) is declined before any sort.
         """
         lru, ways = self.lru, self.ways
         n = lines.size
-        if len(lru) == ways:
-            return False
         if n > ways:
             residues = np.zeros(1 << ways.bit_length(), dtype=bool)
             residues[lines & np.uint64(residues.size - 1)] = True
@@ -405,8 +416,19 @@ class _Hierarchy:
         keys = ulines.tolist()
         present = np.fromiter(map(lru.__contains__, keys), bool, k)
         hits = np.count_nonzero(present)
-        if len(lru) + k - hits > ways:
-            return False
+        evict = len(lru) + k - hits - ways
+        victims, misses = [], order[:0]     # the evicted lines, their evicting runs
+        if evict > 0:
+            # the i-th miss past the free room evicts the i-th untouched line
+            # of the head if each touched line older than it was touched before
+            head = np.fromiter(islice(lru, evict + hits), np.uint64, evict + hits)
+            at = np.minimum(np.searchsorted(ulines, head), k - 1)
+            seen = np.where(ulines[at] == head, order[first[at]], -1)  # first touch
+            untouched = np.flatnonzero(seen < 0)[:evict]
+            misses = np.sort(order[first[~present]])[ways - len(lru):]
+            if np.any(np.maximum.accumulate(seen)[untouched] > misses):
+                return False
+            victims = head[untouched].tolist()
         reads = k - hits
         avoided = 0
         if self.claim:
@@ -434,23 +456,29 @@ class _Hierarchy:
             ended = (start | old) & (end < n)
             filled = np.count_nonzero(ended & ~fw[np.minimum(end, n - 1)])
             opened = start & (c[first] != full)
+            claimed = misses[np.fromiter(map(pending.__contains__, victims), bool,
+                                         len(victims))]
             if opened.any():
                 # the table's size after each run, from the claims that open or end
                 step = np.zeros(n, dtype=np.int8)
                 step[order[first[opened]]] = 1
                 step[order[end[ended & (old | opened)]]] = -1
+                step[claimed] -= 1
                 peak = len(pending) + int(np.cumsum(step).max())
                 if peak > self.policy.buffer_lines:
                     return False
-            reads += filled
+            reads += filled + claimed.size
             avoided = np.count_nonzero(ended) - filled
             for x in compress(keys, old & ended):
                 del pending[x]
+            for x in victims:
+                pending.pop(x, None)
             kept = old & ~ended
             pending.update(zip(compress(keys, kept), c[last[kept]].tolist()))
             new = np.flatnonzero(opened & ~ended)
             new = new[np.argsort(order[first[new]])]
             pending.update(zip(ulines[new].tolist(), c[last[new]].tolist()))
+        self.write_lines += sum(map(lru.pop, victims))
         # each line moves to the end of the LRU order in order of last touch
         dirty = np.logical_or.reduceat(any_w[order], first)
         dirty[present] |= np.fromiter(map(lru.pop, compress(keys, present)), bool, hits)

@@ -217,8 +217,12 @@ def _diagnostics(kernel: KernelSpec) -> list[str]:
 
 def derive_stream_counts(kernel: KernelSpec) -> StreamCounts:
     """Derive the per-iteration stream counts from the access list."""
+    return _stream_counts(kernel, kernel.read_dk_offsets())
+
+
+def _stream_counts(kernel: KernelSpec, read_rows: dict[str, set[int]]) -> StreamCounts:
+    """``derive_stream_counts`` from the kernel's ``read_dk_offsets``."""
     arrays = {a.name for a in kernel.arrays}
-    read_rows = kernel.read_dk_offsets()
     read_offsets = {(a.array.name, a.dj, a.dk) for a in kernel.reads()}
     writes = kernel.writes()
 

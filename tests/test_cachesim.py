@@ -957,23 +957,31 @@ def hierarchy_state(sim: _Hierarchy):
 
 
 class TestLineReplay:
-    """A block that can neither evict a line nor age out a claim is replayed
-    line by line (``_Hierarchy._feed_lines``); the run loop, which the
-    per-line replay is patched to decline, is the reference."""
+    """A block that evicts only lines it never touches and ages out no
+    claim is replayed line by line (``_Hierarchy._feed_lines``); the run
+    loop, which the per-line replay is patched to decline, is the
+    reference."""
 
     @pytest.fixture
     def paths(self, monkeypatch):
         """Count the blocks the per-line replay takes (True) and declines
-        (False); a hierarchy in ``paths["loop"]`` always uses the run loop."""
+        (False), and of those it takes, the ones that evict a line
+        ("evicting") and a claimed line ("claimed"); a hierarchy in
+        ``paths["loop"]`` always uses the run loop."""
         line_replay = _Hierarchy._feed_lines
-        paths = {True: 0, False: 0, "loop": ()}
+        paths = {True: 0, False: 0, "loop": (), "evicting": 0, "claimed": 0}
 
         def feed_lines(sim, *runs):
             assert not sim.nt
             if sim in paths["loop"]:
                 return False
+            cached, claims = set(sim.lru), set(sim.pending)
             took = line_replay(sim, *runs)
             paths[took] += 1
+            if took:
+                gone = cached.difference(sim.lru)
+                paths["evicting"] += bool(gone)
+                paths["claimed"] += bool(gone & claims)
             return took
 
         monkeypatch.setattr(_Hierarchy, "_feed_lines", feed_lines)
@@ -1031,6 +1039,8 @@ class TestLineReplay:
             loop.finish()
             assert hierarchy_state(sim) == hierarchy_state(loop), case
         assert paths[True] >= 500 and paths[False] >= 500 and aged >= 100
+        # taken blocks that evict a line and a claimed line: 134 and 32
+        assert paths["evicting"] >= 65 and paths["claimed"] >= 15
 
     def test_blocks_one_line_short_of_fitting(self, paths):
         # one block of `lines` distinct lines, the held-back last run on a
@@ -1098,14 +1108,89 @@ class TestLineReplay:
         assert sim.aged_claims == loop.aged_claims == lines
         assert hierarchy_state(sim) == hierarchy_state(loop)
 
-    def test_full_level_declines_before_sorting(self, paths, monkeypatch):
-        sim = _Hierarchy(lv(4), AlwaysAllocate(), 8)
-        sim.feed(np.arange(0, 8 * LINE, 8, dtype=np.uint64), np.zeros(64, dtype=bool))
-        assert len(sim.lru) == 4
-        declined = paths[False]
-        monkeypatch.setattr(np, "argsort", None)
-        sim.feed(np.arange(0, 8 * LINE, 8, dtype=np.uint64), np.zeros(64, dtype=bool))
-        assert paths[False] == declined + 1
+    @staticmethod
+    def runs(spec):
+        """One event per run: a read of each listed line, or with a "w"
+        suffix an 8-byte write to it."""
+        lines = spec.split()
+        return (np.array([int(x.rstrip("w")) * LINE for x in lines], dtype=np.uint64),
+                np.array([x.endswith("w") for x in lines], dtype=bool))
+
+    def replay_block(self, paths, ways, policy, before, block):
+        """Feed `before`, then `block`, into a level of `ways` lines on both
+        paths: the same state after each. Return whether the per-line replay
+        took `block`, and the lines `block` evicted."""
+        sim, loop = self.both(paths, lv(ways), policy, 8)
+        for spec in (before, block):
+            cached, took = set(loop.lru), paths[True]
+            for h in (sim, loop):
+                h.feed(*self.runs(spec), last=True)
+            assert hierarchy_state(sim) == hierarchy_state(loop), spec
+        return paths[True] > took, cached - set(loop.lru)
+
+    def test_full_level_evicting_untouched_lines(self, paths):
+        # new lines 10 and 11 evict 0 and 1 (dirty), which the block never
+        # touches; 2 and 3 are hits
+        took, evicted = self.replay_block(paths, 4, AlwaysAllocate(), "0 1w 2 3",
+                                          "2 10 2w 3 11 10")
+        assert took and evicted == {0, 1}
+
+    def test_victim_touched_after_its_evicting_miss(self, paths):
+        # 10 evicts 1 (0 was touched), 11 evicts 2; then 1 misses again
+        # and evicts 3
+        took, evicted = self.replay_block(paths, 4, AlwaysAllocate(), "0 1 2 3",
+                                          "0 10 11 1")
+        assert not took and evicted == {2, 3}
+
+    @pytest.mark.parametrize("block, took", [("2 0 10 3", True), ("2 3 10 0", False)],
+                             ids=["one-run-before", "one-run-after"])
+    def test_older_line_first_touched_next_to_the_miss(self, paths, block, took):
+        # the miss on 10 at run 2 evicts the oldest line not touched yet:
+        # 1 if 0 was touched at run 1, but 0 itself if it is touched at run
+        # 3, where it misses and evicts 1
+        got, evicted = self.replay_block(paths, 4, AlwaysAllocate(), "0 1 2 3", block)
+        assert got == took and evicted == {1}
+
+    @pytest.mark.parametrize("block, took", [("10w 2 3", True), ("10w 11w 2 3", False)],
+                             ids=["table-full", "one-claim-more"])
+    def test_claimed_victim_leaves_before_a_claim_opens(self, paths, block, took):
+        # a table of two holds claims on 0 and 2; the write miss on 10
+        # evicts 0, whose claim costs a fill and leaves before 10's opens,
+        # so the table stays at two; a second write miss on 11 evicts 1,
+        # which holds no claim, and the third claim ages out the oldest
+        got, evicted = self.replay_block(paths, 4, AutoClaim(2), "0w 1 2w 3", block)
+        assert got == took and evicted == ({0} if took else {0, 1})
+
+    @pytest.mark.parametrize("policy", [AlwaysAllocate(), AutoClaim()], ids=["always", "claim"])
+    def test_suite_on_a_level_of_twice_its_rows(self, suite, monkeypatch, policy):
+        # once a level of twice the rows a kernel touches is full, a block
+        # of rows evicts old rows it never touches, so the per-line replay
+        # takes it; the run loop over the whole trace is the reference, and
+        # simulate_kernel must match it bit for bit
+        line_replay = _Hierarchy._feed_lines
+        loop_only, evicting = [], []
+
+        def feed_lines(sim, *runs):
+            if loop_only:
+                return False
+            cached = set(sim.lru)
+            took = line_replay(sim, *runs)
+            if took and cached.difference(sim.lru):
+                evicting.append(kernel.name)
+            return took
+
+        monkeypatch.setattr(_Hierarchy, "_feed_lines", feed_lines)
+        for kernel in suite:
+            grid = kernel.grid.resized(128, 64)
+            levels = lc_hold(kernel, grid)
+            got = simulate_kernel(kernel, grid, levels, policy)
+            loop_only.append(kernel)
+            want = simulate(gen_trace(kernel, grid), levels, policy, grid.element_size)
+            loop_only.clear()
+            assert ((got.read_bytes, got.write_bytes, got.wa_avoided_bytes)
+                    == (want.read_bytes, want.write_bytes, want.wa_avoided_bytes)), kernel.name
+        # every kernel takes two such blocks
+        assert len(evicting) >= len(suite.kernels)
 
     @pytest.mark.parametrize("lines", [4, 5])
     def test_more_lines_than_ways_decline_before_sorting(self, paths, monkeypatch, lines):

@@ -219,6 +219,16 @@ class TestRankSweep:
         sweep, = predict_rank_sweep([suite.kernels["am04"]], ranks, icx, FULL_WA)
         assert sweep.prime.tolist() == [is_prime(p) for p in ranks]
 
+    def test_row_offsets_derived_once_per_kernel(self, suite, icx, monkeypatch):
+        # the stream counts and the row reuse share one read_dk_offsets call
+        calls = []
+        derive = KernelSpec.read_dk_offsets
+        monkeypatch.setattr(KernelSpec, "read_dk_offsets",
+                            lambda kernel: calls.append(kernel.name) or derive(kernel))
+        kernels = list(suite)
+        predict_rank_sweep(kernels, [1, 71, 72], icx, FULL_WA)
+        assert calls == [kernel.name for kernel in kernels]
+
     def test_unaligned_width_adds_write_side_term(self, suite, icx):
         # 67 ranks: prime, width 229 -> partial-line allocate on the write stream
         kernel = suite.kernels["am04"]
