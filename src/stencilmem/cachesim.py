@@ -48,14 +48,16 @@ is the one the run loop leaves; any other block takes the run loop.
 A kernel sweep is periodic in its rows: row k + P is row k moved by whole
 lines, P = 64 / gcd(row_bytes, 64). ``simulate_kernel`` replays period by
 period and charges the rest of the sweep in bulk once a period repeats,
-bit-identical to ``simulate`` of the whole trace. It compares a window of
-the level (with dirty bits and order), the claim table, the WC buffers and
-the held-back run with those of one period earlier. Once the level is
-full, the window is the whole level. While it fills, the window is only
-the lines the rest of the sweep can touch, and a match also needs the live
-lines to fit the level and no claim to have aged out: then LRU only ever
-evicts lines the sweep has left. ``simulate`` replays a trace in full, as
-it has no rows.
+bit-identical to ``simulate`` of the whole trace. After each period it
+takes one key of the level: a window of it (with dirty bits and order),
+the claim table, the WC buffers and the held-back run, every line counted
+from the sweep's position. A period repeats when its key equals the one of
+the period before, and the bulk scales one counter vector (lines read,
+written and avoided). Once the level is full, the window is the whole
+level. While it fills, the window is only the lines the rest of the sweep
+can touch, and a match also needs the live lines to fit the level and no
+claim to have aged out: then LRU only ever evicts lines the sweep has
+left. ``simulate`` replays a trace in full, as it has no rows.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from itertools import compress, islice, repeat, takewhile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -210,6 +213,17 @@ def gen_trace(kernel: KernelSpec, grid: GridSpec):
         yield records
 
 
+class _Window(NamedTuple):
+    """What ``_Hierarchy.window`` returns: the `key` that must repeat, the
+    window `table`, the number of `left` claims that the key leaves out,
+    and a copy of the `counts`."""
+
+    key: tuple
+    table: np.ndarray
+    left: int
+    counts: np.ndarray
+
+
 class _Hierarchy:
     """Replay engine over the last cache level (the module docstring says
     why the levels above it are not replayed)."""
@@ -225,9 +239,10 @@ class _Hierarchy:
         self.lru: OrderedDict[int, bool] = OrderedDict()
         self.policy = policy
         self.elem_bits = (1 << access_bytes) - 1
-        self.read_lines = 0
-        self.write_lines = 0
-        self.avoided_lines = 0
+        # lines read, lines written, fills avoided and claims aged out of a
+        # full claim table; a bulk scales the first three only, as a bulk
+        # while the level fills needs none aged out in its last period
+        self.counts = np.zeros(4, dtype=np.int64)
         # claim-watched line -> byte coverage, oldest first; always resident
         self.pending: OrderedDict[int, int] = OrderedDict()
         # NT write-combine buffers of partially written lines, oldest first
@@ -237,10 +252,6 @@ class _Hierarchy:
         self.claim = evades(policy) and not self.nt
         # the events of the last run fed, which the next block may go on
         self.held = NO_EVENTS
-        # claims aged out of a full claim table; like the other counters it
-        # covers the replayed rows, but a bulk does not scale it: a bulk
-        # while the level fills needs none aged out in its last period
-        self.aged_claims = 0
         # rows of a kernel sweep replayed event by event, rows charged in
         # bulk from a repeating period, and the share of those charged while
         # the level was not full (``_replay_kernel``)
@@ -259,8 +270,9 @@ class _Hierarchy:
         runs that evicts only lines it never touches and ages out no claim
         is replayed line by line instead (``_feed_lines``), to the same
         state; fewer runs cost less in the run loop than the per-line
-        path's fixed numpy calls. NT always takes the run loop.
-        ``aged_claims`` counts the claims the call ages out.
+        path's fixed numpy calls. NT always takes the run loop. The call
+        adds its lines read, written and avoided and its claims aged out to
+        ``counts``.
         """
         if self.held[0].size:
             addrs = np.concatenate((self.held[0], addrs))
@@ -361,10 +373,7 @@ class _Hierarchy:
                     pending.popitem(last=False)
                     reads += 1  # incomplete: regular allocate after all
                     aged += 1
-        self.aged_claims += aged
-        self.read_lines += reads
-        self.write_lines += writes_out
-        self.avoided_lines += avoided
+        self.counts += (reads, writes_out, avoided, aged)
 
     def _feed_lines(self, lines, first_w, any_w, cov) -> bool:
         """Replay a block's runs line by line if every line it evicts is one
@@ -478,56 +487,72 @@ class _Hierarchy:
             new = np.flatnonzero(opened & ~ended)
             new = new[np.argsort(order[first[new]])]
             pending.update(zip(ulines[new].tolist(), c[last[new]].tolist()))
-        self.write_lines += sum(map(lru.pop, victims))
+        self.counts[:3] += (reads, sum(map(lru.pop, victims)), avoided)
         # each line moves to the end of the LRU order in order of last touch
         dirty = np.logical_or.reduceat(any_w[order], first)
         dirty[present] |= np.fromiter(map(lru.pop, compress(keys, present)), bool, hits)
         recent = np.argsort(order[last])
         lru.update(zip(ulines[recent].tolist(), dirty[recent].tolist()))
-        self.read_lines += int(reads)
-        self.avoided_lines += int(avoided)
         return True
 
-    def window(self, recent: np.ndarray | None = None):
-        """State of the level as far as the rest of a sweep can see it: the
-        window, the claim table, the WC buffers, the held-back run, then
-        the traffic counters and ``aged_claims``.
+    def window(self, base: int, recent: np.ndarray | None = None) -> _Window:
+        """The state of the level as far as the rest of a sweep can see it,
+        with every line counted from `base`, the sweep's position in lines:
+        a period that moves the state by the lines the sweep moves repeats
+        its key.
 
         The window is the newest cached lines that are among `recent`, the
         lines touched since some row, or the whole level if `recent` is
         None: one (line, dirty, age) row per line, sorted by line, age 0
         the most recently used. Before any eviction the level is in order
-        of last touch, so they are a tail.
+        of last touch, so they are a tail, and a claimed line, which is
+        always cached, is in the window if it is among `recent`.
+
+        The key is the window, the claim table, the WC buffers and the
+        held-back run. The claim table leaves out its `left` oldest claims
+        on lines outside the window, which no access touches again, but
+        stays whole if a claim on such a line is newer than one on a window
+        line. With the windows equal, one comparison of these tables
+        matches the same states as comparing the whole tables and, failing
+        that, the tables past their left claims where neither holds a left
+        claim newer than a window claim: whole tables that match hold their
+        left claims at the same places, so they match past them too, and a
+        trimmed table holds window claims only, so it never equals a table
+        kept whole. The whole level holds every claimed line, so its table
+        is always whole.
         """
         lru = self.lru
         if recent is None:
-            size = len(lru)
+            size, inside = len(lru), ()
         else:
             keep = set(recent.tolist())
             size = len(list(takewhile(keep.__contains__, reversed(lru))))
-        lines = np.fromiter(reversed(lru), np.int64, size)
+            inside = [line in keep for line in self.pending]
+        lines = np.fromiter(reversed(lru), np.int64, size) - base
         dirty = np.fromiter(reversed(lru.values()), bool, size)
         ages = np.argsort(lines)
-        return (np.column_stack((lines[ages], dirty[ages], ages)),
-                list(self.pending.items()), list(self.wc.items()), self.held,
-                (self.read_lines, self.write_lines, self.avoided_lines,
-                 self.aged_claims))
+        table = np.column_stack((lines[ages], dirty[ages], ages))
+        left = inside.index(True) if True in inside else len(inside)
+        if False in inside[left:]:
+            left = 0
+        claims = [(line - base, c) for line, c in islice(self.pending.items(), left, None)]
+        addrs, writes = self.held
+        key = (table.tobytes(), claims, [(line - base, c) for line, c in self.wc.items()],
+               (addrs - np.uint64(base * LINE_BYTES)).tobytes(), writes.tobytes())
+        return _Window(key, table, left, self.counts.copy())
 
     def finish(self):
         """End of trace: replay the held-back run, resolve open claims, drain
         WC buffers, flush dirty lines."""
         self.feed(*NO_EVENTS, last=True)
-        self.read_lines += len(self.pending) + len(self.wc)
-        self.write_lines += len(self.wc)
+        self.counts[:2] += (len(self.pending) + len(self.wc),
+                            len(self.wc) + sum(self.lru.values()))
         self.pending.clear()
         self.wc.clear()
-        self.write_lines += sum(self.lru.values())
 
     def traffic(self, iterations: int) -> MemTraffic:
-        return MemTraffic(read_bytes=self.read_lines * LINE_BYTES,
-                          write_bytes=self.write_lines * LINE_BYTES,
-                          wa_avoided_bytes=self.avoided_lines * LINE_BYTES,
-                          iterations=iterations)
+        read, write, avoided = (self.counts[:3] * LINE_BYTES).tolist()
+        return MemTraffic(read, write, avoided, iterations)
 
 
 def _record_fields(records: np.ndarray, access_bytes: int):
@@ -561,54 +586,6 @@ def simulate(trace, levels, policy: WritePolicySim = AlwaysAllocate(),
     return sim.traffic(0)
 
 
-def _window_repeats(now, before, shift: int) -> bool:
-    """Whether ``window`` state `now` is `before` with every line moved by
-    `shift` lines: the same dirty bits and ages, and the same claim table,
-    or at least the same claims after those on lines that the sweep has
-    left (``_left_claims``). A whole level holds every claimed line, so it
-    must repeat with the same claim table."""
-    table, pending, *tables = now
-    table0, pending0, *tables0 = before
-    if not (np.array_equal(table[:, 0], table0[:, 0] + shift)
-            and np.array_equal(table[:, 1:], table0[:, 1:])):
-        return False
-    if _tables_moved(now[1:], before[1:], shift):
-        return True
-    left, left0 = _left_claims(now), _left_claims(before)
-    return (left is not None and left0 is not None
-            and _tables_moved((pending[left:], *tables), (pending0[left0:], *tables0),
-                              shift))
-
-
-def _left_claims(state) -> int | None:
-    """How many of the oldest claims of a ``window`` state are on lines
-    outside its window, which no access touches again; None if such a
-    claim is newer than one on a line in the window."""
-    table, pending = state[:2]
-    inside = _in_window(np.array([line for line, _ in pending], dtype=np.int64), table)
-    left = int(np.argmax(inside)) if inside.any() else inside.size
-    return None if inside[left:].size != inside[left:].sum() else left
-
-
-def _tables_moved(now, before, shift: int) -> bool:
-    """Whether the claim table, WC buffers and held-back run of `now` are
-    those of `before` moved by `shift` lines."""
-    pending, wc, (addrs, writes), _ = now
-    pending0, wc0, (addrs0, writes0), _ = before
-    return (pending == [(line + shift, c) for line, c in pending0]
-            and wc == [(line + shift, c) for line, c in wc0]
-            and np.array_equal(addrs, addrs0 + shift * LINE_BYTES)
-            and np.array_equal(writes, writes0))
-
-
-def _in_window(lines: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Whether each of `lines` is a line of the ``window`` table `table`."""
-    if not table.size:
-        return np.zeros(lines.size, dtype=bool)
-    keys = table[:, 0]
-    return keys[np.minimum(np.searchsorted(keys, lines), keys.size - 1)] == lines
-
-
 def _window_rows(kernel: KernelSpec, grid: GridSpec) -> int:
     """Rows of a fast-forward window: the kernel's row span, at least a
     period, or 0 if two arrays share a cache line.
@@ -636,11 +613,13 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
 
     Row k + P of the trace is row k moved by D = P * row_bytes / 64 whole
     lines, with P = 64 / gcd(row_bytes, 64). The replay goes one period of
-    P rows at a time. After each period it takes a window of the level and
-    compares it, with the claim table, the WC buffers and the held-back
-    run, with the window one period earlier moved by D lines. On a match
-    it charges every remaining whole period with the counter delta of the
-    last one, replays the tail rows and finishes.
+    P rows at a time. After each period it takes the key of the level
+    (``_Hierarchy.window``: a window of the level, the claim table, the WC
+    buffers and the held-back run) with every line counted from the row
+    the sweep has reached, which moves D lines a period, and compares it
+    with the key one period earlier. On a match it charges every remaining
+    whole period with the delta of the counter vector over the last one,
+    replays the tail rows and finishes.
 
     Once the level is full, the window is the whole level: on a match the
     state repeats for good.
@@ -658,9 +637,12 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     and the others never outgrow it, so only they age out. A left line
     costs the same wherever it goes: a dirty one is written once, evicted
     or flushed by ``finish``, and a claim on one costs one fill, whether it
-    ages out, is evicted or is left open. So the dirty lines and the claims
-    that a period leaves behind join its counter delta. If the live lines
-    do not fit, only the whole level is compared from then on.
+    ages out, is evicted or is left open. So the dirty lines that a period
+    leaves behind (those of the earlier window that the later one no
+    longer holds) and the claims it leaves behind (the change in the left
+    claims that the key leaves out) join the delta of lines written and
+    read. If the live lines do not fit, only the whole level is compared
+    from then on.
 
     The engine only compares lines for equality, and ``finish`` only
     counts, so the tail rows are replayed from the matched state with the
@@ -691,6 +673,7 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
         row += addrs.size // row_events
         whole, tail = divmod(k1 + 1 - row, period)
         recent.append(addrs)
+        base = row * row_bytes // LINE_BYTES
         filling = len(lru) < ways
         if filling:
             # a window needs a whole period to charge and the live rows replayed
@@ -700,24 +683,23 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
                 before = None
                 continue
             touched = np.concatenate(recent) >> np.uint64(LINE_SHIFT)
-            now = sim.window(touched[first:applied])
+            now = sim.window(base, touched[first:applied])
         else:       # a window from while the level filled has fewer lines
-            now = sim.window()
-        if before is None or not _window_repeats(now, before, shift):
+            now = sim.window(base)
+        if before is None or now.key != before.key:
             before = now
             continue
-        (r, w, a, aged), (r0, w0, a0, aged0) = now[-1], before[-1]
+        delta = now.counts - before.counts
         if filling:
-            if np.unique(touched[-live_events:]).size > ways or aged > aged0:
+            if np.unique(touched[-live_events:]).size > ways or delta[3]:
                 width = 0       # the whole level takes over
                 continue
-            table, table0 = now[0], before[0]
-            w += int(table0[~_in_window(table0[:, 0], table), 1].sum())
-            r += _left_claims(now) - _left_claims(before)
+            # the dirty lines and the claims that the period left behind
+            lines = before.table[:, 0]
+            delta[:2] += (now.left - before.left,
+                          before.table[~np.isin(lines - shift, lines), 1].sum())
             sim.fill_rows += whole * period
-        sim.read_lines += whole * (r - r0)
-        sim.write_lines += whole * (w - w0)
-        sim.avoided_lines += whole * (a - a0)
+        sim.counts[:3] += whole * delta[:3]
         sim.bulk_rows += whole * period
         if tail:
             addrs, writes = next(periods)

@@ -8,11 +8,13 @@ upward balance spikes at prime rank counts. Each local row is charged one
 ``LINE_BYTES`` cache line of halo data on its read streams, counted in the
 kernel's own element size (8 doubles or 16 floats).
 
-A :class:`Decomposition` keeps only the process grid and the extent; the
-per-rank widths and heights are derived on demand, so pricing a rank count
-costs the same for p = 2 as for a prime p in the thousands.
-:func:`predict_rank_sweep` prices all kernels of one grid together, as one
-(kernels x ranks) table.
+A :class:`Decomposition` keeps only the process grid and the extent, and
+derives the per-rank widths and heights on demand. :func:`predict_rank_sweep`
+builds none: it prices each rank count from its process grid
+(``_process_grid``) and the narrowest local row, ``inner // px``, for all
+kernels of one grid together, as one (kernels x ranks) table.
+:func:`decompose` is the reference that the tests check the sweep's
+widths against, through the per-rank widths of its Decomposition.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ from stencilmem.cachesim import (
     evades,
     _Hierarchy,
     _replay_kernel,
-    _window_repeats,
     _window_rows,
     gen_trace,
     gen_trace_blocks,
@@ -825,6 +824,7 @@ class TestFastForward:
         # each policy with random buffer sizes
         rng = np.random.default_rng(16)
         charged = past_fill = full_level = 0
+        rows = np.zeros(3, dtype=int)
         for _ in range(1200):
             kernel, grid = random_kernel(rng)
             if kernel.loop_k_range is None:
@@ -837,9 +837,13 @@ class TestFastForward:
             charged += sim.fill_rows > 0
             past_fill += sim.fill_rows > 0 and levels[-1].lines < kept
             full_level += sim.bulk_rows > sim.fill_rows
+            rows += (sim.replayed_rows, sim.bulk_rows, sim.fill_rows)
         # the pre-fill bulk runs past the fill of the level in some sweeps,
         # and the full-level path charges others
         assert charged > 200 and past_fill > 50 and full_level > 80
+        # which sweeps take the bulk, and where: the rows replayed, charged
+        # in bulk and charged while the level fills, over all 1 200 sweeps
+        assert rows.tolist() == [26714, 22224, 19537]
 
     def test_live_lines_one_over_the_ways(self):
         # NT stores to row k of `a`, read three rows later: the stored lines
@@ -869,7 +873,7 @@ class TestFastForward:
         assert kept_lines(kernel, grid, policy) > DEFAULT_BENCH_CACHE[-1].lines
         full = _Hierarchy(DEFAULT_BENCH_CACHE, policy, grid.element_size)
         full.feed(*(np.concatenate(blocks) for blocks in zip(*gen_trace_blocks(kernel, grid))))
-        assert full.aged_claims > 0
+        assert full.counts[3] > 0     # claims aged out
         sim = self.replay(kernel, grid, DEFAULT_BENCH_CACHE, policy)
         assert sim.fill_rows > 0 and sim.replayed_rows + sim.fill_rows == grid.outer_extent
 
@@ -883,33 +887,51 @@ class TestFastForward:
         levels = fills_mid_sweep(kept_lines(kernel, grid, policy))
         assert self.replay(kernel, grid, levels, policy).replayed_rows == grid.outer_extent
 
+    @staticmethod
+    def claim_window(base, rows, pending, wc, held):
+        """The window at `base` of a claim level whose window is `rows`,
+        (line, dirty, age) rows, with the lines of `rows` as the recent
+        lines; the claimed lines outside the window are cached before it."""
+        sim = _Hierarchy(lv(16), AutoClaim(), 8)
+        recent = {line for line, _, _ in rows}
+        sim.lru.update((line, False) for line, _ in pending if line not in recent)
+        sim.lru.update((line, bool(dirty)) for line, dirty, _ in sorted(rows, key=lambda r: -r[2]))
+        sim.pending.update(pending)
+        sim.wc.update(wc)
+        sim.held = held
+        return sim.window(base, np.array(sorted(recent), dtype=np.uint64))
+
     def test_window_repeats_only_when_moved(self):
-        # (line, dirty, age) rows sorted by line; a move of 4 lines, and one
-        # claim on a line the sweep has left (7) before the one in the window
+        # a move of 4 lines, and one claim on a line the sweep has left (7)
+        # before the one in the window
         held = (np.array([325, 326], dtype=np.uint64), np.array([False, True]))
-        before = (np.array([[8, 1, 2], [9, 0, 0], [13, 1, 1]]),
-                  [(7, 3), (13, 5)], [(6, 1)], held, (0, 0, 0))
-        now = (np.array([[12, 1, 2], [13, 0, 0], [17, 1, 1]]),
-               [(7, 3), (11, 15), (17, 5)], [(10, 1)],
-               (held[0] + 4 * LINE, held[1]), (4, 2, 1))
+        before = self.claim_window(0, [[8, 1, 2], [9, 0, 0], [13, 1, 1]],
+                                   [(7, 3), (13, 5)], [(6, 1)], held)
+        table = [[12, 1, 2], [13, 0, 0], [17, 1, 1]]
+        pending = [(7, 3), (11, 15), (17, 5)]
+        wc, moved = [(10, 1)], (held[0] + 4 * LINE, held[1])
+
+        def window(table, pending, wc, held):
+            return self.claim_window(4, table, pending, wc, held)
+
         # claims left behind pile up in front of the ones that move
-        assert _window_repeats(now, before, 4)
-        table, pending, wc, moved, counters = now
-        exact = (table, [(11, 3), (17, 5)], wc, moved, counters)
-        assert _window_repeats(exact, before, 4)
-        for other in ((table[:, [0, 2, 1]], pending, wc, moved, counters),
-                      (table * [1, 1, 0], pending, wc, moved, counters),
-                      (table + [1, 0, 0], pending, wc, moved, counters),
-                      (table[:2], pending, wc, moved, counters),
-                      (table, [(7, 3), (11, 15), (17, 6)], wc, moved, counters),
-                      (table, [(7, 3), (17, 5)] + [(11, 15)], wc, moved, counters),
+        now = window(table, pending, wc, moved)
+        assert now.key == before.key and (before.left, now.left) == (1, 2)
+        exact = window(table, [(11, 3), (17, 5)], wc, moved)
+        assert exact.key == before.key and exact.left == before.left
+        for other in (window([[12, 0, 1], [13, 1, 0], [17, 1, 2]], pending, wc, moved),
+                      window([[12, 1, 1], [13, 0, 0], [17, 1, 2]], pending, wc, moved),
+                      window([[13, 1, 2], [14, 0, 0], [18, 1, 1]], pending, wc, moved),
+                      window(table[:2], pending, wc, moved),
+                      window(table, [(7, 3), (11, 15), (17, 6)], wc, moved),
+                      window(table, [(7, 3), (17, 5)] + [(11, 15)], wc, moved),
                       # a claim on a left line newer than one in the window
-                      (table, [(17, 5), (11, 15)], wc, moved, counters),
-                      (table, pending, [(10, 2)], moved, counters),
-                      (table, pending, [], moved, counters),
-                      (table, pending, wc, held, counters),
-                      (table, pending, wc, (moved[0], ~moved[1]), counters)):
-            assert not _window_repeats(other, before, 4)
+                      window(table, [(17, 5), (11, 15)], wc, moved),
+                      window(table, pending, [(10, 2)], moved),
+                      window(table, pending, [], moved),
+                      window(table, pending, wc, held),
+                      window(table, pending, wc, (moved[0], ~moved[1]))):
+            assert other.key != before.key
 
     def test_whole_level_repeats_only_in_lru_order(self):
         # levels of four lines that lines 0-3, 4-7 and 5, 4, 6, 7 were read
@@ -924,11 +946,11 @@ class TestFastForward:
             return sim
 
         before, now, swapped = level(0, 1, 2, 3), level(4, 5, 6, 7), level(5, 4, 6, 7)
-        assert before.window()[0].tolist() == [[0, 0, 3], [1, 1, 2], [2, 0, 1], [3, 1, 0]]
-        assert _window_repeats(now.window(), before.window(), 4)
-        assert not _window_repeats(swapped.window(), before.window(), 4)
+        assert before.window(0).table.tolist() == [[0, 0, 3], [1, 1, 2], [2, 0, 1], [3, 1, 0]]
+        assert now.window(4).key == before.window(0).key
+        assert swapped.window(4).key != before.window(0).key
         recent = np.array([6, 7], dtype=np.uint64)
-        assert _window_repeats(swapped.window(recent), before.window(recent - np.uint64(4)), 4)
+        assert swapped.window(4, recent).key == before.window(0, recent - np.uint64(4)).key
 
     def test_claims_aging_out_each_period_stop_the_bulk(self):
         # copies of `b` into `a` and `c`: each iteration opens a claim on a
@@ -940,7 +962,7 @@ class TestFastForward:
         levels = beyond_footprint(kept_lines(kernel, grid, AutoClaim()))
         full = _Hierarchy(levels, AutoClaim(1), grid.element_size)
         full.feed(*(np.concatenate(blocks) for blocks in zip(*gen_trace_blocks(kernel, grid))))
-        assert full.aged_claims == grid.outer_extent
+        assert full.counts[3] == grid.outer_extent    # claims aged out
         declined = self.replay(kernel, grid, levels, AutoClaim(1))
         assert declined.fill_rows == 0 and declined.replayed_rows == grid.outer_extent
         taken = self.replay(kernel, grid, levels, AutoClaim(2))
@@ -949,11 +971,10 @@ class TestFastForward:
 
 def hierarchy_state(sim: _Hierarchy):
     """All that a later block, ``window`` or a bulk reads."""
-    counters = (sim.read_lines, sim.write_lines, sim.avoided_lines)
-    assert all(type(c) is int for c in counters)
+    assert sim.counts.dtype == np.int64 and sim.counts.shape == (4,)
     return (list(sim.lru.items()), list(sim.pending.items()),
             list(sim.wc.items()), sim.held[0].tolist(), sim.held[1].tolist(),
-            sim.aged_claims, counters)
+            sim.counts.tolist())
 
 
 class TestLineReplay:
@@ -1030,11 +1051,11 @@ class TestLineReplay:
             cuts = np.sort(rng.integers(0, addrs.size + 1, size=rng.integers(0, 6)))
             sim, loop = self.both(paths, lv(ways), policy, access_bytes)
             for block in zip(np.split(addrs, cuts), np.split(writes, cuts)):
-                aged_before = loop.aged_claims
+                aged_before = loop.counts[3]
                 sim.feed(*block)
                 loop.feed(*block)
                 assert hierarchy_state(sim) == hierarchy_state(loop), case
-                aged += loop.aged_claims > aged_before
+                aged += loop.counts[3] > aged_before
             sim.finish()
             loop.finish()
             assert hierarchy_state(sim) == hierarchy_state(loop), case
@@ -1088,7 +1109,7 @@ class TestLineReplay:
         sim.feed(*block)
         loop.feed(*block)
         assert paths[True] == 1 and paths[False] == 0
-        assert sim.aged_claims == loop.aged_claims == 0
+        assert sim.counts[3] == loop.counts[3] == 0     # claims aged out
         assert hierarchy_state(sim) == hierarchy_state(loop)
 
     @pytest.mark.parametrize("lines", [1, 5, 12])
@@ -1105,7 +1126,7 @@ class TestLineReplay:
         sim.feed(*block)
         loop.feed(*block)
         assert paths[True] == 0 and paths[False] == 1
-        assert sim.aged_claims == loop.aged_claims == lines
+        assert sim.counts[3] == loop.counts[3] == lines     # claims aged out
         assert hierarchy_state(sim) == hierarchy_state(loop)
 
     @staticmethod
