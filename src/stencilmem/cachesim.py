@@ -58,6 +58,17 @@ level. While it fills, the window is only the lines the rest of the sweep
 can touch, and a match also needs the live lines to fit the level and no
 claim to have aged out: then LRU only ever evicts lines the sweep has
 left. ``simulate`` replays a trace in full, as it has no rows.
+
+Within a row, an iteration whose accesses all stay on the lines of the
+iteration before it only hits, if the level holds the lines of one
+iteration, so by the stack property of LRU it changes nothing but write
+coverage. ``simulate_kernel`` feeds each row with such iterations squeezed
+out: of a stretch of them it feeds only the last read and the writes of
+the last one, and each write carries one mask of the bytes that its
+access writes over the stretch. The state after each row is the one the
+whole row leaves as long as the level holds at least as many lines as the
+kernel has accesses and, under NT, the kernel writes no more arrays than
+there are WC buffers (``_replay_kernel`` says why).
 """
 
 from __future__ import annotations
@@ -79,7 +90,7 @@ TRACE_BLOCK = 1 << 16   # records per block that load_trace yields
 LINE_REPLAY_RUNS = 256  # fewest runs a block replays line by line
 LINE_SHIFT = LINE_BYTES.bit_length() - 1
 FULL_MASK = (1 << LINE_BYTES) - 1     # coverage of a line written in full
-NO_EVENTS = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=bool))
+NO_EVENTS = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=bool), None)
 
 
 @dataclass(frozen=True)
@@ -228,17 +239,13 @@ class _Hierarchy:
     """Replay engine over the last cache level (the module docstring says
     why the levels above it are not replayed)."""
 
-    def __init__(self, levels: list[CacheLevelConfig], policy: WritePolicySim,
-                 access_bytes: int):
+    def __init__(self, levels: list[CacheLevelConfig], policy: WritePolicySim):
         if not levels:
             raise ValueError("need at least one cache level")
-        if access_bytes < 1 or access_bytes > LINE_BYTES:
-            raise ValueError(f"access_bytes must be in 1..{LINE_BYTES}")
         self.ways = levels[-1].lines
         # the cached lines (line -> dirty), least recently used first
         self.lru: OrderedDict[int, bool] = OrderedDict()
         self.policy = policy
-        self.elem_bits = (1 << access_bytes) - 1
         # lines read, lines written, fills avoided and claims aged out of a
         # full claim table; a bulk scales the first three only, as a bulk
         # while the level fills needs none aged out in its last period
@@ -250,7 +257,8 @@ class _Hierarchy:
         self.wc: OrderedDict[int, int] = OrderedDict()
         self.nt = isinstance(policy, NtBypass)
         self.claim = evades(policy) and not self.nt
-        # the events of the last run fed, which the next block may go on
+        # the events and write masks of the last run fed, which the next
+        # block may go on
         self.held = NO_EVENTS
         # rows of a kernel sweep replayed event by event, rows charged in
         # bulk from a repeating period, and the share of those charged while
@@ -259,13 +267,21 @@ class _Hierarchy:
         self.bulk_rows = 0
         self.fill_rows = 0
 
-    def feed(self, addrs: np.ndarray, writes: np.ndarray, last: bool = False):
+    def feed(self, addrs: np.ndarray, writes: np.ndarray, masks: np.ndarray | None = None,
+             last: bool = False):
         """Replay one block run by run; a run is consecutive events on one
         line, reads before writes.
 
-        The block's last run may go on in the next block, so its events are
-        held back and replayed at the front of the next block, or by
-        ``finish`` (``last``). So the traffic does not depend on where a
+        `masks` holds each event's write coverage, the bytes of its line
+        that it writes (0 for a read). Only claims and NT stores read it, so
+        under any other policy it may be None. ``simulate`` builds it from
+        the access size (``_write_masks``); ``_replay_kernel`` feeds each
+        period squeezed (``_squeeze``), where one write may stand for the
+        writes of several iterations and cover their bytes.
+
+        The block's last run may go on in the next block, so its events and
+        masks are held back and replayed at the front of the next block, or
+        by ``finish`` (``last``). So the traffic does not depend on where a
         trace is cut into blocks. A block of at least ``LINE_REPLAY_RUNS``
         runs that evicts only lines it never touches and ages out no claim
         is replayed line by line instead (``_feed_lines``), to the same
@@ -277,9 +293,13 @@ class _Hierarchy:
         if self.held[0].size:
             addrs = np.concatenate((self.held[0], addrs))
             writes = np.concatenate((self.held[1], writes))
+            if masks is not None:
+                masks = np.concatenate((self.held[2], masks))
         n = addrs.size
         if n == 0:
             return
+        if masks is None and (self.claim or self.nt):
+            raise ValueError("claims and NT stores need the write masks")
         lines = addrs >> np.uint64(LINE_SHIFT)
         split = lines[1:] != lines[:-1]
         # a write followed by a read of the same line must start a new run,
@@ -291,20 +311,15 @@ class _Hierarchy:
             self.held = NO_EVENTS
         else:
             n = int(starts[-1])
-            self.held = addrs[n:], writes[n:]
+            self.held = addrs[n:], writes[n:], None if masks is None else masks[n:]
             if n == 0:
                 return
             addrs, writes, starts = addrs[:n], writes[:n], starts[:-1]
         ends = np.append(starts[1:], n) - 1
         start_lines = lines[starts]
         first_w, any_w = writes[starts], writes[ends]
-        if self.claim or self.nt:
-            offs = addrs & np.uint64(LINE_BYTES - 1)
-            masks = np.where(writes, np.left_shift(np.uint64(self.elem_bits), offs),
-                             np.uint64(0))
-            cov = np.bitwise_or.reduceat(masks, starts)
-        else:
-            cov = None              # only claims and NT stores read the coverage
+        # only claims and NT stores read the coverage
+        cov = None if masks is None else np.bitwise_or.reduceat(masks[:n], starts)
         if (not self.nt and starts.size >= LINE_REPLAY_RUNS
                 and self._feed_lines(start_lines, first_w, any_w, cov)):
             return
@@ -509,17 +524,17 @@ class _Hierarchy:
         always cached, is in the window if it is among `recent`.
 
         The key is the window, the claim table, the WC buffers and the
-        held-back run. The claim table leaves out its `left` oldest claims
-        on lines outside the window, which no access touches again, but
-        stays whole if a claim on such a line is newer than one on a window
-        line. With the windows equal, one comparison of these tables
-        matches the same states as comparing the whole tables and, failing
-        that, the tables past their left claims where neither holds a left
-        claim newer than a window claim: whole tables that match hold their
-        left claims at the same places, so they match past them too, and a
-        trimmed table holds window claims only, so it never equals a table
-        kept whole. The whole level holds every claimed line, so its table
-        is always whole.
+        held-back run with its write masks. The claim table leaves out its
+        `left` oldest claims on lines outside the window, which no access
+        touches again, but stays whole if a claim on such a line is newer
+        than one on a window line. With the windows equal, one comparison
+        of these tables matches the same states as comparing the whole
+        tables and, failing that, the tables past their left claims where
+        neither holds a left claim newer than a window claim: whole tables
+        that match hold their left claims at the same places, so they match
+        past them too, and a trimmed table holds window claims only, so it
+        never equals a table kept whole. The whole level holds every
+        claimed line, so its table is always whole.
         """
         lru = self.lru
         if recent is None:
@@ -536,15 +551,17 @@ class _Hierarchy:
         if False in inside[left:]:
             left = 0
         claims = [(line - base, c) for line, c in islice(self.pending.items(), left, None)]
-        addrs, writes = self.held
+        addrs, writes, masks = self.held
         key = (table.tobytes(), claims, [(line - base, c) for line, c in self.wc.items()],
-               (addrs - np.uint64(base * LINE_BYTES)).tobytes(), writes.tobytes())
+               (addrs - np.uint64(base * LINE_BYTES)).tobytes(), writes.tobytes(),
+               None if masks is None else masks.tobytes())
         return _Window(key, table, left, self.counts.copy())
 
     def finish(self):
         """End of trace: replay the held-back run, resolve open claims, drain
         WC buffers, flush dirty lines."""
-        self.feed(*NO_EVENTS, last=True)
+        held, self.held = self.held, NO_EVENTS
+        self.feed(*held, last=True)
         self.counts[:2] += (len(self.pending) + len(self.wc),
                             len(self.wc) + sum(self.lru.values()))
         self.pending.clear()
@@ -553,6 +570,14 @@ class _Hierarchy:
     def traffic(self, iterations: int) -> MemTraffic:
         read, write, avoided = (self.counts[:3] * LINE_BYTES).tolist()
         return MemTraffic(read, write, avoided, iterations)
+
+
+def _write_masks(addrs: np.ndarray, writes: np.ndarray, access_bytes: int) -> np.ndarray:
+    """The bytes of its line that each event writes, `access_bytes` from its
+    address for a write, none for a read."""
+    offs = addrs & np.uint64(LINE_BYTES - 1)
+    return np.where(writes, np.left_shift(np.uint64((1 << access_bytes) - 1), offs),
+                    np.uint64(0))
 
 
 def _record_fields(records: np.ndarray, access_bytes: int):
@@ -579,9 +604,13 @@ def simulate(trace, levels, policy: WritePolicySim = AlwaysAllocate(),
     however the trace is cut into blocks. The returned MemTraffic counts no
     iterations.
     """
-    sim = _Hierarchy(list(levels), policy, access_bytes)
+    if access_bytes < 1 or access_bytes > LINE_BYTES:
+        raise ValueError(f"access_bytes must be in 1..{LINE_BYTES}")
+    sim = _Hierarchy(list(levels), policy)
     for records in trace:
-        sim.feed(*_record_fields(records, access_bytes))
+        addrs, writes = _record_fields(records, access_bytes)
+        sim.feed(addrs, writes, _write_masks(addrs, writes, access_bytes)
+                 if evades(policy) else None)
     sim.finish()
     return sim.traffic(0)
 
@@ -607,6 +636,43 @@ def _window_rows(kernel: KernelSpec, grid: GridSpec) -> int:
     return max(span, LINE_BYTES // math.gcd(row_bytes, LINE_BYTES))
 
 
+def _squeeze(kernel: KernelSpec, row_iters: int, esize: int, addrs: np.ndarray,
+             squeeze: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Which events of whole rows of a sweep to feed, and their write masks.
+
+    `addrs` holds whole rows of `row_iters` iterations, each iteration's
+    reads before its writes. An iteration repeats if each of its accesses
+    stays on the line it touched in the iteration before it, in the same
+    row. Each iteration that does not repeat is fed whole. Of a stretch of
+    repeating iterations after it, only the last is fed, and of that one
+    only its last read and its writes, each write with one mask that
+    covers the writes of its access over the whole stretch (why this is
+    exact: ``_replay_kernel``). Without `squeeze`, no iteration repeats.
+    Returns the index of the events fed, in order, and their masks.
+    """
+    accesses = len(kernel.accesses)
+    reads = len(kernel.reads())
+    iters = addrs.size // accesses
+    addrs = addrs.reshape(iters, accesses)
+    lines = addrs >> np.uint64(LINE_SHIFT)
+    same = np.zeros(iters, dtype=bool)
+    same[1:] = (lines[1:] == lines[:-1]).all(axis=1)
+    same[::row_iters] = False
+    same &= squeeze
+    # a group is one iteration that does not repeat, or a stretch of them
+    first = np.flatnonzero(~same | ~np.concatenate(([False], same[:-1])))
+    last = np.append(first[1:], iters) - 1
+    fed = np.ones((first.size, accesses), dtype=bool)
+    fed[same[first], :max(reads - 1, 0)] = False
+    # a group's elements are consecutive on one line: the last one fed and
+    # the ones before it, `span` bytes in all
+    span = ((last - first + 1) * esize).astype(np.uint64)[:, None]
+    low = (addrs[last] & np.uint64(LINE_BYTES - 1)) + np.uint64(esize) - span
+    masks = np.uint64(FULL_MASK) >> (np.uint64(LINE_BYTES) - span) << low
+    masks[:, :reads] = 0
+    return (last[:, None] * accesses + np.arange(accesses))[fed], masks[fed]
+
+
 def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
                    policy: WritePolicySim) -> _Hierarchy:
     """Replay and finish one kernel's sweep, charging what repeats in bulk.
@@ -620,6 +686,35 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     with the key one period earlier. On a match it charges every remaining
     whole period with the delta of the counter vector over the last one,
     replays the tail rows and finishes.
+
+    Each period is fed squeezed (``_squeeze``). An iteration repeats if
+    each of its accesses stays on the line it touched in the iteration
+    before it. Of a stretch of repeating iterations only the last is fed,
+    and of it only its last read and its writes, whose masks cover the
+    writes of the whole stretch. After each row, once the held-back run is
+    replayed too, the state is the one the whole row leaves if
+
+    * the level holds at least as many lines as the kernel has accesses,
+      and
+    * under NT, the kernel writes no more arrays than there are WC buffers.
+
+    The iteration before a stretch leaves every line it touches cached,
+    the newest lines of the level (the first condition), or under NT every
+    line it stores in a WC buffer (the second). So each access of the
+    stretch hits: nothing is fetched, evicted or flushed, no claim opens or
+    ages out, and no read meets an open claim, since claims open on write
+    misses only. The LRU and WC orders after a stretch are the ones after
+    its last iteration, which its last read and its writes restore: lines
+    only read in order of their last read, then the written ones in order
+    of their last write. What is left is write coverage, which the masks
+    carry. A claim or WC buffer completes in a stretch's last iteration
+    only: a kernel writes each element once, so after the write that
+    completes a line its access moves to a new line, which ends the
+    stretch. The last read keeps the masked writes in runs of their own:
+    otherwise a masked write could join the run of a write that missed
+    before the stretch, which would then write the whole line at once and
+    open no claim or WC buffer. Row k + P is row k moved by whole lines,
+    so which events are fed, and their masks, are found once per sweep.
 
     Once the level is full, the window is the whole level: on a match the
     state repeats for good.
@@ -649,7 +744,7 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     next rows of the trace instead of moving every table by the skipped
     lines.
     """
-    sim = _Hierarchy(list(levels), policy, grid.element_size)
+    sim = _Hierarchy(list(levels), policy)
     j0, j1, k0, k1 = _loop_bounds(kernel, grid)
     row_events = (j1 - j0 + 1) * len(kernel.accesses)
     row_bytes = grid.row_stride * grid.element_size
@@ -662,28 +757,51 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
                for a, w in gen_trace_blocks(kernel, grid)
                for i in range(0, a.size, step))
     # the live lines are those touched in the last `width` + P rows, and
-    # `recent` holds the addresses of enough periods for them
+    # `recent` holds the events fed in enough periods for them
     width = _window_rows(kernel, grid)
     live_events = (width + period) * row_events
     recent = deque(maxlen=2 + width // period)
+    # the conditions under which squeezed rows leave the state of whole rows
+    squeeze = ways >= len(kernel.accesses) and not (
+        sim.nt and len(kernel.writes()) > policy.combine_buffers)
+    keep = None
+
+    def feed(addrs):
+        """Feed whole rows from the start of a period; return the events fed."""
+        n = row_fed[addrs.size // row_events]
+        addrs = addrs[keep[:n]]
+        sim.feed(addrs, fed_writes[:n], masks[:n] if sim.claim or sim.nt else None)
+        return addrs
+
+    def fed_at(rows: int) -> int:
+        """The events fed before row `rows` of `recent`."""
+        return rows // period * row_fed[-1] + row_fed[rows % period]
+
     before = None
     for addrs, writes in periods:
-        sim.feed(addrs, writes)
+        if keep is None:    # which events to feed, from the first period
+            keep, masks = _squeeze(kernel, j1 - j0 + 1, grid.element_size, addrs, squeeze)
+            fed_writes = writes[keep]
+            # the events fed before each row of a period
+            row_fed = np.searchsorted(keep, np.arange(period + 1) * row_events).tolist()
+        recent.append(feed(addrs))
         sim.replayed_rows += addrs.size // row_events
         row += addrs.size // row_events
         whole, tail = divmod(k1 + 1 - row, period)
-        recent.append(addrs)
         base = row * row_bytes // LINE_BYTES
         filling = len(lru) < ways
         if filling:
-            # a window needs a whole period to charge and the live rows replayed
-            applied = len(recent) * step - sim.held[0].size
-            first = (applied // row_events - width) * row_events
-            if not width or whole < 1 or first < 0 or len(recent) * step < live_events:
+            # a window needs a whole period to charge and the live rows
+            # replayed; the rows applied end at the held-back run's row
+            fed = len(recent) * row_fed[-1] - sim.held[0].size
+            q, i = divmod(fed, row_fed[-1])
+            applied = (q * step + int(keep[i])) // row_events
+            if (not width or whole < 1 or applied < width
+                    or len(recent) * step < live_events):
                 before = None
                 continue
             touched = np.concatenate(recent) >> np.uint64(LINE_SHIFT)
-            now = sim.window(base, touched[first:applied])
+            now = sim.window(base, touched[fed_at(applied - width):fed])
         else:       # a window from while the level filled has fewer lines
             now = sim.window(base)
         if before is None or now.key != before.key:
@@ -691,7 +809,8 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
             continue
         delta = now.counts - before.counts
         if filling:
-            if np.unique(touched[-live_events:]).size > ways or delta[3]:
+            live = touched[fed_at(len(recent) * period - width - period):]
+            if np.unique(live).size > ways or delta[3]:
                 width = 0       # the whole level takes over
                 continue
             # the dirty lines and the claims that the period left behind
@@ -702,8 +821,7 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
         sim.counts[:3] += whole * delta[:3]
         sim.bulk_rows += whole * period
         if tail:
-            addrs, writes = next(periods)
-            sim.feed(addrs[:tail * row_events], writes[:tail * row_events])
+            feed(next(periods)[0][:tail * row_events])
             sim.replayed_rows += tail
         break
     sim.finish()

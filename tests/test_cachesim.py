@@ -1,3 +1,6 @@
+import copy
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from stencilmem import cachesim
 from stencilmem.balance import scenario_table
 from stencilmem.cachesim import (
     DEFAULT_BENCH_CACHE,
+    NO_EVENTS,
     TRACE_BLOCK,
     TRACE_DTYPE,
     AlwaysAllocate,
@@ -16,7 +20,9 @@ from stencilmem.cachesim import (
     evades,
     _Hierarchy,
     _replay_kernel,
+    _squeeze,
     _window_rows,
+    _write_masks,
     gen_trace,
     gen_trace_blocks,
     halo_copy_experiment,
@@ -42,6 +48,11 @@ def lv(*line_counts):
 def as_trace(events):
     """A trace of one record block holding (address, READ/WRITE) pairs."""
     return [np.array([(a, m == WRITE) for a, m in events], dtype=TRACE_DTYPE)]
+
+
+def feed(sim, addrs, writes, access_bytes=8, last=False):
+    """Feed events of `access_bytes` bytes each, as ``simulate`` does."""
+    sim.feed(addrs, writes, _write_masks(addrs, writes, access_bytes), last)
 
 
 def pairs(blocks):
@@ -657,7 +668,8 @@ class TestFastForward:
                                                             case):
         # the benchmark counts the events of a sweep by replacing the module's
         # gen_trace_blocks: every event that simulate_kernel replays must come
-        # through it, from one draw of the whole sweep
+        # through it, from one draw of the whole sweep. The rows are fed
+        # squeezed, as copies of the events kept
         if case == "halo-copy":
             kernel, grid = halo_copy_kernel(216, 3, 75)
         else:
@@ -666,7 +678,7 @@ class TestFastForward:
         policy = AutoClaim()
         levels = fills_mid_sweep(kept_lines(kernel, grid, policy))
         calls, drawn, fed, engines = [], [], [], set()
-        gen, feed = cachesim.gen_trace_blocks, _Hierarchy.feed
+        gen, engine_feed = cachesim.gen_trace_blocks, _Hierarchy.feed
 
         def counting(*args):
             calls.append(args)
@@ -674,21 +686,24 @@ class TestFastForward:
                 drawn.append(block[0])
                 yield block
 
-        def record_feed(sim, addrs, writes, last=False):
+        def record_feed(sim, addrs, writes, masks=None, last=False):
             engines.add(sim)
-            fed.append(addrs)
-            feed(sim, addrs, writes, last)
+            if not last:        # not the held-back run that finish replays
+                fed.append(addrs)
+            engine_feed(sim, addrs, writes, masks, last)
 
         monkeypatch.setattr(cachesim, "gen_trace_blocks", counting)
         monkeypatch.setattr(_Hierarchy, "feed", record_feed)
         simulate_kernel(kernel, grid, levels, policy)
         (sim,) = engines
         assert calls == [(kernel, grid)]
-        assert all(any(np.shares_memory(addrs, block) for block in drawn)
-                   for addrs in fed if addrs.size)
+        assert all(any(np.isin(addrs, block).all() for block in drawn) for addrs in fed)
         j0, j1, _, _ = _loop_bounds(kernel, grid)
-        row_events = (j1 - j0 + 1) * len(kernel.accesses)
-        assert sum(addrs.size for addrs in fed) == sim.replayed_rows * row_events
+        events = sim.replayed_rows * (j1 - j0 + 1) * len(kernel.accesses)
+        addrs = np.concatenate([a for a, _ in gen(kernel, grid)])[:events]
+        keep, _ = _squeeze(kernel, j1 - j0 + 1, grid.element_size, addrs)
+        assert np.array_equal(np.concatenate(fed), addrs[keep])
+        assert keep.size < events
 
     @pytest.mark.parametrize("streams", range(1, 9))
     @pytest.mark.parametrize("policy", [AlwaysAllocate(), NtBypass(), AutoClaim(),
@@ -750,10 +765,10 @@ class TestFastForward:
         rows = np.split(np.arange(addrs.size), k1 - k0 + 1)
         last_touch = {line: k for k, row in enumerate(rows)
                       for line in (addrs[row] // LINE).tolist()}
-        ref = _Hierarchy(levels, policy, grid.element_size)
+        ref = _Hierarchy(levels, policy)
         cached, evicted = set(), 0
         for k, row in enumerate(rows):
-            ref.feed(addrs[row], writes[row])
+            feed(ref, addrs[row], writes[row])
             now = set(ref.lru)
             # a run held back from row k - 1 may evict in row k
             assert all(last_touch[line] <= k for line in cached - now)
@@ -871,8 +886,8 @@ class TestFastForward:
         kernel, grid = halo_copy_kernel(216, 3, 400)
         policy = AutoClaim()
         assert kept_lines(kernel, grid, policy) > DEFAULT_BENCH_CACHE[-1].lines
-        full = _Hierarchy(DEFAULT_BENCH_CACHE, policy, grid.element_size)
-        full.feed(*(np.concatenate(blocks) for blocks in zip(*gen_trace_blocks(kernel, grid))))
+        full = _Hierarchy(DEFAULT_BENCH_CACHE, policy)
+        feed(full, *(np.concatenate(blocks) for blocks in zip(*gen_trace_blocks(kernel, grid))))
         assert full.counts[3] > 0     # claims aged out
         sim = self.replay(kernel, grid, DEFAULT_BENCH_CACHE, policy)
         assert sim.fill_rows > 0 and sim.replayed_rows + sim.fill_rows == grid.outer_extent
@@ -892,7 +907,7 @@ class TestFastForward:
         """The window at `base` of a claim level whose window is `rows`,
         (line, dirty, age) rows, with the lines of `rows` as the recent
         lines; the claimed lines outside the window are cached before it."""
-        sim = _Hierarchy(lv(16), AutoClaim(), 8)
+        sim = _Hierarchy(lv(16), AutoClaim())
         recent = {line for line, _, _ in rows}
         sim.lru.update((line, False) for line, _ in pending if line not in recent)
         sim.lru.update((line, bool(dirty)) for line, dirty, _ in sorted(rows, key=lambda r: -r[2]))
@@ -904,12 +919,13 @@ class TestFastForward:
     def test_window_repeats_only_when_moved(self):
         # a move of 4 lines, and one claim on a line the sweep has left (7)
         # before the one in the window
-        held = (np.array([325, 326], dtype=np.uint64), np.array([False, True]))
+        held = (np.array([325, 326], dtype=np.uint64), np.array([False, True]),
+                np.array([0, 0xffc0], dtype=np.uint64))
         before = self.claim_window(0, [[8, 1, 2], [9, 0, 0], [13, 1, 1]],
                                    [(7, 3), (13, 5)], [(6, 1)], held)
         table = [[12, 1, 2], [13, 0, 0], [17, 1, 1]]
         pending = [(7, 3), (11, 15), (17, 5)]
-        wc, moved = [(10, 1)], (held[0] + 4 * LINE, held[1])
+        wc, moved = [(10, 1)], (held[0] + 4 * LINE, held[1], held[2])
 
         def window(table, pending, wc, held):
             return self.claim_window(4, table, pending, wc, held)
@@ -930,7 +946,8 @@ class TestFastForward:
                       window(table, pending, [(10, 2)], moved),
                       window(table, pending, [], moved),
                       window(table, pending, wc, held),
-                      window(table, pending, wc, (moved[0], ~moved[1]))):
+                      window(table, pending, wc, (moved[0], ~moved[1], moved[2])),
+                      window(table, pending, wc, moved[:2] + (moved[2] << 8,))):
             assert other.key != before.key
 
     def test_whole_level_repeats_only_in_lru_order(self):
@@ -940,7 +957,7 @@ class TestFastForward:
         # of lines that the sweep has left, which a window of the recent
         # lines 6 and 7 cannot see
         def level(*lines):
-            sim = _Hierarchy(lv(4), AlwaysAllocate(), 8)
+            sim = _Hierarchy(lv(4), AlwaysAllocate())
             lines = np.array(lines, dtype=np.uint64)
             sim.feed(lines * np.uint64(LINE), lines % 2 == 1, last=True)
             return sim
@@ -960,8 +977,8 @@ class TestFastForward:
         kernel = make_kernel([("b", 0, 0, READ), ("a", 0, 0, WRITE), ("c", 0, 0, WRITE)])
         grid = GridSpec(8, 60)
         levels = beyond_footprint(kept_lines(kernel, grid, AutoClaim()))
-        full = _Hierarchy(levels, AutoClaim(1), grid.element_size)
-        full.feed(*(np.concatenate(blocks) for blocks in zip(*gen_trace_blocks(kernel, grid))))
+        full = _Hierarchy(levels, AutoClaim(1))
+        feed(full, *(np.concatenate(blocks) for blocks in zip(*gen_trace_blocks(kernel, grid))))
         assert full.counts[3] == grid.outer_extent    # claims aged out
         declined = self.replay(kernel, grid, levels, AutoClaim(1))
         assert declined.fill_rows == 0 and declined.replayed_rows == grid.outer_extent
@@ -974,7 +991,7 @@ def hierarchy_state(sim: _Hierarchy):
     assert sim.counts.dtype == np.int64 and sim.counts.shape == (4,)
     return (list(sim.lru.items()), list(sim.pending.items()),
             list(sim.wc.items()), sim.held[0].tolist(), sim.held[1].tolist(),
-            sim.counts.tolist())
+            None if sim.held[2] is None else sim.held[2].tolist(), sim.counts.tolist())
 
 
 class TestLineReplay:
@@ -1012,7 +1029,7 @@ class TestLineReplay:
 
     @staticmethod
     def both(paths, levels, policy, access_bytes):
-        sim, loop = (_Hierarchy(levels, policy, access_bytes) for _ in range(2))
+        sim, loop = (_Hierarchy(levels, policy) for _ in range(2))
         paths["loop"] = (loop,)
         return sim, loop
 
@@ -1052,8 +1069,8 @@ class TestLineReplay:
             sim, loop = self.both(paths, lv(ways), policy, access_bytes)
             for block in zip(np.split(addrs, cuts), np.split(writes, cuts)):
                 aged_before = loop.counts[3]
-                sim.feed(*block)
-                loop.feed(*block)
+                feed(sim, *block, access_bytes)
+                feed(loop, *block, access_bytes)
                 assert hierarchy_state(sim) == hierarchy_state(loop), case
                 aged += loop.counts[3] > aged_before
             sim.finish()
@@ -1079,8 +1096,8 @@ class TestLineReplay:
             short = lines > 1 and bool(rng.random() < 0.5)
             sim, loop = self.both(paths, lv(lines - short), policy, access_bytes)
             took = paths[True]
-            sim.feed(addrs, writes)
-            loop.feed(addrs, writes)
+            feed(sim, addrs, writes, access_bytes)
+            feed(loop, addrs, writes, access_bytes)
             assert hierarchy_state(sim) == hierarchy_state(loop), case
             if paths[True] > took:
                 fits[True] += 1
@@ -1106,8 +1123,8 @@ class TestLineReplay:
         policy = AutoClaim(buffer_lines=3)
         sim, loop = self.both(paths, lv(64), policy, 8)
         block = self.store_streams(3, 12)
-        sim.feed(*block)
-        loop.feed(*block)
+        feed(sim, *block)
+        feed(loop, *block)
         assert paths[True] == 1 and paths[False] == 0
         assert sim.counts[3] == loop.counts[3] == 0     # claims aged out
         assert hierarchy_state(sim) == hierarchy_state(loop)
@@ -1123,8 +1140,8 @@ class TestLineReplay:
         policy = AutoClaim(buffer_lines=3)
         sim, loop = self.both(paths, lv(64), policy, 8)
         block = self.store_streams(4, lines)
-        sim.feed(*block)
-        loop.feed(*block)
+        feed(sim, *block)
+        feed(loop, *block)
         assert paths[True] == 0 and paths[False] == 1
         assert sim.counts[3] == loop.counts[3] == lines     # claims aged out
         assert hierarchy_state(sim) == hierarchy_state(loop)
@@ -1145,7 +1162,7 @@ class TestLineReplay:
         for spec in (before, block):
             cached, took = set(loop.lru), paths[True]
             for h in (sim, loop):
-                h.feed(*self.runs(spec), last=True)
+                feed(h, *self.runs(spec), last=True)
             assert hierarchy_state(sim) == hierarchy_state(loop), spec
         return paths[True] > took, cached - set(loop.lru)
 
@@ -1223,7 +1240,160 @@ class TestLineReplay:
         sim, loop = self.both(paths, lv(4), AlwaysAllocate(), 8)
         if lines > 4:
             monkeypatch.setattr(np, "argsort", None)
-        sim.feed(addrs, writes, last=True)
-        loop.feed(addrs, writes, last=True)
+        feed(sim, addrs, writes, last=True)
+        feed(loop, addrs, writes, last=True)
         assert (paths[True], paths[False]) == ((1, 0) if lines == 4 else (0, 1))
         assert hierarchy_state(sim) == hierarchy_state(loop)
+
+
+class TestSqueeze:
+    """``_replay_kernel`` feeds each period squeezed (``_squeeze``); the
+    same rows fed whole into a second engine are the reference, row by
+    row."""
+
+    @staticmethod
+    def applied(sim):
+        """``hierarchy_state`` once every event fed is applied: a copy of
+        the engine with its held-back run replayed."""
+        sim = copy.deepcopy(sim)
+        held, sim.held = sim.held, NO_EVENTS
+        sim.feed(*held, last=True)
+        return hierarchy_state(sim)
+
+    @staticmethod
+    def without_last_reads(keep, masks, lines, row_iters, reads):
+        """The squeeze with the reads of each stretch's last iteration
+        dropped; `lines` holds the lines of each iteration of the rows."""
+        again = np.zeros(len(lines), dtype=bool)
+        again[1:] = (lines[1:] == lines[:-1]).all(axis=1)
+        again[::row_iters] = False
+        accesses = lines.shape[1]
+        fed = ~(again[keep // accesses] & (keep % accesses < reads))
+        return keep[fed], masks[fed]
+
+    def replay_rows(self, kernel, grid, levels, policy, last_reads=True):
+        """Feed a sweep row by row, whole into one engine and squeezed into
+        another, and compare their states after every row. Return the first
+        row after which they differ (None if none) and the traffic of both
+        engines after ``finish``."""
+        j0, j1, k0, k1 = _loop_bounds(kernel, grid)
+        accesses = len(kernel.accesses)
+        addrs, writes = (np.concatenate(a) for a in zip(*gen_trace_blocks(kernel, grid)))
+        addrs, writes = addrs.reshape(k1 - k0 + 1, -1), writes.reshape(k1 - k0 + 1, -1)
+        row_events = addrs.shape[1]
+        period = LINE // math.gcd(grid.row_stride * grid.element_size, LINE)
+        keep, masks = _squeeze(kernel, j1 - j0 + 1, grid.element_size, addrs[:period].ravel())
+        if not last_reads:
+            lines = addrs[:period].reshape(-1, accesses) // LINE
+            keep, masks = self.without_last_reads(keep, masks, lines, j1 - j0 + 1,
+                                                  len(kernel.reads()))
+        rows = np.searchsorted(keep, np.arange(period + 1) * row_events)
+        whole, squeezed = _Hierarchy(levels, policy), _Hierarchy(levels, policy)
+        differ = None
+        for k in range(addrs.shape[0]):
+            r = k % period
+            fed = keep[rows[r]:rows[r + 1]] - r * row_events
+            feed(whole, addrs[k], writes[k], grid.element_size)
+            squeezed.feed(addrs[k][fed], writes[k][fed], masks[rows[r]:rows[r + 1]])
+            if differ is None and self.applied(whole) != self.applied(squeezed):
+                differ = k
+        whole.finish()
+        squeezed.finish()
+        return differ, whole.traffic(0), squeezed.traffic(0)
+
+    @staticmethod
+    def guards_hold(kernel, levels, policy) -> bool:
+        """The conditions under which ``_replay_kernel`` squeezes a sweep."""
+        return levels[-1].lines >= len(kernel.accesses) and not (
+            isinstance(policy, NtBypass) and len(kernel.writes()) > policy.combine_buffers)
+
+    @pytest.mark.parametrize("policy", [AlwaysAllocate(), AutoClaim(), AutoClaim(1),
+                                        AutoClaim(80), NtBypass(), NtBypass(1),
+                                        NtBypass(11)],
+                             ids=["always", "claim", "claim-1", "claim-80", "nt",
+                                  "nt-1", "nt-11"])
+    def test_suite_rows_leave_the_whole_rows_state(self, suite, policy):
+        # rows of 22 + 4 halo doubles, 3.25 lines, a period of 4 rows; a
+        # level where the layer condition holds and one where it breaks,
+        # both at least as many lines as the kernel has accesses
+        tested = 0
+        for kernel in suite:
+            grid = kernel.grid.resized(22, 12)
+            for levels in (lc_hold(kernel, grid),
+                           lv(max(len(kernel.accesses), lc_broken(kernel, grid)[-1].lines))):
+                if self.guards_hold(kernel, levels, policy):
+                    tested += 1
+                    differ, whole, squeezed = self.replay_rows(kernel, grid, levels, policy)
+                    assert differ is None and whole == squeezed, kernel.name
+        # one WC buffer takes only the kernels that write one array
+        assert tested == (12 if policy == NtBypass(1) else 44)
+
+    def test_random_kernels_rows_leave_the_whole_rows_state(self):
+        # random kernels (some with arrays that share a line) through levels
+        # of 0.05-2x the lines the sweep keeps, claim tables of 1-80 lines
+        # and 1-11 NT buffers
+        rng = np.random.default_rng(23)
+        tested = 0
+        for case in range(400):
+            kernel, grid = random_kernel(rng)
+            if kernel.loop_k_range is None:
+                grid = grid.resized(grid.inner_extent, int(rng.integers(8, 24)))
+            policy = (AlwaysAllocate(), NtBypass(int(rng.integers(1, 12))),
+                      AutoClaim(int(rng.integers(1, 81))))[int(rng.integers(3))]
+            levels = lv(max(1, round(kept_lines(kernel, grid, policy) * rng.uniform(0.05, 2))))
+            if self.guards_hold(kernel, levels, policy):
+                tested += 1
+                differ, whole, squeezed = self.replay_rows(kernel, grid, levels, policy)
+                assert differ is None and whole == squeezed, case
+        assert tested >= 250
+
+    @pytest.mark.parametrize("policy, squeezed", [
+        (AlwaysAllocate(), (4096, 1024, 0)), (AutoClaim(), (3072, 1024, 1024))],
+        ids=["always", "claim"])
+    def test_fewer_lines_than_accesses_keep_whole_rows(self, policy, squeezed):
+        # three reads and a write on four arrays thrash a level of three
+        # lines: every access misses, so an iteration on the lines of the
+        # one before it is no hit, and squeezed rows count far fewer fills
+        kernel = make_kernel([("a", 0, 0, READ), ("b", 0, 0, READ), ("c", 0, 0, READ),
+                              ("d", 0, 0, WRITE)])
+        grid, levels = GridSpec(16, 8), lv(3)
+        differ, whole, got = self.replay_rows(kernel, grid, levels, policy)
+        assert differ == 0
+        assert (whole.read_bytes, whole.write_bytes, whole.wa_avoided_bytes) == (32768, 8192, 0)
+        assert (got.read_bytes, got.write_bytes, got.wa_avoided_bytes) == squeezed
+        # so simulate_kernel feeds these rows whole
+        got = simulate_kernel(kernel, grid, levels, policy)
+        assert (got.read_bytes, got.write_bytes, got.wa_avoided_bytes) == (32768, 8192, 0)
+
+    def test_more_written_arrays_than_nt_buffers_keep_whole_rows(self):
+        # the 354th sweep of test_random_kernels_caches_and_policies: two
+        # written arrays through one WC buffer, so each store of a repeating
+        # iteration flushes the other array's partial line, and squeezed
+        # rows miss those flushes and their merge reads
+        grid = GridSpec(21, 54, halo_lo=4, halo_hi=5)
+        a0, a1 = ArrayDecl("a0", grid, 64), ArrayDecl("a1", grid, 256)
+        kernel = KernelSpec("fuzz16-354", (
+            Access(a1, 1, 5, WRITE), Access(a0, 1, 0, WRITE), Access(a1, -3, -1, READ),
+            Access(a0, 2, -2, READ), Access(a1, 1, -4, READ), Access(a1, 0, -1, READ)))
+        levels, policy = lv(662), NtBypass(1)
+        differ, whole, got = self.replay_rows(kernel, grid, levels, policy)
+        assert differ == 0
+        assert (whole.read_bytes, got.read_bytes) == (170816, 137920)
+        got = simulate_kernel(kernel, grid, levels, policy)
+        assert (got.read_bytes, got.write_bytes, got.wa_avoided_bytes) == (
+            whole.read_bytes, whole.write_bytes, whole.wa_avoided_bytes)
+
+    @pytest.mark.parametrize("policy", [AutoClaim(1), NtBypass(1)], ids=["claim", "nt"])
+    def test_masked_writes_keep_their_own_runs(self, policy):
+        # a copy whose rows of 24 + 1 doubles leave a partly written line
+        # open at each end. Without the last read of a stretch, its masked
+        # write joins the run of the write that missed before the stretch,
+        # which then writes its line at once and opens no claim or WC
+        # buffer, so the one left open at a row's end is not pushed out.
+        # The traffic comes out the same here, but not the rows from the
+        # ninth on
+        kernel, grid = halo_copy_kernel(24, 1, 20)
+        levels = lv(64)
+        assert self.replay_rows(kernel, grid, levels, policy)[0] is None
+        differ, whole, got = self.replay_rows(kernel, grid, levels, policy, last_reads=False)
+        assert differ == 8 and whole == got
