@@ -48,16 +48,16 @@ is the one the run loop leaves; any other block takes the run loop.
 A kernel sweep is periodic in its rows: row k + P is row k moved by whole
 lines, P = 64 / gcd(row_bytes, 64). ``simulate_kernel`` replays period by
 period and charges the rest of the sweep in bulk once a period repeats,
-bit-identical to ``simulate`` of the whole trace. After each period it
-takes one key of the level: a window of it (with dirty bits and order),
-the claim table, the WC buffers and the held-back run, every line counted
-from the sweep's position. A period repeats when its key equals the one of
-the period before, and the bulk scales one counter vector (lines read,
-written and avoided). Once the level is full, the window is the whole
-level. While it fills, the window is only the lines the rest of the sweep
-can touch, and a match also needs the live lines to fit the level and no
-claim to have aged out: then LRU only ever evicts lines the sweep has
-left. ``simulate`` replays a trace in full, as it has no rows.
+bit-identical to ``simulate`` of the whole trace. While the level fills,
+it retires after each period the lines that the sweep has left, which no
+access touches again, from the front of each table: an entry there is its
+table's oldest (the stack property of LRU), so it is dropped and charged
+at once for what it would cost later. After each period it takes one key
+of the whole state: the level (with dirty bits and order), the claim
+table, the WC buffers and the held-back run, every line counted from the
+sweep's position. A period repeats when its key equals the one of the
+period before, and the bulk scales one counter vector (lines read, written
+and avoided). ``simulate`` replays a trace in full, as it has no rows.
 
 Within a row, an iteration whose accesses all stay on the lines of the
 iteration before it only hits, if the level holds the lines of one
@@ -74,11 +74,10 @@ there are WC buffers (``_replay_kernel`` says why).
 from __future__ import annotations
 
 import math
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import compress, islice, repeat, takewhile
+from itertools import compress, islice, repeat
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -224,17 +223,6 @@ def gen_trace(kernel: KernelSpec, grid: GridSpec):
         yield records
 
 
-class _Window(NamedTuple):
-    """What ``_Hierarchy.window`` returns: the `key` that must repeat, the
-    window `table`, the number of `left` claims that the key leaves out,
-    and a copy of the `counts`."""
-
-    key: tuple
-    table: np.ndarray
-    left: int
-    counts: np.ndarray
-
-
 class _Hierarchy:
     """Replay engine over the last cache level (the module docstring says
     why the levels above it are not replayed)."""
@@ -247,8 +235,8 @@ class _Hierarchy:
         self.lru: OrderedDict[int, bool] = OrderedDict()
         self.policy = policy
         # lines read, lines written, fills avoided and claims aged out of a
-        # full claim table; a bulk scales the first three only, as a bulk
-        # while the level fills needs none aged out in its last period
+        # full claim table; the last counts the runs replayed only, so
+        # ``retire`` and a bulk add to the first three alone
         self.counts = np.zeros(4, dtype=np.int64)
         # claim-watched line -> byte coverage, oldest first; always resident
         self.pending: OrderedDict[int, int] = OrderedDict()
@@ -510,52 +498,59 @@ class _Hierarchy:
         lru.update(zip(ulines[recent].tolist(), dirty[recent].tolist()))
         return True
 
-    def window(self, base: int, recent: np.ndarray | None = None) -> _Window:
-        """The state of the level as far as the rest of a sweep can see it,
-        with every line counted from `base`, the sweep's position in lines:
-        a period that moves the state by the lines the sweep moves repeats
-        its key.
+    def retire(self, live: set[int], moved: int):
+        """Drop the entries of the lines a sweep has left from the front of
+        each table and charge now what each would cost later. A line has
+        been left if the line less `moved` is not in `live`; no access
+        touches it again.
 
-        The window is the newest cached lines that are among `recent`, the
-        lines touched since some row, or the whole level if `recent` is
-        None: one (line, dirty, age) row per line, sorted by line, age 0
-        the most recently used. Before any eviction the level is in order
-        of last touch, so they are a tail, and a claimed line, which is
-        always cached, is in the window if it is among `recent`.
+        * The claim table's prefix of claims on left lines costs one read
+          each: the fill it pays when it ages out, is evicted or is left
+          open at the end.
+        * The LRU order's prefix of left lines that hold no claim costs one
+          write for each dirty one, evicted or flushed by ``finish``.
+        * The WC buffers' prefix of left lines costs a write and a merge
+          read each, flushed on overflow or drained by ``finish``.
 
-        The key is the window, the claim table, the WC buffers and the
-        held-back run with its write masks. The claim table leaves out its
-        `left` oldest claims on lines outside the window, which no access
-        touches again, but stays whole if a claim on such a line is newer
-        than one on a window line. With the windows equal, one comparison
-        of these tables matches the same states as comparing the whole
-        tables and, failing that, the tables past their left claims where
-        neither holds a left claim newer than a window claim: whole tables
-        that match hold their left claims at the same places, so they match
-        past them too, and a trimmed table holds window claims only, so it
-        never equals a table kept whole. The whole level holds every
-        claimed line, so its table is always whole.
+        Each entry dropped is its table's oldest: LRU order is last-touch
+        order, WC order last-store order, and only the claim table's prefix
+        goes. So a later miss, age-out or overflow that would have taken it
+        finds free room instead, and nothing else changes. A cached line
+        whose claim stays in the table stays too, as its eviction would
+        shrink the table later.
+        """
+        lru, pending, wc = self.lru, self.pending, self.wc
+        reads = writes = 0
+        while pending and next(iter(pending)) - moved not in live:
+            pending.popitem(last=False)
+            reads += 1
+        while lru:
+            line = next(iter(lru))
+            if line - moved in live or line in pending:
+                break
+            writes += lru.popitem(last=False)[1]
+        while wc and next(iter(wc)) - moved not in live:
+            wc.popitem(last=False)
+            reads += 1
+            writes += 1
+        self.counts[:2] += (reads, writes)
+
+    def window(self, base: int) -> tuple:
+        """The whole state of the level as a key, with every line counted
+        from `base`, the sweep's position in lines: a period that moves the
+        state by the lines the sweep moves repeats its key. It holds the
+        cached lines in LRU order with their dirty bits, the claim table,
+        the WC buffers and the held-back run with its write masks.
         """
         lru = self.lru
-        if recent is None:
-            size, inside = len(lru), ()
-        else:
-            keep = set(recent.tolist())
-            size = len(list(takewhile(keep.__contains__, reversed(lru))))
-            inside = [line in keep for line in self.pending]
-        lines = np.fromiter(reversed(lru), np.int64, size) - base
-        dirty = np.fromiter(reversed(lru.values()), bool, size)
-        ages = np.argsort(lines)
-        table = np.column_stack((lines[ages], dirty[ages], ages))
-        left = inside.index(True) if True in inside else len(inside)
-        if False in inside[left:]:
-            left = 0
-        claims = [(line - base, c) for line, c in islice(self.pending.items(), left, None)]
+        lines = np.fromiter(lru, np.int64, len(lru)) - base
+        dirty = np.fromiter(lru.values(), bool, len(lru))
         addrs, writes, masks = self.held
-        key = (table.tobytes(), claims, [(line - base, c) for line, c in self.wc.items()],
-               (addrs - np.uint64(base * LINE_BYTES)).tobytes(), writes.tobytes(),
-               None if masks is None else masks.tobytes())
-        return _Window(key, table, left, self.counts.copy())
+        return (lines.tobytes(), dirty.tobytes(),
+                [(line - base, c) for line, c in self.pending.items()],
+                [(line - base, c) for line, c in self.wc.items()],
+                (addrs - np.uint64(base * LINE_BYTES)).tobytes(), writes.tobytes(),
+                None if masks is None else masks.tobytes())
 
     def finish(self):
         """End of trace: replay the held-back run, resolve open claims, drain
@@ -616,8 +611,9 @@ def simulate(trace, levels, policy: WritePolicySim = AlwaysAllocate(),
 
 
 def _window_rows(kernel: KernelSpec, grid: GridSpec) -> int:
-    """Rows of a fast-forward window: the kernel's row span, at least a
-    period, or 0 if two arrays share a cache line.
+    """Rows after which a line the sweep has left is never touched again,
+    or 0 if two arrays share a cache line. ``_replay_kernel`` keeps the
+    lines of at least this many rows as it retires the others.
 
     Iteration row k touches rows k + dk of the arrays, and a line lies in
     at most 64 // row_bytes + 2 consecutive rows of its array, so the first
@@ -632,8 +628,7 @@ def _window_rows(kernel: KernelSpec, grid: GridSpec) -> int:
     if any((addr - origin) % LINE_BYTES for addr in array_layout(kernel, grid).values()):
         return 0
     dks = [a.dk for a in kernel.accesses]
-    span = max(dks) - min(dks) + LINE_BYTES // row_bytes + 1
-    return max(span, LINE_BYTES // math.gcd(row_bytes, LINE_BYTES))
+    return max(dks) - min(dks) + LINE_BYTES // row_bytes + 1
 
 
 def _squeeze(kernel: KernelSpec, row_iters: int, esize: int, addrs: np.ndarray,
@@ -680,7 +675,7 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     Row k + P of the trace is row k moved by D = P * row_bytes / 64 whole
     lines, with P = 64 / gcd(row_bytes, 64). The replay goes one period of
     P rows at a time. After each period it takes the key of the level
-    (``_Hierarchy.window``: a window of the level, the claim table, the WC
+    (``_Hierarchy.window``: the whole level, the claim table, the WC
     buffers and the held-back run) with every line counted from the row
     the sweep has reached, which moves D lines a period, and compares it
     with the key one period earlier. On a match it charges every remaining
@@ -716,28 +711,24 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     open no claim or WC buffer. Row k + P is row k moved by whole lines,
     so which events are fed, and their masks, are found once per sweep.
 
-    Once the level is full, the window is the whole level: on a match the
-    state repeats for good.
-
-    While the level is not full, nothing has been evicted, and a line that
-    the sweep has left (``_window_rows``) is never touched again. The
-    window is then the lines touched since that many rows, and a match
-    also needs the live lines, those touched in the last ``_window_rows``
-    + P rows, to fit the level and no claim to have aged out in the last
-    period. Then the rest of the sweep is charged however full the level
-    would get: LRU evicts the oldest line, a left line is older than every
-    line that can still be touched, and a line touched again during a
-    period is live at its end, so only left lines are evicted and no hit
-    turns into a miss. The claims on left lines are the oldest in the table
-    and the others never outgrow it, so only they age out. A left line
-    costs the same wherever it goes: a dirty one is written once, evicted
-    or flushed by ``finish``, and a claim on one costs one fill, whether it
-    ages out, is evicted or is left open. So the dirty lines that a period
-    leaves behind (those of the earlier window that the later one no
-    longer holds) and the claims it leaves behind (the change in the left
-    claims that the key leaves out) join the delta of lines written and
-    read. If the live lines do not fit, only the whole level is compared
-    from then on.
+    A line that the sweep has left is never touched again
+    (``_window_rows``), and the lines the rest of the sweep can touch were
+    all touched in the last ``history`` periods, which cover that bound.
+    Period n's fed events are period 1's moved by (n - 1) * D lines, so
+    these live lines are found once, from the first ``history`` periods;
+    only the last period may be cut short, and its rows are a prefix of a
+    whole period's, so its lines are among them too.
+    From then on, while the level is not full, the replay retires the left
+    lines after each period (``_Hierarchy.retire``). A left line was last
+    touched before every live one, so the left lines lead the LRU order
+    and the WC buffers (the stack property of LRU, Mattson et al. 1970),
+    and each entry dropped is its table's oldest. Dropping it turns a
+    later eviction, age-out or overflow into free room and changes nothing
+    else, and what it would have cost then is charged now. A level that
+    keeps only its live lines repeats as soon as the sweep does. The key
+    is the whole state, so equal keys one period apart make every later
+    period the same one moved by D lines, with the same counter delta, and
+    the bulk is exact with no further check.
 
     The engine only compares lines for equality, and ``finish`` only
     counts, so the tail rows are replayed from the matched state with the
@@ -751,18 +742,17 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     period = LINE_BYTES // math.gcd(row_bytes, LINE_BYTES)
     step = period * row_events      # a period divides the 16 rows of a block
     shift = period * row_bytes // LINE_BYTES
-    lru, ways = sim.lru, sim.ways
     row = k0                        # the first row of the next period
     periods = ((a[i:i + step], w[i:i + step])
                for a, w in gen_trace_blocks(kernel, grid)
                for i in range(0, a.size, step))
-    # the live lines are those touched in the last `width` + P rows, and
-    # `recent` holds the events fed in enough periods for them
     width = _window_rows(kernel, grid)
-    live_events = (width + period) * row_events
-    recent = deque(maxlen=2 + width // period)
+    # the events fed in the first `history` periods, which cover `width`
+    # rows, and their lines once a retire needs them
+    history = max(1, -(-width // period))
+    first, live = [], None
     # the conditions under which squeezed rows leave the state of whole rows
-    squeeze = ways >= len(kernel.accesses) and not (
+    squeeze = sim.ways >= len(kernel.accesses) and not (
         sim.nt and len(kernel.writes()) > policy.combine_buffers)
     keep = None
 
@@ -773,53 +763,32 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
         sim.feed(addrs, fed_writes[:n], masks[:n] if sim.claim or sim.nt else None)
         return addrs
 
-    def fed_at(rows: int) -> int:
-        """The events fed before row `rows` of `recent`."""
-        return rows // period * row_fed[-1] + row_fed[rows % period]
-
-    before = None
-    for addrs, writes in periods:
+    before = None, None
+    for n, (addrs, writes) in enumerate(periods, 1):
         if keep is None:    # which events to feed, from the first period
             keep, masks = _squeeze(kernel, j1 - j0 + 1, grid.element_size, addrs, squeeze)
             fed_writes = writes[keep]
             # the events fed before each row of a period
             row_fed = np.searchsorted(keep, np.arange(period + 1) * row_events).tolist()
-        recent.append(feed(addrs))
+        fed = feed(addrs)
+        if n <= history:
+            first.append(fed)
         sim.replayed_rows += addrs.size // row_events
         row += addrs.size // row_events
-        whole, tail = divmod(k1 + 1 - row, period)
-        base = row * row_bytes // LINE_BYTES
-        filling = len(lru) < ways
-        if filling:
-            # a window needs a whole period to charge and the live rows
-            # replayed; the rows applied end at the held-back run's row
-            fed = len(recent) * row_fed[-1] - sim.held[0].size
-            q, i = divmod(fed, row_fed[-1])
-            applied = (q * step + int(keep[i])) // row_events
-            if (not width or whole < 1 or applied < width
-                    or len(recent) * step < live_events):
-                before = None
-                continue
-            touched = np.concatenate(recent) >> np.uint64(LINE_SHIFT)
-            now = sim.window(base, touched[fed_at(applied - width):fed])
-        else:       # a window from while the level filled has fewer lines
-            now = sim.window(base)
-        if before is None or now.key != before.key:
-            before = now
+        filling = len(sim.lru) < sim.ways
+        if filling and width and n > history:
+            if live is None:
+                live = set((np.concatenate(first) >> np.uint64(LINE_SHIFT)).tolist())
+            sim.retire(live, (n - history) * shift)
+        key = sim.window(row * row_bytes // LINE_BYTES)
+        if key != before[0]:
+            before = key, sim.counts.copy()
             continue
-        delta = now.counts - before.counts
-        if filling:
-            live = touched[fed_at(len(recent) * period - width - period):]
-            if np.unique(live).size > ways or delta[3]:
-                width = 0       # the whole level takes over
-                continue
-            # the dirty lines and the claims that the period left behind
-            lines = before.table[:, 0]
-            delta[:2] += (now.left - before.left,
-                          before.table[~np.isin(lines - shift, lines), 1].sum())
-            sim.fill_rows += whole * period
-        sim.counts[:3] += whole * delta[:3]
+        whole, tail = divmod(k1 + 1 - row, period)
+        sim.counts[:3] += whole * (sim.counts - before[1])[:3]
         sim.bulk_rows += whole * period
+        if filling:
+            sim.fill_rows += whole * period
         if tail:
             feed(next(periods)[0][:tail * row_events])
             sim.replayed_rows += tail
@@ -834,10 +803,9 @@ def simulate_kernel(kernel: KernelSpec, grid: GridSpec, levels,
 
     As in ``simulate``, only the last of ``levels`` is replayed. A kernel
     trace is aligned to the element size, so no access crosses a line. Once
-    the periods of rows repeat, while the level is not full and the live
-    lines fit or once it is full, the rest of the sweep is charged in bulk
-    (``_replay_kernel``), and the traffic is bit-identical to
-    ``simulate(gen_trace(kernel, grid), ...)``.
+    the whole state repeats from one period of rows to the next, the rest
+    of the sweep is charged in bulk (``_replay_kernel``), and the traffic
+    is bit-identical to ``simulate(gen_trace(kernel, grid), ...)``.
     """
     sim = _replay_kernel(kernel, grid, levels, policy)
     return sim.traffic(iteration_count(kernel, grid))
