@@ -35,29 +35,29 @@ run that goes on past the end of a block is held back and replayed with the
 next block, so the traffic does not depend on where a trace is cut into
 blocks.
 
-A block that evicts only lines it never touches and ages no claim out of
-the table is replayed once per distinct line, not once per run, under
-always-allocate and claims (never under NT, whose write-combine buffers
-depend on the order of the runs). No touched line then leaves the level,
-so each line's misses and claim follow from its own runs alone. The
-victims are the oldest lines the block does not touch, and the LRU order
-is the old lines left, then the touched ones in order of last touch (the
-stack property of LRU, Mattson et al. 1970). The state after the block
-is the one the run loop leaves; any other block takes the run loop.
+A block that evicts no line and ages no claim out of the table is
+replayed once per distinct line, not once per run, under always-allocate
+and claims (never under NT, whose write-combine buffers depend on the
+order of the runs). No line then leaves the level, so each line's misses
+and claim follow from its own runs alone, and the LRU order is the lines
+the block does not touch, then the touched ones in order of last touch.
+The state after the block is the one the run loop leaves; any other block
+takes the run loop, so ``simulate`` of a trace that fills the level takes
+it for each block that evicts.
 
 A kernel sweep is periodic in its rows: row k + P is row k moved by whole
 lines, P = 64 / gcd(row_bytes, 64). ``simulate_kernel`` replays period by
 period and charges the rest of the sweep in bulk once a period repeats,
-bit-identical to ``simulate`` of the whole trace. While the level fills,
-it retires after each period the lines that the sweep has left, which no
-access touches again, from the front of each table: an entry there is its
-table's oldest (the stack property of LRU), so it is dropped and charged
-at once for what it would cost later. After each period it takes one key
-of the whole state: the level (with dirty bits and order), the claim
-table, the WC buffers and the held-back run, every line counted from the
-sweep's position. A period repeats when its key equals the one of the
-period before, and the bulk scales one counter vector (lines read, written
-and avoided). ``simulate`` replays a trace in full, as it has no rows.
+bit-identical to ``simulate`` of the whole trace. After each period it
+retires the lines that the sweep has left, which no access touches again,
+from the front of each table: an entry there is its table's oldest (the
+stack property of LRU), so it is dropped and charged at once for what it
+would cost later. Then it takes one key of the whole state: the level
+(with dirty bits and order), the claim table, the WC buffers and the
+held-back run, every line counted from the sweep's position. A period
+repeats when its key equals the one of the period before, and the bulk
+scales one counter vector (lines read, written and avoided). ``simulate``
+replays a trace in full, as it has no rows.
 
 Within a row, an iteration whose accesses all stay on the lines of the
 iteration before it only hits, if the level holds the lines of one
@@ -76,7 +76,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -271,12 +271,11 @@ class _Hierarchy:
         masks are held back and replayed at the front of the next block, or
         by ``finish`` (``last``). So the traffic does not depend on where a
         trace is cut into blocks. A block of at least ``LINE_REPLAY_RUNS``
-        runs that evicts only lines it never touches and ages out no claim
-        is replayed line by line instead (``_feed_lines``), to the same
-        state; fewer runs cost less in the run loop than the per-line
-        path's fixed numpy calls. NT always takes the run loop. The call
-        adds its lines read, written and avoided and its claims aged out to
-        ``counts``.
+        runs that evicts no line and ages out no claim is replayed line by
+        line instead (``_feed_lines``), to the same state; fewer runs cost
+        less in the run loop than the per-line path's fixed numpy calls. NT
+        always takes the run loop. The call adds its lines read, written and
+        avoided and its claims aged out to ``counts``.
         """
         if self.held[0].size:
             addrs = np.concatenate((self.held[0], addrs))
@@ -379,31 +378,19 @@ class _Hierarchy:
         self.counts += (reads, writes_out, avoided, aged)
 
     def _feed_lines(self, lines, first_w, any_w, cov) -> bool:
-        """Replay a block's runs line by line if every line it evicts is one
-        it never touches and no claim can age out; otherwise return False
-        with nothing changed. The arguments hold one entry per run, as
-        ``feed`` finds them.
+        """Replay a block's runs line by line if it evicts no line and no
+        claim can age out; otherwise return False with nothing changed. The
+        arguments hold one entry per run, as ``feed`` finds them.
 
-        Let ``evict = len(lru) + new - ways``, where ``new`` is the number
-        of lines the block adds. The i-th miss past the free room evicts the
-        oldest line that the block has not touched by that run. The block
-        is taken only if each of those ``evict`` victims is a line it never
-        touches: then the victims are the oldest ``evict`` untouched lines,
-        and each touched line older than a victim has its first run before
-        that victim's evicting miss (a prefix maximum of first-touch runs
-        over the head of the LRU order). The first ``evict + hits`` lines of
-        the LRU order hold them all, so the check costs O(block). A dirty
-        victim is written; a claimed one costs one read and leaves the
-        table at its evicting run, before a claim that opens there.
-
-        No touched line then leaves the level, so a line's first run misses
+        The block is taken only if the level has room for every line it
+        adds. No line then leaves the level, so a line's first run misses
         if the line was not cached: a read fills it, and under claims a
-        write opens a claim (or is avoided at once if it covers the line). A claim, new or
-        already in the table, ends at its line's first run that reads (a
-        fill) or completes the line (avoided). The table keeps its order;
-        new open claims join in the order they opened. Each touched line
-        moves to the end of the LRU order in order of last touch, dirty if
-        it was or any of its runs writes.
+        write opens a claim (or is avoided at once if it covers the line).
+        A claim, new or already in the table, ends at its line's first run
+        that reads (a fill) or completes the line (avoided). The table
+        keeps its order; new open claims join in the order they opened.
+        Each touched line moves to the end of the LRU order in order of
+        last touch, dirty if it was or any of its runs writes.
 
         A block whose lines fall in more than ``ways`` residues modulo a
         power of two above ``ways`` (so it has more than ``ways`` distinct
@@ -428,19 +415,8 @@ class _Hierarchy:
         keys = ulines.tolist()
         present = np.fromiter(map(lru.__contains__, keys), bool, k)
         hits = np.count_nonzero(present)
-        evict = len(lru) + k - hits - ways
-        victims, misses = [], order[:0]     # the evicted lines, their evicting runs
-        if evict > 0:
-            # the i-th miss past the free room evicts the i-th untouched line
-            # of the head if each touched line older than it was touched before
-            head = np.fromiter(islice(lru, evict + hits), np.uint64, evict + hits)
-            at = np.minimum(np.searchsorted(ulines, head), k - 1)
-            seen = np.where(ulines[at] == head, order[first[at]], -1)  # first touch
-            untouched = np.flatnonzero(seen < 0)[:evict]
-            misses = np.sort(order[first[~present]])[ways - len(lru):]
-            if np.any(np.maximum.accumulate(seen)[untouched] > misses):
-                return False
-            victims = head[untouched].tolist()
+        if len(lru) + k - hits > ways:
+            return False
         reads = k - hits
         avoided = 0
         if self.claim:
@@ -468,29 +444,24 @@ class _Hierarchy:
             ended = (start | old) & (end < n)
             filled = np.count_nonzero(ended & ~fw[np.minimum(end, n - 1)])
             opened = start & (c[first] != full)
-            claimed = misses[np.fromiter(map(pending.__contains__, victims), bool,
-                                         len(victims))]
             if opened.any():
                 # the table's size after each run, from the claims that open or end
                 step = np.zeros(n, dtype=np.int8)
                 step[order[first[opened]]] = 1
                 step[order[end[ended & (old | opened)]]] = -1
-                step[claimed] -= 1
                 peak = len(pending) + int(np.cumsum(step).max())
                 if peak > self.policy.buffer_lines:
                     return False
-            reads += filled + claimed.size
+            reads += filled
             avoided = np.count_nonzero(ended) - filled
             for x in compress(keys, old & ended):
                 del pending[x]
-            for x in victims:
-                pending.pop(x, None)
             kept = old & ~ended
             pending.update(zip(compress(keys, kept), c[last[kept]].tolist()))
             new = np.flatnonzero(opened & ~ended)
             new = new[np.argsort(order[first[new]])]
             pending.update(zip(ulines[new].tolist(), c[last[new]].tolist()))
-        self.counts[:3] += (reads, sum(map(lru.pop, victims)), avoided)
+        self.counts[:3] += (reads, 0, avoided)
         # each line moves to the end of the LRU order in order of last touch
         dirty = np.logical_or.reduceat(any_w[order], first)
         dirty[present] |= np.fromiter(map(lru.pop, compress(keys, present)), bool, hits)
@@ -718,11 +689,12 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     these live lines are found once, from the first ``history`` periods;
     only the last period may be cut short, and its rows are a prefix of a
     whole period's, so its lines are among them too.
-    From then on, while the level is not full, the replay retires the left
-    lines after each period (``_Hierarchy.retire``). A left line was last
-    touched before every live one, so the left lines lead the LRU order
-    and the WC buffers (the stack property of LRU, Mattson et al. 1970),
-    and each entry dropped is its table's oldest. Dropping it turns a
+    From then on, full level or not, the replay retires the left lines
+    after each period (``_Hierarchy.retire``), which also leaves room for
+    the next period's blocks to be replayed line by line. A left line was
+    last touched before every live one, so the left lines lead the LRU
+    order and the WC buffers (the stack property of LRU, Mattson et al.
+    1970), and each entry dropped is its table's oldest. Dropping it turns a
     later eviction, age-out or overflow into free room and changes nothing
     else, and what it would have cost then is charged now. A level that
     keeps only its live lines repeats as soon as the sweep does. The key
@@ -776,7 +748,7 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
         sim.replayed_rows += addrs.size // row_events
         row += addrs.size // row_events
         filling = len(sim.lru) < sim.ways
-        if filling and width and n > history:
+        if width and n > history:
             if live is None:
                 live = set((np.concatenate(first) >> np.uint64(LINE_SHIFT)).tolist())
             sim.retire(live, (n - history) * shift)
