@@ -47,8 +47,10 @@ it for each block that evicts.
 
 A kernel sweep is periodic in its rows: row k + P is row k moved by whole
 lines, P = 64 / gcd(row_bytes, 64). ``simulate_kernel`` replays period by
-period and charges the rest of the sweep in bulk once a period repeats,
-bit-identical to ``simulate`` of the whole trace. After each period it
+period, each drawn as one block of P rows when the replay reaches it, and
+charges the rest of the sweep in bulk once a period repeats, bit-identical
+to ``simulate`` of the whole trace. So it generates only the rows it
+replays, and at most one period more for the tail. After each period it
 retires the lines that the sweep has left, which no access touches again,
 from the front of each table: an entry there is its table's oldest (the
 stack property of LRU), so it is dropped and charged at once for what it
@@ -68,7 +70,8 @@ the last one, and each write carries one mask of the bytes that its
 access writes over the stretch. The state after each row is the one the
 whole row leaves as long as the level holds at least as many lines as the
 kernel has accesses and, under NT, the kernel writes no more arrays than
-there are WC buffers (``_replay_kernel`` says why).
+there are WC buffers (``_replay_kernel`` says why). The masks are built
+only under claims and NT, the policies that read them.
 """
 
 from __future__ import annotations
@@ -76,7 +79,9 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import reduce
 from itertools import compress, repeat
+from operator import or_
 from pathlib import Path
 
 import numpy as np
@@ -178,13 +183,17 @@ def array_layout(kernel: KernelSpec, grid: GridSpec) -> dict[str, int]:
     return out
 
 
-def gen_trace_blocks(kernel: KernelSpec, grid: GridSpec):
+def gen_trace_blocks(kernel: KernelSpec, grid: GridSpec, rows: int = 16):
     """Yield the access stream as (addresses, write flags) numpy blocks.
 
     Iteration order is k outer ascending, j inner ascending; within an
     iteration reads come in declaration order, then writes. A block holds
-    16 iteration rows.
+    `rows` iteration rows, the last one the rest; the blocks put back
+    together are the same stream for any `rows`. A `rows` below 1 raises
+    ValueError.
     """
+    if rows < 1:
+        raise ValueError(f"a trace block needs at least one row, not {rows}")
     j0, j1, k0, k1 = _loop_bounds(kernel, grid)
     for acc in kernel.accesses:
         if not (-grid.halo_lo <= j0 + acc.dj and
@@ -204,14 +213,16 @@ def gen_trace_blocks(kernel: KernelSpec, grid: GridSpec):
     wflags = np.array([a.mode == WRITE for a in ordered], dtype=bool)
     jcol = np.arange(j0, j1 + 1, dtype=np.int64) * esize
     row_bytes = stride * esize
-    rows_per_block = 16
-    for kb in range(k0, k1 + 1, rows_per_block):
-        ks = np.arange(kb, min(kb + rows_per_block, k1 + 1), dtype=np.int64)
+    # every block but the last has the same flags: one read-only array
+    flags = np.tile(wflags, min(rows, k1 + 1 - k0) * jcol.size)
+    flags.flags.writeable = False
+    for kb in range(k0, k1 + 1, rows):
+        ks = np.arange(kb, min(kb + rows, k1 + 1), dtype=np.int64)
         block = (ks[:, None, None] * row_bytes
                  + jcol[None, :, None]
                  + acc_const[None, None, :])
         addrs = block.reshape(-1).astype(np.uint64)
-        yield addrs, np.tile(wflags, ks.size * jcol.size)
+        yield addrs, flags[:addrs.size]
 
 
 def gen_trace(kernel: KernelSpec, grid: GridSpec):
@@ -269,11 +280,12 @@ class _Hierarchy:
 
         The block's last run may go on in the next block, so its events and
         masks are held back and replayed at the front of the next block, or
-        by ``finish`` (``last``). So the traffic does not depend on where a
-        trace is cut into blocks. A block of at least ``LINE_REPLAY_RUNS``
-        runs that evicts no line and ages out no claim is replayed line by
-        line instead (``_feed_lines``), to the same state; fewer runs cost
-        less in the run loop than the per-line path's fixed numpy calls. NT
+        by ``finish`` as one run; with ``last`` nothing is held back. So the
+        traffic does not depend on where a trace is cut into blocks. A block
+        of at least ``LINE_REPLAY_RUNS`` runs that evicts no line and ages
+        out no claim is replayed line by line instead (``_feed_lines``), to
+        the same state; fewer runs cost less in the run loop
+        (``_replay_runs``) than the per-line path's fixed numpy calls. NT
         always takes the run loop. The call adds its lines read, written and
         avoided and its claims aged out to ``counts``.
         """
@@ -310,17 +322,22 @@ class _Hierarchy:
         if (not self.nt and starts.size >= LINE_REPLAY_RUNS
                 and self._feed_lines(start_lines, first_w, any_w, cov)):
             return
-        run_lines = start_lines.tolist()
-        run_first_w = first_w.tolist()
-        run_any_w = any_w.tolist()
-        run_cov = repeat(0) if cov is None else cov.tolist()
+        self._replay_runs(start_lines.tolist(), first_w.tolist(), any_w.tolist(),
+                          repeat(0) if cov is None else cov.tolist())
+
+    def _replay_runs(self, lines, first_w, any_w, cov):
+        """The run loop: replay runs one by one. The arguments are iterables
+        of one entry per run, as ``feed`` finds them: the run's line,
+        whether its first and whether its last event writes, and its write
+        coverage. It adds the lines read, written and avoided and the claims
+        aged out to ``counts``."""
         lru, ways = self.lru, self.ways
         pending, wc, full = self.pending, self.wc, FULL_MASK
         claim, nt = self.claim, self.nt
         window = self.policy.buffer_lines if claim else 0
         buffers = self.policy.combine_buffers if nt else 0
         reads = writes_out = avoided = aged = 0
-        for line, first_w, any_w, cov in zip(run_lines, run_first_w, run_any_w, run_cov):
+        for line, first_w, any_w, cov in zip(lines, first_w, any_w, cov):
             if line in lru:
                 lru.move_to_end(line)
                 if any_w:
@@ -525,9 +542,15 @@ class _Hierarchy:
 
     def finish(self):
         """End of trace: replay the held-back run, resolve open claims, drain
-        WC buffers, flush dirty lines."""
-        held, self.held = self.held, NO_EVENTS
-        self.feed(*held, last=True)
+        WC buffers, flush dirty lines.
+
+        The held-back run is one run, so it goes straight to the run loop,
+        with none of the numpy set-up of ``feed``."""
+        (addrs, writes, masks), self.held = self.held, NO_EVENTS
+        if addrs.size:
+            self._replay_runs((int(addrs[0]) >> LINE_SHIFT,), (bool(writes[0]),),
+                              (bool(writes[-1]),),
+                              (0 if masks is None else reduce(or_, masks.tolist()),))
         self.counts[:2] += (len(self.pending) + len(self.wc),
                             len(self.wc) + sum(self.lru.values()))
         self.pending.clear()
@@ -602,8 +625,24 @@ def _window_rows(kernel: KernelSpec, grid: GridSpec) -> int:
     return max(dks) - min(dks) + LINE_BYTES // row_bytes + 1
 
 
+def _live_lines(addrs: np.ndarray, accesses: int, periods: int, shift: int) -> set[int]:
+    """The lines that the first `periods` periods of a sweep touch, from the
+    events of the first, `addrs`: period n is period 1 moved by (n - 1) *
+    `shift` lines. Of each access, only the iterations that move it to
+    another line are looked at."""
+    lines = addrs.reshape(-1, accesses) >> np.uint64(LINE_SHIFT)
+    moved = np.ones(lines.shape, dtype=bool)
+    np.not_equal(lines[1:], lines[:-1], out=moved[1:])
+    first = set(lines[moved].tolist())
+    live = set(first)
+    for n in range(1, periods):
+        live.update(map((n * shift).__add__, first))
+    return live
+
+
 def _squeeze(kernel: KernelSpec, row_iters: int, esize: int, addrs: np.ndarray,
-             squeeze: bool = True) -> tuple[np.ndarray, np.ndarray]:
+             squeeze: bool = True,
+             masks: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Which events of whole rows of a sweep to feed, and their write masks.
 
     `addrs` holds whole rows of `row_iters` iterations, each iteration's
@@ -614,7 +653,8 @@ def _squeeze(kernel: KernelSpec, row_iters: int, esize: int, addrs: np.ndarray,
     only its last read and its writes, each write with one mask that
     covers the writes of its access over the whole stretch (why this is
     exact: ``_replay_kernel``). Without `squeeze`, no iteration repeats.
-    Returns the index of the events fed, in order, and their masks.
+    Returns the index of the events fed, in order, and their masks, or None
+    for the masks without `masks`, as only claims and NT stores read them.
     """
     accesses = len(kernel.accesses)
     reads = len(kernel.reads())
@@ -630,13 +670,16 @@ def _squeeze(kernel: KernelSpec, row_iters: int, esize: int, addrs: np.ndarray,
     last = np.append(first[1:], iters) - 1
     fed = np.ones((first.size, accesses), dtype=bool)
     fed[same[first], :max(reads - 1, 0)] = False
+    index = (last[:, None] * accesses + np.arange(accesses))[fed]
+    if not masks:
+        return index, None
     # a group's elements are consecutive on one line: the last one fed and
     # the ones before it, `span` bytes in all
     span = ((last - first + 1) * esize).astype(np.uint64)[:, None]
     low = (addrs[last] & np.uint64(LINE_BYTES - 1)) + np.uint64(esize) - span
-    masks = np.uint64(FULL_MASK) >> (np.uint64(LINE_BYTES) - span) << low
-    masks[:, :reads] = 0
-    return (last[:, None] * accesses + np.arange(accesses))[fed], masks[fed]
+    cover = np.uint64(FULL_MASK) >> (np.uint64(LINE_BYTES) - span) << low
+    cover[:, :reads] = 0
+    return index, cover[fed]
 
 
 def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
@@ -653,7 +696,10 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     whole period with the delta of the counter vector over the last one,
     replays the tail rows and finishes.
 
-    Each period is fed squeezed (``_squeeze``). An iteration repeats if
+    Each period is drawn as one block of ``gen_trace_blocks`` (P rows), as
+    the replay needs it, so a sweep draws the periods it replays and, if it
+    ends with a tail, one more. Each period is fed squeezed (``_squeeze``),
+    with write masks only under claims and NT. An iteration repeats if
     each of its accesses stays on the line it touched in the iteration
     before it. Of a stretch of repeating iterations only the last is fed,
     and of it only its last read and its writes, whose masks cover the
@@ -680,15 +726,17 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     otherwise a masked write could join the run of a write that missed
     before the stretch, which would then write the whole line at once and
     open no claim or WC buffer. Row k + P is row k moved by whole lines,
-    so which events are fed, and their masks, are found once per sweep.
+    so which events are fed, and their masks, are found once per sweep,
+    from the first period.
 
     A line that the sweep has left is never touched again
     (``_window_rows``), and the lines the rest of the sweep can touch were
     all touched in the last ``history`` periods, which cover that bound.
-    Period n's fed events are period 1's moved by (n - 1) * D lines, so
-    these live lines are found once, from the first ``history`` periods;
-    only the last period may be cut short, and its rows are a prefix of a
-    whole period's, so its lines are among them too.
+    Period n is period 1 moved by (n - 1) * D lines, so these live lines
+    are found once, from period 1 alone (``_live_lines``); they are the
+    lines its fed events touch too, as a repeating iteration touches the
+    lines of the one before it. Only the last period may be cut short, and
+    its rows are a prefix of a whole period's, so its lines are among them.
     From then on, full level or not, the replay retires the left lines
     after each period (``_Hierarchy.retire``), which also leaves room for
     the next period's blocks to be replayed line by line. A left line was
@@ -712,45 +760,40 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     row_events = (j1 - j0 + 1) * len(kernel.accesses)
     row_bytes = grid.row_stride * grid.element_size
     period = LINE_BYTES // math.gcd(row_bytes, LINE_BYTES)
-    step = period * row_events      # a period divides the 16 rows of a block
     shift = period * row_bytes // LINE_BYTES
     row = k0                        # the first row of the next period
-    periods = ((a[i:i + step], w[i:i + step])
-               for a, w in gen_trace_blocks(kernel, grid)
-               for i in range(0, a.size, step))
+    blocks = gen_trace_blocks(kernel, grid, period)     # one period each
     width = _window_rows(kernel, grid)
-    # the events fed in the first `history` periods, which cover `width`
-    # rows, and their lines once a retire needs them
+    # the periods whose lines cover `width` rows, and their lines once a
+    # retire needs them
     history = max(1, -(-width // period))
-    first, live = [], None
+    live = None
     # the conditions under which squeezed rows leave the state of whole rows
     squeeze = sim.ways >= len(kernel.accesses) and not (
         sim.nt and len(kernel.writes()) > policy.combine_buffers)
     keep = None
 
     def feed(addrs):
-        """Feed whole rows from the start of a period; return the events fed."""
+        """Feed whole rows from the start of a period."""
         n = row_fed[addrs.size // row_events]
-        addrs = addrs[keep[:n]]
-        sim.feed(addrs, fed_writes[:n], masks[:n] if sim.claim or sim.nt else None)
-        return addrs
+        sim.feed(addrs[keep[:n]], fed_writes[:n], None if masks is None else masks[:n])
 
     before = None, None
-    for n, (addrs, writes) in enumerate(periods, 1):
+    for n, (addrs, writes) in enumerate(blocks, 1):
         if keep is None:    # which events to feed, from the first period
-            keep, masks = _squeeze(kernel, j1 - j0 + 1, grid.element_size, addrs, squeeze)
+            keep, masks = _squeeze(kernel, j1 - j0 + 1, grid.element_size, addrs,
+                                   squeeze, sim.claim or sim.nt)
             fed_writes = writes[keep]
             # the events fed before each row of a period
             row_fed = np.searchsorted(keep, np.arange(period + 1) * row_events).tolist()
-        fed = feed(addrs)
-        if n <= history:
-            first.append(fed)
+            first = addrs   # period 1, whose lines give the live set
+        feed(addrs)
         sim.replayed_rows += addrs.size // row_events
         row += addrs.size // row_events
         filling = len(sim.lru) < sim.ways
         if width and n > history:
             if live is None:
-                live = set((np.concatenate(first) >> np.uint64(LINE_SHIFT)).tolist())
+                live = _live_lines(first, len(kernel.accesses), history, shift)
             sim.retire(live, (n - history) * shift)
         key = sim.window(row * row_bytes // LINE_BYTES)
         if key != before[0]:
@@ -762,7 +805,7 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
         if filling:
             sim.fill_rows += whole * period
         if tail:
-            feed(next(periods)[0][:tail * row_events])
+            feed(next(blocks)[0][:tail * row_events])
             sim.replayed_rows += tail
         break
     sim.finish()

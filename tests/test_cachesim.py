@@ -19,6 +19,7 @@ from stencilmem.cachesim import (
     dump_trace,
     evades,
     _Hierarchy,
+    _live_lines,
     _replay_kernel,
     _squeeze,
     _window_rows,
@@ -103,6 +104,28 @@ class TestTraceGeneration:
         sub = type(kernel)(name="sub", accesses=kernel.accesses,
                            loop_j_range=(2, 5), loop_k_range=(1, 2))
         assert len(pairs(gen_trace(sub, grid))) == 4 * 2
+
+    @pytest.mark.parametrize("rows", [1, 2, 5, 16, 17])
+    def test_blocks_of_any_rows_are_one_stream(self, suite, tmp_path, rows):
+        # 35 rows of a 3-row band: blocks of 17 rows leave one row over
+        kernel = suite.kernels["pdv01"]
+        band = KernelSpec(name="band", accesses=kernel.accesses, loop_k_range=(3, 37))
+        grid = kernel.grid.resized(20, 40)
+        for k in (kernel, band):
+            blocks = list(gen_trace_blocks(k, grid, rows))
+            assert all(a.size == blocks[0][0].size for a, _ in blocks[:-1])
+            records = [np.rec.fromarrays(b, dtype=TRACE_DTYPE) for b in blocks]
+            dump_trace(records, tmp_path / "rows.trace")
+            dump_trace(gen_trace(k, grid), tmp_path / "gen.trace")
+            assert ((tmp_path / "rows.trace").read_bytes()
+                    == (tmp_path / "gen.trace").read_bytes())
+
+    @pytest.mark.parametrize("rows", [0, -1])
+    def test_blocks_of_no_rows_rejected(self, suite, rows):
+        # a negative step would make an empty trace
+        kernel = suite.kernels["am04"]
+        with pytest.raises(ValueError, match="at least one row"):
+            next(gen_trace_blocks(kernel, kernel.grid.resized(8, 8), rows))
 
 
 class TestSimulateBasics:
@@ -671,8 +694,9 @@ class TestFastForward:
                                                             case):
         # the benchmark counts the events of a sweep by replacing the module's
         # gen_trace_blocks: every event that simulate_kernel replays must come
-        # through it, from one draw of the whole sweep. The rows are fed
-        # squeezed, as copies of the events kept
+        # through it, from one call that draws one period a block and no
+        # block the replay does not feed. The rows are fed squeezed, as
+        # copies of the events kept
         if case == "halo-copy":
             kernel, grid = halo_copy_kernel(216, 3, 75)
         else:
@@ -691,22 +715,66 @@ class TestFastForward:
 
         def record_feed(sim, addrs, writes, masks=None, last=False):
             engines.add(sim)
-            if not last:        # not the held-back run that finish replays
-                fed.append(addrs)
+            fed.append(addrs)
             engine_feed(sim, addrs, writes, masks, last)
 
         monkeypatch.setattr(cachesim, "gen_trace_blocks", counting)
         monkeypatch.setattr(_Hierarchy, "feed", record_feed)
         simulate_kernel(kernel, grid, levels, policy)
         (sim,) = engines
-        assert calls == [(kernel, grid)]
-        assert all(any(np.isin(addrs, block).all() for block in drawn) for addrs in fed)
+        period = LINE // math.gcd(grid.row_stride * grid.element_size, LINE)
+        assert calls == [(kernel, grid, period)]
+        assert sim.bulk_rows > 0 and len(drawn) == len(fed) == -(-sim.replayed_rows // period)
         j0, j1, _, _ = _loop_bounds(kernel, grid)
-        events = sim.replayed_rows * (j1 - j0 + 1) * len(kernel.accesses)
-        addrs = np.concatenate([a for a, _ in gen(kernel, grid)])[:events]
+        row_events = (j1 - j0 + 1) * len(kernel.accesses)
+        assert all(addrs.size == period * row_events for addrs in drawn)
+        addrs = np.concatenate(drawn)[:sim.replayed_rows * row_events]
         keep, _ = _squeeze(kernel, j1 - j0 + 1, grid.element_size, addrs)
         assert np.array_equal(np.concatenate(fed), addrs[keep])
-        assert keep.size < events
+        assert keep.size < addrs.size
+
+    @pytest.mark.parametrize("policy", FF_POLICIES)
+    def test_stencil_sweep_draws_and_squeezes_only_what_it_feeds(self, suite, monkeypatch,
+                                                               policy):
+        # the cost of a sweep outside its replay, counted: the four
+        # configurations of the benchmark's stencil-sweep at 128 x 128 (the
+        # layer condition holding at twice the rows touched under each
+        # policy, and always-allocate on a level short of one row) draw at
+        # most one period of rows beyond the rows they replay, and under
+        # always-allocate no write masks are built, as none is read
+        drawn, masks = [], []
+        gen, squeeze = cachesim.gen_trace_blocks, cachesim._squeeze
+
+        def counting(kernel, grid, rows):
+            for addrs, writes in gen(kernel, grid, rows):
+                drawn.append(addrs.size)
+                yield addrs, writes
+
+        def recording(*args):
+            keep, m = squeeze(*args)
+            masks.append(m)
+            return keep, m
+
+        monkeypatch.setattr(cachesim, "gen_trace_blocks", counting)
+        monkeypatch.setattr(cachesim, "_squeeze", recording)
+        policy = FF_POLICIES[policy]
+        for kernel in suite:
+            grid = kernel.grid.resized(128, 128)
+            row_bytes = grid.row_stride * grid.element_size
+            rows = len({(a.array.name, a.dk) for a in kernel.accesses})
+            configs = [lv(-(-2 * rows * row_bytes // LINE))]
+            if isinstance(policy, AlwaysAllocate):
+                configs.append(lv((row_bytes - 1) // LINE))
+            for levels in configs:
+                drawn.clear()
+                masks.clear()
+                sim = _replay_kernel(kernel, grid, levels, policy)
+                period = LINE // math.gcd(row_bytes, LINE)
+                row_events = 128 * len(kernel.accesses)
+                assert sum(drawn) <= (sim.replayed_rows + period) * row_events, kernel.name
+                assert sim.bulk_rows > 0, kernel.name
+                (m,) = masks
+                assert (m is None) == isinstance(policy, AlwaysAllocate), kernel.name
 
     @pytest.mark.parametrize("streams", range(1, 9))
     @pytest.mark.parametrize("policy", [AlwaysAllocate(), NtBypass(), AutoClaim(),
@@ -832,6 +900,26 @@ class TestFastForward:
                 aligned += 1
                 assert width >= trace_reuse_rows(kernel, grid)
         assert aligned > 200
+
+    def test_live_lines_of_random_kernels(self):
+        # the live set built from period 1 alone is the set of lines that
+        # the events fed in the first `history` periods touch
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            kernel, grid = random_kernel(rng)
+            row_bytes = grid.row_stride * grid.element_size
+            period = LINE // math.gcd(row_bytes, LINE)
+            history = int(rng.integers(1, 5))
+            grid = grid.resized(grid.inner_extent, max(grid.outer_extent, period * history))
+            kernel = KernelSpec(kernel.name, kernel.accesses)
+            j0, j1, _, _ = _loop_bounds(kernel, grid)
+            addrs = np.concatenate([a for a, _ in gen_trace_blocks(kernel, grid, period)])
+            first = addrs[:period * (j1 - j0 + 1) * len(kernel.accesses)]
+            keep, _ = _squeeze(kernel, j1 - j0 + 1, grid.element_size, first)
+            fed = addrs[:first.size * history].reshape(history, -1)[:, keep]
+            assert (_live_lines(first, len(kernel.accesses), history,
+                                period * row_bytes // LINE)
+                    == set((fed // LINE).ravel().tolist())), kernel
 
     def test_random_kernels_caches_and_policies(self):
         # random kernels, stretched to 30-119 rows unless they have loop
