@@ -35,15 +35,16 @@ run that goes on past the end of a block is held back and replayed with the
 next block, so the traffic does not depend on where a trace is cut into
 blocks.
 
-A block that evicts no line and ages no claim out of the table is
-replayed once per distinct line, not once per run, under always-allocate
-and claims (never under NT, whose write-combine buffers depend on the
-order of the runs). No line then leaves the level, so each line's misses
-and claim follow from its own runs alone, and the LRU order is the lines
-the block does not touch, then the touched ones in order of last touch.
-The state after the block is the one the run loop leaves; any other block
-takes the run loop, so ``simulate`` of a trace that fills the level takes
-it for each block that evicts.
+A block that evicts no line is replayed once per distinct line, not once
+per run, under always-allocate (an inactive claim detector replays as
+always-allocate). No line then leaves the level, so each line's misses
+follow from its own runs alone, and the LRU order is the lines the block
+does not touch, then the touched ones in order of last touch. The state
+after the block is the one the run loop leaves; any other block takes
+the run loop, so ``simulate`` of a trace that fills the level takes it
+for each block that evicts. Claims and NT always take the run loop, the
+one place that holds the claim rule and the write-combine buffers, whose
+outcome depends on the order of the runs.
 
 A kernel sweep is periodic in its rows: row k + P is row k moved by whole
 lines, P = 64 / gcd(row_bytes, 64). ``simulate_kernel`` replays period by
@@ -266,8 +267,7 @@ class _Hierarchy:
         self.bulk_rows = 0
         self.fill_rows = 0
 
-    def feed(self, addrs: np.ndarray, writes: np.ndarray, masks: np.ndarray | None = None,
-             last: bool = False):
+    def feed(self, addrs: np.ndarray, writes: np.ndarray, masks: np.ndarray | None = None):
         """Replay one block run by run; a run is consecutive events on one
         line, reads before writes.
 
@@ -280,22 +280,21 @@ class _Hierarchy:
 
         The block's last run may go on in the next block, so its events and
         masks are held back and replayed at the front of the next block, or
-        by ``finish`` as one run; with ``last`` nothing is held back. So the
-        traffic does not depend on where a trace is cut into blocks. A block
-        of at least ``LINE_REPLAY_RUNS`` runs that evicts no line and ages
-        out no claim is replayed line by line instead (``_feed_lines``), to
-        the same state; fewer runs cost less in the run loop
-        (``_replay_runs``) than the per-line path's fixed numpy calls. NT
-        always takes the run loop. The call adds its lines read, written and
-        avoided and its claims aged out to ``counts``.
+        by ``finish`` as one run (``_replay_held``). So the traffic does not
+        depend on where a trace is cut into blocks. Under a policy that
+        does not evade, a block of at least ``LINE_REPLAY_RUNS`` runs that
+        evicts no line is replayed line by line instead (``_feed_lines``),
+        to the same state; fewer runs cost less in the run loop
+        (``_replay_runs``) than the per-line path's fixed numpy calls.
+        Claims and NT always take the run loop. The call adds its lines
+        read, written and avoided and its claims aged out to ``counts``.
         """
         if self.held[0].size:
             addrs = np.concatenate((self.held[0], addrs))
             writes = np.concatenate((self.held[1], writes))
             if masks is not None:
                 masks = np.concatenate((self.held[2], masks))
-        n = addrs.size
-        if n == 0:
+        if addrs.size == 0:
             return
         if masks is None and (self.claim or self.nt):
             raise ValueError("claims and NT stores need the write masks")
@@ -306,23 +305,19 @@ class _Hierarchy:
         # reads come first, and its last event tells whether it writes
         np.logical_or(split, writes[:-1] & ~writes[1:], out=split)
         starts = np.flatnonzero(np.concatenate(([True], split)))
-        if last:
-            self.held = NO_EVENTS
-        else:
-            n = int(starts[-1])
-            self.held = addrs[n:], writes[n:], None if masks is None else masks[n:]
-            if n == 0:
-                return
-            addrs, writes, starts = addrs[:n], writes[:n], starts[:-1]
+        n = int(starts[-1])
+        self.held = addrs[n:], writes[n:], None if masks is None else masks[n:]
+        if n == 0:
+            return
+        starts = starts[:-1]
         ends = np.append(starts[1:], n) - 1
-        start_lines = lines[starts]
-        first_w, any_w = writes[starts], writes[ends]
+        start_lines, any_w = lines[starts], writes[ends]
+        if (not (self.claim or self.nt) and starts.size >= LINE_REPLAY_RUNS
+                and self._feed_lines(start_lines, any_w)):
+            return
         # only claims and NT stores read the coverage
         cov = None if masks is None else np.bitwise_or.reduceat(masks[:n], starts)
-        if (not self.nt and starts.size >= LINE_REPLAY_RUNS
-                and self._feed_lines(start_lines, first_w, any_w, cov)):
-            return
-        self._replay_runs(start_lines.tolist(), first_w.tolist(), any_w.tolist(),
+        self._replay_runs(start_lines.tolist(), writes[starts].tolist(), any_w.tolist(),
                           repeat(0) if cov is None else cov.tolist())
 
     def _replay_runs(self, lines, first_w, any_w, cov):
@@ -394,20 +389,18 @@ class _Hierarchy:
                     aged += 1
         self.counts += (reads, writes_out, avoided, aged)
 
-    def _feed_lines(self, lines, first_w, any_w, cov) -> bool:
-        """Replay a block's runs line by line if it evicts no line and no
-        claim can age out; otherwise return False with nothing changed. The
-        arguments hold one entry per run, as ``feed`` finds them.
+    def _feed_lines(self, lines, any_w) -> bool:
+        """Replay a block's runs line by line if it evicts no line; otherwise
+        return False with nothing changed. The arguments hold one entry per
+        run, as ``feed`` finds them: its line and whether it writes. Only a
+        policy that does not evade comes here, so the only charge is a fill
+        for each line not cached.
 
         The block is taken only if the level has room for every line it
         adds. No line then leaves the level, so a line's first run misses
-        if the line was not cached: a read fills it, and under claims a
-        write opens a claim (or is avoided at once if it covers the line).
-        A claim, new or already in the table, ends at its line's first run
-        that reads (a fill) or completes the line (avoided). The table
-        keeps its order; new open claims join in the order they opened.
-        Each touched line moves to the end of the LRU order in order of
-        last touch, dirty if it was or any of its runs writes.
+        if the line was not cached, and its later runs hit. Each touched
+        line moves to the end of the LRU order in order of last touch,
+        dirty if it was or any of its runs writes.
 
         A block whose lines fall in more than ``ways`` residues modulo a
         power of two above ``ways`` (so it has more than ``ways`` distinct
@@ -421,7 +414,7 @@ class _Hierarchy:
             if np.count_nonzero(residues) > ways:
                 return False
         order = np.argsort(lines, kind="stable")    # the runs of each line
-        lines, fw = lines[order], first_w[order]
+        lines = lines[order]
         edge = np.ones(n + 1, dtype=bool)  # edge[i]: runs i - 1 and i differ in line
         np.not_equal(lines[1:], lines[:-1], out=edge[1:n])
         first, last = np.flatnonzero(edge[:-1]), np.flatnonzero(edge[1:])
@@ -434,51 +427,7 @@ class _Hierarchy:
         hits = np.count_nonzero(present)
         if len(lru) + k - hits > ways:
             return False
-        reads = k - hits
-        avoided = 0
-        if self.claim:
-            pending, full = self.pending, np.uint64(FULL_MASK)
-            start = ~present & fw[first]    # a write miss starts a claim
-            reads -= np.count_nonzero(start)
-            # each line's coverage after each of its runs, reads adding none
-            c = np.where(fw, cov[order], np.uint64(0))
-            old = np.zeros(k, dtype=bool)   # the lines of the claim table
-            if pending:
-                table = np.fromiter(pending, np.uint64, len(pending))
-                at = np.searchsorted(ulines, table)
-                found = ulines[np.minimum(at, k - 1)] == table
-                old[at[found]] = True
-                c[first[at[found]]] |= np.fromiter(pending.values(), np.uint64,
-                                                   len(pending))[found]
-            runs = np.arange(n)
-            place = runs - np.repeat(first, last - first + 1)  # among its line's runs
-            d, span = 1, place.max()
-            while d <= span:
-                c[d:] |= np.where(place[d:] >= d, c[:-d], np.uint64(0))
-                d *= 2
-            # a claim ends at its line's first run that reads or completes it
-            end = np.minimum.reduceat(np.where(~fw | (c == full), runs, n), first)
-            ended = (start | old) & (end < n)
-            filled = np.count_nonzero(ended & ~fw[np.minimum(end, n - 1)])
-            opened = start & (c[first] != full)
-            if opened.any():
-                # the table's size after each run, from the claims that open or end
-                step = np.zeros(n, dtype=np.int8)
-                step[order[first[opened]]] = 1
-                step[order[end[ended & (old | opened)]]] = -1
-                peak = len(pending) + int(np.cumsum(step).max())
-                if peak > self.policy.buffer_lines:
-                    return False
-            reads += filled
-            avoided = np.count_nonzero(ended) - filled
-            for x in compress(keys, old & ended):
-                del pending[x]
-            kept = old & ~ended
-            pending.update(zip(compress(keys, kept), c[last[kept]].tolist()))
-            new = np.flatnonzero(opened & ~ended)
-            new = new[np.argsort(order[first[new]])]
-            pending.update(zip(ulines[new].tolist(), c[last[new]].tolist()))
-        self.counts[:3] += (reads, 0, avoided)
+        self.counts[0] += k - hits
         # each line moves to the end of the LRU order in order of last touch
         dirty = np.logical_or.reduceat(any_w[order], first)
         dirty[present] |= np.fromiter(map(lru.pop, compress(keys, present)), bool, hits)
@@ -540,17 +489,20 @@ class _Hierarchy:
                 (addrs - np.uint64(base * LINE_BYTES)).tobytes(), writes.tobytes(),
                 None if masks is None else masks.tobytes())
 
-    def finish(self):
-        """End of trace: replay the held-back run, resolve open claims, drain
-        WC buffers, flush dirty lines.
-
-        The held-back run is one run, so it goes straight to the run loop,
-        with none of the numpy set-up of ``feed``."""
+    def _replay_held(self):
+        """Replay the held-back run, if any, and hold nothing back. It is one
+        run, so it goes straight to the run loop, with none of the numpy
+        set-up of ``feed``."""
         (addrs, writes, masks), self.held = self.held, NO_EVENTS
         if addrs.size:
             self._replay_runs((int(addrs[0]) >> LINE_SHIFT,), (bool(writes[0]),),
                               (bool(writes[-1]),),
                               (0 if masks is None else reduce(or_, masks.tolist()),))
+
+    def finish(self):
+        """End of trace: replay the held-back run, resolve open claims, drain
+        WC buffers, flush dirty lines."""
+        self._replay_held()
         self.counts[:2] += (len(self.pending) + len(self.wc),
                             len(self.wc) + sum(self.lru.values()))
         self.pending.clear()
@@ -739,10 +691,11 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     its rows are a prefix of a whole period's, so its lines are among them.
     From then on, full level or not, the replay retires the left lines
     after each period (``_Hierarchy.retire``), which also leaves room for
-    the next period's blocks to be replayed line by line. A left line was
-    last touched before every live one, so the left lines lead the LRU
-    order and the WC buffers (the stack property of LRU, Mattson et al.
-    1970), and each entry dropped is its table's oldest. Dropping it turns a
+    the next period's blocks to be replayed line by line under
+    always-allocate. A left line was last touched before every live one,
+    so the left lines lead the LRU order and the WC buffers (the stack
+    property of LRU, Mattson et al. 1970), and each entry dropped is its
+    table's oldest. Dropping it turns a
     later eviction, age-out or overflow into free room and changes nothing
     else, and what it would have cost then is charged now. A level that
     keeps only its live lines repeats as soon as the sweep does. The key

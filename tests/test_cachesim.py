@@ -8,7 +8,6 @@ from stencilmem import cachesim
 from stencilmem.balance import scenario_table
 from stencilmem.cachesim import (
     DEFAULT_BENCH_CACHE,
-    NO_EVENTS,
     TRACE_BLOCK,
     TRACE_DTYPE,
     AlwaysAllocate,
@@ -52,8 +51,11 @@ def as_trace(events):
 
 
 def feed(sim, addrs, writes, access_bytes=8, last=False):
-    """Feed events of `access_bytes` bytes each, as ``simulate`` does."""
-    sim.feed(addrs, writes, _write_masks(addrs, writes, access_bytes), last)
+    """Feed events of `access_bytes` bytes each, as ``simulate`` does; with
+    `last`, replay the held-back run too, so nothing is held back."""
+    sim.feed(addrs, writes, _write_masks(addrs, writes, access_bytes))
+    if last:
+        sim._replay_held()
 
 
 def pairs(blocks):
@@ -713,10 +715,10 @@ class TestFastForward:
                 drawn.append(block[0])
                 yield block
 
-        def record_feed(sim, addrs, writes, masks=None, last=False):
+        def record_feed(sim, addrs, writes, masks=None):
             engines.add(sim)
             fed.append(addrs)
-            engine_feed(sim, addrs, writes, masks, last)
+            engine_feed(sim, addrs, writes, masks)
 
         monkeypatch.setattr(cachesim, "gen_trace_blocks", counting)
         monkeypatch.setattr(_Hierarchy, "feed", record_feed)
@@ -1074,7 +1076,8 @@ class TestFastForward:
         def level(*lines):
             sim = _Hierarchy(lv(4), AlwaysAllocate())
             lines = np.array(lines, dtype=np.uint64)
-            sim.feed(lines * np.uint64(LINE), lines % 2 == 1, last=True)
+            sim.feed(lines * np.uint64(LINE), lines % 2 == 1)
+            sim._replay_held()
             return sim
 
         before, now, swapped = level(0, 1, 2, 3), level(4, 5, 6, 7), level(5, 4, 6, 7)
@@ -1172,21 +1175,22 @@ def hierarchy_state(sim: _Hierarchy):
 
 
 class TestLineReplay:
-    """A block that evicts no line and ages out no claim is replayed line by
-    line (``_Hierarchy._feed_lines``); the run loop, which the per-line
-    replay is patched to decline, is the reference."""
+    """Under a policy that does not evade, a block that evicts no line is
+    replayed line by line (``_Hierarchy._feed_lines``); claims and NT take
+    the run loop. The run loop, which the per-line replay is patched to
+    decline, is the reference."""
 
     @pytest.fixture
     def paths(self, monkeypatch):
         """Count the blocks the per-line replay takes (True) and declines
         (False), and of those it takes, the ones that evict a line
         ("evicting"); a hierarchy in ``paths["loop"]`` always uses the run
-        loop."""
+        loop. No block of a policy that evades may reach it."""
         line_replay = _Hierarchy._feed_lines
         paths = {True: 0, False: 0, "loop": (), "evicting": 0}
 
         def feed_lines(sim, *runs):
-            assert not sim.nt
+            assert not evades(sim.policy)
             if sim in paths["loop"]:
                 return False
             cached = set(sim.lru)
@@ -1226,11 +1230,12 @@ class TestLineReplay:
 
     def test_random_blocks_leave_the_run_loops_state(self, paths):
         # random traces cut into one to six blocks, through levels of 1-64
-        # lines; claim tables of one to three lines age out in mid-block; NT
-        # always takes the run loop
+        # lines; claim tables of one to three lines age out in mid-block;
+        # claims and NT always take the run loop, so two policies in seven
+        # reach the per-line replay
         rng = np.random.default_rng(17)
         aged = 0
-        for case in range(700):
+        for case in range(3000):
             access_bytes = int(rng.choice([1, 2, 4, 8]))
             policy = (AlwaysAllocate(), AutoClaim(1), AutoClaim(2), AutoClaim(3),
                       AutoClaim(64), AutoClaim(active=False),
@@ -1255,10 +1260,12 @@ class TestLineReplay:
     def test_blocks_one_line_short_of_fitting(self, paths):
         # one block of `lines` distinct lines, the held-back last run on a
         # line the block already touched, into a fully associative level of
-        # `lines` ways (it fits) or one fewer (it does not)
+        # `lines` ways (it fits) or one fewer (it does not); only the blocks
+        # under always-allocate, a third of them, may take the per-line
+        # replay
         rng = np.random.default_rng(18)
         fits = {True: 0, False: 0}
-        for case in range(400):
+        for case in range(800):
             access_bytes = int(rng.choice([4, 8]))
             policy = (AlwaysAllocate(), AutoClaim(3), AutoClaim(64))[int(rng.integers(3))]
             addrs, writes = self.random_events(rng, int(rng.integers(2, 40)), access_bytes,
@@ -1291,13 +1298,14 @@ class TestLineReplay:
 
     def test_claims_at_the_table_size_age_none_out(self, paths):
         # three streams hold at most three open claims, one each: a table
-        # of three never overflows, so the per-line replay takes the block
+        # of three never overflows; the block takes the run loop all the
+        # same, as every block of claims does
         policy = AutoClaim(buffer_lines=3)
         sim, loop = self.both(paths, lv(64), policy, 8)
         block = self.store_streams(3, 12)
         feed(sim, *block)
         feed(loop, *block)
-        assert paths[True] == 1 and paths[False] == 0
+        assert paths[True] == paths[False] == 0
         assert sim.counts[3] == loop.counts[3] == 0     # claims aged out
         assert hierarchy_state(sim) == hierarchy_state(loop)
 
@@ -1307,14 +1315,14 @@ class TestLineReplay:
         # first stores opens four claims, and the fourth ages out the first
         # stream's, whose line is then an ordinary hit; the other three
         # complete in the round's eighth store, before the next round opens
-        # claims. So exactly `lines` claims age out, in the run loop and in
-        # the per-line replay's fallback to it
+        # claims. So exactly `lines` claims age out, in the run loop, which
+        # takes every block of claims
         policy = AutoClaim(buffer_lines=3)
         sim, loop = self.both(paths, lv(64), policy, 8)
         block = self.store_streams(4, lines)
         feed(sim, *block)
         feed(loop, *block)
-        assert paths[True] == 0 and paths[False] == 1
+        assert paths[True] == paths[False] == 0
         assert sim.counts[3] == loop.counts[3] == lines     # claims aged out
         assert hierarchy_state(sim) == hierarchy_state(loop)
 
@@ -1344,10 +1352,14 @@ class TestLineReplay:
         took, evicted = self.replay_block(paths, 4, AlwaysAllocate(), "0 1w 2 3",
                                           "2 10 2w 3 11 10")
         assert not took and evicted == {0, 1}
-        # a block that only hits the full level evicts nothing and is taken;
-        # the read of 1 fills its open claim
-        took, evicted = self.replay_block(paths, 4, AutoClaim(2), "0 1w 2 3", "3 1w 0 1 2w")
+        # a block that only hits the full level evicts nothing and is taken
+        took, evicted = self.replay_block(paths, 4, AlwaysAllocate(), "0 1w 2 3",
+                                          "3 1w 0 1 2w")
         assert took and not evicted
+        # under claims the run loop takes it; the read of 1 fills its open
+        # claim
+        took, evicted = self.replay_block(paths, 4, AutoClaim(2), "0 1w 2 3", "3 1w 0 1 2w")
+        assert not took and not evicted
 
     def test_victim_touched_after_its_evicting_miss(self, paths):
         # 10 evicts 1 (0 was touched), 11 evicts 2; then 1 misses again
@@ -1379,8 +1391,9 @@ class TestLineReplay:
     def test_suite_on_a_level_of_twice_its_rows(self, suite, monkeypatch, policy):
         # a level of twice the rows a kernel touches fills, but the lines
         # the sweep has left are retired after each period, so the blocks of
-        # the next period find room: the per-line replay takes blocks on it
-        # and none of them evicts. The run loop over the whole trace is the
+        # the next period find room: under always-allocate the per-line
+        # replay takes blocks on it and none of them evicts, while claims
+        # take the run loop. The run loop over the whole trace is the
         # reference, and simulate_kernel must match it bit for bit
         line_replay = _Hierarchy._feed_lines
         loop_only, taken = [], set()
@@ -1408,7 +1421,7 @@ class TestLineReplay:
             loop_only.clear()
             assert ((got.read_bytes, got.write_bytes, got.wa_avoided_bytes)
                     == (want.read_bytes, want.write_bytes, want.wa_avoided_bytes)), kernel.name
-        assert taken == set(suite.kernels)
+        assert taken == (set(suite.kernels) if policy == AlwaysAllocate() else set())
         # am10 and ac06 replay six rows, every other kernel four
         assert replayed == 92
 
@@ -1438,8 +1451,7 @@ class TestSqueeze:
         """``hierarchy_state`` once every event fed is applied: a copy of
         the engine with its held-back run replayed."""
         sim = copy.deepcopy(sim)
-        held, sim.held = sim.held, NO_EVENTS
-        sim.feed(*held, last=True)
+        sim._replay_held()
         return hierarchy_state(sim)
 
     @staticmethod
