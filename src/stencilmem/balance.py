@@ -119,12 +119,9 @@ def row_reuse_bytes(kernel: KernelSpec) -> dict[str, int]:
     gap in its row offsets keeps rows alive across the gap and needs
     correspondingly more cache than this reports.
     """
-    return _row_reuse_bytes(kernel.read_dk_offsets(), element_size(kernel))
-
-
-def _row_reuse_bytes(read_rows: dict[str, set[int]], esize: int) -> dict[str, int]:
-    """``row_reuse_bytes`` from a kernel's ``read_dk_offsets``."""
-    return {name: len(rows) * esize for name, rows in read_rows.items() if len(rows) >= 2}
+    esize = element_size(kernel)
+    return {name: len(rows) * esize for name, rows in kernel.read_dk_offsets().items()
+            if len(rows) >= 2}
 
 
 def layer_condition(kernel: KernelSpec, inner_extent: int,

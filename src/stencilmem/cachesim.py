@@ -105,8 +105,10 @@ class CacheLevelConfig:
     capacity: int
 
     def __post_init__(self):
-        if self.capacity <= 0 or self.capacity % LINE_BYTES:
-            raise ValueError(f"capacity must be a positive multiple of {LINE_BYTES}")
+        c = self.capacity
+        if type(c) is not int or c <= 0 or c % LINE_BYTES:
+            raise ValueError(f"capacity must be a positive integer multiple of "
+                             f"{LINE_BYTES}, not {c!r}")
 
     @property
     def lines(self) -> int:
@@ -123,8 +125,9 @@ class NtBypass:
     combine_buffers: int = 10
 
     def __post_init__(self):
-        if self.combine_buffers < 1:
-            raise ValueError("combine_buffers must be >= 1")
+        if type(self.combine_buffers) is not int or self.combine_buffers < 1:
+            raise ValueError(f"combine_buffers must be an integer >= 1, "
+                             f"not {self.combine_buffers!r}")
 
 
 @dataclass(frozen=True)
@@ -133,8 +136,9 @@ class AutoClaim:
     active: bool = True
 
     def __post_init__(self):
-        if self.buffer_lines < 1:
-            raise ValueError("buffer_lines must be >= 1")
+        if type(self.buffer_lines) is not int or self.buffer_lines < 1:
+            raise ValueError(f"buffer_lines must be an integer >= 1, "
+                             f"not {self.buffer_lines!r}")
 
 
 WritePolicySim = AlwaysAllocate | NtBypass | AutoClaim
@@ -419,8 +423,6 @@ class _Hierarchy:
         np.not_equal(lines[1:], lines[:-1], out=edge[1:n])
         first, last = np.flatnonzero(edge[:-1]), np.flatnonzero(edge[1:])
         k = first.size
-        if k > ways:
-            return False
         ulines = lines[first]
         keys = ulines.tolist()
         present = np.fromiter(map(lru.__contains__, keys), bool, k)

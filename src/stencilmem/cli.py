@@ -106,10 +106,9 @@ def read_measurements(path: str | Path) -> list[MeasurementRecord]:
     return records
 
 
-def _emit_table(headers, rows, as_csv: bool, out=None):
-    out = out or sys.stdout
+def _emit_table(headers, rows, as_csv: bool):
     if as_csv:
-        w = csv.writer(out)
+        w = csv.writer(sys.stdout)
         w.writerow(headers)
         w.writerows(rows)
         return
@@ -120,10 +119,10 @@ def _emit_table(headers, rows, as_csv: bool, out=None):
         first, *rest = (c.ljust(w) if i == 0 else c.rjust(w)
                         for i, (c, w) in enumerate(zip(row, widths)))
         return ("  ".join([first] + rest)).rstrip()
-    print(fmt(headers), file=out)
-    print("-" * (sum(widths) + 2 * (len(widths) - 1)), file=out)
+    print(fmt(headers))
+    print("-" * (sum(widths) + 2 * (len(widths) - 1)))
     for row in cells:
-        print(fmt(row), file=out)
+        print(fmt(row))
 
 
 def _num(v) -> str:

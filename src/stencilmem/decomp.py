@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balance import LayerConditionReport, WaPolicy, _row_reuse_bytes, code_balance
-from .kernels import LINE_BYTES, _stream_counts, element_size
+from .balance import LayerConditionReport, WaPolicy, code_balance, row_reuse_bytes
+from .kernels import LINE_BYTES, derive_stream_counts, element_size
 
 
 def _prime_factors_desc(n: int) -> list[int]:
@@ -164,12 +164,10 @@ def _sweep_figures(kernel, policy: WaPolicy) -> tuple:
     """What a rank sweep prices `kernel` with: its element size, the summed
     row-reuse bytes per inner element, the plain balances with the layer
     condition fulfilled and broken, and the rd_lcf, rd_lcb and evadable
-    write stream counts. The kernel's row offsets are derived once for
-    both the counts and the row reuse."""
-    rows = kernel.read_dk_offsets()
-    counts = _stream_counts(kernel, rows)
+    write stream counts."""
+    counts = derive_stream_counts(kernel)
     esize = element_size(kernel)
-    return (esize, sum(_row_reuse_bytes(rows, esize).values()),
+    return (esize, sum(row_reuse_bytes(kernel).values()),
             code_balance(counts, True, policy, esize),
             code_balance(counts, False, policy, esize),
             counts.rd_lcf, counts.rd_lcb, counts.evadable_writes)

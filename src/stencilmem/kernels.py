@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from types import MappingProxyType
 
 READ = "read"
 WRITE = "write"
@@ -148,6 +149,10 @@ class KernelSpec:
         diags = _diagnostics(self)
         if diags:
             raise KernelError("; ".join(diags))
+        for key in ("loop_j_range", "loop_k_range"):
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, tuple(getattr(self, key)))
+        object.__setattr__(self, "_read_rows", _read_rows(self))
 
     @property
     def grid(self) -> GridSpec:
@@ -168,21 +173,42 @@ class KernelSpec:
     def writes(self) -> tuple[Access, ...]:
         return tuple(a for a in self.accesses if a.mode == WRITE)
 
-    def read_dk_offsets(self) -> dict[str, set[int]]:
-        """Distinct dk offsets of the read accesses, per array name."""
-        rows: dict[str, set[int]] = {}
-        for acc in self.reads():
-            rows.setdefault(acc.array.name, set()).add(acc.dk)
-        return rows
+    def read_dk_offsets(self) -> MappingProxyType[str, frozenset[int]]:
+        """Distinct dk offsets of the reads per array name, derived on construction."""
+        return MappingProxyType(self._read_rows)
+
+
+def _read_rows(kernel: KernelSpec) -> dict[str, frozenset[int]]:
+    """Distinct dk offsets of the kernel's read accesses, per array name."""
+    rows: dict[str, set[int]] = {}
+    for acc in kernel.reads():
+        rows.setdefault(acc.array.name, set()).add(acc.dk)
+    return {name: frozenset(dks) for name, dks in rows.items()}
 
 
 def _diagnostics(kernel: KernelSpec) -> list[str]:
     """Check kernel invariants; returns one diagnostic string per violation.
 
     An empty list means the kernel is valid. Diagnostics name the offending
-    access so suite files can be fixed by hand.
+    access so suite files can be fixed by hand. Mistyped fields are reported
+    alone, as the value checks would fail on them.
     """
-    diags = []
+    name = kernel.name
+    diags = [] if type(name) is str else [f"a kernel name must be a string, not {name!r}"]
+    diags += [f"kernel {name!r}: offsets of {acc.array.name!r} must be integers, "
+              f"not {[acc.dj, acc.dk]}" for acc in kernel.accesses
+              if type(acc.dj) is not int or type(acc.dk) is not int]
+    if type(kernel.flops_per_it) is not int:
+        diags.append(f"kernel {name!r}: flops_per_it must be an integer, "
+                     f"not {kernel.flops_per_it!r}")
+    for key in ("loop_j_range", "loop_k_range"):
+        bounds = getattr(kernel, key)
+        if not (bounds is None or isinstance(bounds, (list, tuple)) and len(bounds) == 2
+                and all(type(v) is int for v in bounds)):
+            diags.append(f"kernel {name!r}: {key} must be two integers [lo, hi], "
+                         f"not {bounds!r}")
+    if diags:
+        return diags
     if not kernel.accesses:
         diags.append(f"{kernel.name}: kernel has no accesses")
     if kernel.flops_per_it < 0:
@@ -205,9 +231,9 @@ def _diagnostics(kernel: KernelSpec) -> list[str]:
         if acc.mode == WRITE:
             writes_per_array[acc.array.name] = writes_per_array.get(acc.array.name, 0) + 1
 
-    for name, count in writes_per_array.items():
+    for array, count in writes_per_array.items():
         if count > 1:
-            diags.append(f"{kernel.name}: array {name!r} written at {count} "
+            diags.append(f"{kernel.name}: array {array!r} written at {count} "
                          f"offsets; one written element per array per iteration")
 
     if len({acc.array.grid for acc in kernel.accesses}) > 1:
@@ -217,22 +243,15 @@ def _diagnostics(kernel: KernelSpec) -> list[str]:
 
 def derive_stream_counts(kernel: KernelSpec) -> StreamCounts:
     """Derive the per-iteration stream counts from the access list."""
-    return _stream_counts(kernel, kernel.read_dk_offsets())
-
-
-def _stream_counts(kernel: KernelSpec, read_rows: dict[str, set[int]]) -> StreamCounts:
-    """``derive_stream_counts`` from the kernel's ``read_dk_offsets``."""
-    arrays = {a.name for a in kernel.arrays}
+    read_rows = kernel.read_dk_offsets()
     read_offsets = {(a.array.name, a.dj, a.dk) for a in kernel.reads()}
     writes = kernel.writes()
-
-    rdwr = sum(1 for w in writes if (w.array.name, w.dj, w.dk) in read_offsets)
     return StreamCounts(
-        n_arrays=len(arrays),
+        n_arrays=len(kernel.arrays),
         rd_lcf=len(read_rows),
         rd_lcb=sum(len(rows) for rows in read_rows.values()),
         wr=len({w.array.name for w in writes}),
-        rdwr=rdwr,
+        rdwr=sum((w.array.name, w.dj, w.dk) in read_offsets for w in writes),
     )
 
 
@@ -281,7 +300,7 @@ def _check_shape(value, kind: type, what: str):
 
 
 def load_suite(path: str | Path) -> KernelSuite:
-    """Load a kernel-suite JSON file.
+    """Load a kernel-suite JSON file, checking only its shape and names.
 
     Expected layout::
 
@@ -342,26 +361,9 @@ def load_suite(path: str | Path) -> KernelSuite:
                 if aname not in arrays:
                     raise KernelError(f"kernel {name!r} references undeclared "
                                       f"array {aname!r}")
-                offsets = [acc["dj"], acc["dk"]]
-                if not all(type(v) is int for v in offsets):
-                    raise KernelError(f"kernel {name!r}: offsets of "
-                                      f"{aname!r} must be integers, not {offsets}")
-                accesses.append(Access(arrays[aname], *offsets, acc["mode"]))
-            flops = k.get("flops_per_it", 0)
-            if type(flops) is not int:
-                raise KernelError(f"kernel {name!r}: flops_per_it must "
-                                  f"be an integer, not {flops!r}")
-            ranges = {}
-            for key in ("loop_j_range", "loop_k_range"):
-                if key in k:
-                    bounds = k[key]
-                    if not (isinstance(bounds, list) and len(bounds) == 2
-                            and all(type(v) is int for v in bounds)):
-                        raise KernelError(f"kernel {name!r}: {key} must "
-                                          f"be two integers [lo, hi], not {bounds!r}")
-                    ranges[key] = tuple(bounds)
-            kernel = KernelSpec(name=name, accesses=tuple(accesses),
-                                flops_per_it=flops, **ranges)
+                accesses.append(Access(arrays[aname], acc["dj"], acc["dk"], acc["mode"]))
+            kernel = KernelSpec(name, accesses, k.get("flops_per_it", 0),
+                                k.get("loop_j_range"), k.get("loop_k_range"))
         except KeyError as exc:
             raise KernelError(f"{path}: kernel entry missing field {exc}") from exc
         except KernelError as exc:

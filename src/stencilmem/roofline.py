@@ -35,6 +35,15 @@ class MachineModel:
     speci2m_activation_cores: int = 3   # cores per domain before evasion kicks in
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "str" and not isinstance(value, str):
+                raise ValueError(f"{f.name} must be a string, not {value!r}")
+            if f.type == "int" and type(value) is not int:
+                raise ValueError(f"{f.name} must be an integer, not {value!r}")
+            if f.type == "float" and (type(value) not in (int, float)
+                                      or not math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number, not {value!r}")
         positive = (self.peak_flops_per_core, self.mem_bw_per_domain,
                     self.cores_per_domain, self.domains_per_node,
                     self.saturating_cores, self.cores_per_socket,
@@ -117,7 +126,7 @@ def kernel_runtime(kernel: KernelSpec, grid: GridSpec, machine: MachineModel,
 
 
 def load_machine(path: str | Path) -> MachineModel:
-    """Load a machine-config JSON file holding the MachineModel fields."""
+    """Load a machine-config JSON object; MachineModel checks its fields."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -127,18 +136,9 @@ def load_machine(path: str | Path) -> MachineModel:
         raise ValueError(f"{path}: a machine config must be an object, "
                          f"not {type(doc).__name__}")
     doc.pop("comment", None)
-    # unknown keys are left to MachineModel, which names them
-    kinds = {f.name: f.type for f in fields(MachineModel)}
-    for key, value in doc.items():
-        kind = kinds.get(key)
-        if kind == "str" and not isinstance(value, str):
-            raise ValueError(f"{path}: {key} must be a string, not {value!r}")
-        if kind == "int" and type(value) is not int:
-            raise ValueError(f"{path}: {key} must be an integer, not {value!r}")
-        if kind == "float" and (type(value) not in (int, float)
-                                or not math.isfinite(value)):
-            raise ValueError(f"{path}: {key} must be a finite number, not {value!r}")
     try:
         return MachineModel(**doc)
     except TypeError as exc:
         raise ValueError(f"{path}: bad machine config: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

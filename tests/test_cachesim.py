@@ -195,6 +195,15 @@ class TestSimulateBasics:
         assert simulate(as_trace(trace), lv(1)).read_bytes == 6 * LINE
 
 
+@pytest.mark.parametrize("value", [65536.0, True])
+@pytest.mark.parametrize("record", [CacheLevelConfig, AutoClaim, NtBypass])
+def test_size_must_be_an_integer(record, value):
+    # a float capacity once failed deep in the replay; a float claim table
+    # replayed as its integer part
+    with pytest.raises(ValueError, match=rf"integer.*, not {value!r}$"):
+        record(value)
+
+
 class TestAutoClaim:
     def test_fully_written_line_is_claimed(self):
         trace = [(i * 8, WRITE) for i in range(8)]
@@ -1230,44 +1239,37 @@ class TestLineReplay:
 
     def test_random_blocks_leave_the_run_loops_state(self, paths):
         # random traces cut into one to six blocks, through levels of 1-64
-        # lines; claim tables of one to three lines age out in mid-block;
-        # claims and NT always take the run loop, so two policies in seven
-        # reach the per-line replay
+        # lines, under the two policies that reach the per-line replay
+        # (claims and NT always take the run loop)
         rng = np.random.default_rng(17)
-        aged = 0
-        for case in range(3000):
+        for case in range(1000):
             access_bytes = int(rng.choice([1, 2, 4, 8]))
-            policy = (AlwaysAllocate(), AutoClaim(1), AutoClaim(2), AutoClaim(3),
-                      AutoClaim(64), AutoClaim(active=False),
-                      NtBypass(int(rng.integers(1, 4))))[int(rng.integers(7))]
+            policy = (AlwaysAllocate(), AutoClaim(active=False))[int(rng.integers(2))]
             ways = int(rng.integers(1, 65))
             addrs, writes = self.random_events(rng, int(rng.integers(1, 3 * ways + 3)),
                                                access_bytes, int(rng.integers(0, 301)))
             cuts = np.sort(rng.integers(0, addrs.size + 1, size=rng.integers(0, 6)))
             sim, loop = self.both(paths, lv(ways), policy, access_bytes)
             for block in zip(np.split(addrs, cuts), np.split(writes, cuts)):
-                aged_before = loop.counts[3]
                 feed(sim, *block, access_bytes)
                 feed(loop, *block, access_bytes)
                 assert hierarchy_state(sim) == hierarchy_state(loop), case
-                aged += loop.counts[3] > aged_before
             sim.finish()
             loop.finish()
             assert hierarchy_state(sim) == hierarchy_state(loop), case
-        assert paths[True] >= 500 and paths[False] >= 500 and aged >= 100
+        assert paths[True] >= 500 and paths[False] >= 500
         assert paths["evicting"] == 0
 
     def test_blocks_one_line_short_of_fitting(self, paths):
         # one block of `lines` distinct lines, the held-back last run on a
         # line the block already touched, into a fully associative level of
-        # `lines` ways (it fits) or one fewer (it does not); only the blocks
-        # under always-allocate, a third of them, may take the per-line
-        # replay
+        # `lines` ways (it fits) or one fewer (it does not), under the two
+        # policies that reach the per-line replay
         rng = np.random.default_rng(18)
         fits = {True: 0, False: 0}
-        for case in range(800):
+        for case in range(300):
             access_bytes = int(rng.choice([4, 8]))
-            policy = (AlwaysAllocate(), AutoClaim(3), AutoClaim(64))[int(rng.integers(3))]
+            policy = (AlwaysAllocate(), AutoClaim(active=False))[int(rng.integers(2))]
             addrs, writes = self.random_events(rng, int(rng.integers(2, 40)), access_bytes,
                                                int(rng.integers(2, 200)))
             addrs, writes = np.append(addrs, addrs[0]), np.append(writes, False)

@@ -3,6 +3,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from stencilmem import kernels as kernels_module
 from stencilmem.balance import (
     FULL_WA,
     WA_MODELS,
@@ -29,8 +30,10 @@ from stencilmem.kernels import (
     ArrayDecl,
     GridSpec,
     KernelSpec,
+    data_path,
     derive_stream_counts,
     element_size,
+    load_suite,
 )
 
 from refdata import sweep_rows
@@ -219,15 +222,17 @@ class TestRankSweep:
         sweep, = predict_rank_sweep([suite.kernels["am04"]], ranks, icx, FULL_WA)
         assert sweep.prime.tolist() == [is_prime(p) for p in ranks]
 
-    def test_row_offsets_derived_once_per_kernel(self, suite, icx, monkeypatch):
-        # the stream counts and the row reuse share one read_dk_offsets call
+    def test_row_offsets_derived_once_per_kernel(self, icx, monkeypatch):
+        # each kernel's read rows are derived when it is built; the sweep
+        # prices the stored rows and derives none
         calls = []
-        derive = KernelSpec.read_dk_offsets
-        monkeypatch.setattr(KernelSpec, "read_dk_offsets",
-                            lambda kernel: calls.append(kernel.name) or derive(kernel))
-        kernels = list(suite)
+        derive = kernels_module._read_rows
+        monkeypatch.setattr(kernels_module, "_read_rows",
+                            lambda kernel: calls.append(1) or derive(kernel))
+        kernels = list(load_suite(data_path("cloverleaf_tiny.json")))
+        assert len(calls) == len(kernels)
         predict_rank_sweep(kernels, [1, 71, 72], icx, FULL_WA)
-        assert calls == [kernel.name for kernel in kernels]
+        assert len(calls) == len(kernels)
 
     def test_unaligned_width_adds_write_side_term(self, suite, icx):
         # 67 ranks: prime, width 229 -> partial-line allocate on the write stream

@@ -1,4 +1,6 @@
 import json
+import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -129,6 +131,45 @@ class TestValidate:
         kernel = KernelSpec(name="strip", accesses=make_kernel(
             [("a", 0, 0, READ)]).accesses, loop_j_range=(-2, 17), loop_k_range=(9, 9))
         assert iteration_count(kernel, kernel.grid) == 20
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("dj", 1.7, "offsets of 'a' must be integers"),
+        ("dk", True, "offsets of 'a' must be integers"),
+        ("flops_per_it", 2.5, "flops_per_it must be an integer"),
+        ("flops_per_it", "4", "flops_per_it must be an integer"),
+        ("flops_per_it", True, "flops_per_it must be an integer"),
+        ("loop_j_range", [5], "loop_j_range must be two integers"),
+        ("loop_j_range", 5, "loop_j_range must be two integers"),
+        ("loop_k_range", [0.5, 3], "loop_k_range must be two integers"),
+        ("name", 7, "a kernel name must be a string"),
+    ], ids=["dj", "dk_bool", "flops_float", "flops_str", "flops_bool",
+            "j_range_short", "j_range_scalar", "k_range_float", "name_int"])
+    def test_mistyped_field_rejected_in_code(self, field, value, message):
+        # the values the suite loader refuses, built without it
+        offsets, kernel = dict(dj=0, dk=0), dict(name="k")
+        (offsets if field in offsets else kernel)[field] = value
+        access = Access(ArrayDecl("a", GridSpec(8, 8)), **offsets, mode=READ)
+        with pytest.raises(KernelError, match=message):
+            KernelSpec(accesses=(access,), **kernel)
+
+    def test_loop_range_stored_as_a_tuple(self):
+        kernel = KernelSpec(name="k", accesses=make_kernel([("a", 0, 0, READ)]).accesses,
+                            loop_j_range=[1, 3])
+        assert kernel.loop_j_range == (1, 3)
+        assert hash(kernel) == hash(replace(kernel, loop_j_range=(1, 3)))
+
+    def test_read_rows_stored_at_construction(self):
+        kernel = make_kernel([("a", 0, -1, READ), ("a", 1, 1, READ),
+                              ("a", 0, 0, WRITE), ("b", 0, 0, WRITE)])
+        rows = kernel.read_dk_offsets()
+        assert rows == {"a": frozenset({-1, 1})}
+        with pytest.raises(TypeError):
+            rows["b"] = frozenset({0})
+        with pytest.raises(AttributeError):
+            rows["a"].add(0)
+        # the stored rows travel with the kernel
+        copied = pickle.loads(pickle.dumps(kernel))
+        assert copied == kernel and copied.read_dk_offsets() == rows
 
     def test_bad_mode_rejected_at_construction(self):
         g = GridSpec(8, 8)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -41,6 +42,22 @@ class TestMachineModel:
             MachineModel(name="bad", peak_flops_per_core=0, mem_bw_per_domain=1,
                          cores_per_domain=1, domains_per_node=1, saturating_cores=1,
                          cores_per_socket=1, cache_l1=1, cache_l2=1, cache_l3=1)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("mem_bw_per_domain", float("nan"), "must be a finite number"),
+        ("mem_bw_per_domain", float("inf"), "must be a finite number"),
+        ("mem_bw_per_domain", True, "must be a finite number"),
+        ("cores_per_domain", 18.5, "must be an integer"),
+        ("cache_l3", 5.6e7, "must be an integer"),
+        ("speci2m_factor", "1.2", "must be a finite number"),
+        ("nt_factor", None, "must be a finite number"),
+        ("name", 8360, "must be a string"),
+    ], ids=["nan", "inf", "bool", "fractional_cores", "float_cache",
+            "factor_string", "factor_null", "name_number"])
+    def test_mistyped_field_rejected_in_code(self, icx, field, value, message):
+        # the values the machine loader refuses, built without it
+        with pytest.raises(ValueError, match=rf"^{field} {message}, not "):
+            replace(icx, **{field: value})
 
     def test_load_rejects_unknown_fields(self, tmp_path):
         p = tmp_path / "m.json"
