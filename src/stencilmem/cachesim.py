@@ -139,6 +139,8 @@ class AutoClaim:
         if type(self.buffer_lines) is not int or self.buffer_lines < 1:
             raise ValueError(f"buffer_lines must be an integer >= 1, "
                              f"not {self.buffer_lines!r}")
+        if type(self.active) is not bool:
+            raise ValueError(f"active must be a bool, not {self.active!r}")
 
 
 WritePolicySim = AlwaysAllocate | NtBypass | AutoClaim

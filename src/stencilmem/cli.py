@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import math
 import os
 import sys
@@ -266,12 +265,14 @@ def cmd_prime_sweep(args) -> int:
     # all kernels are priced before any row is written, so a failing one leaves
     # no partial output; one write, as a write per row to a pipe is costly
     sweeps = decomp.predict_rank_sweep(suite, ranks, machine, policy)
-    # every sweep has the same rank column; it is read rather than `ranks`,
-    # a lazy range of up to 10**12 counts that an empty suite never walks
+    # every sweep has the same rank column, and the same prime column, as
+    # px == p at a prime on every grid that fits; both are read rather than
+    # `ranks`, a lazy range of up to 10**12 counts that an empty suite never
+    # walks. Every row shares the two ends, which keeps the peak memory at
+    # the row-by-row writer's
     p_fields = [f"{p}," for p in sweeps[0].ranks.tolist()] if sweeps else []
-    # indexed by the prime flag; every row shares these two strings, which
-    # keeps the peak memory at the row-by-row writer's
-    ends = np.array([",0\r\n", ",1\r\n"], dtype=object)
+    ends = [",1\r\n" if prime else ",0\r\n"
+            for prime in sweeps[0].prime.tolist()] if sweeps else []
     # one .4f per distinct value of the whole sweep, grouped by bit pattern,
     # so -0.0 and 0.0 stay apart as they would formatted one by one (the
     # leading empty array lets an empty suite concatenate)
@@ -280,17 +281,18 @@ def cmd_prime_sweep(args) -> int:
         return_inverse=True)
     text = np.array([f"{b:.4f}" for b in bits.view(np.float64).tolist()], dtype=object)
     n = len(p_fields)
-    rows = []
-    for i, (kernel, sweep) in enumerate(zip(suite, sweeps)):
-        name_field = _csv_row([kernel.name, ""]).removesuffix("\r\n")  # "<name>,"
-        # the kernel's own cells only: a table of all of them raises the peak
-        rows.append(itertools.chain.from_iterable(zip(
-            itertools.repeat(name_field), p_fields,
-            text[inverse[i * n:(i + 1) * n]].tolist(),
-            ends[sweep.prime.view(np.uint8)].tolist())))
+    rows = [_csv_row(["kernel", "p", "bytes_per_it", "prime"])]
+    for i, kernel in enumerate(suite):
+        # one kernel's text at a time, from its own cells only: a table of all
+        # of them raises the peak. Slice assignment lays out the four fields
+        # of its rows without a Python step per field
+        fields = [_csv_row([kernel.name, ""]).removesuffix("\r\n")] * (4 * n)  # "<name>,"
+        fields[1::4] = p_fields
+        fields[2::4] = text[inverse[i * n:(i + 1) * n]].tolist()
+        fields[3::4] = ends
+        rows.append("".join(fields))
     del inverse     # one int64 a cell; gone before the joined text is built
-    header = _csv_row(["kernel", "p", "bytes_per_it", "prime"])
-    sys.stdout.write("".join(itertools.chain([header], *rows)))
+    sys.stdout.write("".join(rows))
     return EXIT_OK
 
 

@@ -8,13 +8,21 @@ upward balance spikes at prime rank counts. Each local row is charged one
 ``LINE_BYTES`` cache line of halo data on its read streams, counted in the
 kernel's own element size (8 doubles or 16 floats).
 
+One routine factorizes: ``_prime_factors`` finds the prime factors in
+ascending order by trial division, :func:`factorize_ranks` deals them out
+largest first and :func:`is_prime` counts them. It is not a sieve: a single
+legal count can be as large as the grid's cell count (2.36e8 on the bundled
+grid), so a sieve up to the largest count requested has no bound.
+
 A :class:`Decomposition` keeps only the process grid and the extent, and
 derives the per-rank widths and heights on demand. :func:`predict_rank_sweep`
-builds none: it prices each rank count from its process grid
-(``_process_grid``) and the narrowest local row, ``inner // px``, for all
-kernels of one grid together, as one (kernels x ranks) table.
-:func:`decompose` is the reference that the tests check the sweep's
-widths against, through the per-rank widths of its Decomposition.
+builds none: per grid it factorizes each rank count once into an int64
+rank column (``_process_grid``), takes the cache share of the whole column
+in one call, and prices each count from its process grid and the narrowest
+local row, ``inner // px``, for all kernels of the grid together, as one
+(kernels x ranks) table. :func:`decompose` is the reference that the tests
+check the sweep's widths against, through the per-rank widths of its
+Decomposition.
 """
 
 from __future__ import annotations
@@ -27,7 +35,9 @@ from .balance import LayerConditionReport, WaPolicy, code_balance, row_reuse_byt
 from .kernels import LINE_BYTES, derive_stream_counts, element_size
 
 
-def _prime_factors_desc(n: int) -> list[int]:
+def _prime_factors(n: int) -> list[int]:
+    """The prime factors of n in ascending order, with multiplicity, by
+    trial division (none below 2)."""
     factors = []
     d = 2
     while d * d <= n:
@@ -37,12 +47,11 @@ def _prime_factors_desc(n: int) -> list[int]:
         d = 3 if d == 2 else d + 2  # past 2, only odd divisors
     if n > 1:
         factors.append(n)
-    factors.sort(reverse=True)
     return factors
 
 
 def is_prime(n: int) -> bool:
-    return len(_prime_factors_desc(n)) == 1
+    return len(_prime_factors(n)) == 1
 
 
 def factorize_ranks(p: int) -> tuple[int, int]:
@@ -55,11 +64,11 @@ def factorize_ranks(p: int) -> tuple[int, int]:
     """
     if p < 1:
         raise ValueError("rank count must be >= 1")
-    factors = _prime_factors_desc(p)
+    factors = _prime_factors(p)
     if len(factors) == 1:
         return (p, 1)
     px = py = 1
-    for f in factors:
+    for f in reversed(factors):
         if py <= px:
             py *= f
         else:
@@ -121,8 +130,9 @@ def _process_grid(p: int, inner: int, outer: int) -> tuple[int, int]:
     if p > inner * outer:
         raise ValueError(f"cannot split a {inner} x {outer} grid into {p} ranks")
     px, py = factorize_ranks(p)
-    _check_split(inner, px)
-    _check_split(outer, py)
+    if px > inner or py > outer:    # px, py >= 1: only the extents can fail
+        _check_split(inner, px)
+        _check_split(outer, py)
     return px, py
 
 
@@ -186,11 +196,13 @@ def predict_rank_sweep(kernels, ranks, machine, policy: WaPolicy) -> list[RankSw
     outer cut) has no inner halos and gives exactly the plain scenario.
 
     The kernels are grouped by grid, and the grids are walked in order of
-    first appearance: each walks `ranks` once for its process grids and
-    cache shares, so the first count that fails raises. All kernels of a
-    grid are then priced as one (kernels x ranks) table, per-kernel columns
-    broadcast against the grid's rank columns; each :class:`RankSweep`
-    holds its kernel's row of the table and shares the grid's columns.
+    first appearance: each walks `ranks` once for its process grids, so the
+    first count that fails raises, and then takes the cache shares of the
+    whole rank column in one ``effective_cache_per_process`` call. All
+    kernels of a grid are then priced as one (kernels x ranks) table,
+    per-kernel columns broadcast against the grid's rank columns; each
+    :class:`RankSweep` holds its kernel's row of the table and shares the
+    grid's columns.
     """
     kernels = list(kernels)
     grids = {}      # (inner, outer) -> indices of its kernels
@@ -201,7 +213,7 @@ def predict_rank_sweep(kernels, ranks, machine, policy: WaPolicy) -> list[RankSw
     for (inner, outer), members in grids.items():
         ps, px, py = np.array([(p, *_process_grid(p, inner, outer)) for p in ranks],
                               dtype=np.int64).reshape(-1, 3).T
-        cache = np.array([machine.effective_cache_per_process(p) for p in ps.tolist()])
+        cache = machine.effective_cache_per_process(ps)
         width = inner // px     # the narrowest local row, as in Decomposition
         prime = (ps > 1) & (px == ps)
         esize, reuse, lcf, lcb, rd_lcf, rd_lcb, evadable = (

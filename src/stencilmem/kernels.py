@@ -145,7 +145,10 @@ class KernelSpec:
     loop_k_range: tuple[int, int] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "accesses", tuple(self.accesses))
+        try:
+            object.__setattr__(self, "accesses", tuple(self.accesses))
+        except TypeError:
+            pass    # not iterable: kept as given, for _diagnostics to name
         diags = _diagnostics(self)
         if diags:
             raise KernelError("; ".join(diags))
@@ -195,9 +198,17 @@ def _diagnostics(kernel: KernelSpec) -> list[str]:
     """
     name = kernel.name
     diags = [] if type(name) is str else [f"a kernel name must be a string, not {name!r}"]
-    diags += [f"kernel {name!r}: offsets of {acc.array.name!r} must be integers, "
-              f"not {[acc.dj, acc.dk]}" for acc in kernel.accesses
-              if type(acc.dj) is not int or type(acc.dk) is not int]
+    if type(kernel.accesses) is not tuple:
+        diags.append(f"kernel {name!r}: accesses must be an iterable of Access "
+                     f"records, not {kernel.accesses!r}")
+    else:
+        for acc in kernel.accesses:
+            if not isinstance(acc, Access):
+                diags.append(f"kernel {name!r}: an access must be an Access "
+                             f"record, not {acc!r}")
+            elif type(acc.dj) is not int or type(acc.dk) is not int:
+                diags.append(f"kernel {name!r}: offsets of {acc.array.name!r} "
+                             f"must be integers, not {[acc.dj, acc.dk]}")
     if type(kernel.flops_per_it) is not int:
         diags.append(f"kernel {name!r}: flops_per_it must be an integer, "
                      f"not {kernel.flops_per_it!r}")
@@ -236,7 +247,11 @@ def _diagnostics(kernel: KernelSpec) -> list[str]:
             diags.append(f"{kernel.name}: array {array!r} written at {count} "
                          f"offsets; one written element per array per iteration")
 
-    if len({acc.array.grid for acc in kernel.accesses}) > 1:
+    # by identity first: the accesses of a loaded suite share one GridSpec,
+    # and hashing or comparing a frozen dataclass builds a tuple of its fields
+    grid = kernel.accesses[0].array.grid if kernel.accesses else None
+    if any(acc.array.grid is not grid and acc.array.grid != grid
+           for acc in kernel.accesses):
         diags.append(f"{kernel.name}: arrays are declared on more than one grid")
     return diags
 
@@ -291,12 +306,14 @@ class KernelSuite:
         return iter(self.kernels.values())
 
 
-def _check_shape(value, kind: type, what: str):
+def _check_shape(value, kind: type, what: str, *args):
     """Raise KernelError unless `value` is a JSON object (``dict``), array
-    (``list``) or string (``str``), as `kind` says."""
+    (``list``) or string (``str``), as `kind` says. The message names
+    ``what.format(*args)``, formatted only when the check fails."""
     if not isinstance(value, kind):
         noun = {dict: "an object", list: "an array", str: "a string"}[kind]
-        raise KernelError(f"{what} must be {noun}, not {type(value).__name__}")
+        raise KernelError(f"{what.format(*args)} must be {noun}, "
+                          f"not {type(value).__name__}")
 
 
 def load_suite(path: str | Path) -> KernelSuite:
@@ -316,11 +333,11 @@ def load_suite(path: str | Path) -> KernelSuite:
     except json.JSONDecodeError as exc:
         raise KernelError(f"{path}: not valid JSON: {exc}") from exc
 
-    _check_shape(doc, dict, f"{path}: the suite")
+    _check_shape(doc, dict, "{}: the suite", path)
     for key, kind in (("grids", dict), ("arrays", dict), ("kernels", list)):
         if key not in doc:
             raise KernelError(f"{path}: missing top-level key {key!r}")
-        _check_shape(doc[key], kind, f"{path}: {key!r}")
+        _check_shape(doc[key], kind, "{}: {!r}", path, key)
 
     suite = KernelSuite()
     grids: dict[str, GridSpec] = {}
@@ -337,9 +354,9 @@ def load_suite(path: str | Path) -> KernelSuite:
     arrays: dict[str, ArrayDecl] = {}
     for name, a in doc["arrays"].items():
         try:
-            _check_shape(a, dict, f"array {name!r}")
+            _check_shape(a, dict, "array {!r}", name)
             gname = a.get("grid")
-            _check_shape(gname, str, f"array {name!r}: grid")
+            _check_shape(gname, str, "array {!r}: grid", name)
             if gname not in grids:
                 raise KernelError(f"array {name!r} references unknown grid {gname!r}")
             arrays[name] = ArrayDecl(name, grids[gname],
@@ -353,11 +370,11 @@ def load_suite(path: str | Path) -> KernelSuite:
             name = k["name"]
             _check_shape(name, str, "a kernel name")
             accesses = []
-            _check_shape(k["accesses"], list, f"kernel {name!r}: accesses")
+            _check_shape(k["accesses"], list, "kernel {!r}: accesses", name)
             for acc in k["accesses"]:
-                _check_shape(acc, dict, f"kernel {name!r}: an access")
+                _check_shape(acc, dict, "kernel {!r}: an access", name)
                 aname = acc["array"]
-                _check_shape(aname, str, f"kernel {name!r}: an access's array")
+                _check_shape(aname, str, "kernel {!r}: an access's array", name)
                 if aname not in arrays:
                     raise KernelError(f"kernel {name!r} references undeclared "
                                       f"array {aname!r}")

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
+
+import numpy as np
 
 from .balance import USABLE_CACHE_SHARE, BalanceScenario
 from .kernels import GridSpec, KernelSpec, iteration_count
@@ -57,17 +59,20 @@ class MachineModel:
     def cores_per_node(self) -> int:
         return self.cores_per_domain * self.domains_per_node
 
-    def effective_cache_per_process(self, processes: int) -> float:
+    def effective_cache_per_process(self, processes):
         """Usable cache bytes per process for layer-condition checks.
 
         Heuristic: each process owns its private L2 plus an equal share of
         the L3 of the sockets in use, and only ``USABLE_CACHE_SHARE`` of
-        that aggregate is assumed usable for row reuse.
+        that aggregate is assumed usable for row reuse. `processes` is an
+        int, giving a float, or an integer array, giving an array of the
+        same floats bit for bit. The bytes are summed in floats, which an
+        int64 column cannot overflow and which are exact below 2**53.
         """
-        if processes < 1:
+        if np.any(np.less(processes, 1)):
             raise ValueError("processes must be >= 1")
-        sockets = math.ceil(processes / self.cores_per_socket)
-        aggregate = processes * self.cache_l2 + sockets * self.cache_l3
+        sockets = -(-processes // self.cores_per_socket)
+        aggregate = processes * float(self.cache_l2) + sockets * float(self.cache_l3)
         return aggregate / processes * USABLE_CACHE_SHARE
 
     def wa_evasion_active(self, cores: int) -> bool:
@@ -100,29 +105,34 @@ def effective_bandwidth(machine: MachineModel, cores: int) -> float:
     return bw
 
 
-def roofline_predict(intensity: float, machine: MachineModel, cores: int) -> Prediction:
-    """Upper performance bound for a loop of the given flops/byte intensity."""
+def _roofline(intensity: float, machine: MachineModel, cores: int):
+    """(performance, bound, bandwidth) of the Roofline bound at `intensity`."""
     if intensity < 0:
         raise ValueError("intensity must be non-negative")
     bw = effective_bandwidth(machine, cores)
     p_core = cores * machine.peak_flops_per_core
     p_mem = intensity * bw
     if p_mem <= p_core:
-        return Prediction(performance=p_mem, bound="memory", effective_bandwidth=bw)
-    return Prediction(performance=p_core, bound="core", effective_bandwidth=bw)
+        return p_mem, "memory", bw
+    return p_core, "core", bw
+
+
+def roofline_predict(intensity: float, machine: MachineModel, cores: int) -> Prediction:
+    """Upper performance bound for a loop of the given flops/byte intensity."""
+    return Prediction(*_roofline(intensity, machine, cores))
 
 
 def kernel_runtime(kernel: KernelSpec, grid: GridSpec, machine: MachineModel,
                    cores: int, scenario: BalanceScenario) -> Prediction:
     """Roofline runtime of one sweep of the kernel's loops over `grid` under a
     scenario; the bound is :func:`roofline_predict`'s at its intensity."""
-    pred = roofline_predict(scenario.intensity, machine, cores)
+    performance, bound, bw = _roofline(scenario.intensity, machine, cores)
     iterations = iteration_count(kernel, grid)
-    if pred.bound == "memory":
-        runtime = iterations * scenario.bytes_per_it / pred.effective_bandwidth
+    if bound == "memory":
+        runtime = iterations * scenario.bytes_per_it / bw
     else:
-        runtime = iterations * kernel.flops_per_it / pred.performance
-    return replace(pred, runtime=runtime)
+        runtime = iterations * kernel.flops_per_it / performance
+    return Prediction(performance, bound, bw, runtime)
 
 
 def load_machine(path: str | Path) -> MachineModel:

@@ -215,6 +215,12 @@ class TestAutoClaim:
         t = simulate(as_trace(trace), lv(16), AutoClaim(active=False))
         assert (t.read_bytes, t.write_bytes, t.wa_avoided_bytes) == (LINE, LINE, 0)
 
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_active_must_be_a_bool(self, value):
+        # a truthy string once built and evaded write-allocates
+        with pytest.raises(ValueError, match=rf"^active must be a bool, not {value!r}$"):
+            AutoClaim(active=value)
+
     def test_partial_lines_fall_back_to_allocate(self):
         # one element in each of 70 lines; none completes
         trace = [(i * LINE, WRITE) for i in range(70)]

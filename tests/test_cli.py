@@ -459,25 +459,26 @@ class TestPrimeSweep:
 
     def test_one_process_grid_and_cache_share_per_count_and_grid(self, capsys,
                                                                  monkeypatch):
-        # the bundled kernels share one grid: 360 counts are factorized and
-        # given a cache share once each, not once per kernel
-        calls = {"grid": 0, "cache": 0}
-        process_grid = decomp._process_grid
+        # the bundled kernels share one grid: 360 counts are factorized once
+        # each, not once per kernel, and the grid's whole rank column gets its
+        # cache shares in one call
+        calls = {"factorize": 0, "cache": 0}
+        factorize = decomp.factorize_ranks
         cache_share = MachineModel.effective_cache_per_process
 
-        def counted_grid(*args):
-            calls["grid"] += 1
-            return process_grid(*args)
+        def counted_factorize(*args):
+            calls["factorize"] += 1
+            return factorize(*args)
 
         def counted_cache(*args):
             calls["cache"] += 1
             return cache_share(*args)
 
-        monkeypatch.setattr(decomp, "_process_grid", counted_grid)
+        monkeypatch.setattr(decomp, "factorize_ranks", counted_factorize)
         monkeypatch.setattr(MachineModel, "effective_cache_per_process", counted_cache)
         rc, out, _ = run(capsys, "prime-sweep", SUITE, ICX, "--ranks", "1..360")
         assert rc == 0 and len(out.splitlines()) == 1 + 22 * 360
-        assert calls == {"grid": 360, "cache": 360}
+        assert calls == {"factorize": 360, "cache": 1}
 
     def test_each_kernel_uses_its_own_grid(self, capsys, tmp_path):
         p = self.two_grid_suite(tmp_path)

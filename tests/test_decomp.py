@@ -74,6 +74,34 @@ class TestFactorize:
         with pytest.raises(ValueError):
             factorize_ranks(0)
 
+    def test_matches_the_documented_rule_up_to_5000(self):
+        # the rule re-derived by brute force: factors from a smallest-prime-
+        # factor sieve, dealt largest first onto the dimension with the
+        # smaller product (py on ties); a prime cuts px alone
+        n = 5000
+        spf = list(range(n + 1))
+        for d in range(2, int(n ** 0.5) + 1):
+            if spf[d] == d:
+                for m in range(d * d, n + 1, d):
+                    if spf[m] == m:
+                        spf[m] = d
+        for p in range(1, n + 1):
+            factors, rest = [], p
+            while rest > 1:
+                factors.append(spf[rest])
+                rest //= spf[rest]
+            if len(factors) == 1:
+                expected = (p, 1)
+            else:
+                px = py = 1
+                for f in sorted(factors, reverse=True):
+                    if py <= px:
+                        py *= f
+                    else:
+                        px *= f
+                expected = (px, py)
+            assert factorize_ranks(p) == expected, p
+
     def test_is_prime(self):
         primes = [n for n in range(-3, 60) if is_prime(n)]
         assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,

@@ -152,6 +152,14 @@ class TestValidate:
         with pytest.raises(KernelError, match=message):
             KernelSpec(accesses=(access,), **kernel)
 
+    @pytest.mark.parametrize("accesses, message", [
+        (5, r"^kernel 'k': accesses must be an iterable of Access records, not 5$"),
+        ([1], r"^kernel 'k': an access must be an Access record, not 1$"),
+    ], ids=["not_iterable", "not_an_access"])
+    def test_accesses_must_be_access_records(self, accesses, message):
+        with pytest.raises(KernelError, match=message):
+            KernelSpec(name="k", accesses=accesses)
+
     def test_loop_range_stored_as_a_tuple(self):
         kernel = KernelSpec(name="k", accesses=make_kernel([("a", 0, 0, READ)]).accesses,
                             loop_j_range=[1, 3])

@@ -1,6 +1,7 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from stencilmem.balance import scenario_table
@@ -26,6 +27,26 @@ class TestMachineModel:
         assert icx.effective_cache_per_process(1) == (1310720 + 56623104) / 2
         # full node: the per-core share
         assert icx.effective_cache_per_process(72) == 1441792.0
+
+    def test_cache_share_of_a_rank_column_is_the_scalar_share(self, icx, spr):
+        # one call prices a whole column of rank counts; each entry is the
+        # one-count figure bit for bit, also where count x L2 bytes would
+        # overflow an int64
+        counts = [*range(1, 1001), 2**43, 2**60]
+        ps = np.array(counts, dtype=np.int64)
+        for machine in (icx, spr):
+            column = machine.effective_cache_per_process(ps)
+            one_by_one = [machine.effective_cache_per_process(p) for p in counts]
+            assert all(type(share) is float for share in one_by_one)
+            assert column.dtype == np.float64
+            assert column.view(np.uint64).tolist() == \
+                np.array(one_by_one).view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("processes", [0, -3, np.array([4, 0, 9], dtype=np.int64)],
+                             ids=["zero", "negative", "column_holding_zero"])
+    def test_cache_share_refuses_fewer_than_one_process(self, icx, processes):
+        with pytest.raises(ValueError, match="processes must be >= 1"):
+            icx.effective_cache_per_process(processes)
 
     def test_per_core_share_covers_two_worst_case_rows(self, icx):
         # the largest row demand of the bundled suite fits the full-node share
