@@ -1,21 +1,23 @@
 """Analytic code-balance model for stencil kernels.
 
-Combines the stream counts of a kernel with a layer-condition state and a
-write-allocate policy into a bytes/iteration figure. The four corner
-scenarios (min, LCF+WA, LCB, max) bound the model's own scenarios; partial
-write-allocate evasion sits in between and is modelled by a residual store
-ratio between 1.0 (all allocates evaded) and 2.0 (none). Measured traffic
-carries a small residual on top of the model: in the bundled serial data,
-six kernels without a layer condition measure up to 1.1% above their max
-corner, so the corners are not a ceiling for measurements.
-Every bytes/iteration figure comes from :func:`code_balance`.
+Combines the stream counts of a kernel (``KernelSpec.counts``) with a
+layer-condition state and a write-allocate policy into a bytes/iteration
+figure; the layer condition reads the row-reuse bytes the kernel stores
+(``KernelSpec.row_reuse``). Both are derived once, when the kernel is
+built. The four corner scenarios (min, LCF+WA, LCB, max) bound the model's
+own scenarios; partial write-allocate evasion sits in between and is
+modelled by a residual store ratio between 1.0 (all allocates evaded) and
+2.0 (none). Measured traffic carries a small residual on top of the model:
+in the bundled serial data, six kernels without a layer condition measure
+up to 1.1% above their max corner, so the corners are not a ceiling for
+measurements. Every bytes/iteration figure comes from :func:`code_balance`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernels import KernelSpec, StreamCounts, derive_stream_counts, element_size
+from .kernels import KernelSpec, StreamCounts
 
 
 @dataclass(frozen=True)
@@ -109,35 +111,19 @@ class LayerConditionReport:
         return "fulfilled" if self.fulfilled else "broken"
 
 
-def row_reuse_bytes(kernel: KernelSpec) -> dict[str, int]:
-    """Cache bytes per element of inner extent that each array's row reuse
-    needs: n rows of the kernel's element size for every array whose reads
-    touch n >= 2 distinct rows. Single-row arrays need none.
-
-    The n-rows figure assumes the rows a stencil reads are contiguous in
-    the outer dimension (true for every bundled kernel). A stencil with a
-    gap in its row offsets keeps rows alive across the gap and needs
-    correspondingly more cache than this reports.
-    """
-    esize = element_size(kernel)
-    return {name: len(rows) * esize for name, rows in kernel.read_dk_offsets().items()
-            if len(rows) >= 2}
-
-
 def layer_condition(kernel: KernelSpec, inner_extent: int,
                     effective_cache: float) -> LayerConditionReport:
     """Evaluate the joint layer condition against one effective cache.
 
     Every array with row reuse must keep its rows of ``inner_extent``
-    elements cached (:func:`row_reuse_bytes`); the requirements of all such
+    elements cached (``KernelSpec.row_reuse``); the requirements of all such
     arrays are summed and compared against ``effective_cache``.
     """
     if inner_extent < 1:
         raise ValueError("inner_extent must be >= 1")
     if effective_cache <= 0:
         raise ValueError("effective_cache must be positive")
-    per_array = {name: need * inner_extent
-                 for name, need in row_reuse_bytes(kernel).items()}
+    per_array = {name: need * inner_extent for name, need in kernel.row_reuse.items()}
     return LayerConditionReport(per_array=per_array,
                                 total_required=sum(per_array.values()),
                                 effective_cache=effective_cache)
@@ -205,13 +191,12 @@ def scenario_balance(kernel: KernelSpec, name: str, machine,
     if not evasion_engages and name in EVADING:
         name = "lcf-wa"
     lc, wa = SCENARIOS[name]
-    return code_balance(derive_stream_counts(kernel), lc, wa_policy(wa, machine),
-                        element_size(kernel))
+    return code_balance(kernel.counts, lc, wa_policy(wa, machine),
+                        kernel.grid.element_size)
 
 
 def scenario_table(kernel: KernelSpec) -> ScenarioTable:
-    counts = derive_stream_counts(kernel)
-    esize = element_size(kernel)
+    counts, esize = kernel.counts, kernel.grid.element_size
     corners = (SCENARIOS[name] for name in ("min", "lcf-wa", "lcb", "max"))
     return ScenarioTable(*(
         BalanceScenario(lc, policy, code_balance(counts, lc, policy, esize),

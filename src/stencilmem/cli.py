@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import balance, cachesim, decomp
-from .kernels import LINE_BYTES, derive_stream_counts, load_suite
+from .kernels import LINE_BYTES, load_suite
 from .roofline import MachineModel, load_machine
 
 EXIT_OK = 0
@@ -136,7 +136,7 @@ def cmd_analyze(args) -> int:
     load_machine(args.machine)
     rows = []
     for kernel in suite:
-        c = derive_stream_counts(kernel)
+        c = kernel.counts
         t = balance.scenario_table(kernel)
         rows.append([kernel.name, c.n_arrays, c.rd_lcf, c.rd_lcb, c.wr, c.rdwr,
                      kernel.flops_per_it,

@@ -20,9 +20,12 @@ builds none: per grid it factorizes each rank count once into an int64
 rank column (``_process_grid``), takes the cache share of the whole column
 in one call, and prices each count from its process grid and the narrowest
 local row, ``inner // px``, for all kernels of the grid together, as one
-(kernels x ranks) table. :func:`decompose` is the reference that the tests
-check the sweep's widths against, through the per-rank widths of its
-Decomposition.
+(kernels x ranks) table. Its per-kernel columns read the facts each
+``KernelSpec`` stores: the grid's element size, the summed ``row_reuse``
+bytes, and the ``counts``, priced by ``code_balance`` with the layer
+condition fulfilled and broken. :func:`decompose` is the reference that
+the tests check the sweep's widths against, through the per-rank widths of
+its Decomposition.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balance import LayerConditionReport, WaPolicy, code_balance, row_reuse_bytes
-from .kernels import LINE_BYTES, derive_stream_counts, element_size
+from .balance import LayerConditionReport, WaPolicy, code_balance
+from .kernels import LINE_BYTES
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -170,19 +173,6 @@ class RankSweep:
     prime: np.ndarray
 
 
-def _sweep_figures(kernel, policy: WaPolicy) -> tuple:
-    """What a rank sweep prices `kernel` with: its element size, the summed
-    row-reuse bytes per inner element, the plain balances with the layer
-    condition fulfilled and broken, and the rd_lcf, rd_lcb and evadable
-    write stream counts."""
-    counts = derive_stream_counts(kernel)
-    esize = element_size(kernel)
-    return (esize, sum(row_reuse_bytes(kernel).values()),
-            code_balance(counts, True, policy, esize),
-            code_balance(counts, False, policy, esize),
-            counts.rd_lcf, counts.rd_lcb, counts.evadable_writes)
-
-
 def predict_rank_sweep(kernels, ranks, machine, policy: WaPolicy) -> list[RankSweep]:
     """Predicted bytes/iteration of each kernel for each rank count, one
     :class:`RankSweep` per kernel in input order.
@@ -216,9 +206,14 @@ def predict_rank_sweep(kernels, ranks, machine, policy: WaPolicy) -> list[RankSw
         cache = machine.effective_cache_per_process(ps)
         width = inner // px     # the narrowest local row, as in Decomposition
         prime = (ps > 1) & (px == ps)
+        columns = []
+        for k in (kernels[i] for i in members):
+            c, e = k.counts, k.grid.element_size
+            columns.append((e, sum(k.row_reuse.values()), code_balance(c, True, policy, e),
+                            code_balance(c, False, policy, e), c.rd_lcf, c.rd_lcb,
+                            c.evadable_writes))
         esize, reuse, lcf, lcb, rd_lcf, rd_lcb, evadable = (
-            np.array(column)[:, None] for column in zip(
-                *(_sweep_figures(kernels[i], policy) for i in members)))
+            np.array(column)[:, None] for column in zip(*columns))
         lc = LayerConditionReport.holds(reuse * width, cache)
         plain = np.where(lc, lcf, lcb)
         h = halo_read_overhead(width, esize)

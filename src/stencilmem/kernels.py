@@ -3,8 +3,9 @@
 A kernel is described by the set of array elements it touches per loop
 iteration: each access names an array, an offset (dj, dk) relative to the
 loop indices (j inner/contiguous, k outer), and whether it reads or writes.
-From this the per-iteration stream counts are derived, which feed the
-code-balance model in :mod:`stencilmem.balance`.
+Building a :class:`KernelSpec` derives from these, once, its read rows,
+stream counts and row-reuse bytes, which the code-balance model in
+:mod:`stencilmem.balance` and the rank sweep in :mod:`stencilmem.decomp` read.
 """
 
 from __future__ import annotations
@@ -77,6 +78,11 @@ class ArrayDecl:
     base_alignment: int = LINE_BYTES
 
     def __post_init__(self):
+        if type(self.name) is not str:
+            raise KernelError(f"an array name must be a string, not {self.name!r}")
+        if not isinstance(self.grid, GridSpec):
+            raise KernelError(f"array {self.name!r}: grid must be a GridSpec, "
+                              f"not {self.grid!r}")
         a = self.base_alignment
         if type(a) is not int:
             raise KernelError(f"array {self.name!r}: base_alignment must be an "
@@ -97,6 +103,9 @@ class Access:
     mode: str  # READ or WRITE
 
     def __post_init__(self):
+        if not isinstance(self.array, ArrayDecl):
+            raise KernelError(f"an access's array must be an ArrayDecl, "
+                              f"not {self.array!r}")
         if self.mode not in (READ, WRITE):
             raise KernelError(f"access mode must be {READ!r} or {WRITE!r}")
 
@@ -119,6 +128,10 @@ class StreamCounts:
     rdwr: int
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not int:
+                raise KernelError(f"{f.name} must be an integer, not {value!r}")
         if min(self.n_arrays, self.rd_lcf, self.rd_lcb, self.wr, self.rdwr) < 0:
             raise KernelError("stream counts must be non-negative")
 
@@ -136,6 +149,14 @@ class KernelSpec:
     (0 .. extent-1); ``None`` means the full interior of whatever grid the
     kernel runs on. Building a kernel checks it (:class:`KernelError` names
     every violation); all of its arrays are declared on one :attr:`grid`.
+
+    Building it also derives the kernel's model facts in one pass over the
+    accesses; ``replace`` and unpickling derive them again, and ``==``,
+    ``hash`` and ``repr`` skip them. ``counts`` is its :class:`StreamCounts`.
+    ``row_reuse`` maps each array that reads n >= 2 rows to the cache bytes
+    per element of inner extent its row reuse needs, n times the element
+    size (read-only). That assumes contiguous row offsets, as in every
+    bundled kernel: a gap keeps rows alive across it and needs more cache.
     """
 
     name: str
@@ -143,6 +164,8 @@ class KernelSpec:
     flops_per_it: int = 0
     loop_j_range: tuple[int, int] | None = None
     loop_k_range: tuple[int, int] | None = None
+    counts: StreamCounts = field(init=False, compare=False, repr=False)
+    row_reuse: MappingProxyType[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -155,7 +178,11 @@ class KernelSpec:
         for key in ("loop_j_range", "loop_k_range"):
             if getattr(self, key) is not None:
                 object.__setattr__(self, key, tuple(getattr(self, key)))
-        object.__setattr__(self, "_read_rows", _read_rows(self))
+        _derive_facts(self)
+
+    def __reduce__(self):   # by the constructor: a mappingproxy does not pickle
+        return (type(self), (self.name, self.accesses, self.flops_per_it,
+                             self.loop_j_range, self.loop_k_range))
 
     @property
     def grid(self) -> GridSpec:
@@ -181,12 +208,25 @@ class KernelSpec:
         return MappingProxyType(self._read_rows)
 
 
-def _read_rows(kernel: KernelSpec) -> dict[str, frozenset[int]]:
-    """Distinct dk offsets of the kernel's read accesses, per array name."""
-    rows: dict[str, set[int]] = {}
-    for acc in kernel.reads():
-        rows.setdefault(acc.array.name, set()).add(acc.dk)
-    return {name: frozenset(dks) for name, dks in rows.items()}
+def _derive_facts(kernel: KernelSpec):
+    """Store a checked kernel's read rows (distinct dk offsets per array),
+    stream counts and row-reuse bytes, from one pass over its accesses."""
+    names, rows, read_offsets, writes = set(), {}, set(), set()
+    for acc in kernel.accesses:
+        name = acc.array.name
+        names.add(name)
+        if acc.mode == READ:
+            rows.setdefault(name, set()).add(acc.dk)
+            read_offsets.add((name, acc.dj, acc.dk))
+        else:
+            writes.add((name, acc.dj, acc.dk))  # checked: one offset per array
+    esize = kernel.grid.element_size
+    object.__setattr__(kernel, "_read_rows", {n: frozenset(d) for n, d in rows.items()})
+    object.__setattr__(kernel, "counts", StreamCounts(
+        n_arrays=len(names), rd_lcf=len(rows), rd_lcb=sum(map(len, rows.values())),
+        wr=len(writes), rdwr=len(read_offsets & writes)))
+    object.__setattr__(kernel, "row_reuse", MappingProxyType(
+        {n: len(d) * esize for n, d in rows.items() if len(d) >= 2}))
 
 
 def _diagnostics(kernel: KernelSpec) -> list[str]:
@@ -257,17 +297,8 @@ def _diagnostics(kernel: KernelSpec) -> list[str]:
 
 
 def derive_stream_counts(kernel: KernelSpec) -> StreamCounts:
-    """Derive the per-iteration stream counts from the access list."""
-    read_rows = kernel.read_dk_offsets()
-    read_offsets = {(a.array.name, a.dj, a.dk) for a in kernel.reads()}
-    writes = kernel.writes()
-    return StreamCounts(
-        n_arrays=len(kernel.arrays),
-        rd_lcf=len(read_rows),
-        rd_lcb=sum(len(rows) for rows in read_rows.values()),
-        wr=len({w.array.name for w in writes}),
-        rdwr=sum((w.array.name, w.dj, w.dk) in read_offsets for w in writes),
-    )
+    """The kernel's stream counts, :attr:`KernelSpec.counts`."""
+    return kernel.counts
 
 
 def element_size(kernel: KernelSpec) -> int:

@@ -13,7 +13,6 @@ from stencilmem.balance import (
     layer_condition,
     min_total_cache,
     nt_plus_evasion,
-    row_reuse_bytes,
     scenario_balance,
     scenario_table,
     wa_policy,
@@ -152,9 +151,9 @@ class TestLayerCondition:
         assert rep.per_array == {"mass_flux_x": 2 * 15360 * 8}
 
     def test_requirement_scales_the_per_width_bytes(self, suite):
-        # the rank sweep prices the width through row_reuse_bytes alone
+        # the rank sweep prices the width through the stored row_reuse alone
         for kernel in suite:
-            per_width = row_reuse_bytes(kernel)
+            per_width = kernel.row_reuse
             for width in (1, 216, 15360):
                 rep = layer_condition(kernel, width, 10 ** 6)
                 assert rep.per_array == {n: b * width for n, b in per_width.items()}

@@ -250,12 +250,13 @@ class TestRankSweep:
         sweep, = predict_rank_sweep([suite.kernels["am04"]], ranks, icx, FULL_WA)
         assert sweep.prime.tolist() == [is_prime(p) for p in ranks]
 
-    def test_row_offsets_derived_once_per_kernel(self, icx, monkeypatch):
-        # each kernel's read rows are derived when it is built; the sweep
-        # prices the stored rows and derives none
+    def test_model_facts_derived_once_per_kernel(self, icx, monkeypatch):
+        # each kernel's read rows, stream counts and row-reuse bytes are
+        # derived when it is built; the sweep prices the stored facts and
+        # derives none
         calls = []
-        derive = kernels_module._read_rows
-        monkeypatch.setattr(kernels_module, "_read_rows",
+        derive = kernels_module._derive_facts
+        monkeypatch.setattr(kernels_module, "_derive_facts",
                             lambda kernel: calls.append(1) or derive(kernel))
         kernels = list(load_suite(data_path("cloverleaf_tiny.json")))
         assert len(calls) == len(kernels)

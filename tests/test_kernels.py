@@ -1,6 +1,7 @@
 import json
 import pickle
-from dataclasses import replace
+import random
+from dataclasses import fields, replace
 
 import pytest
 
@@ -12,12 +13,13 @@ from stencilmem.kernels import (
     GridSpec,
     KernelError,
     KernelSpec,
+    StreamCounts,
     derive_stream_counts,
     iteration_count,
     load_suite,
 )
 
-from refdata import KERNEL_NAMES, counts_of
+from refdata import KERNEL_NAMES, counts_of, random_kernel
 
 
 def make_kernel(accesses, name="k", flops=0):
@@ -65,6 +67,16 @@ class TestArrayDecl:
             ArrayDecl("a", g, base_alignment=48)
         with pytest.raises(KernelError):
             ArrayDecl("a", g, base_alignment=4)  # below element size
+
+    @pytest.mark.parametrize("name, grid, message", [
+        (5, GridSpec(8, 8), r"^an array name must be a string, not 5$"),
+        (None, GridSpec(8, 8), r"^an array name must be a string, not None$"),
+        ("b", "notagrid", r"^array 'b': grid must be a GridSpec, not 'notagrid'$"),
+        ("b", None, r"^array 'b': grid must be a GridSpec, not None$"),
+    ], ids=["name_int", "name_none", "grid_str", "grid_none"])
+    def test_mistyped_field_rejected(self, name, grid, message):
+        with pytest.raises(KernelError, match=message):
+            ArrayDecl(name, grid)
 
 
 class TestValidate:
@@ -184,6 +196,13 @@ class TestValidate:
         with pytest.raises(KernelError):
             Access(ArrayDecl("a", g), 0, 0, "modify")
 
+    @pytest.mark.parametrize("array", ["x", None, GridSpec(8, 8)],
+                             ids=["str", "none", "grid"])
+    def test_access_array_must_be_an_array_decl(self, array):
+        with pytest.raises(KernelError,
+                           match=r"^an access's array must be an ArrayDecl, not "):
+            Access(array, 0, 0, READ)
+
 
 class TestStreamCounts:
     def test_am04(self, suite):
@@ -211,9 +230,15 @@ class TestStreamCounts:
         with pytest.raises(KernelError, match="kernel has no accesses"):
             KernelSpec(name="empty", accesses=())
 
-    def test_pure_function(self, suite):
-        k = suite.kernels["pdv00"]
-        assert derive_stream_counts(k) == derive_stream_counts(k)
+    @pytest.mark.parametrize("field, value", [
+        ("n_arrays", 2.0), ("rd_lcf", True), ("rd_lcb", "2"), ("wr", None),
+        ("rdwr", False),
+    ], ids=["float", "bool_true", "str", "none", "bool_false"])
+    def test_fields_must_be_integers(self, field, value):
+        ints = dict(n_arrays=2, rd_lcf=1, rd_lcb=2, wr=1, rdwr=0)
+        with pytest.raises(KernelError,
+                           match=rf"^{field} must be an integer, not {value!r}$"):
+            StreamCounts(**{**ints, field: value})
 
     @pytest.mark.parametrize("name", KERNEL_NAMES)
     def test_matches_reference(self, suite, name):
@@ -228,6 +253,70 @@ class TestStreamCounts:
         reads = {a.array.name for a in suite.kernels[name].reads()}
         writes = {a.array.name for a in suite.kernels[name].writes()}
         assert c.n_arrays >= max(len(reads), len(writes))
+
+
+def recount(kernel: KernelSpec) -> tuple[StreamCounts, dict[str, int]]:
+    """A kernel's stream counts and row-reuse bytes, counted anew from its accesses:
+    the reference the stored fields are checked against."""
+    reads = [a for a in kernel.accesses if a.mode == READ]
+    writes = [a for a in kernel.accesses if a.mode == WRITE]
+    rows: dict[str, set[int]] = {}
+    for a in reads:
+        rows.setdefault(a.array.name, set()).add(a.dk)
+    read_at = {(a.array.name, a.dj, a.dk) for a in reads}
+    counts = StreamCounts(
+        n_arrays=len({a.array.name for a in kernel.accesses}),
+        rd_lcf=len(rows),
+        rd_lcb=sum(len(dks) for dks in rows.values()),
+        wr=len({w.array.name for w in writes}),
+        rdwr=sum((w.array.name, w.dj, w.dk) in read_at for w in writes))
+    esize = kernel.grid.element_size
+    return counts, {name: len(dks) * esize for name, dks in rows.items()
+                    if len(dks) >= 2}
+
+
+class TestModelFacts:
+    @pytest.mark.parametrize("name", KERNEL_NAMES)
+    def test_suite_kernel_facts_equal_a_recount(self, suite, name):
+        kernel = suite.kernels[name]
+        assert (kernel.counts, dict(kernel.row_reuse)) == recount(kernel)
+
+    def test_random_kernel_facts_equal_a_recount(self):
+        rng = random.Random(31)
+        for idx in range(200):
+            # every fourth kernel on floats, so the row bytes follow the grid
+            grid = GridSpec(rng.choice([24, 40]), rng.choice([6, 10]), 2, 2,
+                            element_size=4) if idx % 4 == 0 else None
+            kernel = random_kernel(rng, idx, grid)
+            assert (kernel.counts, dict(kernel.row_reuse)) == recount(kernel), kernel
+
+    def test_replace_derives_new_facts(self):
+        kernel = make_kernel([("a", 0, 0, READ), ("a", 0, 1, READ), ("b", 0, 0, WRITE)])
+        fewer = replace(kernel, accesses=kernel.accesses[1:])
+        assert (fewer.counts, dict(fewer.row_reuse)) == recount(fewer)
+        assert (fewer.counts.rd_lcb, dict(fewer.row_reuse)) == (1, {})
+        assert (kernel.counts.rd_lcb, dict(kernel.row_reuse)) == (2, {"a": 16})
+
+    def test_facts_survive_a_pickle_round_trip(self, suite):
+        for kernel in suite:
+            copied = pickle.loads(pickle.dumps(kernel))
+            assert copied == kernel
+            assert copied.counts == kernel.counts
+            assert copied.row_reuse == kernel.row_reuse
+            for facts in (kernel, copied):
+                with pytest.raises(TypeError):    # read-only
+                    facts.row_reuse["x"] = 8
+
+    def test_facts_take_no_part_in_eq_hash_or_repr(self, suite):
+        kernel = suite.kernels["pdv01"]
+        twin = replace(kernel)
+        object.__setattr__(twin, "counts", StreamCounts(0, 0, 0, 0, 0))
+        object.__setattr__(twin, "row_reuse", {})
+        assert twin == kernel and hash(twin) == hash(kernel)
+        assert repr(twin) == repr(kernel)
+        derived = [f for f in fields(KernelSpec) if not f.init]
+        assert [f.name for f in derived] == ["counts", "row_reuse"]
+        assert not any(f.compare or f.repr for f in derived)
 
 
 class TestSuiteIO:
