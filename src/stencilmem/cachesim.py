@@ -13,15 +13,16 @@ interface. Three write policies are modelled:
 * ``AutoClaim`` - a hardware detector watches the last ``buffer_lines``
   write-missed lines; a line whose bytes are completely written while under
   watch is claimed without a fill, anything aged out incomplete falls back
-  to a regular allocate. ``active=False`` degrades to ``AlwaysAllocate``.
+  to a regular allocate.
 
-Only the last level of the hierarchy is replayed. Every access touches
-every level and a last-level eviction invalidates the line in the levels
-above, so the last level's contents, LRU order and dirty bits follow from
-the access sequence alone, and a dirty line leaving an upper level always
-finds its copy below. The upper levels therefore never change the traffic
-at the memory interface: this is the inclusion property of LRU (Mattson et
-al., IBM Systems Journal 1970). They are still validated.
+Only the last level of a hierarchy is replayed, and a caller may pass it
+alone. Every access touches every level and a last-level eviction
+invalidates the line in the levels above, so the last level's contents,
+LRU order and dirty bits follow from the access sequence alone, and a
+dirty line leaving an upper level always finds its copy below. The upper
+levels therefore never change the traffic at the memory interface: this
+is the inclusion property of LRU (Mattson et al., IBM Systems Journal
+1970).
 
 Every level has ``LINE_BYTES`` (64-byte) lines, the unit of the claim and
 NT coverage masks: one bit per byte of a line, in one 64-bit word.
@@ -36,15 +37,14 @@ next block, so the traffic does not depend on where a trace is cut into
 blocks.
 
 A block that evicts no line is replayed once per distinct line, not once
-per run, under always-allocate (an inactive claim detector replays as
-always-allocate). No line then leaves the level, so each line's misses
-follow from its own runs alone, and the LRU order is the lines the block
-does not touch, then the touched ones in order of last touch. The state
-after the block is the one the run loop leaves; any other block takes
-the run loop, so ``simulate`` of a trace that fills the level takes it
-for each block that evicts. Claims and NT always take the run loop, the
-one place that holds the claim rule and the write-combine buffers, whose
-outcome depends on the order of the runs.
+per run, under always-allocate. No line then leaves the level, so each
+line's misses follow from its own runs alone, and the LRU order is the
+lines the block does not touch, then the touched ones in order of last
+touch. The state after the block is the one the run loop leaves; any
+other block takes the run loop, so ``simulate`` of a trace that fills
+the level takes it for each block that evicts. Claims and NT always take
+the run loop, the one place that holds the claim rule and the
+write-combine buffers, whose outcome depends on the order of the runs.
 
 A kernel sweep is periodic in its rows: row k + P is row k moved by whole
 lines, P = 64 / gcd(row_bytes, 64). ``simulate_kernel`` replays period by
@@ -133,14 +133,13 @@ class NtBypass:
 @dataclass(frozen=True)
 class AutoClaim:
     buffer_lines: int = 64
-    active: bool = True
+    # not a field: bench/workloads.policy_tag reads it until ROADMAP item 10
+    active = True
 
     def __post_init__(self):
         if type(self.buffer_lines) is not int or self.buffer_lines < 1:
             raise ValueError(f"buffer_lines must be an integer >= 1, "
                              f"not {self.buffer_lines!r}")
-        if type(self.active) is not bool:
-            raise ValueError(f"active must be a bool, not {self.active!r}")
 
 
 WritePolicySim = AlwaysAllocate | NtBypass | AutoClaim
@@ -148,8 +147,7 @@ WritePolicySim = AlwaysAllocate | NtBypass | AutoClaim
 
 def evades(policy: WritePolicySim) -> bool:
     """Whether the policy writes lines without fetching them first."""
-    return isinstance(policy, NtBypass) or (isinstance(policy, AutoClaim)
-                                            and policy.active)
+    return isinstance(policy, (NtBypass, AutoClaim))
 
 
 @dataclass(frozen=True)
@@ -262,7 +260,7 @@ class _Hierarchy:
         # (a line written in full is flushed at once); never resident
         self.wc: OrderedDict[int, int] = OrderedDict()
         self.nt = isinstance(policy, NtBypass)
-        self.claim = evades(policy) and not self.nt
+        self.claim = isinstance(policy, AutoClaim)
         # the events and write masks of the last run fed, which the next
         # block may go on
         self.held = NO_EVENTS

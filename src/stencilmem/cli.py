@@ -156,12 +156,11 @@ def _parse_policy(args) -> cachesim.WritePolicySim:
         if args.policy in ("always", "nt", "claim-inactive"):
             print(f"note: --claim-buffer has no effect under --policy {args.policy}",
                   file=sys.stderr)
-    if args.policy == "always":
-        return cachesim.AlwaysAllocate()
     if args.policy == "nt":
         return cachesim.NtBypass()
-    return cachesim.AutoClaim(args.claim_buffer or cachesim.AutoClaim.buffer_lines,
-                              active=args.policy == "claim")
+    if args.policy == "claim":
+        return cachesim.AutoClaim(args.claim_buffer or cachesim.AutoClaim.buffer_lines)
+    return cachesim.AlwaysAllocate()    # claim-inactive replays as always
 
 
 def _check_tolerance(tolerance: float):
@@ -171,12 +170,11 @@ def _check_tolerance(tolerance: float):
 
 
 def _sim_levels(machine: MachineModel, mode: str) -> list[cachesim.CacheLevelConfig]:
-    if mode == "effective":
-        cap = int(machine.effective_cache_per_process(1)) // LINE_BYTES * LINE_BYTES
-        return [cachesim.CacheLevelConfig(capacity=cap)]
-    return [cachesim.CacheLevelConfig(capacity=machine.cache_l1),
-            cachesim.CacheLevelConfig(capacity=machine.cache_l2),
-            cachesim.CacheLevelConfig(capacity=machine.cache_l3)]
+    """The one level replayed: a process's effective cache, or the L3 alone
+    (the levels above it never change the memory traffic)."""
+    cap = (int(machine.effective_cache_per_process(1)) // LINE_BYTES * LINE_BYTES
+           if mode == "effective" else machine.cache_l3)
+    return [cachesim.CacheLevelConfig(capacity=cap)]
 
 
 def cmd_simulate(args) -> int:

@@ -4,7 +4,8 @@ The machine model carries per-core peak compute, per-NUMA-domain memory
 bandwidth (with a linear saturation ramp), the cache hierarchy, and the
 phenomenological write-allocate-evasion factors of the hardware. The
 Roofline bound for a loop of intensity I on c cores is
-min(c * peak_per_core, I * effective_bandwidth(c)).
+min(c * peak_per_core, I * effective_bandwidth(c)); c is capped at the
+node's cores, as one node is modelled.
 """
 
 from __future__ import annotations
@@ -54,6 +55,14 @@ class MachineModel:
             raise ValueError("machine parameters must be positive")
         if self.saturating_cores > self.cores_per_domain:
             raise ValueError("saturating_cores cannot exceed cores_per_domain")
+        # the store ratios of balance.WaPolicy
+        for name in ("speci2m_factor", "nt_factor"):
+            if not 1.0 <= getattr(self, name) <= 2.0:
+                raise ValueError(f"{name} must lie in [1.0, 2.0], "
+                                 f"not {getattr(self, name)!r}")
+        if self.speci2m_activation_cores < 1:
+            raise ValueError(f"speci2m_activation_cores must be >= 1, "
+                             f"not {self.speci2m_activation_cores!r}")
 
     @property
     def cores_per_node(self) -> int:
@@ -110,7 +119,7 @@ def _roofline(intensity: float, machine: MachineModel, cores: int):
     if intensity < 0:
         raise ValueError("intensity must be non-negative")
     bw = effective_bandwidth(machine, cores)
-    p_core = cores * machine.peak_flops_per_core
+    p_core = min(cores, machine.cores_per_node) * machine.peak_flops_per_core
     p_mem = intensity * bw
     if p_mem <= p_core:
         return p_mem, "memory", bw

@@ -64,3 +64,9 @@ def test_traced_function_is_public_in_its_module(qualname):
     fn = getattr(MODULES[module], name, None)
     assert inspect.isfunction(fn) and not name.startswith("_")
     assert fn.__module__ == MODULES[module].__name__
+
+
+def test_claim_detector_reads_as_active():
+    # bench/workloads.policy_tag reads this one instance attribute to tag a
+    # replay as "claim"; it is a class constant, no longer a field
+    assert cachesim.AutoClaim().active is True

@@ -174,8 +174,7 @@ class TestSimulateBasics:
             simulate(as_trace([(0, WRITE)]), lv(64), AlwaysAllocate(), 4)
 
     @pytest.mark.parametrize("policy, expected", [
-        (AlwaysAllocate(), False), (NtBypass(), True),
-        (AutoClaim(), True), (AutoClaim(active=False), False)])
+        (AlwaysAllocate(), False), (NtBypass(), True), (AutoClaim(), True)])
     def test_evading_policies(self, policy, expected):
         assert evades(policy) is expected
 
@@ -210,16 +209,11 @@ class TestAutoClaim:
         t = simulate(as_trace(trace), lv(16), AutoClaim())
         assert (t.read_bytes, t.write_bytes, t.wa_avoided_bytes) == (0, LINE, LINE)
 
-    def test_inactive_degrades_to_allocate(self):
-        trace = [(i * 8, WRITE) for i in range(8)]
-        t = simulate(as_trace(trace), lv(16), AutoClaim(active=False))
-        assert (t.read_bytes, t.write_bytes, t.wa_avoided_bytes) == (LINE, LINE, 0)
-
-    @pytest.mark.parametrize("value", ["no", 1, None])
-    def test_active_must_be_a_bool(self, value):
-        # a truthy string once built and evaded write-allocates
-        with pytest.raises(ValueError, match=rf"^active must be a bool, not {value!r}$"):
-            AutoClaim(active=value)
+    def test_has_no_inactive_mode(self):
+        # an inactive detector replayed as AlwaysAllocate(), which is what
+        # `--policy claim-inactive` builds
+        with pytest.raises(TypeError):
+            AutoClaim(active=False)
 
     def test_partial_lines_fall_back_to_allocate(self):
         # one element in each of 70 lines; none completes
@@ -343,9 +337,6 @@ class TestStoreRatio:
     @pytest.mark.parametrize("streams", [1, 2, 3])
     def test_claim_is_one(self, streams):
         assert store_ratio(streams, 1 << 20, AutoClaim()) == 1.0
-
-    def test_inactive_claim_is_two(self):
-        assert store_ratio(2, 1 << 20, AutoClaim(active=False)) == 2.0
 
     @pytest.mark.parametrize("streams", [0, -1])
     def test_no_stream_is_rejected(self, streams):
@@ -794,9 +785,8 @@ class TestFastForward:
                 assert (m is None) == isinstance(policy, AlwaysAllocate), kernel.name
 
     @pytest.mark.parametrize("streams", range(1, 9))
-    @pytest.mark.parametrize("policy", [AlwaysAllocate(), NtBypass(), AutoClaim(),
-                                        AutoClaim(active=False)],
-                             ids=["always", "nt", "claim", "claim-inactive"])
+    @pytest.mark.parametrize("policy", [AlwaysAllocate(), NtBypass(), AutoClaim()],
+                             ids=["always", "nt", "claim"])
     def test_store_ratio_against_full_replay(self, streams, policy):
         volume = 256 * 1024
         lines = volume // (streams * LINE)
@@ -1245,17 +1235,16 @@ class TestLineReplay:
 
     def test_random_blocks_leave_the_run_loops_state(self, paths):
         # random traces cut into one to six blocks, through levels of 1-64
-        # lines, under the two policies that reach the per-line replay
-        # (claims and NT always take the run loop)
+        # lines, under always-allocate, the one policy that reaches the
+        # per-line replay (claims and NT always take the run loop)
         rng = np.random.default_rng(17)
         for case in range(1000):
             access_bytes = int(rng.choice([1, 2, 4, 8]))
-            policy = (AlwaysAllocate(), AutoClaim(active=False))[int(rng.integers(2))]
             ways = int(rng.integers(1, 65))
             addrs, writes = self.random_events(rng, int(rng.integers(1, 3 * ways + 3)),
                                                access_bytes, int(rng.integers(0, 301)))
             cuts = np.sort(rng.integers(0, addrs.size + 1, size=rng.integers(0, 6)))
-            sim, loop = self.both(paths, lv(ways), policy, access_bytes)
+            sim, loop = self.both(paths, lv(ways), AlwaysAllocate(), access_bytes)
             for block in zip(np.split(addrs, cuts), np.split(writes, cuts)):
                 feed(sim, *block, access_bytes)
                 feed(loop, *block, access_bytes)
@@ -1269,19 +1258,18 @@ class TestLineReplay:
     def test_blocks_one_line_short_of_fitting(self, paths):
         # one block of `lines` distinct lines, the held-back last run on a
         # line the block already touched, into a fully associative level of
-        # `lines` ways (it fits) or one fewer (it does not), under the two
-        # policies that reach the per-line replay
+        # `lines` ways (it fits) or one fewer (it does not), under
+        # always-allocate, the one policy that reaches the per-line replay
         rng = np.random.default_rng(18)
         fits = {True: 0, False: 0}
         for case in range(300):
             access_bytes = int(rng.choice([4, 8]))
-            policy = (AlwaysAllocate(), AutoClaim(active=False))[int(rng.integers(2))]
             addrs, writes = self.random_events(rng, int(rng.integers(2, 40)), access_bytes,
                                                int(rng.integers(2, 200)))
             addrs, writes = np.append(addrs, addrs[0]), np.append(writes, False)
             lines = np.unique(addrs // LINE).size
             short = lines > 1 and bool(rng.random() < 0.5)
-            sim, loop = self.both(paths, lv(lines - short), policy, access_bytes)
+            sim, loop = self.both(paths, lv(lines - short), AlwaysAllocate(), access_bytes)
             took = paths[True]
             feed(sim, addrs, writes, access_bytes)
             feed(loop, addrs, writes, access_bytes)

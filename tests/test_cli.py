@@ -144,8 +144,15 @@ class TestAnalyze:
         ("speci2m_factor", "1.2", "must be a finite number"),
         ("nt_factor", None, "must be a finite number"),
         ("name", 8360, "must be a string"),
+        # out of balance.WaPolicy's range: `analyze` and `prime-sweep --wa
+        # full` once ran with exit 0, and `--wa nt-speci2m` failed naming
+        # neither the file nor the field
+        ("speci2m_factor", 2.5, "must lie in [1.0, 2.0]"),
+        ("nt_factor", 0.5, "must lie in [1.0, 2.0]"),
+        ("speci2m_activation_cores", -4, "must be >= 1"),
     ], ids=["nan", "inf", "bool", "fractional_cores", "float_cache",
-            "factor_string", "factor_null", "name_number"])
+            "factor_string", "factor_null", "name_number", "factor_high",
+            "nt_factor_low", "negative_activation"])
     def test_non_finite_machine_number_exits_2(self, capsys, tmp_path, field,
                                                value, message):
         doc = json.loads(Path(ICX).read_text())
@@ -154,6 +161,7 @@ class TestAnalyze:
         p.write_text(json.dumps(doc))
         for argv in (["analyze", SUITE, str(p)],
                      ["prime-sweep", SUITE, str(p), "--ranks", "36"],
+                     ["prime-sweep", SUITE, str(p), "--ranks", "36", "--wa", "full"],
                      ["prime-sweep", SUITE, str(p), "--ranks", "36", "--wa",
                       "nt-speci2m"]):
             rc, out, err = run(capsys, *argv)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stencilmem import kernels as kernels_module
+from stencilmem.cachesim import AlwaysAllocate, CacheLevelConfig, simulate_kernel
 from stencilmem.balance import (
     FULL_WA,
     WA_MODELS,
@@ -335,3 +336,42 @@ def test_sweep_equals_per_rank_composition(suite, machine_name, wa, request):
                 [w[field.name] for w in want], (kernel.name, field.name)
         states |= set(got.lc_fulfilled.tolist())
     assert states == ({True, False} if machine_name == "small" else {True})
+
+
+def test_halo_read_term_against_the_simulator_at_a_prime_count(suite, icx):
+    """am04 on icx at p = 71 under `--wa full`, against an always-allocate
+    replay of one rank's rows on one level of the rank's cache share,
+    rounded down to whole lines.
+
+    71 is prime, so the 15 360-wide grid is cut into 71 columns, the
+    narrowest 216 doubles wide: 1 728 bytes, 27 whole lines. The model
+    charges each row one line of halo on each read stream (8 of 224
+    elements, ``halo_read_overhead``) and no partial-line write-allocate,
+    as the row is whole lines. The simulator sweeps the rank's arrays at
+    their 220-element row stride (two halo elements a side), so each of
+    its line streams - am04's one read stream, its write-allocate fills and
+    its write-backs - moves one stride, 1 760 bytes or 27.5 lines, a row:
+    half a line over the interior, on the writes as on the read.
+
+    Tolerance: the model and the simulator differ by less than one line per
+    row per read stream, 64 / 216 B/it for am04. Here the model is 0.54
+    lines a row (0.16 B/it, -0.65%) below. The steady state is a 96-row
+    sweep less a 32-row sweep, which cancels the cold misses of the first
+    rows and the flush at the end.
+    """
+    kernel, p = suite.kernels["am04"], 71
+    (sweep,) = predict_rank_sweep([kernel], [p], icx, wa_policy("full", icx))
+    width = int(sweep.min_inner_width[0])
+    assert (int(sweep.px[0]), width, bool(sweep.lc_fulfilled[0])) == (p, 216, True)
+    level = [CacheLevelConfig(
+        int(icx.effective_cache_per_process(p)) // LINE_BYTES * LINE_BYTES)]
+    grid = kernel.grid.resized(width, 96)
+    assert grid.row_stride == 220
+    t32, t96 = (simulate_kernel(kernel, kernel.grid.resized(width, rows), level,
+                                AlwaysAllocate()) for rows in (32, 96))
+    steady = t96.total_bytes - t32.total_bytes
+    streams = kernel.counts.rd_lcf + 2 * kernel.counts.wr
+    assert steady == 64 * streams * grid.row_stride * grid.element_size
+    simulated = steady / (64 * width)
+    model = float(sweep.bytes_per_it[0])
+    assert abs(model - simulated) < kernel.counts.rd_lcf * LINE_BYTES / width

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -73,12 +74,34 @@ class TestMachineModel:
         ("speci2m_factor", "1.2", "must be a finite number"),
         ("nt_factor", None, "must be a finite number"),
         ("name", 8360, "must be a string"),
+        # balance.WaPolicy's range; a factor of 2.5 once priced `analyze`
+        # and `prime-sweep --wa full` without a word
+        ("speci2m_factor", 2.5, "must lie in [1.0, 2.0]"),
+        ("speci2m_factor", 0.99, "must lie in [1.0, 2.0]"),
+        ("nt_factor", 2.01, "must lie in [1.0, 2.0]"),
+        ("nt_factor", 0.5, "must lie in [1.0, 2.0]"),
+        ("speci2m_activation_cores", -4, "must be >= 1"),
+        ("speci2m_activation_cores", 0, "must be >= 1"),
     ], ids=["nan", "inf", "bool", "fractional_cores", "float_cache",
-            "factor_string", "factor_null", "name_number"])
+            "factor_string", "factor_null", "name_number",
+            "speci2m_factor_high", "speci2m_factor_low", "nt_factor_high",
+            "nt_factor_low", "negative_activation", "zero_activation"])
     def test_mistyped_field_rejected_in_code(self, icx, field, value, message):
         # the values the machine loader refuses, built without it
-        with pytest.raises(ValueError, match=rf"^{field} {message}, not "):
+        with pytest.raises(ValueError, match=rf"^{field} {re.escape(message)}, not "):
             replace(icx, **{field: value})
+
+    @pytest.mark.parametrize("field", ["speci2m_factor", "nt_factor"])
+    @pytest.mark.parametrize("value", [1.0, 2.0])
+    def test_factor_range_is_closed(self, icx, field, value):
+        assert getattr(replace(icx, **{field: value}), field) == value
+
+    def test_load_names_the_file_and_the_field(self, icx, tmp_path):
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({**icx.__dict__, "speci2m_factor": 2.5}))
+        with pytest.raises(ValueError) as err:
+            load_machine(p)
+        assert str(err.value) == f"{p}: speci2m_factor must lie in [1.0, 2.0], not 2.5"
 
     def test_load_rejects_unknown_fields(self, tmp_path):
         p = tmp_path / "m.json"
@@ -124,6 +147,23 @@ class TestRooflinePredict:
     def test_monotone_in_cores(self, icx):
         perf = [roofline_predict(0.2, icx, c).performance for c in range(1, 73)]
         assert perf == sorted(perf)
+
+    @pytest.mark.parametrize("intensity, bound", [(0.2, "memory"), (1000.0, "core")])
+    def test_node_caps_both_roofs(self, icx, spr, intensity, bound):
+        # one node is modelled: cores beyond it add neither bandwidth nor
+        # compute (a core-bound 720 cores on icx once gave 10x the node)
+        for machine in (icx, spr):
+            node = machine.cores_per_node
+            at_node = roofline_predict(intensity, machine, node)
+            assert at_node.bound == bound
+            assert roofline_predict(intensity, machine, 2 * node) == at_node
+            assert roofline_predict(intensity, machine, 10 * node) == at_node
+
+    def test_core_roof_below_the_node_is_unchanged(self, icx, spr):
+        for machine in (icx, spr):
+            for cores in range(1, machine.cores_per_node + 1):
+                p = roofline_predict(1000.0, machine, cores)
+                assert p.performance == cores * machine.peak_flops_per_core
 
 
 class TestKernelRuntime:
