@@ -62,17 +62,20 @@ repeats when its key equals the one of the period before, and the bulk
 scales one counter vector (lines read, written and avoided). ``simulate``
 replays a trace in full, as it has no rows.
 
-Within a row, an iteration whose accesses all stay on the lines of the
-iteration before it only hits, if the level holds the lines of one
-iteration, so by the stack property of LRU it changes nothing but write
-coverage. ``simulate_kernel`` feeds each row with such iterations squeezed
-out: of a stretch of them it feeds only the last read and the writes of
-the last one, and each write carries one mask of the bytes that its
-access writes over the stretch. The state after each row is the one the
-whole row leaves as long as the level holds at least as many lines as the
-kernel has accesses and, under NT, the kernel writes no more arrays than
-there are WC buffers (``_replay_kernel`` says why). The masks are built
-only under claims and NT, the policies that read them.
+Within a row, a visit is a stretch of iterations in which one access
+stays on one line. While a line is in the middle of a visit it only hits,
+so by the stack property of LRU its accesses there change nothing but
+write coverage. ``simulate_kernel`` feeds each row squeezed: each access
+at the first and the last iteration of each of its visits, a start write
+with a mask of its own bytes and an end write with one of the rest of its
+visit. The state after each row is the one the whole row leaves as long as
+the level holds more than twice as many lines as the kernel has accesses
+and, under NT, there are at least twice as many WC buffers as written
+arrays. Where that fails but the level holds a line per access and,
+under NT, there is a WC buffer per written array, it feeds whole each
+iteration in which an access starts a visit; otherwise it feeds whole
+rows (``_replay_kernel`` says why each rule is exact, and where). The masks are
+built only under claims and NT, the policies that read them.
 """
 
 from __future__ import annotations
@@ -595,44 +598,59 @@ def _live_lines(addrs: np.ndarray, accesses: int, periods: int, shift: int) -> s
 
 
 def _squeeze(kernel: KernelSpec, row_iters: int, esize: int, addrs: np.ndarray,
-             squeeze: bool = True,
-             masks: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+             squeeze: str, masks: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Which events of whole rows of a sweep to feed, and their write masks.
 
     `addrs` holds whole rows of `row_iters` iterations, each iteration's
-    reads before its writes. An iteration repeats if each of its accesses
-    stays on the line it touched in the iteration before it, in the same
-    row. Each iteration that does not repeat is fed whole. Of a stretch of
-    repeating iterations after it, only the last is fed, and of that one
-    only its last read and its writes, each write with one mask that
-    covers the writes of its access over the whole stretch (why this is
-    exact: ``_replay_kernel``). Without `squeeze`, no iteration repeats.
-    Returns the index of the events fed, in order, and their masks, or None
-    for the masks without `masks`, as only claims and NT stores read them.
+    reads before its writes. A visit is a stretch of iterations of one row
+    in which one access stays on one line. `squeeze` names the rule
+    (``_replay_kernel`` says why each is exact, and where):
+
+    * ``"visits"``: each access is fed in the first and the last iteration
+      of each of its visits, and the last read is fed too in an iteration
+      in which a write's visit of more than one iteration ends;
+    * ``"iterations"``: an iteration in which any access starts a visit is
+      fed whole; of the other iterations, one in which any access ends a
+      visit is fed its last read and its writes;
+    * ``"rows"``: every event is fed.
+
+    Each write fed carries one mask of the bytes that its access writes
+    since the event of that access fed before it, all on its line. Returns
+    the index of the events fed, in order, and their masks, or None for
+    the masks without `masks`, as only claims and NT stores read them.
     """
     accesses = len(kernel.accesses)
     reads = len(kernel.reads())
     iters = addrs.size // accesses
     addrs = addrs.reshape(iters, accesses)
-    lines = addrs >> np.uint64(LINE_SHIFT)
-    same = np.zeros(iters, dtype=bool)
-    same[1:] = (lines[1:] == lines[:-1]).all(axis=1)
-    same[::row_iters] = False
-    same &= squeeze
-    # a group is one iteration that does not repeat, or a stretch of them
-    first = np.flatnonzero(~same | ~np.concatenate(([False], same[:-1])))
-    last = np.append(first[1:], iters) - 1
-    fed = np.ones((first.size, accesses), dtype=bool)
-    fed[same[first], :max(reads - 1, 0)] = False
-    index = (last[:, None] * accesses + np.arange(accesses))[fed]
+    # start[i, a]: access a starts a visit in iteration i; end[i, a] is
+    # start[i + 1, a], as every row's first iteration starts a visit
+    start = np.ones((iters + 1, accesses), dtype=bool)
+    if squeeze != "rows":
+        lines = addrs >> np.uint64(LINE_SHIFT)
+        np.not_equal(lines[1:], lines[:-1], out=start[1:iters])
+        start[::row_iters] = True
+    start, end = start[:-1], start[1:]
+    if squeeze == "visits":
+        fed = start | end
+        if reads:
+            fed[:, reads - 1] |= (end[:, reads:] & ~start[:, reads:]).any(axis=1)
+    else:
+        fed = np.repeat(start.any(axis=1)[:, None], accesses, axis=1)
+        fed[:, max(reads - 1, 0):] |= end.any(axis=1)[:, None]
+    index = np.flatnonzero(fed)
     if not masks:
         return index, None
-    # a group's elements are consecutive on one line: the last one fed and
-    # the ones before it, `span` bytes in all
-    span = ((last - first + 1) * esize).astype(np.uint64)[:, None]
-    low = (addrs[last] & np.uint64(LINE_BYTES - 1)) + np.uint64(esize) - span
-    cover = np.uint64(FULL_MASK) >> (np.uint64(LINE_BYTES) - span) << low
-    cover[:, :reads] = 0
+    # a write fed covers `span` bytes: its own and those of the iterations
+    # since its access was last fed, which all stay on its line
+    writes = addrs[:, reads:]
+    it = np.arange(iters)[:, None]
+    before = np.full(writes.shape, -1)
+    np.maximum.accumulate(np.where(fed[:, reads:], it, -1)[:-1], axis=0, out=before[1:])
+    span = ((it - before) * esize).astype(np.uint64)
+    low = (writes & np.uint64(LINE_BYTES - 1)) + np.uint64(esize) - span
+    cover = np.zeros(fed.shape, dtype=np.uint64)
+    cover[:, reads:] = np.uint64(FULL_MASK) >> (np.uint64(LINE_BYTES) - span) << low
     return index, cover[fed]
 
 
@@ -653,43 +671,83 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     Each period is drawn as one block of ``gen_trace_blocks`` (P rows), as
     the replay needs it, so a sweep draws the periods it replays and, if it
     ends with a tail, one more. Each period is fed squeezed (``_squeeze``),
-    with write masks only under claims and NT. An iteration repeats if
-    each of its accesses stays on the line it touched in the iteration
-    before it. Of a stretch of repeating iterations only the last is fed,
-    and of it only its last read and its writes, whose masks cover the
-    writes of the whole stretch. After each row, once the held-back run is
-    replayed too, the state is the one the whole row leaves if
+    with write masks only under claims and NT. Row k + P is row k moved by
+    whole lines, so which events are fed, and their masks, are found once
+    per sweep, from the first period. For a kernel of A accesses that
+    writes W arrays (each at one offset), the rule is the first of these
+    whose guard holds:
 
-    * the level holds at least as many lines as the kernel has accesses,
-      and
-    * under NT, the kernel writes no more arrays than there are WC buffers.
+    * by visit, on a level of at least 2A + 1 lines and, under NT, with at
+      least 2W WC buffers;
+    * by iteration, on a level of at least A lines and, under NT, with at
+      least W WC buffers;
+    * whole rows.
 
-    The iteration before a stretch leaves every line it touches cached,
-    the newest lines of the level (the first condition), or under NT every
-    line it stores in a WC buffer (the second). So each access of the
-    stretch hits: nothing is fetched, evicted or flushed, no claim opens or
-    ages out, and no read meets an open claim, since claims open on write
-    misses only. The LRU and WC orders after a stretch are the ones after
-    its last iteration, which its last read and its writes restore: lines
-    only read in order of their last read, then the written ones in order
-    of their last write. What is left is write coverage, which the masks
-    carry. A claim or WC buffer completes in a stretch's last iteration
-    only: a kernel writes each element once, so after the write that
-    completes a line its access moves to a new line, which ends the
-    stretch. The last read keeps the masked writes in runs of their own:
-    otherwise a masked write could join the run of a write that missed
-    before the stretch, which would then write the whole line at once and
-    open no claim or WC buffer. Row k + P is row k moved by whole lines,
-    so which events are fed, and their masks, are found once per sweep,
-    from the first period.
+    After each row, once the held-back run is replayed too, the state is
+    the one the whole row leaves.
+
+    By visit. A visit is a stretch of iterations of one row in which one
+    access stays on one line; it lasts at most 64 / e iterations, for
+    elements of e bytes. Each access is fed at the first and the last
+    iteration of each of its visits. A start write's mask covers its own
+    bytes, an end write's the rest of its visit. Between a visit's fed
+    start and its fed end the line's recorded last touch is stale, but the
+    line is in flight and all its accesses are hits:
+
+    * Let s be the oldest fed start of a visit in flight. Since s each
+      access has touched at most two lines, as 64 / e consecutive elements
+      span two, so at most 2A lines are newer than s. A miss on a level of
+      at least 2A + 1 lines therefore finds a line older than s. That line
+      is one the sweep has left, and its last touch, the end of a visit,
+      was fed, so it is the LRU victim of the squeezed and of the whole
+      rows alike, and no line in flight is evicted.
+    * Claims open on write misses, at visit starts, and complete at visit
+      ends: each element is written once, so the write that completes a
+      line is the last of its visit on it. A read of a claimed line starts
+      a visit, as the line was not cached before the claim opened. So the
+      claim table changes at fed events only, in the same order.
+    * Under NT at most W lines are in flight and at most W partial lines
+      are left within one such window, so with at least 2W buffers an
+      overflow pops a line that was left, whose last store was fed.
+    * Every visit ends at a row's last iteration, so after each row no
+      line is in flight.
+
+    The last read of an iteration in which a write's visit ends is fed too,
+    if that visit began earlier. It keeps the end write out of the run of
+    the start write, whose miss must open its claim or WC buffer with its
+    own bytes only. Both guards are needed, as two tests of
+    ``tests/test_cachesim.py`` pin. On a level of A + 1 lines a miss
+    evicts a line still in flight:
+    ``test_level_of_up_to_twice_the_accesses_squeezes_by_iteration``. Two
+    store streams half a line apart through two WC buffers overflow them
+    with a line still being written:
+    ``test_fewer_nt_buffers_than_twice_the_written_arrays_squeeze_by_iteration``.
+
+    By iteration. An iteration in which any access starts a visit is fed
+    whole. Of the stretch of iterations up to the next such one, only the
+    last is fed, and of it only its last read and its writes, whose masks
+    cover the writes of the whole stretch. The whole iteration before a
+    stretch leaves every line it touches cached, the newest lines of the
+    level (at least A), or under NT every line it stores in a WC buffer (at
+    least W). So each access of the stretch hits: nothing is fetched,
+    evicted or flushed, no claim opens or ages out, and no read meets an
+    open claim, since claims open on write misses only. The LRU and WC
+    orders after a stretch are the ones after its last iteration, which
+    its last read and its writes restore: lines only read in order of their
+    last read, then the written ones in order of their last write. A claim
+    or WC buffer completes in a stretch's last iteration only, as above.
+    The last read keeps the masked writes in runs of their own. Below A
+    lines (``test_fewer_lines_than_accesses_keep_whole_rows``) or W
+    buffers (``test_more_written_arrays_than_nt_buffers_keep_whole_rows``)
+    an access of a stretch may miss, so whole rows are fed.
 
     A line that the sweep has left is never touched again
     (``_window_rows``), and the lines the rest of the sweep can touch were
     all touched in the last ``history`` periods, which cover that bound.
     Period n is period 1 moved by (n - 1) * D lines, so these live lines
     are found once, from period 1 alone (``_live_lines``); they are the
-    lines its fed events touch too, as a repeating iteration touches the
-    lines of the one before it. Only the last period may be cut short, and
+    lines its fed events touch too, as the first iteration of every visit
+    is fed. Only the last period may be cut short, and
     its rows are a prefix of a whole period's, so its lines are among them.
     From then on, full level or not, the replay retires the left lines
     after each period (``_Hierarchy.retire``), which also leaves room for
@@ -723,9 +781,12 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     # retire needs them
     history = max(1, -(-width // period))
     live = None
-    # the conditions under which squeezed rows leave the state of whole rows
-    squeeze = sim.ways >= len(kernel.accesses) and not (
-        sim.nt and len(kernel.writes()) > policy.combine_buffers)
+    # the rule whose squeezed rows leave the state of whole rows; only NT
+    # can run short of WC buffers
+    accesses, written = len(kernel.accesses), len(kernel.writes())
+    buffers = policy.combine_buffers if sim.nt else math.inf
+    squeeze = ("visits" if sim.ways > 2 * accesses and 2 * written <= buffers else
+               "iterations" if sim.ways >= accesses and written <= buffers else "rows")
     keep = None
 
     def feed(addrs):
