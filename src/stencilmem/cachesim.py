@@ -48,19 +48,19 @@ write-combine buffers, whose outcome depends on the order of the runs.
 
 A kernel sweep is periodic in its rows: row k + P is row k moved by whole
 lines, P = 64 / gcd(row_bytes, 64). ``simulate_kernel`` replays period by
-period, each drawn as one block of P rows when the replay reaches it, and
-charges the rest of the sweep in bulk once a period repeats, bit-identical
-to ``simulate`` of the whole trace. So it generates only the rows it
-replays, and at most one period more for the tail. After each period it
-retires the lines that the sweep has left, which no access touches again,
-from the front of each table: an entry there is its table's oldest (the
-stack property of LRU), so it is dropped and charged at once for what it
-would cost later. Then it takes one key of the whole state: the level
-(with dirty bits and order), the claim table, the WC buffers and the
-held-back run, every line counted from the sweep's position. A period
-repeats when its key equals the one of the period before, and the bulk
-scales one counter vector (lines read, written and avoided). ``simulate``
-replays a trace in full, as it has no rows.
+period and charges the rest of the sweep in bulk once a period repeats,
+bit-identical to ``simulate`` of the whole trace. It draws period 1 alone
+and cuts its events into runs once: every later period is those runs
+moved by whole lines, and the tail a prefix of its events. After each
+period it retires the lines that the sweep has left, which no access
+touches again, from the front of each table: an entry there is its
+table's oldest (the stack property of LRU), so it is dropped and charged
+at once for what it would cost later. Then it takes one key of the whole
+state: the level (with dirty bits and order), the claim table, the WC
+buffers and the held-back run, every line counted from the sweep's
+position. A period repeats when its key equals the one of the period
+before, and the bulk scales one counter vector (lines read, written and
+avoided). ``simulate`` replays a trace in full, as it has no rows.
 
 Within a row, a visit is a stretch of iterations in which one access
 stays on one line. While a line is in the middle of a visit it only hits,
@@ -87,6 +87,7 @@ from functools import reduce
 from itertools import compress, repeat
 from operator import or_
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -242,6 +243,31 @@ def gen_trace(kernel: KernelSpec, grid: GridSpec):
         yield records
 
 
+def _run_starts(lines: np.ndarray, writes: np.ndarray) -> np.ndarray:
+    """Where each run of events starts, the one rule by which both ``feed``
+    and a sweep (``_period_runs``) cut events into runs. A run is
+    consecutive events on one line; a write followed by a read of that line
+    starts a new run, otherwise the read could not trigger a deferred fill.
+    So a run's reads come first, and its last event tells whether it
+    writes."""
+    start = np.empty(lines.size, dtype=bool)
+    start[0] = True
+    np.not_equal(lines[1:], lines[:-1], out=start[1:])
+    start[1:] |= writes[:-1] > writes[1:]     # a write, then a read
+    return start.nonzero()[0]
+
+
+def _runs(lines, writes, masks, starts):
+    """The runs that begin at `starts`, each up to the next, the last up to
+    the end of the events: each one's line, whether its first and whether
+    its last event writes, and its write coverage (None without `masks`)."""
+    ends = np.empty_like(starts)
+    np.subtract(starts[1:], 1, out=ends[:-1])
+    ends[-1] = lines.size - 1
+    return (lines[starts], writes[starts], writes[ends],
+            None if masks is None else np.bitwise_or.reduceat(masks, starts))
+
+
 class _Hierarchy:
     """Replay engine over the last cache level (the module docstring says
     why the levels above it are not replayed)."""
@@ -281,20 +307,17 @@ class _Hierarchy:
         `masks` holds each event's write coverage, the bytes of its line
         that it writes (0 for a read). Only claims and NT stores read it, so
         under any other policy it may be None. ``simulate`` builds it from
-        the access size (``_write_masks``); ``_replay_kernel`` feeds each
-        period squeezed (``_squeeze``), where one write may stand for the
-        writes of several iterations and cover their bytes.
+        the access size (``_write_masks``); ``_replay_kernel`` feeds a
+        sweep's tail squeezed (``_squeeze``), where one write may stand for
+        the writes of several iterations and cover their bytes.
 
-        The block's last run may go on in the next block, so its events and
-        masks are held back and replayed at the front of the next block, or
-        by ``finish`` as one run (``_replay_held``). So the traffic does not
-        depend on where a trace is cut into blocks. Under a policy that
-        does not evade, a block of at least ``LINE_REPLAY_RUNS`` runs that
-        evicts no line is replayed line by line instead (``_feed_lines``),
-        to the same state; fewer runs cost less in the run loop
-        (``_replay_runs``) than the per-line path's fixed numpy calls.
-        Claims and NT always take the run loop. The call adds its lines
-        read, written and avoided and its claims aged out to ``counts``.
+        The runs are cut by ``_run_starts``. The block's last run may go on
+        in the next block, so its events and masks are held back and
+        replayed at the front of the next block, or by ``finish`` as one
+        run (``_replay_held``). So the traffic does not depend on where a
+        trace is cut into blocks. The other runs are replayed line by line
+        or in the run loop (``_by_lines``). The call adds its lines read,
+        written and avoided and its claims aged out to ``counts``.
         """
         if self.held[0].size:
             addrs = np.concatenate((self.held[0], addrs))
@@ -306,34 +329,51 @@ class _Hierarchy:
         if masks is None and (self.claim or self.nt):
             raise ValueError("claims and NT stores need the write masks")
         lines = addrs >> np.uint64(LINE_SHIFT)
-        split = lines[1:] != lines[:-1]
-        # a write followed by a read of the same line must start a new run,
-        # otherwise the read could not trigger a deferred fill; so a run's
-        # reads come first, and its last event tells whether it writes
-        np.logical_or(split, writes[:-1] & ~writes[1:], out=split)
-        starts = np.flatnonzero(np.concatenate(([True], split)))
+        starts = _run_starts(lines, writes)
         n = int(starts[-1])
         self.held = addrs[n:], writes[n:], None if masks is None else masks[n:]
         if n == 0:
             return
-        starts = starts[:-1]
-        ends = np.append(starts[1:], n) - 1
-        start_lines, any_w = lines[starts], writes[ends]
-        if (not (self.claim or self.nt) and starts.size >= LINE_REPLAY_RUNS
-                and self._feed_lines(start_lines, any_w)):
-            return
-        # only claims and NT stores read the coverage
-        cov = None if masks is None else np.bitwise_or.reduceat(masks[:n], starts)
-        self._replay_runs(start_lines.tolist(), writes[starts].tolist(), any_w.tolist(),
-                          repeat(0) if cov is None else cov.tolist())
+        run_lines, first_w, any_w, cov = _runs(lines[:n], writes[:n],
+                                               None if masks is None else masks[:n],
+                                               starts[:-1])
+        if not self._by_lines(run_lines, any_w):
+            self._replay_runs(run_lines.tolist(), first_w.tolist(), any_w.tolist(),
+                              repeat(0) if cov is None else cov.tolist())
+
+    def replay_period(self, runs: _Period, moved: int):
+        """Replay a period's runs cut once (``_period_runs``), moved by
+        `moved` lines, and hold back its last run, moved too. The run held
+        back before must be the one the runs were cut after."""
+        lines = runs.lines + np.uint64(moved)
+        if not self._by_lines(lines, runs.writes):
+            self._replay_runs(lines.tolist(), *runs.loop)
+        addrs, writes, masks = runs.held
+        self.held = addrs + np.uint64(moved * LINE_BYTES), writes, masks
+
+    def _by_lines(self, lines, writes) -> bool:
+        """Whether the runs were replayed line by line (``_feed_lines``), to
+        the state the run loop leaves: a block of at least
+        ``LINE_REPLAY_RUNS`` runs under a policy that does not evade, if it
+        evicts no line. Fewer runs cost less in the run loop than the
+        per-line replay's fixed numpy calls; claims and NT always take the
+        run loop. `lines` and `writes` hold each run's line and whether its
+        last event writes."""
+        return (not (self.claim or self.nt) and lines.size >= LINE_REPLAY_RUNS
+                and self._feed_lines(lines, writes))
 
     def _replay_runs(self, lines, first_w, any_w, cov):
         """The run loop: replay runs one by one. The arguments are iterables
-        of one entry per run, as ``feed`` finds them: the run's line,
+        of one entry per run, as ``_runs`` finds them: the run's line,
         whether its first and whether its last event writes, and its write
-        coverage. It adds the lines read, written and avoided and the claims
-        aged out to ``counts``."""
-        lru, ways = self.lru, self.ways
+        coverage; the lines give the number of runs, and the others may go
+        on past them. It adds the lines read, written and avoided and the
+        claims aged out to ``counts``. The free room of the level is read
+        once a call and counted down on each miss, as ``retire`` and
+        ``_feed_lines`` change it between calls."""
+        lru = self.lru
+        touch, evict = lru.move_to_end, lru.popitem
+        room = self.ways - len(lru)
         pending, wc, full = self.pending, self.wc, FULL_MASK
         claim, nt = self.claim, self.nt
         window = self.policy.buffer_lines if claim else 0
@@ -341,7 +381,7 @@ class _Hierarchy:
         reads = writes_out = avoided = aged = 0
         for line, first_w, any_w, cov in zip(lines, first_w, any_w, cov):
             if line in lru:
-                lru.move_to_end(line)
+                touch(line)
                 if any_w:
                     lru[line] = True
                 if pending and line in pending:
@@ -376,8 +416,10 @@ class _Hierarchy:
                 writes_out += 1
                 reads += 1
             lru[line] = any_w
-            if len(lru) > ways:
-                victim, dirty = lru.popitem(last=False)
+            if room:
+                room -= 1
+            else:
+                victim, dirty = evict(False)
                 if dirty:
                     writes_out += 1
                 if pending and victim in pending:
@@ -654,6 +696,59 @@ def _squeeze(kernel: KernelSpec, row_iters: int, esize: int, addrs: np.ndarray,
     return index, cover[fed]
 
 
+class _Period(NamedTuple):
+    """A period's runs, cut once (``_period_runs``): each run's line and
+    whether its last event writes, for ``_Hierarchy._feed_lines``; the run
+    loop's other arguments, whether each run's first and last event write
+    and its coverage; and the events of the run held back at its end."""
+
+    lines: np.ndarray
+    writes: np.ndarray
+    loop: tuple
+    held: tuple
+
+
+def _period_runs(addrs: np.ndarray, writes: np.ndarray, masks: np.ndarray | None,
+                 shift: int) -> tuple[_Period, _Period]:
+    """Cut the events fed in period 1 of a sweep into runs, once for all
+    periods.
+
+    Period n's events are period 1's moved by (n - 1) * `shift` lines, and
+    moving by whole lines keeps every cut between two of its events. What
+    differs is the front: period 1 starts fresh, and every later period
+    after the run held back from the one before, which is period 1's last
+    run moved. That run stands alone, or goes on with the period's first
+    run if ``_run_starts`` does not cut between them, as ``feed`` would
+    join them. Returns period 1's runs and those of period 2, which moved
+    by (n - 2) * `shift` lines are period n's.
+    """
+    lines = addrs >> np.uint64(LINE_SHIFT)
+    # period 1's events, and period 2's first, which starts a run unless it
+    # goes on with the run held back from period 1
+    starts = _run_starts(np.concatenate((lines, lines[:1] + np.uint64(shift))),
+                         np.concatenate((writes, writes[:1])))
+    joined = int(starts[-1]) < lines.size
+    if not joined:
+        starts = starts[:-1]
+    # every run of period 1, the last of them held back
+    run_lines, first_w, last_w, cov = _runs(lines, writes, masks, starts)
+    m = run_lines.size - 1
+    first, last = first_w.tolist(), last_w.tolist()
+    cov = [0] * (m + 1) if cov is None else cov.tolist()
+    n = int(starts[-1])
+    held = addrs[n:], writes[n:], None if masks is None else masks[n:]
+    # period 2: period 1's held-back run, joined with its first run or not,
+    # then the other runs moved. The run loop stops at the last line, so
+    # its other lists may go on past it (``zip``) and need not be cut
+    j = int(joined)
+    later = _Period(np.concatenate((run_lines[m:], run_lines[j:m] + np.uint64(shift))),
+                    last_w[:m] if j else np.concatenate((last_w[m:], last_w[:m])),
+                    (first[m:] + first[j:], last if j else last[m:] + last,
+                     [cov[m] | cov[0] * j] + cov[j:]),
+                    (held[0] + np.uint64(shift * LINE_BYTES), held[1], held[2]))
+    return _Period(run_lines[:m], last_w[:m], (first, last, cov), held), later
+
+
 def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
                    policy: WritePolicySim) -> _Hierarchy:
     """Replay and finish one kernel's sweep, charging what repeats in bulk.
@@ -668,12 +763,16 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     whole period with the delta of the counter vector over the last one,
     replays the tail rows and finishes.
 
-    Each period is drawn as one block of ``gen_trace_blocks`` (P rows), as
-    the replay needs it, so a sweep draws the periods it replays and, if it
-    ends with a tail, one more. Each period is fed squeezed (``_squeeze``),
-    with write masks only under claims and NT. Row k + P is row k moved by
-    whole lines, so which events are fed, and their masks, are found once
-    per sweep, from the first period. For a kernel of A accesses that
+    Row k + P is row k moved by whole lines, so the sweep draws period 1
+    alone, as one block of ``gen_trace_blocks`` (P rows), and finds once
+    which of its events are fed (``_squeeze``), with write masks only
+    under claims and NT. It cuts them into runs once too
+    (``_period_runs``): moving by whole lines keeps every cut between two
+    events, so every later period replays period 1's runs moved by D
+    lines, after the run held back from the period before, and holds back
+    period 1's last run moved. The tail rows, or a last period cut short,
+    are a prefix of period 1's events moved, fed through ``feed``. For a
+    kernel of A accesses that
     writes W arrays (each at one offset), the rule is the first of these
     whose guard holds:
 
@@ -775,7 +874,6 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     period = LINE_BYTES // math.gcd(row_bytes, LINE_BYTES)
     shift = period * row_bytes // LINE_BYTES
     row = k0                        # the first row of the next period
-    blocks = gen_trace_blocks(kernel, grid, period)     # one period each
     width = _window_rows(kernel, grid)
     # the periods whose lines cover `width` rows, and their lines once a
     # retire needs them
@@ -787,42 +885,48 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     buffers = policy.combine_buffers if sim.nt else math.inf
     squeeze = ("visits" if sim.ways > 2 * accesses and 2 * written <= buffers else
                "iterations" if sim.ways >= accesses and written <= buffers else "rows")
-    keep = None
+    # period 1, or the whole sweep if it is shorter
+    addrs, writes = next(gen_trace_blocks(kernel, grid, period))
+    keep, masks = _squeeze(kernel, j1 - j0 + 1, grid.element_size, addrs, squeeze,
+                           sim.claim or sim.nt)
+    fed = addrs[keep], writes[keep], masks
+    first, later = _period_runs(*fed, shift)
 
-    def feed(addrs):
-        """Feed whole rows from the start of a period."""
-        n = row_fed[addrs.size // row_events]
-        sim.feed(addrs[keep[:n]], fed_writes[:n], None if masks is None else masks[:n])
+    def feed(rows, n):
+        """Feed the first `rows` rows of period n + 1."""
+        i = int(np.searchsorted(keep, rows * row_events))
+        sim.feed(fed[0][:i] + np.uint64(n * shift * LINE_BYTES), fed[1][:i],
+                 None if masks is None else masks[:i])
 
+    sim.replay_period(first, 0)
+    rows = addrs.size // row_events
     before = None, None
-    for n, (addrs, writes) in enumerate(blocks, 1):
-        if keep is None:    # which events to feed, from the first period
-            keep, masks = _squeeze(kernel, j1 - j0 + 1, grid.element_size, addrs,
-                                   squeeze, sim.claim or sim.nt)
-            fed_writes = writes[keep]
-            # the events fed before each row of a period
-            row_fed = np.searchsorted(keep, np.arange(period + 1) * row_events).tolist()
-            first = addrs   # period 1, whose lines give the live set
-        feed(addrs)
-        sim.replayed_rows += addrs.size // row_events
-        row += addrs.size // row_events
+    n = 1                           # periods replayed
+    while True:
+        sim.replayed_rows += rows
+        row += rows
         filling = len(sim.lru) < sim.ways
         if width and n > history:
             if live is None:
-                live = _live_lines(first, len(kernel.accesses), history, shift)
+                live = _live_lines(addrs, len(kernel.accesses), history, shift)
             sim.retire(live, (n - history) * shift)
         key = sim.window(row * row_bytes // LINE_BYTES)
-        if key != before[0]:
+        left = k1 + 1 - row
+        if key == before[0]:
+            whole, left = divmod(left, period)
+            sim.counts[:3] += whole * (sim.counts - before[1])[:3]
+            sim.bulk_rows += whole * period
+            if filling:
+                sim.fill_rows += whole * period
+        elif left >= period:
             before = key, sim.counts.copy()
+            sim.replay_period(later, (n - 1) * shift)
+            n += 1
+            rows = period
             continue
-        whole, tail = divmod(k1 + 1 - row, period)
-        sim.counts[:3] += whole * (sim.counts - before[1])[:3]
-        sim.bulk_rows += whole * period
-        if filling:
-            sim.fill_rows += whole * period
-        if tail:
-            feed(next(blocks)[0][:tail * row_events])
-            sim.replayed_rows += tail
+        if left:    # the tail, or a last period cut short
+            feed(left, n)
+            sim.replayed_rows += left
         break
     sim.finish()
     return sim
@@ -909,12 +1013,18 @@ def dump_trace(trace, path: str | Path):
 
 
 def load_trace(path: str | Path):
-    """Iterate over a trace file in blocks of ``TRACE_BLOCK`` records.
+    """Iterate over a trace file in blocks of ``TRACE_BLOCK`` records, read
+    one block at a time; the file is closed when the iteration ends.
 
     A file size that is not a whole number of records raises ValueError
-    (exit 2 from ``stencilmem replay``).
+    at the call, before any block (exit 2 from ``stencilmem replay``).
     """
     if Path(path).stat().st_size % TRACE_DTYPE.itemsize:
         raise ValueError(f"{path}: not a whole number of 9-byte trace records")
-    records = np.fromfile(path, dtype=TRACE_DTYPE)
-    return (records[i:i + TRACE_BLOCK] for i in range(0, records.size, TRACE_BLOCK))
+    return _trace_blocks(path)
+
+
+def _trace_blocks(path: str | Path):
+    with open(path, "rb") as fh:
+        while (records := np.fromfile(fh, dtype=TRACE_DTYPE, count=TRACE_BLOCK)).size:
+            yield records

@@ -432,6 +432,40 @@ class TestTraceIO:
         assert path.stat().st_size == 9 * len(events)
         assert pairs(load_trace(path)) == events
 
+    def test_file_of_two_and_a_half_blocks(self, tmp_path, monkeypatch):
+        # the blocks are read one at a time from the open file, which is
+        # closed when the iteration ends, and they are the records of the
+        # whole file cut every TRACE_BLOCK
+        size = TRACE_BLOCK * 5 // 2
+        records = np.empty(size, dtype=TRACE_DTYPE)
+        records["address"] = np.arange(size, dtype=np.uint64) * np.uint64(8)
+        records["mode"] = np.arange(size) % 3 == 0
+        path = tmp_path / "t.trace"
+        dump_trace([records], path)
+        opened = []
+
+        def recording(*args):
+            opened.append(open(*args))
+            return opened[-1]
+
+        monkeypatch.setattr(cachesim, "open", recording, raising=False)
+        blocks = load_trace(path)
+        assert opened == []
+        blocks = list(blocks)
+        assert [b.size for b in blocks] == [TRACE_BLOCK, TRACE_BLOCK, TRACE_BLOCK // 2]
+        whole = np.fromfile(path, dtype=TRACE_DTYPE)
+        for i, block in enumerate(blocks):
+            assert np.array_equal(block, whole[i * TRACE_BLOCK:(i + 1) * TRACE_BLOCK])
+        assert len(opened) == 1 and opened[0].closed
+
+    def test_truncated_file_raises_at_the_call(self, suite, tmp_path):
+        path = tmp_path / "t.trace"
+        dump_trace(gen_trace(suite.kernels["am04"], GridSpec(32, 8, halo_lo=2, halo_hi=2)), path)
+        with open(path, "r+b") as fh:
+            fh.truncate(path.stat().st_size - 4)
+        with pytest.raises(ValueError, match="whole number of 9-byte trace records"):
+            load_trace(path)
+
     @pytest.mark.parametrize("policy", [AlwaysAllocate(), AutoClaim(), NtBypass()],
                              ids=["always", "claim", "nt"])
     def test_replayed_traffic_matches_direct(self, suite, tmp_path, policy):
@@ -528,6 +562,51 @@ def lc_broken(kernel, grid):
 
 FF_POLICIES = {"always": AlwaysAllocate(), "claim": AutoClaim(), "nt": NtBypass()}
 FF_CACHES = {"lc-hold": lc_hold, "below-one-row": below_one_row, "lc-broken": lc_broken}
+# every policy, with WC buffers and claim tables of one and of many lines
+ALL_POLICIES = {"always": AlwaysAllocate(), "claim": AutoClaim(), "claim-1": AutoClaim(1),
+                "claim-80": AutoClaim(80), "nt": NtBypass(), "nt-1": NtBypass(1),
+                "nt-11": NtBypass(11)}
+
+
+@pytest.fixture
+def cuts(monkeypatch):
+    """Record the runs each engine replays: per engine, one list per block
+    of runs (a period, a block fed, or the run held back at the end) of
+    (line, first event writes, last event writes, coverage). Every block
+    takes the run loop, and the lines and write flags that the per-line
+    replay is offered must be those the run loop gets."""
+    loop = _Hierarchy._replay_runs
+    calls, offered = {}, {}
+
+    def by_lines(sim, lines, writes):
+        offered[sim] = list(zip(lines.tolist(), writes.tolist()))
+        return False
+
+    def replay_runs(sim, lines, first_w, last_w, cov):
+        runs = list(zip(lines, first_w, last_w, cov))
+        if sim in offered:
+            assert offered.pop(sim) == [(run[0], run[2]) for run in runs]
+        calls.setdefault(sim, []).append(runs)
+        loop(sim, *(zip(*runs) if runs else [()] * 4))
+
+    monkeypatch.setattr(_Hierarchy, "_by_lines", by_lines)
+    monkeypatch.setattr(_Hierarchy, "_replay_runs", replay_runs)
+    return calls
+
+
+def squeeze_rule(kernel, levels, policy) -> str:
+    """The rule ``_replay_kernel`` squeezes a sweep by."""
+    return (TestSqueeze.rules(kernel, levels, policy) + ["rows"])[0]
+
+
+def fed_rows(kernel, grid, rows, rule, policy):
+    """The events fed of the first `rows` rows of the whole sweep's trace,
+    squeezed by `rule`, and their write masks if `policy` evades."""
+    j0, j1, _, _ = _loop_bounds(kernel, grid)
+    addrs, writes = next(gen_trace_blocks(kernel, grid, rows))
+    keep, masks = _squeeze(kernel, j1 - j0 + 1, grid.element_size, addrs, rule,
+                           evades(policy))
+    return addrs[keep], writes[keep], masks, keep
 
 
 def kept_lines(kernel, grid, policy) -> int:
@@ -698,13 +777,15 @@ class TestFastForward:
                 == want.read_bytes / want.write_bytes)
 
     @pytest.mark.parametrize("case", ["am04", "halo-copy"])
-    def test_every_replayed_row_comes_from_gen_trace_blocks(self, suite, monkeypatch,
+    def test_every_replayed_row_comes_from_gen_trace_blocks(self, suite, monkeypatch, cuts,
                                                             case):
         # the benchmark counts the events of a sweep by replacing the module's
         # gen_trace_blocks: every event that simulate_kernel replays must come
-        # through it, from one call that draws one period a block and no
-        # block the replay does not feed. The rows are fed squeezed, as
-        # copies of the events kept
+        # through it, from one call of one period a block, of which it pulls
+        # the first block alone. Every later period and the tail are that
+        # period moved by whole lines, so the runs replayed are those that
+        # ``feed`` cuts from the squeezed rows of the whole sweep's trace, at
+        # the same rows
         if case == "halo-copy":
             kernel, grid = halo_copy_kernel(216, 3, 75)
         else:
@@ -712,8 +793,8 @@ class TestFastForward:
             grid = kernel.grid.resized(16, 192)
         policy = AutoClaim()
         levels = fills_mid_sweep(kept_lines(kernel, grid, policy))
-        calls, drawn, fed, engines = [], [], [], set()
-        gen, engine_feed = cachesim.gen_trace_blocks, _Hierarchy.feed
+        calls, drawn = [], []
+        gen = cachesim.gen_trace_blocks
 
         def counting(*args):
             calls.append(args)
@@ -721,27 +802,21 @@ class TestFastForward:
                 drawn.append(block[0])
                 yield block
 
-        def record_feed(sim, addrs, writes, masks=None):
-            engines.add(sim)
-            fed.append(addrs)
-            engine_feed(sim, addrs, writes, masks)
-
         monkeypatch.setattr(cachesim, "gen_trace_blocks", counting)
-        monkeypatch.setattr(_Hierarchy, "feed", record_feed)
-        simulate_kernel(kernel, grid, levels, policy)
-        (sim,) = engines
+        sim = _replay_kernel(kernel, grid, levels, policy)
         period = LINE // math.gcd(grid.row_stride * grid.element_size, LINE)
         assert calls == [(kernel, grid, period)]
-        assert sim.bulk_rows > 0 and len(drawn) == len(fed) == -(-sim.replayed_rows // period)
         j0, j1, _, _ = _loop_bounds(kernel, grid)
-        row_events = (j1 - j0 + 1) * len(kernel.accesses)
-        assert all(addrs.size == period * row_events for addrs in drawn)
-        addrs = np.concatenate(drawn)[:sim.replayed_rows * row_events]
+        assert [addrs.size for addrs in drawn] == [period * (j1 - j0 + 1) * len(kernel.accesses)]
+        assert sim.bulk_rows > 0 and sim.replayed_rows > period
         # each level holds more than twice as many lines as the kernel has
         # accesses, so rows are fed by visit
-        keep, _ = _squeeze(kernel, j1 - j0 + 1, grid.element_size, addrs, "visits")
-        assert np.array_equal(np.concatenate(fed), addrs[keep])
-        assert keep.size < addrs.size
+        addrs, writes, masks, keep = fed_rows(kernel, grid, sim.replayed_rows, "visits", policy)
+        assert keep.size < sim.replayed_rows * (j1 - j0 + 1) * len(kernel.accesses)
+        ref = _Hierarchy(levels, policy)
+        ref.feed(addrs, writes, masks)
+        ref._replay_held()
+        assert sum(cuts[sim], []) == sum(cuts[ref], [])
 
     @pytest.mark.parametrize("policy", FF_POLICIES)
     def test_stencil_sweep_draws_and_squeezes_only_what_it_feeds(self, suite, monkeypatch,
@@ -814,6 +889,30 @@ class TestFastForward:
         kernel, grid = store_stream_kernel(2, 100 * 8)
         sim = self.replay(kernel, grid.resized(8, 100), lv(lines), policy)
         assert (sim.replayed_rows, sim.fill_rows, sim.bulk_rows) == (3, 97, 97)
+
+    @pytest.mark.parametrize("policy", [AlwaysAllocate(), AutoClaim()],
+                             ids=["always", "claim"])
+    def test_retire_frees_room_on_a_full_level(self, monkeypatch, policy):
+        # rows of one line, each read two rows after it is written: every
+        # row brings one new line into a level of seven, which is full after
+        # five rows. From then on each retire drops one line that the sweep
+        # has left from the full level, and the next period's miss takes
+        # that room instead of evicting, so the level is full again at the
+        # next retire: the run loop must read the room at each call
+        retire, sizes = _Hierarchy.retire, []
+
+        def recording(sim, live, moved):
+            before = len(sim.lru)
+            retire(sim, live, moved)
+            sizes.append((before, len(sim.lru)))
+
+        monkeypatch.setattr(_Hierarchy, "retire", recording)
+        kernel = make_kernel([("a", 0, -2, READ), ("a", 0, 0, WRITE)])
+        grid = GridSpec(4, 40, halo_lo=2, halo_hi=2)
+        sim = _replay_kernel(kernel, grid, lv(7), policy)
+        assert sizes == [(7, 6)] * 3
+        assert (sim.replayed_rows, sim.bulk_rows, sim.fill_rows) == (7, 33, 0)
+        self.replay(kernel, grid, lv(7), policy)
 
     @pytest.mark.parametrize("case, policy", [
         (case, policy) for case in ("am04", "pdv01", "halo-copy", "held-line")
@@ -1124,6 +1223,95 @@ class TestFastForward:
         for policy in (AutoClaim(1), AutoClaim(2)):
             sim = self.replay(kernel, grid, levels, policy)
             assert (sim.replayed_rows, sim.fill_rows) == (3, 57)
+
+
+class TestPlannedRuns:
+    """``_replay_kernel`` cuts the events fed in period 1 into runs once
+    (``_period_runs``) and replays every later period as those runs moved
+    by whole lines, after the run held back from the period before; the
+    tail and a last period cut short go through ``feed``. The reference is
+    ``feed``'s cut of the same rows of the whole sweep's trace, fed one
+    period a block: each block must replay the same runs."""
+
+    @staticmethod
+    def check(kernel, grid, levels, policy, cuts):
+        """Assert that every block of runs the sweep replays is the one
+        ``feed`` cuts from the same rows; return the sweep's engine."""
+        sim = _replay_kernel(kernel, grid, levels, policy)
+        addrs, writes, masks, keep = fed_rows(kernel, grid, sim.replayed_rows,
+                                              squeeze_rule(kernel, levels, policy), policy)
+        j0, j1, _, _ = _loop_bounds(kernel, grid)
+        period = LINE // math.gcd(grid.row_stride * grid.element_size, LINE)
+        row_events = (j1 - j0 + 1) * len(kernel.accesses)
+        cut = np.searchsorted(keep, np.arange(period, sim.replayed_rows, period) * row_events)
+        ref = _Hierarchy(levels, policy)
+        for block in zip(np.split(addrs, cut), np.split(writes, cut),
+                         [None] * (cut.size + 1) if masks is None else np.split(masks, cut)):
+            ref.feed(*block)
+        ref.finish()
+        # a block that only goes on with the held-back run replays no run
+        assert [c for c in cuts[sim] if c] == [c for c in cuts[ref] if c], kernel.name
+        return sim
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES.values(), ids=ALL_POLICIES)
+    def test_suite_at_128(self, suite, cuts, policy):
+        # the benchmark's stencil-sweep levels: twice every row the kernel
+        # touches, where the layer condition holds, and one line short of a
+        # row, where it breaks. Rows of 132 doubles make a period of two
+        # rows, and every sweep replays a later period
+        later = 0
+        for kernel in suite:
+            grid = kernel.grid.resized(128, 128)
+            row_bytes = grid.row_stride * grid.element_size
+            rows = len({(a.array.name, a.dk) for a in kernel.accesses})
+            for levels in (lv(-(-2 * rows * row_bytes // LINE)), lv((row_bytes - 1) // LINE)):
+                sim = self.check(kernel, grid, levels, policy, cuts)
+                later += sim.replayed_rows > 2
+        assert later == 44
+
+    def test_random_kernels(self, cuts):
+        # random kernels, stretched to 30-119 rows unless they have loop
+        # ranges, through levels of 0.1-2x the lines the sweep keeps, under
+        # each policy with random buffer sizes
+        rng = np.random.default_rng(19)
+        later = tails = 0
+        for _ in range(400):
+            kernel, grid = random_kernel(rng)
+            if kernel.loop_k_range is None:
+                grid = grid.resized(grid.inner_extent, int(rng.integers(30, 120)))
+            policy = (AlwaysAllocate(), NtBypass(int(rng.integers(1, 12))),
+                      AutoClaim(int(rng.integers(1, 80))))[int(rng.integers(3))]
+            levels = lv(max(1, round(kept_lines(kernel, grid, policy) * rng.uniform(0.1, 2))))
+            sim = self.check(kernel, grid, levels, policy, cuts)
+            period = LINE // math.gcd(grid.row_stride * grid.element_size, LINE)
+            later += sim.replayed_rows > period
+            tails += sim.replayed_rows % period > 0
+        # 259 sweeps replay later periods and 319 a tail or a short period
+        assert later > 200 and tails > 200
+
+    @pytest.mark.parametrize("policy", [AutoClaim(buffer_lines=1), AutoClaim()])
+    def test_held_run_joins_the_next_period(self, cuts, policy):
+        # one write stream over rows of 12 + 2 halo doubles, a period of 4
+        # rows (``test_run_of_writes_across_a_period_cut``): the last store
+        # fed in a period and the first fed in the next hit one line, so
+        # the run held back goes on at the front of every later period
+        kernel = make_kernel([("a", 0, 0, WRITE)])
+        grid = GridSpec(12, 64, halo_lo=1, halo_hi=1)
+        sim = self.check(kernel, grid, lv(4), policy, cuts)
+        assert sim.replayed_rows > 4 and sim.bulk_rows > 0
+        addrs, _, _, keep = fed_rows(kernel, grid, 8, "visits", policy)
+        cut = np.searchsorted(keep, 4 * 12)
+        assert addrs[cut - 1] // LINE == addrs[cut] // LINE
+
+    @pytest.mark.parametrize("policy", FF_POLICIES.values(), ids=FF_POLICIES)
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_sweep_shorter_than_one_period(self, cuts, policy, rows):
+        # rows of 12 + 2 halo doubles, a period of 4 rows: the one block
+        # drawn is the whole sweep
+        kernel = make_kernel([("a", 0, -1, READ), ("a", 0, 0, WRITE)])
+        grid = GridSpec(12, rows, halo_lo=1, halo_hi=1)
+        sim = self.check(kernel, grid, lv(4), policy, cuts)
+        assert (sim.replayed_rows, sim.bulk_rows) == (rows, 0)
 
 
 class TestRetire:
@@ -1529,11 +1717,7 @@ class TestSqueeze:
         return ((["visits"] if ways > 2 * accesses and 2 * written <= buffers else [])
                 + (["iterations"] if ways >= accesses and written <= buffers else []))
 
-    @pytest.mark.parametrize("policy", [AlwaysAllocate(), AutoClaim(), AutoClaim(1),
-                                        AutoClaim(80), NtBypass(), NtBypass(1),
-                                        NtBypass(11)],
-                             ids=["always", "claim", "claim-1", "claim-80", "nt",
-                                  "nt-1", "nt-11"])
+    @pytest.mark.parametrize("policy", ALL_POLICIES.values(), ids=ALL_POLICIES)
     def test_suite_rows_leave_the_whole_rows_state(self, suite, policy):
         # rows of 22 + 4 halo doubles, 3.25 lines, a period of 4 rows; a
         # level where the layer condition holds, one of exactly 2A + 1
