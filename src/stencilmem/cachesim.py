@@ -31,10 +31,10 @@ A trace is an iterable of ``TRACE_DTYPE`` record blocks (u64 byte address,
 u8 mode: 0 read, 1 write); a trace file holds the same 9-byte records back
 to back. A file size that is no whole number of records, a mode byte above
 1 or an access across a cache line raises ValueError. Trace generation is
-vectorized and the replay works on runs of consecutive same-line events. A
-run that goes on past the end of a block is held back and replayed with the
-next block, so the traffic does not depend on where a trace is cut into
-blocks.
+vectorized and the replay works on runs of consecutive same-line events,
+cut by one function (``_cut``) for every block. A run that goes on past
+the end of a block is held back and replayed with the next block, so the
+traffic does not depend on where a trace is cut into blocks.
 
 A block that evicts no line is replayed once per distinct line, not once
 per run, under always-allocate. No line then leaves the level, so each
@@ -50,17 +50,20 @@ A kernel sweep is periodic in its rows: row k + P is row k moved by whole
 lines, P = 64 / gcd(row_bytes, 64). ``simulate_kernel`` replays period by
 period and charges the rest of the sweep in bulk once a period repeats,
 bit-identical to ``simulate`` of the whole trace. It draws period 1 alone
-and cuts its events into runs once: every later period is those runs
-moved by whole lines, and the tail a prefix of its events. After each
-period it retires the lines that the sweep has left, which no access
-touches again, from the front of each table: an entry there is its
-table's oldest (the stack property of LRU), so it is dropped and charged
-at once for what it would cost later. Then it takes one key of the whole
-state: the level (with dirty bits and order), the claim table, the WC
-buffers and the held-back run, every line counted from the sweep's
-position. A period repeats when its key equals the one of the period
-before, and the bulk scales one counter vector (lines read, written and
-avoided). ``simulate`` replays a trace in full, as it has no rows.
+and feeds it. It cuts period 2 into runs once, as ``feed`` would: the run
+held back after period 1, then period 1 moved by whole lines. Every later
+period is period 2's runs moved by whole lines, and the tail a prefix of
+period 1's events. After each period it retires the lines that the sweep
+has left, which no access touches again, from the front of each table:
+an entry there is its table's oldest (the stack property of LRU), so it
+is dropped and charged at once for what it would cost later. Then it
+takes one key of the state: the level (with dirty bits and order), the
+claim table and the WC buffers, every line counted from the sweep's
+position. The held-back run is period 1's last run moved with the sweep,
+the same at every key, so the key leaves it out. A period repeats when its
+key equals the one of the period before, and the bulk scales one counter
+vector (lines read, written and avoided). ``simulate`` replays a trace in
+full, as it has no rows.
 
 Within a row, a visit is a stretch of iterations in which one access
 stays on one line. While a line is in the middle of a visit it only hits,
@@ -83,11 +86,10 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import compress, repeat
 from operator import or_
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -243,29 +245,37 @@ def gen_trace(kernel: KernelSpec, grid: GridSpec):
         yield records
 
 
-def _run_starts(lines: np.ndarray, writes: np.ndarray) -> np.ndarray:
-    """Where each run of events starts, the one rule by which both ``feed``
-    and a sweep (``_period_runs``) cut events into runs. A run is
+def _cut(addrs: np.ndarray, writes: np.ndarray, masks: np.ndarray | None):
+    """Cut events into runs, as ``feed`` and a sweep's periods do. A run is
     consecutive events on one line; a write followed by a read of that line
     starts a new run, otherwise the read could not trigger a deferred fill.
     So a run's reads come first, and its last event tells whether it
-    writes."""
+    writes.
+
+    The last run may go on past the events, so it is held back. Returns
+    the other runs, as ``_Hierarchy._replay`` takes them: each one's line
+    and whether its last event writes, what ``_feed_lines`` reads; a
+    function that builds the rest of the run loop's lists on its first
+    call (``_replay_runs``: whether each run's first and last event write,
+    and its coverage, 0 without `masks`); and the events and masks held
+    back.
+    """
+    lines = addrs >> np.uint64(LINE_SHIFT)
     start = np.empty(lines.size, dtype=bool)
     start[0] = True
     np.not_equal(lines[1:], lines[:-1], out=start[1:])
     start[1:] |= writes[:-1] > writes[1:]     # a write, then a read
-    return start.nonzero()[0]
+    starts = start.nonzero()[0]
+    n = int(starts[-1])
+    starts, last_w = starts[:-1], writes[starts[1:] - 1]
 
+    @cache
+    def loop():
+        return (writes[starts].tolist(), last_w.tolist(), repeat(0) if masks is None
+                else np.bitwise_or.reduceat(masks[:n], starts).tolist())
 
-def _runs(lines, writes, masks, starts):
-    """The runs that begin at `starts`, each up to the next, the last up to
-    the end of the events: each one's line, whether its first and whether
-    its last event writes, and its write coverage (None without `masks`)."""
-    ends = np.empty_like(starts)
-    np.subtract(starts[1:], 1, out=ends[:-1])
-    ends[-1] = lines.size - 1
-    return (lines[starts], writes[starts], writes[ends],
-            None if masks is None else np.bitwise_or.reduceat(masks, starts))
+    return (lines[starts], last_w, loop,
+            (addrs[n:], writes[n:], None if masks is None else masks[n:]))
 
 
 class _Hierarchy:
@@ -308,15 +318,16 @@ class _Hierarchy:
         that it writes (0 for a read). Only claims and NT stores read it, so
         under any other policy it may be None. ``simulate`` builds it from
         the access size (``_write_masks``); ``_replay_kernel`` feeds a
-        sweep's tail squeezed (``_squeeze``), where one write may stand for
-        the writes of several iterations and cover their bytes.
+        sweep's period 1 and tail squeezed (``_squeeze``), where one write
+        may stand for the writes of several iterations and cover their
+        bytes.
 
-        The runs are cut by ``_run_starts``. The block's last run may go on
-        in the next block, so its events and masks are held back and
-        replayed at the front of the next block, or by ``finish`` as one
-        run (``_replay_held``). So the traffic does not depend on where a
-        trace is cut into blocks. The other runs are replayed line by line
-        or in the run loop (``_by_lines``). The call adds its lines read,
+        The run held back before goes in front of the block, which is cut
+        into runs by ``_cut`` and replayed by ``_replay``. The block's last
+        run may go on in the next block, so its events and masks are held
+        back and replayed at the front of the next block, or by ``finish``
+        as one run (``_replay_held``). So the traffic does not depend on
+        where a trace is cut into blocks. The call adds its lines read,
         written and avoided and its claims aged out to ``counts``.
         """
         if self.held[0].size:
@@ -328,43 +339,30 @@ class _Hierarchy:
             return
         if masks is None and (self.claim or self.nt):
             raise ValueError("claims and NT stores need the write masks")
-        lines = addrs >> np.uint64(LINE_SHIFT)
-        starts = _run_starts(lines, writes)
-        n = int(starts[-1])
-        self.held = addrs[n:], writes[n:], None if masks is None else masks[n:]
-        if n == 0:
-            return
-        run_lines, first_w, any_w, cov = _runs(lines[:n], writes[:n],
-                                               None if masks is None else masks[:n],
-                                               starts[:-1])
-        if not self._by_lines(run_lines, any_w):
-            self._replay_runs(run_lines.tolist(), first_w.tolist(), any_w.tolist(),
-                              repeat(0) if cov is None else cov.tolist())
+        self._replay(_cut(addrs, writes, masks))
 
-    def replay_period(self, runs: _Period, moved: int):
-        """Replay a period's runs cut once (``_period_runs``), moved by
-        `moved` lines, and hold back its last run, moved too. The run held
-        back before must be the one the runs were cut after."""
-        lines = runs.lines + np.uint64(moved)
-        if not self._by_lines(lines, runs.writes):
-            self._replay_runs(lines.tolist(), *runs.loop)
-        addrs, writes, masks = runs.held
-        self.held = addrs + np.uint64(moved * LINE_BYTES), writes, masks
-
-    def _by_lines(self, lines, writes) -> bool:
-        """Whether the runs were replayed line by line (``_feed_lines``), to
-        the state the run loop leaves: a block of at least
-        ``LINE_REPLAY_RUNS`` runs under a policy that does not evade, if it
-        evicts no line. Fewer runs cost less in the run loop than the
-        per-line replay's fixed numpy calls; claims and NT always take the
-        run loop. `lines` and `writes` hold each run's line and whether its
-        last event writes."""
-        return (not (self.claim or self.nt) and lines.size >= LINE_REPLAY_RUNS
-                and self._feed_lines(lines, writes))
+    def _replay(self, runs: tuple, moved: int = 0):
+        """Replay runs cut by ``_cut``, moved by `moved` lines, and hold back
+        the run they held back, moved too. Under a policy that does not
+        evade, a block of at least ``LINE_REPLAY_RUNS`` runs is replayed
+        line by line (``_feed_lines``) if it evicts no line, to the state
+        the run loop leaves; fewer runs cost less in the run loop than the
+        per-line replay's fixed numpy calls. Any other block takes the run
+        loop (``_replay_runs``), whose lists are built only then. `moved` is
+        0 in ``feed``, and nothing is then copied.
+        """
+        lines, last_w, loop, (addrs, writes, masks) = runs
+        if moved:
+            lines = lines + np.uint64(moved)
+            addrs = addrs + np.uint64(moved * LINE_BYTES)
+        self.held = addrs, writes, masks
+        if lines.size and (self.claim or self.nt or lines.size < LINE_REPLAY_RUNS
+                           or not self._feed_lines(lines, last_w)):
+            self._replay_runs(lines.tolist(), *loop())
 
     def _replay_runs(self, lines, first_w, any_w, cov):
         """The run loop: replay runs one by one. The arguments are iterables
-        of one entry per run, as ``_runs`` finds them: the run's line,
+        of one entry per run, as ``_cut`` finds them: the run's line,
         whether its first and whether its last event writes, and its write
         coverage; the lines give the number of runs, and the others may go
         on past them. It adds the lines read, written and avoided and the
@@ -441,7 +439,7 @@ class _Hierarchy:
     def _feed_lines(self, lines, any_w) -> bool:
         """Replay a block's runs line by line if it evicts no line; otherwise
         return False with nothing changed. The arguments hold one entry per
-        run, as ``feed`` finds them: its line and whether it writes. Only a
+        run, as ``_cut`` finds them: its line and whether it writes. Only a
         policy that does not evade comes here, so the only charge is a fill
         for each line not cached.
 
@@ -520,21 +518,23 @@ class _Hierarchy:
         self.counts[:2] += (reads, writes)
 
     def window(self, base: int) -> tuple:
-        """The whole state of the level as a key, with every line counted
-        from `base`, the sweep's position in lines: a period that moves the
-        state by the lines the sweep moves repeats its key. It holds the
-        cached lines in LRU order with their dirty bits, the claim table,
-        the WC buffers and the held-back run with its write masks.
+        """The state of the level as a key, with every line counted from
+        `base`, the sweep's position in lines: a period that moves the state
+        by the lines the sweep moves repeats its key. It holds the cached
+        lines in LRU order with their dirty bits, the claim table and the
+        WC buffers.
+
+        The held-back run is left out. At every key that ``_replay_kernel``
+        takes it is period 1's last run moved by D lines a period, as the
+        base is, so counted from the base it is the same at each key and
+        cannot tell two of them apart.
         """
         lru = self.lru
         lines = np.fromiter(lru, np.int64, len(lru)) - base
         dirty = np.fromiter(lru.values(), bool, len(lru))
-        addrs, writes, masks = self.held
         return (lines.tobytes(), dirty.tobytes(),
                 [(line - base, c) for line, c in self.pending.items()],
-                [(line - base, c) for line, c in self.wc.items()],
-                (addrs - np.uint64(base * LINE_BYTES)).tobytes(), writes.tobytes(),
-                None if masks is None else masks.tobytes())
+                [(line - base, c) for line, c in self.wc.items()])
 
     def _replay_held(self):
         """Replay the held-back run, if any, and hold nothing back. It is one
@@ -696,59 +696,6 @@ def _squeeze(kernel: KernelSpec, row_iters: int, esize: int, addrs: np.ndarray,
     return index, cover[fed]
 
 
-class _Period(NamedTuple):
-    """A period's runs, cut once (``_period_runs``): each run's line and
-    whether its last event writes, for ``_Hierarchy._feed_lines``; the run
-    loop's other arguments, whether each run's first and last event write
-    and its coverage; and the events of the run held back at its end."""
-
-    lines: np.ndarray
-    writes: np.ndarray
-    loop: tuple
-    held: tuple
-
-
-def _period_runs(addrs: np.ndarray, writes: np.ndarray, masks: np.ndarray | None,
-                 shift: int) -> tuple[_Period, _Period]:
-    """Cut the events fed in period 1 of a sweep into runs, once for all
-    periods.
-
-    Period n's events are period 1's moved by (n - 1) * `shift` lines, and
-    moving by whole lines keeps every cut between two of its events. What
-    differs is the front: period 1 starts fresh, and every later period
-    after the run held back from the one before, which is period 1's last
-    run moved. That run stands alone, or goes on with the period's first
-    run if ``_run_starts`` does not cut between them, as ``feed`` would
-    join them. Returns period 1's runs and those of period 2, which moved
-    by (n - 2) * `shift` lines are period n's.
-    """
-    lines = addrs >> np.uint64(LINE_SHIFT)
-    # period 1's events, and period 2's first, which starts a run unless it
-    # goes on with the run held back from period 1
-    starts = _run_starts(np.concatenate((lines, lines[:1] + np.uint64(shift))),
-                         np.concatenate((writes, writes[:1])))
-    joined = int(starts[-1]) < lines.size
-    if not joined:
-        starts = starts[:-1]
-    # every run of period 1, the last of them held back
-    run_lines, first_w, last_w, cov = _runs(lines, writes, masks, starts)
-    m = run_lines.size - 1
-    first, last = first_w.tolist(), last_w.tolist()
-    cov = [0] * (m + 1) if cov is None else cov.tolist()
-    n = int(starts[-1])
-    held = addrs[n:], writes[n:], None if masks is None else masks[n:]
-    # period 2: period 1's held-back run, joined with its first run or not,
-    # then the other runs moved. The run loop stops at the last line, so
-    # its other lists may go on past it (``zip``) and need not be cut
-    j = int(joined)
-    later = _Period(np.concatenate((run_lines[m:], run_lines[j:m] + np.uint64(shift))),
-                    last_w[:m] if j else np.concatenate((last_w[m:], last_w[:m])),
-                    (first[m:] + first[j:], last if j else last[m:] + last,
-                     [cov[m] | cov[0] * j] + cov[j:]),
-                    (held[0] + np.uint64(shift * LINE_BYTES), held[1], held[2]))
-    return _Period(run_lines[:m], last_w[:m], (first, last, cov), held), later
-
-
 def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
                    policy: WritePolicySim) -> _Hierarchy:
     """Replay and finish one kernel's sweep, charging what repeats in bulk.
@@ -756,23 +703,24 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     Row k + P of the trace is row k moved by D = P * row_bytes / 64 whole
     lines, with P = 64 / gcd(row_bytes, 64). The replay goes one period of
     P rows at a time. After each period it takes the key of the level
-    (``_Hierarchy.window``: the whole level, the claim table, the WC
-    buffers and the held-back run) with every line counted from the row
-    the sweep has reached, which moves D lines a period, and compares it
-    with the key one period earlier. On a match it charges every remaining
-    whole period with the delta of the counter vector over the last one,
-    replays the tail rows and finishes.
+    (``_Hierarchy.window``: the whole level, the claim table and the WC
+    buffers) with every line counted from the row the sweep has reached,
+    which moves D lines a period, and compares it with the key one period
+    earlier. On a match it charges every remaining whole period with the
+    delta of the counter vector over the last one, replays the tail rows
+    and finishes.
 
     Row k + P is row k moved by whole lines, so the sweep draws period 1
     alone, as one block of ``gen_trace_blocks`` (P rows), and finds once
     which of its events are fed (``_squeeze``), with write masks only
-    under claims and NT. It cuts them into runs once too
-    (``_period_runs``): moving by whole lines keeps every cut between two
-    events, so every later period replays period 1's runs moved by D
-    lines, after the run held back from the period before, and holds back
-    period 1's last run moved. The tail rows, or a last period cut short,
-    are a prefix of period 1's events moved, fed through ``feed``. For a
-    kernel of A accesses that
+    under claims and NT. Period 1 goes through ``feed``. Period 2 is cut
+    into runs once, by the same ``_cut``, from what ``feed`` would see: the
+    run held back after period 1, then period 1's fed events moved by D
+    lines. Moving by whole lines keeps every cut between two events, so
+    period n + 2 replays period 2's runs moved by n * D lines and holds
+    back period 2's last run, which is period 1's moved, moved too. The
+    tail rows, or a last period cut short, are a prefix of period 1's
+    events moved, fed through ``feed``. For a kernel of A accesses that
     writes W arrays (each at one offset), the rule is the first of these
     whose guard holds:
 
@@ -858,9 +806,11 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     later eviction, age-out or overflow into free room and changes nothing
     else, and what it would have cost then is charged now. A level that
     keeps only its live lines repeats as soon as the sweep does. The key
-    is the whole state, so equal keys one period apart make every later
-    period the same one moved by D lines, with the same counter delta, and
-    the bulk is exact with no further check.
+    is the whole state but the held-back run, which is period 1's last run
+    moved by D lines a period, as the key's base is, so counted from the
+    base it is the same at every key. Equal keys one period apart
+    therefore make every later period the same one moved by D lines, with
+    the same counter delta, and the bulk is exact with no further check.
 
     The engine only compares lines for equality, and ``finish`` only
     counts, so the tail rows are replayed from the matched state with the
@@ -890,7 +840,6 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     keep, masks = _squeeze(kernel, j1 - j0 + 1, grid.element_size, addrs, squeeze,
                            sim.claim or sim.nt)
     fed = addrs[keep], writes[keep], masks
-    first, later = _period_runs(*fed, shift)
 
     def feed(rows, n):
         """Feed the first `rows` rows of period n + 1."""
@@ -898,7 +847,13 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
         sim.feed(fed[0][:i] + np.uint64(n * shift * LINE_BYTES), fed[1][:i],
                  None if masks is None else masks[:i])
 
-    sim.replay_period(first, 0)
+    sim.feed(*fed)
+    # period 2 as ``feed`` would see it: the run held back after period 1,
+    # then period 1 moved by D lines
+    held = sim.held
+    later = _cut(np.concatenate((held[0], fed[0] + np.uint64(shift * LINE_BYTES))),
+                 np.concatenate((held[1], fed[1])),
+                 None if masks is None else np.concatenate((held[2], masks)))
     rows = addrs.size // row_events
     before = None, None
     n = 1                           # periods replayed
@@ -920,7 +875,7 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
                 sim.fill_rows += whole * period
         elif left >= period:
             before = key, sim.counts.copy()
-            sim.replay_period(later, (n - 1) * shift)
+            sim._replay(later, (n - 1) * shift)
             n += 1
             rows = period
             continue

@@ -574,11 +574,12 @@ def cuts(monkeypatch):
     of runs (a period, a block fed, or the run held back at the end) of
     (line, first event writes, last event writes, coverage). Every block
     takes the run loop, and the lines and write flags that the per-line
-    replay is offered must be those the run loop gets."""
+    replay is offered, at any number of runs, must be those the run loop
+    gets."""
     loop = _Hierarchy._replay_runs
     calls, offered = {}, {}
 
-    def by_lines(sim, lines, writes):
+    def feed_lines(sim, lines, writes):
         offered[sim] = list(zip(lines.tolist(), writes.tolist()))
         return False
 
@@ -589,8 +590,9 @@ def cuts(monkeypatch):
         calls.setdefault(sim, []).append(runs)
         loop(sim, *(zip(*runs) if runs else [()] * 4))
 
-    monkeypatch.setattr(_Hierarchy, "_by_lines", by_lines)
+    monkeypatch.setattr(_Hierarchy, "_feed_lines", feed_lines)
     monkeypatch.setattr(_Hierarchy, "_replay_runs", replay_runs)
+    monkeypatch.setattr(cachesim, "LINE_REPLAY_RUNS", 1)
     return calls
 
 
@@ -1149,47 +1151,95 @@ class TestFastForward:
         assert (sim.replayed_rows, sim.fill_rows) == rows
 
     @staticmethod
-    def level_key(base, lru, pending, wc, held):
+    def level_key(base, lru, pending, wc):
         """The key at `base` of a claim level that holds `lru`, (line,
         dirty) pairs from the least to the most recently used, the claim
-        table `pending`, the WC buffers `wc` and the held-back run `held`."""
+        table `pending` and the WC buffers `wc`."""
         sim = _Hierarchy(lv(16), AutoClaim())
         sim.lru.update(lru)
         sim.pending.update(pending)
         sim.wc.update(wc)
-        sim.held = held
         return sim.window(base)
 
     def test_window_repeats_only_when_moved(self):
         # the whole state moved by 4 lines repeats; no other change to the
-        # level, the claim table, the WC buffers or the held-back run does
-        held = (np.array([325, 326], dtype=np.uint64), np.array([False, True]),
-                np.array([0, 0xffc0], dtype=np.uint64))
+        # level, the claim table or the WC buffers does
         before = self.level_key(0, [(7, True), (9, False), (8, True), (13, True)],
-                                [(7, 3), (13, 5)], [(6, 1)], held)
+                                [(7, 3), (13, 5)], [(6, 1)])
         lru = [(11, True), (13, False), (12, True), (17, True)]
         pending, wc = [(11, 3), (17, 5)], [(10, 1)]
-        moved = (held[0] + 4 * LINE, held[1], held[2])
 
-        def key(lru, pending, wc, held):
-            return self.level_key(4, lru, pending, wc, held)
+        def key(lru, pending, wc):
+            return self.level_key(4, lru, pending, wc)
 
-        assert key(lru, pending, wc, moved) == before
-        for other in (key([(11, True), (13, True), (12, False), (17, True)], pending, wc, moved),
-                      key([(11, True), (12, True), (13, False), (17, True)], pending, wc, moved),
-                      key([(line + 1, d) for line, d in lru], pending, wc, moved),
-                      key(lru[1:], pending, wc, moved),
+        assert key(lru, pending, wc) == before
+        for other in (key([(11, True), (13, True), (12, False), (17, True)], pending, wc),
+                      key([(11, True), (12, True), (13, False), (17, True)], pending, wc),
+                      key([(line + 1, d) for line, d in lru], pending, wc),
+                      key(lru[1:], pending, wc),
                       # a line or a claim that the sweep has left
-                      key([(3, False)] + lru, pending, wc, moved),
-                      key(lru, [(3, 1)] + pending, wc, moved),
-                      key(lru, [(11, 3), (17, 6)], wc, moved),
-                      key(lru, pending[::-1], wc, moved),
-                      key(lru, pending, [(10, 2)], moved),
-                      key(lru, pending, [], moved),
-                      key(lru, pending, wc, held),
-                      key(lru, pending, wc, (moved[0], ~moved[1], moved[2])),
-                      key(lru, pending, wc, moved[:2] + (moved[2] << 8,))):
+                      key([(3, False)] + lru, pending, wc),
+                      key(lru, [(3, 1)] + pending, wc),
+                      key(lru, [(11, 3), (17, 6)], wc),
+                      key(lru, pending[::-1], wc),
+                      key(lru, pending, [(10, 2)]),
+                      key(lru, pending, [])):
             assert other != before
+
+    @pytest.fixture
+    def held_at_keys(self, monkeypatch):
+        """Record, per engine, the held-back run at each key ``window``
+        takes, counted from the key's base: its addresses less the base's,
+        its write flags and its masks."""
+        window = _Hierarchy.window
+        held = {}
+
+        def recording(sim, base):
+            addrs, writes, masks = sim.held
+            held.setdefault(sim, []).append(
+                ((addrs.astype(np.int64) - base * LINE).tolist(), writes.tolist(),
+                 None if masks is None else masks.tolist()))
+            return window(sim, base)
+
+        monkeypatch.setattr(_Hierarchy, "window", recording)
+        return held
+
+    def test_held_run_is_the_same_at_every_key(self, suite, held_at_keys):
+        # the key leaves out the held-back run: counted from the key's base
+        # it is the same at every key of a sweep, so it cannot decide a
+        # match. The suite at 128 x 128 on both stencil-sweep levels under
+        # every policy, random kernels, and a store stream whose held-back
+        # run joins the first run of every later period
+        # (``TestPlannedRuns.test_held_run_joins_the_next_period``)
+        def keys(kernel, grid, levels, policy) -> int:
+            held = held_at_keys.pop(_replay_kernel(kernel, grid, levels, policy))
+            assert held[0][0] and held.count(held[0]) == len(held), kernel.name
+            return len(held)
+
+        compared = 0
+        for policy in ALL_POLICIES.values():
+            for kernel in suite:
+                grid = kernel.grid.resized(128, 128)
+                row_bytes = grid.row_stride * grid.element_size
+                rows = len({(a.array.name, a.dk) for a in kernel.accesses})
+                for levels in (lv(-(-2 * rows * row_bytes // LINE)),
+                               lv((row_bytes - 1) // LINE)):
+                    compared += keys(kernel, grid, levels, policy) > 1
+        assert compared == 2 * len(suite.kernels) * len(ALL_POLICIES)
+        rng = np.random.default_rng(35)
+        cases = [(make_kernel([("a", 0, 0, WRITE)]), GridSpec(12, 64, halo_lo=1, halo_hi=1),
+                  lv(4), policy) for policy in (AutoClaim(1), AutoClaim(), AlwaysAllocate())]
+        for _ in range(400):
+            kernel, grid = random_kernel(rng)
+            if kernel.loop_k_range is None:
+                grid = grid.resized(grid.inner_extent, int(rng.integers(30, 120)))
+            policy = (AlwaysAllocate(), NtBypass(int(rng.integers(1, 12))),
+                      AutoClaim(int(rng.integers(1, 80))))[int(rng.integers(3))]
+            levels = lv(max(1, round(kept_lines(kernel, grid, policy) * rng.uniform(0.1, 2))))
+            cases.append((kernel, grid, levels, policy))
+        # 250 random sweeps take more than one key
+        compared = [keys(*case) > 1 for case in cases]
+        assert all(compared[:3]) and sum(compared) > 200, sum(compared)
 
     def test_whole_level_repeats_only_in_lru_order(self):
         # levels of four lines that lines 0-3, 4-7 and 5, 4, 6, 7 were read
@@ -1226,12 +1276,13 @@ class TestFastForward:
 
 
 class TestPlannedRuns:
-    """``_replay_kernel`` cuts the events fed in period 1 into runs once
-    (``_period_runs``) and replays every later period as those runs moved
-    by whole lines, after the run held back from the period before; the
-    tail and a last period cut short go through ``feed``. The reference is
-    ``feed``'s cut of the same rows of the whole sweep's trace, fed one
-    period a block: each block must replay the same runs."""
+    """``_replay_kernel`` feeds period 1 and cuts period 2 into runs once,
+    with ``feed``'s cutter (``_cut``), from the run held back after period
+    1 and period 1's fed events moved by whole lines. Every later period
+    replays period 2's runs moved by whole lines; the tail and a last
+    period cut short go through ``feed``. The reference is ``feed``'s cut
+    of the same rows of the whole sweep's trace, fed one period a block:
+    each block must replay the same runs."""
 
     @staticmethod
     def check(kernel, grid, levels, policy, cuts):
@@ -1302,6 +1353,20 @@ class TestPlannedRuns:
         addrs, _, _, keep = fed_rows(kernel, grid, 8, "visits", policy)
         cut = np.searchsorted(keep, 4 * 12)
         assert addrs[cut - 1] // LINE == addrs[cut] // LINE
+
+    @pytest.mark.parametrize("policy", FF_POLICIES.values(), ids=FF_POLICIES)
+    def test_period_of_one_run(self, cuts, policy):
+        # one store stream over rows of exactly one line, as
+        # store_ratio(1, ...) replays it: a period of one row, whose events
+        # fed, the first and the last store, are one run. Period 1 replays
+        # no run and holds that one back; period 2 is cut from it and period
+        # 1 moved by one line, and replays it alone
+        kernel, grid = store_stream_kernel(1, 16 * 8)
+        grid = grid.resized(8, 16)
+        sim = self.check(kernel, grid, DEFAULT_BENCH_CACHE, policy, cuts)
+        assert sim.replayed_rows > 1 and sim.bulk_rows > 0
+        assert cuts[sim][0] == [(array_layout(kernel, grid)["s0"] // LINE, True, True,
+                                 (1 << LINE) - 1 if evades(policy) else 0)]
 
     @pytest.mark.parametrize("policy", FF_POLICIES.values(), ids=FF_POLICIES)
     @pytest.mark.parametrize("rows", [1, 3])
