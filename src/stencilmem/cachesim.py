@@ -74,11 +74,9 @@ with a mask of its own bytes and an end write with one of the rest of its
 visit. The state after each row is the one the whole row leaves as long as
 the level holds more than twice as many lines as the kernel has accesses
 and, under NT, there are at least twice as many WC buffers as written
-arrays. Where that fails but the level holds a line per access and,
-under NT, there is a WC buffer per written array, it feeds whole each
-iteration in which an access starts a visit; otherwise it feeds whole
-rows (``_replay_kernel`` says why each rule is exact, and where). The masks are
-built only under claims and NT, the policies that read them.
+arrays; otherwise it feeds whole rows (``_replay_kernel`` says why the
+rule is exact, and where). The masks are built only under claims and NT,
+the policies that read them.
 """
 
 from __future__ import annotations
@@ -640,21 +638,15 @@ def _live_lines(addrs: np.ndarray, accesses: int, periods: int, shift: int) -> s
 
 
 def _squeeze(kernel: KernelSpec, row_iters: int, esize: int, addrs: np.ndarray,
-             squeeze: str, masks: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+             squeeze: bool, masks: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Which events of whole rows of a sweep to feed, and their write masks.
 
     `addrs` holds whole rows of `row_iters` iterations, each iteration's
     reads before its writes. A visit is a stretch of iterations of one row
-    in which one access stays on one line. `squeeze` names the rule
-    (``_replay_kernel`` says why each is exact, and where):
-
-    * ``"visits"``: each access is fed in the first and the last iteration
-      of each of its visits, and the last read is fed too in an iteration
-      in which a write's visit of more than one iteration ends;
-    * ``"iterations"``: an iteration in which any access starts a visit is
-      fed whole; of the other iterations, one in which any access ends a
-      visit is fed its last read and its writes;
-    * ``"rows"``: every event is fed.
+    in which one access stays on one line. With `squeeze`, each access is
+    fed in the first and the last iteration of each of its visits
+    (``_replay_kernel`` says why that is exact, and where); without it,
+    every event is fed.
 
     Each write fed carries one mask of the bytes that its access writes
     since the event of that access fed before it, all on its line. Returns
@@ -665,21 +657,14 @@ def _squeeze(kernel: KernelSpec, row_iters: int, esize: int, addrs: np.ndarray,
     reads = len(kernel.reads())
     iters = addrs.size // accesses
     addrs = addrs.reshape(iters, accesses)
-    # start[i, a]: access a starts a visit in iteration i; end[i, a] is
-    # start[i + 1, a], as every row's first iteration starts a visit
+    # start[i, a]: access a starts a visit in iteration i, and ends one in
+    # iteration i - 1, as every row's first iteration starts a visit
     start = np.ones((iters + 1, accesses), dtype=bool)
-    if squeeze != "rows":
+    if squeeze:
         lines = addrs >> np.uint64(LINE_SHIFT)
         np.not_equal(lines[1:], lines[:-1], out=start[1:iters])
         start[::row_iters] = True
-    start, end = start[:-1], start[1:]
-    if squeeze == "visits":
-        fed = start | end
-        if reads:
-            fed[:, reads - 1] |= (end[:, reads:] & ~start[:, reads:]).any(axis=1)
-    else:
-        fed = np.repeat(start.any(axis=1)[:, None], accesses, axis=1)
-        fed[:, max(reads - 1, 0):] |= end.any(axis=1)[:, None]
+    fed = start[:-1] | start[1:]
     index = np.flatnonzero(fed)
     if not masks:
         return index, None
@@ -721,19 +706,13 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     back period 2's last run, which is period 1's moved, moved too. The
     tail rows, or a last period cut short, are a prefix of period 1's
     events moved, fed through ``feed``. For a kernel of A accesses that
-    writes W arrays (each at one offset), the rule is the first of these
-    whose guard holds:
+    writes W arrays (each at one offset), rows are squeezed by visit on a
+    level of at least 2A + 1 lines and, under NT, with at least 2W WC
+    buffers; otherwise they are fed whole. After each squeezed row, once
+    the held-back run is replayed too, the state is the one the whole row
+    leaves.
 
-    * by visit, on a level of at least 2A + 1 lines and, under NT, with at
-      least 2W WC buffers;
-    * by iteration, on a level of at least A lines and, under NT, with at
-      least W WC buffers;
-    * whole rows.
-
-    After each row, once the held-back run is replayed too, the state is
-    the one the whole row leaves.
-
-    By visit. A visit is a stretch of iterations of one row in which one
+    A visit is a stretch of iterations of one row in which one
     access stays on one line; it lasts at most 64 / e iterations, for
     elements of e bytes. Each access is fed at the first and the last
     iteration of each of its visits. A start write's mask covers its own
@@ -759,34 +738,38 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     * Every visit ends at a row's last iteration, so after each row no
       line is in flight.
 
-    The last read of an iteration in which a write's visit ends is fed too,
-    if that visit began earlier. It keeps the end write out of the run of
-    the start write, whose miss must open its claim or WC buffer with its
-    own bytes only. Both guards are needed, as two tests of
-    ``tests/test_cachesim.py`` pin. On a level of A + 1 lines a miss
-    evicts a line still in flight:
-    ``test_level_of_up_to_twice_the_accesses_squeezes_by_iteration``. Two
+    A start write and the end write of its visit fall into one run when
+    nothing between them is fed but writes on their line. The run adds
+    the visit's bytes at once, where the whole row adds them write by
+    write. With nothing fed in between, that leaves the same tables,
+    unless the run misses and completes its line at once while the whole
+    row first writes the line in a run of its own, which opens a claim or
+    WC buffer that may push an older one out. That never happens:
+
+    * A line in flight stays cached or in its WC buffer, so after a miss
+      every byte that the run covers is written within it.
+    * The whole row's run breaks only at an access x on another line (a
+      read of the line would have cached it). x is fed nowhere between the
+      run's first and last event, so one visit of x holds the iterations
+      in which any one access writes in the run, and one more: each array
+      writes less than a line there.
+    * So the line holds two arrays, each written at one offset: the last
+      element of the lower one, written only in a row's last iteration,
+      and the first of the upper one, written only in a row's first
+      iteration. x's visit holds both and stays in one row, so it is that
+      row, with the run's first event after x in its iteration and its
+      last before x.
+    * Reads are fed in the row's last iteration, between the run's first
+      and last event, so the kernel only writes. Its events then come in
+      the order in which ``array_layout`` packs the arrays, so x's array
+      lies between the two, on the line.
+
+    Both guards are needed, as two tests of ``tests/test_cachesim.py``
+    pin. On a level of A + 1 lines a miss evicts a line still in flight:
+    ``test_level_of_up_to_twice_the_accesses_keeps_whole_rows``. Two
     store streams half a line apart through two WC buffers overflow them
     with a line still being written:
-    ``test_fewer_nt_buffers_than_twice_the_written_arrays_squeeze_by_iteration``.
-
-    By iteration. An iteration in which any access starts a visit is fed
-    whole. Of the stretch of iterations up to the next such one, only the
-    last is fed, and of it only its last read and its writes, whose masks
-    cover the writes of the whole stretch. The whole iteration before a
-    stretch leaves every line it touches cached, the newest lines of the
-    level (at least A), or under NT every line it stores in a WC buffer (at
-    least W). So each access of the stretch hits: nothing is fetched,
-    evicted or flushed, no claim opens or ages out, and no read meets an
-    open claim, since claims open on write misses only. The LRU and WC
-    orders after a stretch are the ones after its last iteration, which
-    its last read and its writes restore: lines only read in order of their
-    last read, then the written ones in order of their last write. A claim
-    or WC buffer completes in a stretch's last iteration only, as above.
-    The last read keeps the masked writes in runs of their own. Below A
-    lines (``test_fewer_lines_than_accesses_keep_whole_rows``) or W
-    buffers (``test_more_written_arrays_than_nt_buffers_keep_whole_rows``)
-    an access of a stretch may miss, so whole rows are fed.
+    ``test_fewer_nt_buffers_than_twice_the_written_arrays_keep_whole_rows``.
 
     A line that the sweep has left is never touched again
     (``_window_rows``), and the lines the rest of the sweep can touch were
@@ -829,12 +812,10 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     # retire needs them
     history = max(1, -(-width // period))
     live = None
-    # the rule whose squeezed rows leave the state of whole rows; only NT
+    # whether rows squeezed by visit leave the state of whole rows; only NT
     # can run short of WC buffers
-    accesses, written = len(kernel.accesses), len(kernel.writes())
     buffers = policy.combine_buffers if sim.nt else math.inf
-    squeeze = ("visits" if sim.ways > 2 * accesses and 2 * written <= buffers else
-               "iterations" if sim.ways >= accesses and written <= buffers else "rows")
+    squeeze = sim.ways > 2 * len(kernel.accesses) and 2 * len(kernel.writes()) <= buffers
     # period 1, or the whole sweep if it is shorter
     addrs, writes = next(gen_trace_blocks(kernel, grid, period))
     keep, masks = _squeeze(kernel, j1 - j0 + 1, grid.element_size, addrs, squeeze,

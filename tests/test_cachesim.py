@@ -596,17 +596,21 @@ def cuts(monkeypatch):
     return calls
 
 
-def squeeze_rule(kernel, levels, policy) -> str:
-    """The rule ``_replay_kernel`` squeezes a sweep by."""
-    return (TestSqueeze.rules(kernel, levels, policy) + ["rows"])[0]
+def squeezes(kernel, levels, policy) -> bool:
+    """Whether ``_replay_kernel`` squeezes a sweep's rows by visit: on a
+    level of more than twice as many lines as the kernel has accesses and,
+    under NT, with at least twice as many WC buffers as written arrays."""
+    buffers = policy.combine_buffers if isinstance(policy, NtBypass) else math.inf
+    return levels[-1].lines > 2 * len(kernel.accesses) and 2 * len(kernel.writes()) <= buffers
 
 
-def fed_rows(kernel, grid, rows, rule, policy):
+def fed_rows(kernel, grid, rows, squeeze, policy):
     """The events fed of the first `rows` rows of the whole sweep's trace,
-    squeezed by `rule`, and their write masks if `policy` evades."""
+    squeezed by visit if `squeeze`, and their write masks if `policy`
+    evades."""
     j0, j1, _, _ = _loop_bounds(kernel, grid)
     addrs, writes = next(gen_trace_blocks(kernel, grid, rows))
-    keep, masks = _squeeze(kernel, j1 - j0 + 1, grid.element_size, addrs, rule,
+    keep, masks = _squeeze(kernel, j1 - j0 + 1, grid.element_size, addrs, squeeze,
                            evades(policy))
     return addrs[keep], writes[keep], masks, keep
 
@@ -813,7 +817,7 @@ class TestFastForward:
         assert sim.bulk_rows > 0 and sim.replayed_rows > period
         # each level holds more than twice as many lines as the kernel has
         # accesses, so rows are fed by visit
-        addrs, writes, masks, keep = fed_rows(kernel, grid, sim.replayed_rows, "visits", policy)
+        addrs, writes, masks, keep = fed_rows(kernel, grid, sim.replayed_rows, True, policy)
         assert keep.size < sim.replayed_rows * (j1 - j0 + 1) * len(kernel.accesses)
         ref = _Hierarchy(levels, policy)
         ref.feed(addrs, writes, masks)
@@ -1013,8 +1017,7 @@ class TestFastForward:
 
     def test_live_lines_of_random_kernels(self):
         # the live set built from period 1 alone is the set of lines that
-        # the events fed in the first `history` periods touch, by either
-        # squeeze rule
+        # the events fed by visit in the first `history` periods touch
         rng = np.random.default_rng(17)
         for _ in range(300):
             kernel, grid = random_kernel(rng)
@@ -1027,22 +1030,21 @@ class TestFastForward:
             addrs = np.concatenate([a for a, _ in gen_trace_blocks(kernel, grid, period)])
             first = addrs[:period * (j1 - j0 + 1) * len(kernel.accesses)]
             live = _live_lines(first, len(kernel.accesses), history, period * row_bytes // LINE)
-            for rule in ("visits", "iterations"):
-                keep, _ = _squeeze(kernel, j1 - j0 + 1, grid.element_size, first, rule)
-                fed = addrs[:first.size * history].reshape(history, -1)[:, keep]
-                assert live == set((fed // LINE).ravel().tolist()), (kernel, rule)
+            keep, _ = _squeeze(kernel, j1 - j0 + 1, grid.element_size, first, True)
+            fed = addrs[:first.size * history].reshape(history, -1)[:, keep]
+            assert live == set((fed // LINE).ravel().tolist()), kernel
 
     def test_random_kernels_caches_and_policies(self, monkeypatch):
         # random kernels, stretched to 30-119 rows unless they have loop
         # ranges, through levels of 0.1-2x the lines the sweep keeps, under
-        # each policy with random buffer sizes; the rule each sweep is
-        # squeezed by is counted
-        rules = []
+        # each policy with random buffer sizes; the sweeps squeezed by
+        # visit are counted
+        by_visit = []
         squeeze = cachesim._squeeze
 
-        def recording(kernel, row_iters, esize, addrs, rule, masks):
-            rules.append(rule)
-            return squeeze(kernel, row_iters, esize, addrs, rule, masks)
+        def recording(kernel, row_iters, esize, addrs, visits, masks):
+            by_visit.append(visits)
+            return squeeze(kernel, row_iters, esize, addrs, visits, masks)
 
         monkeypatch.setattr(cachesim, "_squeeze", recording)
         rng = np.random.default_rng(16)
@@ -1057,9 +1059,9 @@ class TestFastForward:
             kept = kept_lines(kernel, grid, policy)
             levels = lv(max(1, round(kept * rng.uniform(0.1, 2))))
             sim = self.replay(kernel, grid, levels, policy)
-            # ``replay`` squeezes the sweep twice, by the first rule whose
-            # guard holds
-            assert rules[-2:] == 2 * (TestSqueeze.rules(kernel, levels, policy) + ["rows"])[:1]
+            # ``replay`` squeezes the sweep twice, by visit where the guard
+            # holds
+            assert by_visit[-2:] == 2 * [squeezes(kernel, levels, policy)]
             charged += sim.fill_rows > 0
             past_fill += sim.fill_rows > 0 and levels[-1].lines < kept
             full_level += sim.bulk_rows > sim.fill_rows
@@ -1070,10 +1072,10 @@ class TestFastForward:
         # which sweeps take the bulk, and where: the rows replayed, charged
         # in bulk and charged while the level fills, over all 1 300 sweeps
         assert rows.tolist() == [24004, 28901, 26456]
-        # every rule is taken, most sweeps by visit (1 030, 187 and 83)
-        taken = rules[::2]
-        assert (taken.count("visits") > 1000 and taken.count("iterations") > 150
-                and taken.count("rows") > 50)
+        # most sweeps are squeezed by visit (1 030), the others fed whole
+        # rows (270)
+        taken = by_visit[::2]
+        assert taken.count(True) > 1000 and taken.count(False) > 200
 
     def test_live_lines_one_over_the_ways(self):
         # NT stores to row k of `a`, read three rows later: the stored lines
@@ -1290,7 +1292,7 @@ class TestPlannedRuns:
         ``feed`` cuts from the same rows; return the sweep's engine."""
         sim = _replay_kernel(kernel, grid, levels, policy)
         addrs, writes, masks, keep = fed_rows(kernel, grid, sim.replayed_rows,
-                                              squeeze_rule(kernel, levels, policy), policy)
+                                              squeezes(kernel, levels, policy), policy)
         j0, j1, _, _ = _loop_bounds(kernel, grid)
         period = LINE // math.gcd(grid.row_stride * grid.element_size, LINE)
         row_events = (j1 - j0 + 1) * len(kernel.accesses)
@@ -1350,7 +1352,7 @@ class TestPlannedRuns:
         grid = GridSpec(12, 64, halo_lo=1, halo_hi=1)
         sim = self.check(kernel, grid, lv(4), policy, cuts)
         assert sim.replayed_rows > 4 and sim.bulk_rows > 0
-        addrs, _, _, keep = fed_rows(kernel, grid, 8, "visits", policy)
+        addrs, _, _, keep = fed_rows(kernel, grid, 8, True, policy)
         cut = np.searchsorted(keep, 4 * 12)
         assert addrs[cut - 1] // LINE == addrs[cut] // LINE
 
@@ -1713,9 +1715,9 @@ class TestLineReplay:
 
 
 class TestSqueeze:
-    """``_replay_kernel`` feeds each period squeezed (``_squeeze``) by the
-    first rule whose guard holds; the same rows fed whole into a second
-    engine are the reference, row by row."""
+    """``_replay_kernel`` feeds each period squeezed by visit (``_squeeze``)
+    where the guard holds, and whole rows elsewhere; the same rows fed
+    whole into a second engine are the reference, row by row."""
 
     @staticmethod
     def applied(sim):
@@ -1725,35 +1727,18 @@ class TestSqueeze:
         sim._replay_held()
         return hierarchy_state(sim)
 
-    @staticmethod
-    def without_last_reads(keep, masks, lines, row_iters, reads):
-        """The iteration rule's squeeze with the reads of each stretch's last
-        iteration dropped; `lines` holds the lines of each iteration of the
-        rows."""
-        again = np.zeros(len(lines), dtype=bool)
-        again[1:] = (lines[1:] == lines[:-1]).all(axis=1)
-        again[::row_iters] = False
-        accesses = lines.shape[1]
-        fed = ~(again[keep // accesses] & (keep % accesses < reads))
-        return keep[fed], masks[fed]
-
-    def replay_rows(self, kernel, grid, levels, policy, rule, last_reads=True):
+    def replay_rows(self, kernel, grid, levels, policy):
         """Feed a sweep row by row, whole into one engine and squeezed by
-        `rule` into another, and compare their states after every row.
+        visit into another, and compare their states after every row.
         Return the first row after which they differ (None if none) and the
         traffic of both engines after ``finish``."""
         j0, j1, k0, k1 = _loop_bounds(kernel, grid)
-        accesses = len(kernel.accesses)
         addrs, writes = (np.concatenate(a) for a in zip(*gen_trace_blocks(kernel, grid)))
         addrs, writes = addrs.reshape(k1 - k0 + 1, -1), writes.reshape(k1 - k0 + 1, -1)
         row_events = addrs.shape[1]
         period = LINE // math.gcd(grid.row_stride * grid.element_size, LINE)
         keep, masks = _squeeze(kernel, j1 - j0 + 1, grid.element_size, addrs[:period].ravel(),
-                               rule)
-        if not last_reads:
-            lines = addrs[:period].reshape(-1, accesses) // LINE
-            keep, masks = self.without_last_reads(keep, masks, lines, j1 - j0 + 1,
-                                                  len(kernel.reads()))
+                               True)
         rows = np.searchsorted(keep, np.arange(period + 1) * row_events)
         whole, squeezed = _Hierarchy(levels, policy), _Hierarchy(levels, policy)
         differ = None
@@ -1768,49 +1753,30 @@ class TestSqueeze:
         squeezed.finish()
         return differ, whole.traffic(0), squeezed.traffic(0)
 
-    @staticmethod
-    def rules(kernel, levels, policy) -> list[str]:
-        """The squeeze rules whose guards hold, the one ``_replay_kernel``
-        takes first: visits on a level of more than twice as many lines as
-        the kernel has accesses and, under NT, at least twice as many WC
-        buffers as written arrays; iterations on a level of at least as
-        many lines as accesses and, under NT, as many buffers as written
-        arrays."""
-        accesses, written = len(kernel.accesses), len(kernel.writes())
-        ways = levels[-1].lines
-        buffers = policy.combine_buffers if isinstance(policy, NtBypass) else math.inf
-        return ((["visits"] if ways > 2 * accesses and 2 * written <= buffers else [])
-                + (["iterations"] if ways >= accesses and written <= buffers else []))
-
     @pytest.mark.parametrize("policy", ALL_POLICIES.values(), ids=ALL_POLICIES)
     def test_suite_rows_leave_the_whole_rows_state(self, suite, policy):
         # rows of 22 + 4 halo doubles, 3.25 lines, a period of 4 rows; a
-        # level where the layer condition holds, one of exactly 2A + 1
-        # lines for A accesses, the fewest the visit rule takes, and one
-        # where the layer condition breaks, of at least A lines. Each rule
-        # whose guard holds is checked
-        tested = {"visits": 0, "iterations": 0}
+        # level where the layer condition holds and one of exactly 2A + 1
+        # lines for A accesses, the fewest the visit rule takes (a level
+        # where the layer condition breaks holds fewer). Each level the
+        # guard takes is checked
+        tested = 0
         for kernel in suite:
             grid = kernel.grid.resized(22, 12)
-            accesses = len(kernel.accesses)
-            for levels in (lc_hold(kernel, grid), lv(2 * accesses + 1),
-                           lv(max(accesses, lc_broken(kernel, grid)[-1].lines))):
-                for rule in self.rules(kernel, levels, policy):
-                    tested[rule] += 1
-                    differ, whole, squeezed = self.replay_rows(kernel, grid, levels, policy,
-                                                               rule)
-                    assert differ is None and whole == squeezed, (kernel.name, rule)
-        # one WC buffer takes only the kernels that write one array, and
-        # only by iteration; the visit rule takes no LC-breaking level here
-        assert tested == ({"visits": 0, "iterations": 18} if policy == NtBypass(1)
-                          else {"visits": 44, "iterations": 66})
+            for levels in (lc_hold(kernel, grid), lv(2 * len(kernel.accesses) + 1)):
+                if squeezes(kernel, levels, policy):
+                    tested += 1
+                    differ, whole, squeezed = self.replay_rows(kernel, grid, levels, policy)
+                    assert differ is None and whole == squeezed, kernel.name
+        # one WC buffer takes no kernel, as each writes at least one array
+        assert tested == (0 if policy == NtBypass(1) else 44)
 
     def test_random_kernels_rows_leave_the_whole_rows_state(self):
         # random kernels (some with arrays that share a line) through levels
         # of 0.05-2x the lines the sweep keeps, claim tables of 1-80 lines
-        # and 1-11 NT buffers, by each rule whose guard holds
+        # and 1-11 NT buffers, where the guard takes them
         rng = np.random.default_rng(23)
-        tested = {"visits": 0, "iterations": 0}
+        tested = 0
         for case in range(400):
             kernel, grid = random_kernel(rng)
             if kernel.loop_k_range is None:
@@ -1818,68 +1784,58 @@ class TestSqueeze:
             policy = (AlwaysAllocate(), NtBypass(int(rng.integers(1, 12))),
                       AutoClaim(int(rng.integers(1, 81))))[int(rng.integers(3))]
             levels = lv(max(1, round(kept_lines(kernel, grid, policy) * rng.uniform(0.05, 2))))
-            for rule in self.rules(kernel, levels, policy):
-                tested[rule] += 1
-                differ, whole, squeezed = self.replay_rows(kernel, grid, levels, policy, rule)
-                assert differ is None and whole == squeezed, (case, rule)
-        assert tested["visits"] >= 250 and tested["iterations"] >= 250
+            if squeezes(kernel, levels, policy):
+                tested += 1
+                differ, whole, squeezed = self.replay_rows(kernel, grid, levels, policy)
+                assert differ is None and whole == squeezed, case
+        assert tested >= 250
 
-    @pytest.mark.parametrize("policy, squeezed", [
-        (AlwaysAllocate(), (4096, 1024, 0)), (AutoClaim(), (3072, 1024, 1024))],
-        ids=["always", "claim"])
-    def test_fewer_lines_than_accesses_keep_whole_rows(self, policy, squeezed):
+    @pytest.mark.parametrize("policy", [AlwaysAllocate(), AutoClaim()], ids=["always", "claim"])
+    def test_fewer_lines_than_accesses_keep_whole_rows(self, policy):
         # three reads and a write on four arrays thrash a level of three
-        # lines: every access misses, so an iteration on the lines of the
-        # one before it is no hit, and rows squeezed by iteration count far
-        # fewer fills
+        # lines: every access misses, and simulate_kernel feeds the rows
+        # whole
         kernel = make_kernel([("a", 0, 0, READ), ("b", 0, 0, READ), ("c", 0, 0, READ),
                               ("d", 0, 0, WRITE)])
         grid, levels = GridSpec(16, 8), lv(3)
-        assert self.rules(kernel, levels, policy) == []
-        differ, whole, got = self.replay_rows(kernel, grid, levels, policy, "iterations")
-        assert differ == 0
-        assert (whole.read_bytes, whole.write_bytes, whole.wa_avoided_bytes) == (32768, 8192, 0)
-        assert (got.read_bytes, got.write_bytes, got.wa_avoided_bytes) == squeezed
-        # so simulate_kernel feeds these rows whole
+        assert not squeezes(kernel, levels, policy)
         got = simulate_kernel(kernel, grid, levels, policy)
         assert (got.read_bytes, got.write_bytes, got.wa_avoided_bytes) == (32768, 8192, 0)
 
     def test_more_written_arrays_than_nt_buffers_keep_whole_rows(self):
         # the 354th sweep of test_random_kernels_caches_and_policies: two
-        # written arrays through one WC buffer, so each store of a repeating
-        # iteration flushes the other array's partial line, and rows
-        # squeezed by iteration miss those flushes and their merge reads
+        # written arrays through one WC buffer, so each store flushes the
+        # other array's partial line, and simulate_kernel feeds the rows
+        # whole
         grid = GridSpec(21, 54, halo_lo=4, halo_hi=5)
         a0, a1 = ArrayDecl("a0", grid, 64), ArrayDecl("a1", grid, 256)
         kernel = KernelSpec("fuzz16-354", (
             Access(a1, 1, 5, WRITE), Access(a0, 1, 0, WRITE), Access(a1, -3, -1, READ),
             Access(a0, 2, -2, READ), Access(a1, 1, -4, READ), Access(a1, 0, -1, READ)))
         levels, policy = lv(662), NtBypass(1)
-        assert self.rules(kernel, levels, policy) == []
-        differ, whole, got = self.replay_rows(kernel, grid, levels, policy, "iterations")
-        assert differ == 0
-        assert (whole.read_bytes, got.read_bytes) == (170816, 137920)
+        assert not squeezes(kernel, levels, policy)
         got = simulate_kernel(kernel, grid, levels, policy)
+        want = simulate(gen_trace(kernel, grid), levels, policy, grid.element_size)
+        assert got.read_bytes == 170816
         assert (got.read_bytes, got.write_bytes, got.wa_avoided_bytes) == (
-            whole.read_bytes, whole.write_bytes, whole.wa_avoided_bytes)
+            want.read_bytes, want.write_bytes, want.wa_avoided_bytes)
 
-    def assert_squeezed_by_iteration(self, kernel, grid, levels, policy, reads):
-        """The visit rule leaves another state after the first row and
-        other traffic (`reads`: lines read by whole rows and by the visit
-        rule), the iteration rule the state of whole rows, and
-        ``simulate_kernel``, which takes the iteration rule, the traffic of
-        the full replay."""
-        assert self.rules(kernel, levels, policy) == ["iterations"]
-        differ, whole, got = self.replay_rows(kernel, grid, levels, policy, "visits")
+    def assert_whole_rows_fed(self, kernel, grid, levels, policy, reads):
+        """Rows squeezed by visit leave another state after the first row
+        and other traffic (`reads`: lines read by whole rows and by the
+        visit rule), so the guard turns the visit rule down, and
+        ``simulate_kernel``, fed whole rows, gives the traffic of the full
+        replay."""
+        assert not squeezes(kernel, levels, policy)
+        differ, whole, got = self.replay_rows(kernel, grid, levels, policy)
         assert differ == 0 and (whole.read_bytes // LINE, got.read_bytes // LINE) == reads
-        assert self.replay_rows(kernel, grid, levels, policy, "iterations")[0] is None
         got = simulate_kernel(kernel, grid, levels, policy)
         want = simulate(gen_trace(kernel, grid), levels, policy, grid.element_size)
         assert (got.read_bytes, got.write_bytes, got.wa_avoided_bytes) == (
             want.read_bytes, want.write_bytes, want.wa_avoided_bytes) == (
             whole.read_bytes, whole.write_bytes, whole.wa_avoided_bytes)
 
-    def test_level_of_up_to_twice_the_accesses_squeezes_by_iteration(self):
+    def test_level_of_up_to_twice_the_accesses_keeps_whole_rows(self):
         # a random sweep of the fuzz: two writes and a read on a level of
         # four lines, A + 1 for its A = 3 accesses. Between a visit's fed
         # start and its fed end its line's recorded last touch is stale,
@@ -1890,9 +1846,9 @@ class TestSqueeze:
         a1, a2 = ArrayDecl("a1", grid, 128), ArrayDecl("a2", grid, 128)
         kernel = KernelSpec("fuzz-level", (Access(a2, -1, 2, WRITE), Access(a1, -1, 2, WRITE),
                                            Access(a1, -2, 0, READ)))
-        self.assert_squeezed_by_iteration(kernel, grid, lv(4), AlwaysAllocate(), (48, 59))
+        self.assert_whole_rows_fed(kernel, grid, lv(4), AlwaysAllocate(), (48, 59))
 
-    def test_fewer_nt_buffers_than_twice_the_written_arrays_squeeze_by_iteration(self):
+    def test_fewer_nt_buffers_than_twice_the_written_arrays_keep_whole_rows(self):
         # two store streams half a line apart (arrays of 1 120 bytes)
         # through two WC buffers: as many as written arrays, fewer than
         # twice as many. In one visit window each stream has a line in
@@ -1904,20 +1860,25 @@ class TestSqueeze:
         kernel = KernelSpec("halves", (Access(a, 0, 0, WRITE), Access(b, 0, 0, WRITE)))
         layout = array_layout(kernel, grid)
         assert (layout["b"] - layout["a"]) % LINE == LINE // 2
-        self.assert_squeezed_by_iteration(kernel, grid, lv(64), NtBypass(2), (32, 50))
+        self.assert_whole_rows_fed(kernel, grid, lv(64), NtBypass(2), (32, 50))
 
-    @pytest.mark.parametrize("policy", [AutoClaim(1), NtBypass(1)], ids=["claim", "nt"])
-    def test_masked_writes_keep_their_own_runs(self, policy):
-        # a copy whose rows of 24 + 1 doubles leave a partly written line
-        # open at each end, squeezed by iteration. Without the last read of
-        # a stretch, its masked write joins the run of the write that
-        # missed before the stretch, which then writes its line at once and
-        # opens no claim or WC buffer, so the one left open at a row's end
-        # is not pushed out. The traffic comes out the same here, but not
-        # the rows from the ninth on
-        kernel, grid = halo_copy_kernel(24, 1, 20)
-        levels = lv(64)
-        assert self.replay_rows(kernel, grid, levels, policy, "iterations")[0] is None
-        differ, whole, got = self.replay_rows(kernel, grid, levels, policy, "iterations",
-                                              last_reads=False)
-        assert differ == 8 and whole == got
+    @pytest.mark.parametrize("policy", [AutoClaim(1), NtBypass(2)], ids=["claim", "nt"])
+    def test_start_and_end_write_of_a_visit_share_a_run(self, policy):
+        # a copy whose written array runs half a line ahead of the read one
+        # (arrays of 4 576 bytes): in every fourth row the write's first
+        # visit is shorter than the read's, so no event is fed between its
+        # start and its end write, and the two fall into one run. That run
+        # misses and opens its claim or WC buffer with the bytes of both,
+        # but it cannot complete the line, so the rows still leave the
+        # state of whole rows (``_replay_kernel``)
+        grid = GridSpec(24, 20, halo_lo=1, halo_hi=1)
+        b, a = ArrayDecl("b", grid), ArrayDecl("a", grid, 8)
+        kernel = KernelSpec("copy", (Access(b, 0, 0, READ), Access(a, 0, 0, WRITE)))
+        assert (array_layout(kernel, grid)["a"] - array_layout(kernel, grid)["b"]) % LINE == 32
+        addrs, writes, _, keep = fed_rows(kernel, grid, 20, True, policy)
+        # fed writes of `a` next to each other, of two iterations, on one line
+        joined = (writes[1:] & writes[:-1] & (addrs[1:] // LINE == addrs[:-1] // LINE)
+                  & (keep[1:] // 2 != keep[:-1] // 2))
+        assert np.count_nonzero(joined) == 5
+        differ, whole, got = self.replay_rows(kernel, grid, lv(64), policy)
+        assert differ is None and whole == got
