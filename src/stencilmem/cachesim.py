@@ -36,15 +36,17 @@ cut by one function (``_cut``) for every block. A run that goes on past
 the end of a block is held back and replayed with the next block, so the
 traffic does not depend on where a trace is cut into blocks.
 
-A block that evicts no line is replayed once per distinct line, not once
-per run, under always-allocate. No line then leaves the level, so each
-line's misses follow from its own runs alone, and the LRU order is the
-lines the block does not touch, then the touched ones in order of last
-touch. The state after the block is the one the run loop leaves; any
-other block takes the run loop, so ``simulate`` of a trace that fills
-the level takes it for each block that evicts. Claims and NT always take
-the run loop, the one place that holds the claim rule and the
-write-combine buffers, whose outcome depends on the order of the runs.
+Under always-allocate, a block with no more runs than the level has free
+lines is replayed once per distinct line, not once per run. Each line it
+adds has a run of its own, so no line leaves the level, each line's
+misses follow from its own runs alone, and the LRU order is the lines
+the block does not touch, then the touched ones in order of last touch.
+The state after the block is the one the run loop leaves; any other
+block takes the run loop, so ``simulate`` of a trace that fills the
+level takes it for each block once the level is nearly full. Claims and
+NT always take the run loop, the one place that holds the claim rule and
+the write-combine buffers, whose outcome depends on the order of the
+runs.
 
 A kernel sweep is periodic in its rows: row k + P is row k moved by whole
 lines, P = 64 / gcd(row_bytes, 64). ``simulate_kernel`` replays period by
@@ -96,7 +98,6 @@ from .kernels import (LINE_BYTES, READ, WRITE, Access, ArrayDecl, GridSpec,
 
 TRACE_DTYPE = np.dtype([("address", "<u8"), ("mode", "u1")])
 TRACE_BLOCK = 1 << 16   # records per block that load_trace yields
-LINE_REPLAY_RUNS = 256  # fewest runs a block replays line by line
 LINE_SHIFT = LINE_BYTES.bit_length() - 1
 FULL_MASK = (1 << LINE_BYTES) - 1     # coverage of a line written in full
 NO_EVENTS = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=bool), None)
@@ -342,21 +343,23 @@ class _Hierarchy:
     def _replay(self, runs: tuple, moved: int = 0):
         """Replay runs cut by ``_cut``, moved by `moved` lines, and hold back
         the run they held back, moved too. Under a policy that does not
-        evade, a block of at least ``LINE_REPLAY_RUNS`` runs is replayed
-        line by line (``_feed_lines``) if it evicts no line, to the state
-        the run loop leaves; fewer runs cost less in the run loop than the
-        per-line replay's fixed numpy calls. Any other block takes the run
-        loop (``_replay_runs``), whose lists are built only then. `moved` is
-        0 in ``feed``, and nothing is then copied.
+        evade, a block with no more runs than the level has free lines is
+        replayed line by line (``_feed_lines``); it adds at most one line a
+        run, so it evicts none. Any other block takes the run loop
+        (``_replay_runs``), whose lists are built only then. `moved` is 0
+        in ``feed``, and nothing is then copied.
         """
         lines, last_w, loop, (addrs, writes, masks) = runs
         if moved:
             lines = lines + np.uint64(moved)
             addrs = addrs + np.uint64(moved * LINE_BYTES)
         self.held = addrs, writes, masks
-        if lines.size and (self.claim or self.nt or lines.size < LINE_REPLAY_RUNS
-                           or not self._feed_lines(lines, last_w)):
+        if not lines.size:
+            return
+        if self.claim or self.nt or lines.size > self.ways - len(self.lru):
             self._replay_runs(lines.tolist(), *loop())
+        else:
+            self._feed_lines(lines, last_w)
 
     def _replay_runs(self, lines, first_w, any_w, cov):
         """The run loop: replay runs one by one. The arguments are iterables
@@ -434,30 +437,20 @@ class _Hierarchy:
                     aged += 1
         self.counts += (reads, writes_out, avoided, aged)
 
-    def _feed_lines(self, lines, any_w) -> bool:
-        """Replay a block's runs line by line if it evicts no line; otherwise
-        return False with nothing changed. The arguments hold one entry per
-        run, as ``_cut`` finds them: its line and whether it writes. Only a
-        policy that does not evade comes here, so the only charge is a fill
-        for each line not cached.
+    def _feed_lines(self, lines, any_w):
+        """Replay a block's runs line by line. The arguments hold one entry
+        per run, as ``_cut`` finds them: its line and whether it writes.
+        ``_replay`` sends only a block under a policy that does not evade,
+        so the only charge is a fill for each line not cached, and only a
+        block with no more runs than the level has free lines.
 
-        The block is taken only if the level has room for every line it
-        adds. No line then leaves the level, so a line's first run misses
-        if the line was not cached, and its later runs hit. Each touched
-        line moves to the end of the LRU order in order of last touch,
-        dirty if it was or any of its runs writes.
-
-        A block whose lines fall in more than ``ways`` residues modulo a
-        power of two above ``ways`` (so it has more than ``ways`` distinct
-        lines) is declined before any sort.
+        Each line the block adds has a run of its own, so no line leaves the
+        level: a line's first run misses if the line was not cached, and its
+        later runs hit. Each touched line moves to the end of the LRU order
+        in order of last touch, dirty if it was or any of its runs writes.
         """
-        lru, ways = self.lru, self.ways
+        lru = self.lru
         n = lines.size
-        if n > ways:
-            residues = np.zeros(1 << ways.bit_length(), dtype=bool)
-            residues[lines & np.uint64(residues.size - 1)] = True
-            if np.count_nonzero(residues) > ways:
-                return False
         order = np.argsort(lines, kind="stable")    # the runs of each line
         lines = lines[order]
         edge = np.ones(n + 1, dtype=bool)  # edge[i]: runs i - 1 and i differ in line
@@ -468,15 +461,12 @@ class _Hierarchy:
         keys = ulines.tolist()
         present = np.fromiter(map(lru.__contains__, keys), bool, k)
         hits = np.count_nonzero(present)
-        if len(lru) + k - hits > ways:
-            return False
         self.counts[0] += k - hits
         # each line moves to the end of the LRU order in order of last touch
         dirty = np.logical_or.reduceat(any_w[order], first)
         dirty[present] |= np.fromiter(map(lru.pop, compress(keys, present)), bool, hits)
         recent = np.argsort(order[last])
         lru.update(zip(ulines[recent].tolist(), dirty[recent].tolist()))
-        return True
 
     def retire(self, live: set[int], moved: int):
         """Drop the entries of the lines a sweep has left from the front of
@@ -584,14 +574,16 @@ def simulate(trace, levels, policy: WritePolicySim = AlwaysAllocate(),
     Only the last of ``levels`` is replayed: in the inclusive LRU hierarchy
     the levels above it never change the memory traffic. Every event
     touches ``access_bytes`` bytes starting at its address (the trace format
-    itself carries no size). A mode byte above 1, or an access that crosses
-    a cache line, raises ValueError (exit 2 from ``stencilmem replay``). A
+    itself carries no size); an ``access_bytes`` that is no integer in
+    1..64, a mode byte above 1, or an access that crosses a cache line
+    raises ValueError (exit 2 from ``stencilmem replay``). A
     trace has no rows, so it is replayed in full. The traffic is the same
     however the trace is cut into blocks. The returned MemTraffic counts no
     iterations.
     """
-    if access_bytes < 1 or access_bytes > LINE_BYTES:
-        raise ValueError(f"access_bytes must be in 1..{LINE_BYTES}")
+    if type(access_bytes) is not int or not 1 <= access_bytes <= LINE_BYTES:
+        raise ValueError(f"access_bytes must be an integer in 1..{LINE_BYTES}, "
+                         f"not {access_bytes!r}")
     sim = _Hierarchy(list(levels), policy)
     for records in trace:
         addrs, writes = _record_fields(records, access_bytes)
@@ -777,17 +769,17 @@ def _replay_kernel(kernel: KernelSpec, grid: GridSpec, levels,
     Period n is period 1 moved by (n - 1) * D lines, so these live lines
     are found once, from period 1 alone (``_live_lines``); they are the
     lines its fed events touch too, as the first iteration of every visit
-    is fed. Only the last period may be cut short, and
-    its rows are a prefix of a whole period's, so its lines are among them.
-    From then on, full level or not, the replay retires the left lines
-    after each period (``_Hierarchy.retire``), which also leaves room for
-    the next period's blocks to be replayed line by line under
-    always-allocate. A left line was last touched before every live one,
-    so the left lines lead the LRU order and the WC buffers (the stack
-    property of LRU, Mattson et al. 1970), and each entry dropped is its
-    table's oldest. Dropping it turns a
-    later eviction, age-out or overflow into free room and changes nothing
-    else, and what it would have cost then is charged now. A level that
+    is fed. Only the last period may be cut short, and its rows are a
+    prefix of a whole period's, so its lines are among them. From then on,
+    full level or not, the replay retires the left lines after each period
+    (``_Hierarchy.retire``). That also frees lines, so under
+    always-allocate the next period is replayed line by line if a free
+    line is left for each of its runs. A left line was last touched before
+    every live one, so the left lines lead the LRU order and the WC
+    buffers (the stack property of LRU, Mattson et al. 1970), and each
+    entry dropped is its table's oldest. Dropping it turns a later
+    eviction, age-out or overflow into free room and changes nothing else,
+    and what it would have cost then is charged now. A level that
     keeps only its live lines repeats as soon as the sweep does. The key
     is the whole state but the held-back run, which is period 1's last run
     moved by D lines a period, as the key's base is, so counted from the

@@ -1,5 +1,6 @@
 import copy
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from stencilmem.cachesim import (
     dump_trace,
     evades,
     _Hierarchy,
+    _cut,
     _live_lines,
     _replay_kernel,
     _squeeze,
@@ -172,6 +174,15 @@ class TestSimulateBasics:
             simulate(as_trace([(0, READ), (60, WRITE)]), lv(64), AlwaysAllocate(), 8)
         assert simulate(as_trace([(60, WRITE)]), lv(64), AlwaysAllocate(), 4) == \
             simulate(as_trace([(0, WRITE)]), lv(64), AlwaysAllocate(), 4)
+
+    @pytest.mark.parametrize("policy", [AlwaysAllocate(), AutoClaim()], ids=["always", "claim"])
+    @pytest.mark.parametrize("access_bytes", [8.0, 8.5, True], ids=["8.0", "8.5", "True"])
+    def test_access_bytes_must_be_an_integer(self, policy, access_bytes):
+        # 8.0 is refused under every policy, though always-allocate needs no
+        # write mask and the claim masks cannot shift by a float; an 8.5-byte
+        # write at address 56 is refused for its size, not for crossing a line
+        with pytest.raises(ValueError, match="access_bytes must be an integer"):
+            simulate(as_trace([(56, WRITE)]), lv(4), policy, access_bytes)
 
     @pytest.mark.parametrize("policy, expected", [
         (AlwaysAllocate(), False), (NtBypass(), True), (AutoClaim(), True)])
@@ -572,28 +583,38 @@ ALL_POLICIES = {"always": AlwaysAllocate(), "claim": AutoClaim(), "claim-1": Aut
 def cuts(monkeypatch):
     """Record the runs each engine replays: per engine, one list per block
     of runs (a period, a block fed, or the run held back at the end) of
-    (line, first event writes, last event writes, coverage). Every block
-    takes the run loop, and the lines and write flags that the per-line
-    replay is offered, at any number of runs, must be those the run loop
-    gets."""
-    loop = _Hierarchy._replay_runs
-    calls, offered = {}, {}
+    (line, first event writes, last event writes, coverage), on whichever
+    path the block takes. The write flags that the per-line replay reads
+    must be the last writes that the run loop reads."""
+    block, loop = _Hierarchy._replay, _Hierarchy._replay_runs
+    calls, inside = {}, set()
 
-    def feed_lines(sim, lines, writes):
-        offered[sim] = list(zip(lines.tolist(), writes.tolist()))
-        return False
+    def replay(sim, runs, moved=0):
+        lines, last_w, lists, _ = runs
+        if lines.size:
+            first_w, any_w, cov = lists()
+            assert last_w.tolist() == any_w
+            calls.setdefault(sim, []).append(
+                list(zip((lines + np.uint64(moved)).tolist(), first_w, any_w, cov)))
+        inside.add(sim)
+        block(sim, runs, moved)
+        inside.discard(sim)
 
-    def replay_runs(sim, lines, first_w, last_w, cov):
-        runs = list(zip(lines, first_w, last_w, cov))
-        if sim in offered:
-            assert offered.pop(sim) == [(run[0], run[2]) for run in runs]
-        calls.setdefault(sim, []).append(runs)
-        loop(sim, *(zip(*runs) if runs else [()] * 4))
+    def replay_runs(sim, *runs):
+        if sim not in inside:   # the held-back run, replayed on its own
+            calls.setdefault(sim, []).append(list(zip(*runs)))
+        loop(sim, *runs)
 
-    monkeypatch.setattr(_Hierarchy, "_feed_lines", feed_lines)
+    monkeypatch.setattr(_Hierarchy, "_replay", replay)
     monkeypatch.setattr(_Hierarchy, "_replay_runs", replay_runs)
-    monkeypatch.setattr(cachesim, "LINE_REPLAY_RUNS", 1)
     return calls
+
+
+def run_loop_lines(sim, lines, any_w):
+    """Replay in the run loop what ``_feed_lines`` is sent: under
+    always-allocate, the one policy that reaches it, the run loop reads
+    neither a run's first write nor its coverage."""
+    sim._replay_runs(lines.tolist(), repeat(False), any_w.tolist(), repeat(0))
 
 
 def squeezes(kernel, levels, policy) -> bool:
@@ -1454,33 +1475,39 @@ def hierarchy_state(sim: _Hierarchy):
 
 
 class TestLineReplay:
-    """Under a policy that does not evade, a block that evicts no line is
-    replayed line by line (``_Hierarchy._feed_lines``); claims and NT take
-    the run loop. The run loop, which the per-line replay is patched to
-    decline, is the reference."""
+    """Under a policy that does not evade, a block with no more runs than
+    the level has free lines is replayed line by line
+    (``_Hierarchy._feed_lines``); every other block, and every block of
+    claims and NT, takes the run loop. An engine that replays every block
+    in the run loop is the reference."""
 
     @pytest.fixture
     def paths(self, monkeypatch):
-        """Count the blocks the per-line replay takes (True) and declines
-        (False), and of those it takes, the ones that evict a line
-        ("evicting"); a hierarchy in ``paths["loop"]`` always uses the run
-        loop. No block of a policy that evades may reach it."""
-        line_replay = _Hierarchy._feed_lines
+        """Count the blocks that the per-line replay takes (True) and that
+        the run loop takes (False), and of the first, the ones that evict a
+        line ("evicting"). A hierarchy in ``paths["loop"]`` replays every
+        block in the run loop and is counted in neither. No block of a
+        policy that evades may reach the per-line replay."""
+        line_replay, block = _Hierarchy._feed_lines, _Hierarchy._replay
         paths = {True: 0, False: 0, "loop": (), "evicting": 0}
 
-        def feed_lines(sim, *runs):
+        def feed_lines(sim, lines, any_w):
             assert not evades(sim.policy)
             if sim in paths["loop"]:
-                return False
+                return run_loop_lines(sim, lines, any_w)
             cached = set(sim.lru)
-            took = line_replay(sim, *runs)
-            paths[took] += 1
-            paths["evicting"] += took and not cached <= sim.lru.keys()
-            return took
+            line_replay(sim, lines, any_w)
+            paths[True] += 1
+            paths["evicting"] += not cached <= sim.lru.keys()
+
+        def replay(sim, runs, moved=0):
+            taken = paths[True]
+            block(sim, runs, moved)
+            if sim not in paths["loop"] and runs[0].size and paths[True] == taken:
+                paths[False] += 1
 
         monkeypatch.setattr(_Hierarchy, "_feed_lines", feed_lines)
-        # the block size only picks the cheaper path: check every size
-        monkeypatch.setattr(cachesim, "LINE_REPLAY_RUNS", 1)
+        monkeypatch.setattr(_Hierarchy, "_replay", replay)
         return paths
 
     @staticmethod
@@ -1529,11 +1556,12 @@ class TestLineReplay:
         assert paths[True] >= 500 and paths[False] >= 500
         assert paths["evicting"] == 0
 
-    def test_blocks_one_line_short_of_fitting(self, paths):
-        # one block of `lines` distinct lines, the held-back last run on a
-        # line the block already touched, into a fully associative level of
-        # `lines` ways (it fits) or one fewer (it does not), under
-        # always-allocate, the one policy that reaches the per-line replay
+    def test_blocks_one_run_short_of_fitting(self, paths):
+        # one block of r runs, the held-back last run on a line the block
+        # already touched, into an empty level of r lines (a free line for
+        # each run: the per-line replay takes it) or of r - 1 (the run loop
+        # takes it, though it may add fewer lines), under always-allocate,
+        # the one policy that reaches the per-line replay
         rng = np.random.default_rng(18)
         fits = {True: 0, False: 0}
         for case in range(300):
@@ -1541,18 +1569,17 @@ class TestLineReplay:
             addrs, writes = self.random_events(rng, int(rng.integers(2, 40)), access_bytes,
                                                int(rng.integers(2, 200)))
             addrs, writes = np.append(addrs, addrs[0]), np.append(writes, False)
-            lines = np.unique(addrs // LINE).size
-            short = lines > 1 and bool(rng.random() < 0.5)
-            sim, loop = self.both(paths, lv(lines - short), AlwaysAllocate(), access_bytes)
+            runs = _cut(addrs, writes, None)[0].size
+            if not runs:
+                continue
+            short = runs > 1 and bool(rng.random() < 0.5)
+            sim, loop = self.both(paths, lv(runs - short), AlwaysAllocate(), access_bytes)
             took = paths[True]
             feed(sim, addrs, writes, access_bytes)
             feed(loop, addrs, writes, access_bytes)
             assert hierarchy_state(sim) == hierarchy_state(loop), case
-            if paths[True] > took:
-                fits[True] += 1
-                assert not short
-            elif short:
-                fits[False] += 1
+            assert (paths[True] > took) is not short, case
+            fits[not short] += 1
             sim.finish()
             loop.finish()
             assert hierarchy_state(sim) == hierarchy_state(loop), case
@@ -1575,7 +1602,7 @@ class TestLineReplay:
         block = self.store_streams(3, 12)
         feed(sim, *block)
         feed(loop, *block)
-        assert paths[True] == paths[False] == 0
+        assert (paths[True], paths[False]) == (0, 1)
         assert sim.counts[3] == loop.counts[3] == 0     # claims aged out
         assert hierarchy_state(sim) == hierarchy_state(loop)
 
@@ -1592,7 +1619,7 @@ class TestLineReplay:
         block = self.store_streams(4, lines)
         feed(sim, *block)
         feed(loop, *block)
-        assert paths[True] == paths[False] == 0
+        assert (paths[True], paths[False]) == (0, 1)
         assert sim.counts[3] == loop.counts[3] == lines     # claims aged out
         assert hierarchy_state(sim) == hierarchy_state(loop)
 
@@ -1622,10 +1649,11 @@ class TestLineReplay:
         took, evicted = self.replay_block(paths, 4, AlwaysAllocate(), "0 1w 2 3",
                                           "2 10 2w 3 11 10")
         assert not took and evicted == {0, 1}
-        # a block that only hits the full level evicts nothing and is taken
+        # a block that only hits the full level evicts nothing, but with no
+        # free line for its runs it takes the run loop
         took, evicted = self.replay_block(paths, 4, AlwaysAllocate(), "0 1w 2 3",
                                           "3 1w 0 1 2w")
-        assert took and not evicted
+        assert not took and not evicted
         # under claims the run loop takes it; the read of 1 fills its open
         # claim
         took, evicted = self.replay_block(paths, 4, AutoClaim(2), "0 1w 2 3", "3 1w 0 1 2w")
@@ -1657,60 +1685,89 @@ class TestLineReplay:
         took, gone = self.replay_block(paths, 4, AutoClaim(2), "0w 1 2w 3", block)
         assert not took and gone == evicted
 
-    @pytest.mark.parametrize("policy", [AlwaysAllocate(), AutoClaim()], ids=["always", "claim"])
-    def test_suite_on_a_level_of_twice_its_rows(self, suite, monkeypatch, policy):
-        # a level of twice the rows a kernel touches fills, but the lines
-        # the sweep has left are retired after each period, so the blocks of
-        # the next period find room: under always-allocate the per-line
-        # replay takes blocks on it and none of them evicts, while claims
-        # take the run loop. The run loop over the whole trace is the
-        # reference, and simulate_kernel must match it bit for bit
-        line_replay = _Hierarchy._feed_lines
-        loop_only, taken = [], set()
+    @staticmethod
+    def sweep_suite(suite, monkeypatch, levels_of, policy):
+        """Replay each kernel's sweep at 128 x 64 on ``levels_of(kernel,
+        grid)`` and match its traffic bit for bit with the run loop over the
+        whole trace. Return the sweeps' engines, per kernel whether the
+        per-line replay took each period after the first, in order, and the
+        number of blocks it took. None of them may evict a line."""
+        line_replay, block = _Hierarchy._feed_lines, _Hierarchy._replay
+        reference, taken, later = [], [0], {}
 
-        def feed_lines(sim, *runs):
-            if loop_only:
-                return False
+        def feed_lines(sim, lines, any_w):
+            if reference:
+                return run_loop_lines(sim, lines, any_w)
             cached = set(sim.lru)
-            took = line_replay(sim, *runs)
-            if took:
-                assert cached <= sim.lru.keys(), kernel.name
-                taken.add(kernel.name)
-            return took
+            line_replay(sim, lines, any_w)
+            assert cached <= sim.lru.keys(), kernel.name
+            taken[0] += 1
+
+        def replay(sim, runs, *moved):
+            before = taken[0]
+            block(sim, runs, *moved)
+            if moved:   # a later period, moved by whole lines
+                later.setdefault(kernel.name, []).append(taken[0] > before)
 
         monkeypatch.setattr(_Hierarchy, "_feed_lines", feed_lines)
-        # the block size only picks the cheaper path, and am04's squeezed
-        # periods fall under LINE_REPLAY_RUNS: check every size
-        monkeypatch.setattr(cachesim, "LINE_REPLAY_RUNS", 1)
-        replayed = 0
+        monkeypatch.setattr(_Hierarchy, "_replay", replay)
+        sims = {}
         for kernel in suite:
             grid = kernel.grid.resized(128, 64)
-            levels = lc_hold(kernel, grid)
-            sim = _replay_kernel(kernel, grid, levels, policy)
+            levels = levels_of(kernel, grid)
+            sims[kernel.name] = sim = _replay_kernel(kernel, grid, levels, policy)
             got = sim.traffic(0)
-            replayed += sim.replayed_rows
-            loop_only.append(kernel)
+            reference.append(kernel)
             want = simulate(gen_trace(kernel, grid), levels, policy, grid.element_size)
-            loop_only.clear()
+            reference.clear()
             assert ((got.read_bytes, got.write_bytes, got.wa_avoided_bytes)
                     == (want.read_bytes, want.write_bytes, want.wa_avoided_bytes)), kernel.name
-        assert taken == (set(suite.kernels) if policy == AlwaysAllocate() else set())
+        return sims, later, taken[0]
+
+    @pytest.mark.parametrize("policy", [AlwaysAllocate(), AutoClaim()], ids=["always", "claim"])
+    def test_suite_on_a_level_of_twice_its_rows(self, suite, monkeypatch, policy):
+        # a level of twice the rows a kernel touches fills. Every period,
+        # the first too, has more runs than the level has free lines, so
+        # under always-allocate the run loop takes it, as it takes every
+        # block of claims
+        sims, later, taken = self.sweep_suite(suite, monkeypatch, lc_hold, policy)
+        assert set(later) == set(suite.kernels) and taken == 0
         # am10 and ac06 replay six rows, every other kernel four
-        assert replayed == 92
+        assert sum(sim.replayed_rows for sim in sims.values()) == 92
+
+    def test_suite_on_a_level_with_room_for_a_period(self, suite, monkeypatch):
+        # a level of five times the LC-holding one has a free line for each
+        # run of every later period, once the lines the sweep has left are
+        # retired: under always-allocate the per-line replay takes each of
+        # them and none evicts. The sweep touches more lines than the level
+        # holds, yet it is charged in bulk on a level that is not full
+        def room(kernel, grid):
+            return lv(5 * lc_hold(kernel, grid)[0].lines)
+
+        sims, later, _ = self.sweep_suite(suite, monkeypatch, room, AlwaysAllocate())
+        assert set(later) == set(suite.kernels)
+        assert all(sum(later.values(), []))
+        for kernel in suite:
+            grid = kernel.grid.resized(128, 64)
+            touched = np.unique(np.concatenate([r["address"] for r in gen_trace(kernel, grid)])
+                                // LINE).size
+            sim = sims[kernel.name]
+            assert touched > sim.ways, kernel.name
+            assert sim.fill_rows == sim.bulk_rows > 0, kernel.name
 
     @pytest.mark.parametrize("lines", [4, 5])
-    def test_more_lines_than_ways_decline_before_sorting(self, paths, monkeypatch, lines):
-        # eight rounds over `lines` lines into an empty level of four: more
-        # runs than ways, so the lines are first counted by residue modulo
-        # 8; four lines are replayed line by line, five declined unsorted
+    def test_more_runs_than_free_lines_reach_no_sort(self, paths, monkeypatch, lines):
+        # eight rounds over `lines` lines into an empty level of four: four
+        # lines fit and five do not, but either way the block has more runs
+        # than the level has free lines, so the run loop takes it and no
+        # numpy sort is called
         addrs = np.tile(np.arange(lines, dtype=np.uint64) * np.uint64(LINE), 8)
         writes = np.zeros(addrs.size, dtype=bool)
         sim, loop = self.both(paths, lv(4), AlwaysAllocate(), 8)
-        if lines > 4:
-            monkeypatch.setattr(np, "argsort", None)
+        monkeypatch.setattr(np, "argsort", None)
         feed(sim, addrs, writes, last=True)
         feed(loop, addrs, writes, last=True)
-        assert (paths[True], paths[False]) == ((1, 0) if lines == 4 else (0, 1))
+        assert (paths[True], paths[False]) == (0, 1)
         assert hierarchy_state(sim) == hierarchy_state(loop)
 
 
